@@ -213,9 +213,7 @@ def _cmd_verify(args):
     reports = []
     for name in names:
         print(f"running suite: {name}", file=sys.stderr)
-        report = harness.run_suite(
-            name, config=config, seed=args.seed, tol=args.tol, threads=args.threads or 1
-        )
+        report = harness.run_suite(name, config=config, seed=args.seed, tol=args.tol)
         reports.append(report)
     all_pass = all(r.passed for r in reports)
     if len(reports) == 1:
@@ -244,7 +242,7 @@ def build_parser():
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default=None, help="output file path")
         p.add_argument("--seed", type=int, default=None, help="RNG seed")
-        p.add_argument("--threads", type=int, default=None, help="worker threads for suites")
+        p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; ignored")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
 
     pe = sub.add_parser("exponents", help="closed-form smoothing exponents")

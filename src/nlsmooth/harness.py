@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,7 +21,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import exponents as expo
-from .measure import GridFunction, lq_norm, positive_part
+from .measure import GridFunction, lq_norm, lq_norm_rows
 from .operators import (
     BoundaryCondition,
     DiscreteOperator,
@@ -36,7 +35,7 @@ from .operators import (
     linear_perturbation,
     tanh_perturbation,
 )
-from .resolvent import NonConvergenceError, resolvent_power, solve_resolvent
+from .resolvent import resolvent_power, solve_resolvent_batch
 from .semigroup import TimeGrid, evolve, exponential_formula_probe
 
 SUPPORT_RELATIVE_FLOOR = 1e-12
@@ -524,17 +523,18 @@ def barenblatt_comparison(config=None, refinement=True):
 # ---------------------------------------------------------------------------
 
 
-def _pmap(fn, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+def _solve_pairs(spec, op, lam, A, B):
+    """Resolvents of the rows of A and B in one batch.
 
-
-def _random_pair(rng, space):
-    a = GridFunction(space, rng.standard_normal(space.n))
-    b = GridFunction(space, rng.standard_normal(space.n))
-    return a, b
+    Returns (JA, JB, ok), where ok marks the pairs whose two members both
+    converged; a lambda the solver refuses fails every pair.
+    """
+    try:
+        out = solve_resolvent_batch(spec, lam, np.concatenate([A, B]), op=op)
+    except ValueError:
+        return A, B, np.zeros(len(A), dtype=bool)
+    n = len(A)
+    return out.u[:n], out.u[n:], out.converged[:n] & out.converged[n:]
 
 
 def contraction_suite(
@@ -550,57 +550,41 @@ def contraction_suite(
     """Resolvent contraction in every L^q and order preservation, in bulk.
 
     Zero violations required to pass; solver failures count separately as
-    suite errors (they also fail the suite, but are not 'violations').
+    suite errors (they also fail the suite, but are not 'violations'). The
+    pairs of each (p, lambda) are solved as one batch; a pair is a solver
+    error when either of its members fails. threads is accepted for
+    compatibility and ignored.
     """
     grid = Grid(bounds=((-1.0, 1.0),), shape=(n_nodes,))
-    space = grid.space()
+    weights = grid.space().weights
     rng = np.random.default_rng(seed)
-    jobs = []
+    labels = [f"contraction q={q}" for q in q_values] + ["order"]
+    violations = []
+    errors = 0
+    worst_margin = -float("inf")
     for p in p_values:
         spec = OperatorSpec(grid=grid, p=p, bc=BoundaryCondition.dirichlet())
         op = DiscreteOperator(spec)
         for lam in lambdas:
-            for _ in range(n_pairs):
-                a, b = _random_pair(rng, space)
-                jobs.append((spec, op, lam, a, b))
-
-    violations = []
-    errors = 0
-    worst_margin = -float("inf")
-
-    def run(job):
-        spec, op, lam, a, b = job
-        try:
-            ja = solve_resolvent(spec, lam, a, op=op).u
-            jb = solve_resolvent(spec, lam, b, op=op).u
-        except (NonConvergenceError, ValueError):
-            return ("error", None)
-        out = []
-        for q in q_values:
-            lhs = lq_norm(ja - jb, q)
-            rhs = lq_norm(a - b, q)
-            margin = lhs - rhs * (1.0 + slack)
-            out.append((f"contraction q={q}", margin, spec.p, lam))
-        lhs = lq_norm(positive_part(ja - jb), 1)
-        rhs = lq_norm(positive_part(a - b), 1)
-        out.append(("order", lhs - rhs - 1e-8, spec.p, lam))
-        return ("ok", out)
-
-    for status, out in _pmap(run, jobs, threads):
-        if status == "error":
-            errors += 1
-            continue
-        for label, margin, p, lam in out:
-            worst_margin = max(worst_margin, margin)
-            if margin > 0.0:
-                violations.append({"check": label, "margin": margin, "p": p, "lam": lam})
+            pairs = rng.standard_normal((n_pairs, 2, n_nodes))  # a_1, b_1, a_2, b_2, ...
+            A, B = pairs[:, 0], pairs[:, 1]
+            JA, JB, ok = _solve_pairs(spec, op, lam, A, B)
+            errors += int(np.count_nonzero(~ok))
+            dj, dg = JA[ok] - JB[ok], A[ok] - B[ok]
+            margins = [lq_norm_rows(weights, dj, q) - lq_norm_rows(weights, dg, q) * (1.0 + slack) for q in q_values]
+            order = lq_norm_rows(weights, np.maximum(dj, 0.0), 1) - lq_norm_rows(weights, np.maximum(dg, 0.0), 1)
+            margins = np.stack(margins + [order - 1e-8], axis=1)  # (pairs, checks)
+            if margins.size:
+                worst_margin = max(worst_margin, float(margins.max()))
+            for i, c in zip(*np.nonzero(margins > 0.0)):
+                violations.append({"check": labels[c], "margin": float(margins[i, c]), "p": spec.p, "lam": lam})
 
     passed = (not violations) and errors == 0
     return Report(
         name="contraction-suite",
         passed=passed,
         metrics={
-            "pairs": len(jobs),
+            "pairs": len(p_values) * len(lambdas) * n_pairs,
             "violations": len(violations),
             "solver_errors": errors,
             "worst_margin": worst_margin,
@@ -620,9 +604,12 @@ def contraction_suite(
 
 
 def order_suite(p_values=(1.5, 2.0, 3.0), n_pairs=50, n_nodes=48, lam=0.1, seed=1, threads=1):
-    """Pointwise order preservation of the resolvent on ordered pairs."""
+    """Pointwise order preservation of the resolvent on ordered pairs.
+
+    The pairs of each p are solved as one batch; threads is accepted for
+    compatibility and ignored.
+    """
     grid = Grid(bounds=((-1.0, 1.0),), shape=(n_nodes,))
-    space = grid.space()
     rng = np.random.default_rng(seed)
     violations = 0
     errors = 0
@@ -630,19 +617,14 @@ def order_suite(p_values=(1.5, 2.0, 3.0), n_pairs=50, n_nodes=48, lam=0.1, seed=
     for p in p_values:
         spec = OperatorSpec(grid=grid, p=p, bc=BoundaryCondition.neumann())
         op = DiscreteOperator(spec)
-        for _ in range(n_pairs):
-            a = GridFunction(space, rng.standard_normal(space.n))
-            b = a + GridFunction(space, np.abs(rng.standard_normal(space.n)))
-            try:
-                ja = solve_resolvent(spec, lam, a, op=op).u
-                jb = solve_resolvent(spec, lam, b, op=op).u
-            except (NonConvergenceError, ValueError):
-                errors += 1
-                continue
-            gap = float(np.max(ja.values - jb.values))
-            worst = max(worst, gap)
-            if gap > 1e-8:
-                violations += 1
+        draws = rng.standard_normal((n_pairs, 2, n_nodes))  # a_1, e_1, a_2, e_2, ...
+        A = draws[:, 0]
+        JA, JB, ok = _solve_pairs(spec, op, lam, A, A + np.abs(draws[:, 1]))
+        errors += int(np.count_nonzero(~ok))
+        gaps = np.max(JA[ok] - JB[ok], axis=1)
+        if gaps.size:
+            worst = max(worst, float(gaps.max()))
+        violations += int(np.count_nonzero(gaps > 1e-8))
     passed = violations == 0 and errors == 0
     return Report(
         name="order-suite",
@@ -808,7 +790,10 @@ def convergence_study(n_nodes=64, t=0.05, n_list=(8, 16, 32, 64), seed=4):
 
 
 def run_suite(name, config=None, seed=None, tol=None, threads=1):
-    """Run one named verification suite and return its Report."""
+    """Run one named verification suite and return its Report.
+
+    threads is accepted for compatibility and ignored.
+    """
     if name == "decay":
         cfg = config or default_decay_config()
         return run_decay_experiment(cfg, tol=tol)
@@ -823,7 +808,7 @@ def run_suite(name, config=None, seed=None, tol=None, threads=1):
             kwargs["seed"] = seed
         if tol is not None:
             kwargs["slack"] = tol
-        return contraction_suite(threads=threads, **kwargs)
+        return contraction_suite(**kwargs)
     if name == "order":
         return order_suite(**({"seed": seed} if seed is not None else {}))
     if name == "gn":

@@ -112,13 +112,18 @@ def _same_space(u, v):
 
 def lq_norm(u, q):
     """(sum_i mu_i |u_i|^q)^(1/q), or max_i |u_i| for q = inf."""
+    return float(lq_norm_rows(u.space.weights, u.values, q))
+
+
+def lq_norm_rows(weights, X, q):
+    """lq_norm of every row of a (..., n) array of values on the node weights."""
     q = parse_index(q)
-    a = np.abs(u.values)
+    a = np.abs(X)
     if q == INF:
-        return float(a.max(initial=0.0))
+        return a.max(axis=-1, initial=0.0)
     if q == 1.0:
-        return float(np.dot(u.space.weights, a))
-    return float(np.dot(u.space.weights, a**q) ** (1.0 / q))
+        return np.vecdot(a, weights)
+    return np.vecdot(a**q, weights) ** (1.0 / q)
 
 
 def q_bracket(u, v, q):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,18 +53,20 @@ class Grid:
     def d(self):
         return len(self.shape)
 
-    @property
+    # Geometry is computed once per grid; equality and hashing still use the
+    # fields alone.
+    @cached_property
     def h(self):
         return tuple((hi - lo) / (n + 1) for (lo, hi), n in zip(self.bounds, self.shape))
 
-    @property
+    @cached_property
     def n_total(self):
         out = 1
         for n in self.shape:
             out *= n
         return out
 
-    @property
+    @cached_property
     def cell_volume(self):
         v = 1.0
         for h in self.h:
@@ -279,33 +282,36 @@ class DiscreteOperator:
         return self._space
 
     # -- edge gradients ----------------------------------------------------
+    # Evaluation works along the last axis of its argument, so a (B, n) stack
+    # of grid functions is evaluated member by member in one call.
 
     def _gradients_1d(self, w):
         n, = self.grid.shape
         h, = self.grid.h
-        g = np.empty(n + 1)
-        g[1:n] = (w[1:] - w[:-1]) / h
+        g = np.empty(w.shape[:-1] + (n + 1,))
+        np.subtract(w[..., 1:], w[..., :-1], out=g[..., 1:n])
+        g[..., 1:n] /= h
         if self.spec.bc.kind == "dirichlet":
-            g[0] = w[0] / h
-            g[n] = -w[n - 1] / h
+            g[..., 0] = w[..., 0] / h
+            g[..., n] = -w[..., n - 1] / h
         else:
-            g[0] = 0.0
-            g[n] = 0.0
+            g[..., 0] = 0.0
+            g[..., n] = 0.0
         return g
 
     def _gradients_2d(self, w):
         nx, ny = self.grid.shape
         hx, hy = self.grid.h
-        W = w.reshape(nx, ny)
-        gx = np.zeros((nx + 1, ny))
-        gy = np.zeros((nx, ny + 1))
-        gx[1:nx, :] = (W[1:, :] - W[:-1, :]) / hx
-        gy[:, 1:ny] = (W[:, 1:] - W[:, :-1]) / hy
+        W = w.reshape(w.shape[:-1] + (nx, ny))
+        gx = np.zeros(W.shape[:-2] + (nx + 1, ny))
+        gy = np.zeros(W.shape[:-2] + (nx, ny + 1))
+        gx[..., 1:nx, :] = (W[..., 1:, :] - W[..., :-1, :]) / hx
+        gy[..., :, 1:ny] = (W[..., :, 1:] - W[..., :, :-1]) / hy
         if self.spec.bc.kind == "dirichlet":
-            gx[0, :] = W[0, :] / hx
-            gx[nx, :] = -W[nx - 1, :] / hx
-            gy[:, 0] = W[:, 0] / hy
-            gy[:, ny] = -W[:, ny - 1] / hy
+            gx[..., 0, :] = W[..., 0, :] / hx
+            gx[..., nx, :] = -W[..., nx - 1, :] / hx
+            gy[..., :, 0] = W[..., :, 0] / hy
+            gy[..., :, ny] = -W[..., :, ny - 1] / hy
         return gx, gy
 
     def gradient_pnorm(self, v, p, eps=0.0):
@@ -331,31 +337,30 @@ class DiscreteOperator:
     def diffusion_values(self, w):
         """-div(a(grad w)) plus the robin boundary term, on raw values w."""
         p, eps = self.spec.p, self.spec.eps_reg
+        robin = self.spec.bc.kind == "robin"
         if self.grid.d == 1:
             h, = self.grid.h
             F = _flux(self._gradients_1d(w), p, eps)
-            out = (F[:-1] - F[1:]) / h
-            if self.spec.bc.kind == "robin":
-                b = self.spec.bc.b
-                out = out.copy()
-                out[0] += b * _power_flux(w[:1], p)[0] / h
-                out[-1] += b * _power_flux(w[-1:], p)[0] / h
+            out = (F[..., :-1] - F[..., 1:]) / h
+            if robin:
+                ends = [0, -1]
+                out[..., ends] += self.spec.bc.b * _power_flux(w[..., ends], p) / h
             return out
         nx, ny = self.grid.shape
         hx, hy = self.grid.h
         gx, gy = self._gradients_2d(w)
         Fx = _flux(gx, p, eps)
         Fy = _flux(gy, p, eps)
-        out = (Fx[:-1, :] - Fx[1:, :]) / hx + (Fy[:, :-1] - Fy[:, 1:]) / hy
-        if self.spec.bc.kind == "robin":
+        out = (Fx[..., :-1, :] - Fx[..., 1:, :]) / hx + (Fy[..., :, :-1] - Fy[..., :, 1:]) / hy
+        if robin:
             b = self.spec.bc.b
-            W = w.reshape(nx, ny)
+            W = w.reshape(out.shape)
             # face contribution: b |w|^{p-2} w * (tangential spacing) / cell volume
-            out[0, :] += b * _power_flux(W[0, :], p) / hx
-            out[-1, :] += b * _power_flux(W[-1, :], p) / hx
-            out[:, 0] += b * _power_flux(W[:, 0], p) / hy
-            out[:, -1] += b * _power_flux(W[:, -1], p) / hy
-        return out.ravel()
+            out[..., 0, :] += b * _power_flux(W[..., 0, :], p) / hx
+            out[..., -1, :] += b * _power_flux(W[..., -1, :], p) / hx
+            out[..., :, 0] += b * _power_flux(W[..., :, 0], p) / hy
+            out[..., :, -1] += b * _power_flux(W[..., :, -1], p) / hy
+        return out.reshape(w.shape)
 
     def apply_values(self, u):
         w = self.spec.phi.value(u)
@@ -375,17 +380,17 @@ class DiscreteOperator:
         if self.grid.d == 1:
             c = _flux_deriv(self._gradients_1d(w), p, eps)
             if not dirichlet:
-                c[0] = 0.0  # boundary edges carry no flux for any w
-                c[-1] = 0.0
+                c[..., 0] = 0.0  # boundary edges carry no flux for any w
+                c[..., -1] = 0.0
             return c
         gx, gy = self._gradients_2d(w)
         cx = _flux_deriv(gx, p, eps)
         cy = _flux_deriv(gy, p, eps)
         if not dirichlet:
-            cx[0, :] = 0.0
-            cx[-1, :] = 0.0
-            cy[:, 0] = 0.0
-            cy[:, -1] = 0.0
+            cx[..., 0, :] = 0.0
+            cx[..., -1, :] = 0.0
+            cy[..., :, 0] = 0.0
+            cy[..., :, -1] = 0.0
         return cx, cy
 
     def _robin_diag(self, w):
@@ -395,7 +400,6 @@ class DiscreteOperator:
 
         def dpow(v):
             # derivative of |w|^{p-2} w; zeroed at w = 0 for p < 2 to keep it finite
-            v = np.atleast_1d(np.asarray(v, dtype=float))
             out = np.zeros_like(v)
             nz = (v != 0.0) | (p >= 2.0)
             out[nz] = (p - 1.0) * np.abs(v[nz]) ** (p - 2.0)
@@ -403,28 +407,31 @@ class DiscreteOperator:
 
         if self.grid.d == 1:
             h, = self.grid.h
+            ends = [0, -1]
             diag = np.zeros_like(w)
-            diag[0] += b * dpow(w[0])[0] / h
-            diag[-1] += b * dpow(w[-1])[0] / h
+            diag[..., ends] += b * dpow(w[..., ends]) / h
             return diag
         nx, ny = self.grid.shape
         hx, hy = self.grid.h
-        W = w.reshape(nx, ny)
-        D = np.zeros((nx, ny))
-        D[0, :] += b * dpow(W[0, :]) / hx
-        D[-1, :] += b * dpow(W[-1, :]) / hx
-        D[:, 0] += b * dpow(W[:, 0]) / hy
-        D[:, -1] += b * dpow(W[:, -1]) / hy
-        return D.ravel()
+        W = w.reshape(w.shape[:-1] + (nx, ny))
+        D = np.zeros_like(W)
+        D[..., 0, :] += b * dpow(W[..., 0, :]) / hx
+        D[..., -1, :] += b * dpow(W[..., -1, :]) / hx
+        D[..., :, 0] += b * dpow(W[..., :, 0]) / hy
+        D[..., :, -1] += b * dpow(W[..., :, -1]) / hy
+        return D.reshape(w.shape)
 
     def diffusion_jacobian_bands_1d(self, w):
-        """Tridiagonal bands of d/dw [-div(a(grad w))], for scipy solve_banded."""
+        """Tridiagonal bands of d/dw [-div(a(grad w))], for scipy solve_banded.
+
+        For a (B, n) stack the bands carry the same leading batch axis.
+        """
         n, = self.grid.shape
         h, = self.grid.h
-        c = self.edge_conductivities(w) / (h * h)  # c[e], e = 0..n
-        lower = -c[1:n]  # coupling to the left neighbor
-        upper = -c[1:n]
-        diag = c[:n] + c[1 : n + 1]
+        c = self.edge_conductivities(w) / (h * h)  # c[..., e], e = 0..n
+        lower = -c[..., 1:n]  # coupling to the left neighbor
+        upper = -c[..., 1:n]
+        diag = c[..., :n] + c[..., 1 : n + 1]
         if self.spec.bc.kind == "robin":
             diag = diag + self._robin_diag(w)
         return lower, diag, upper

@@ -429,6 +429,14 @@ def test_contraction_suite_is_thread_invariant():
     assert r1.config_hash == r2.config_hash
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "open defect: at p = 1.5, lambda = 0.01 the Newton iteration for members a of pairs 8 "
+    "and 9 accepts full steps but its residual falls only about 1% per step and stalls "
+    "near 2.2e-3 after 200 iterations"))
+def test_contraction_suite_solves_every_pair_at_p_1_5():
+    assert harness.contraction_suite(seed=2).metrics["solver_errors"] == 0
+
+
 def test_suite_registry():
     assert set(harness.SUITES) == {
         "decay",

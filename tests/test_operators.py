@@ -70,6 +70,33 @@ def test_grid_geometry():
         Grid(bounds=((0.0, 1.0),), shape=(3, 3))
 
 
+def test_grid_geometry_is_cached_and_equality_stays_field_based():
+    g = interval(0.0, 1.0, 3)
+    assert g.h is g.h and g.cell_volume == 0.25 and g.n_total == 3
+    twin = interval(0.0, 1.0, 3)  # geometry not yet computed
+    assert g == twin and hash(g) == hash(twin)
+    assert g != interval(0.0, 1.0, 4)
+
+
+def test_evaluation_is_row_wise_on_a_stack():
+    rng = np.random.default_rng(RNG_SEED + 9)
+    specs = [_spec_1d(p, bc, phi=phi, perturbation=pert)
+             for p in (1.5, 3.0) for bc in ALL_BCS
+             for phi, pert in ((None, None), (PhiSpec.power(2.0), tanh_perturbation(0.3)))]
+    specs += [_spec_2d(3.0, bc) for bc in ALL_BCS]
+    for spec in specs:
+        op = DiscreteOperator(spec)
+        W = rng.standard_normal((3, spec.grid.n_total))
+        methods = [op.apply_values, op.diffusion_values, op.phi_derivative,
+                   op.perturbation_values, op.perturbation_derivative]
+        if spec.grid.d == 1:
+            methods += [op.edge_conductivities, lambda w: np.concatenate(op.diffusion_jacobian_bands_1d(w), axis=-1)]
+        for method in methods:
+            stacked = method(W)
+            for k in range(len(W)):
+                np.testing.assert_allclose(stacked[k], method(W[k]), rtol=1e-14, atol=1e-14)
+
+
 def test_laplacian_stencil_1d():
     # p = 2 makes the flux linear for every eps, so A is the exact
     # (-1, 2, -1)/h^2 Dirichlet stencil

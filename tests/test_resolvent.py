@@ -19,9 +19,11 @@ from nlsmooth.resolvent import (
     NonConvergenceError,
     PreconditionError,
     ResolventQuery,
+    _solve_tridiagonal_stack,
     resolvent_power,
     solve_query,
     solve_resolvent,
+    solve_resolvent_batch,
 )
 
 N_NODES = 8
@@ -179,3 +181,86 @@ def test_query_wrapper_and_2d_solve():
     out2 = solve_resolvent(spec, 0.2, g2, tol=1e-11)
     for q in (1.0, 2.0, float("inf")):
         assert lq_norm(out.u - out2.u, q) <= lq_norm(g - g2, q) * (1.0 + 1e-6)
+
+
+BATCH_CASES = {
+    "dirichlet": (_spec(3.0, "dirichlet"), 0.3),
+    "neumann": (_spec(1.5, "neumann"), 0.3),
+    "robin": (OperatorSpec(grid=interval(-1.0, 1.0, N_NODES), p=3.0,
+                           bc=BoundaryCondition.robin(0.5)), 0.3),
+    "phi-power": (_spec(2.0, "neumann", phi=PhiSpec.power(2)), 0.3),
+    "tanh": (_spec(3.0, "dirichlet", perturbation=tanh_perturbation(0.5)), 0.3),
+    "2d": (OperatorSpec(grid=rectangle((-1.0, 1.0), (-1.0, 1.0), 5, 4), p=3.0,
+                        bc=BoundaryCondition.robin(0.5)), 0.2),
+}
+
+
+def _assert_matches_solo(spec, lam, G, out, rows, tol=SOLVER_TOL):
+    space = spec.space()
+    for k in rows:
+        solo = solve_resolvent(spec, lam, GridFunction(space, G[k]), tol=tol)
+        diff = GridFunction(space, out.u[k]) - solo.u
+        assert lq_norm(diff, 2) <= 1e-12
+        assert out.iterations[k] == solo.iterations
+        assert out.converged[k] and out.failures[k] is None
+        assert out.residual[k] <= tol
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batch_members_equal_their_own_solves(case, batch):
+    spec, lam = BATCH_CASES[case]
+    rng = np.random.default_rng(12)
+    G = 2.0 * rng.standard_normal((batch, spec.grid.n_total))
+    out = solve_resolvent_batch(spec, lam, G, tol=SOLVER_TOL)
+    assert out.u.shape == G.shape
+    _assert_matches_solo(spec, lam, G, out, range(batch))
+
+
+def test_batch_isolates_a_failing_member():
+    # member a of pair 8 in contraction_suite(seed=2) at p = 1.5, lambda = 0.01
+    # stalls (see test_harness); it must not disturb the members around it
+    spec = OperatorSpec(grid=interval(-1.0, 1.0, 64), p=1.5, bc=BoundaryCondition.dirichlet())
+    pairs = np.random.default_rng(2).standard_normal((100, 2, 64))
+    G = np.stack([pairs[7, 0], pairs[8, 0], pairs[8, 1], pairs[10, 0]])
+    out = solve_resolvent_batch(spec, 0.01, G)
+    assert out.converged.tolist() == [True, False, True, True]
+    assert out.iterations[1] == 200
+    assert out.failures[1].startswith("resolvent did not converge: residual ")
+    _assert_matches_solo(spec, 0.01, G, out, (0, 2, 3), tol=1e-10)
+    with pytest.raises(NonConvergenceError) as err:
+        solve_resolvent(spec, 0.01, GridFunction(spec.space(), G[1]))
+    assert str(err.value) == out.failures[1]
+    assert err.value.iterations == 200 and err.value.residual == out.residual[1]
+
+
+def test_stacked_tridiagonal_solve_isolates_bad_blocks():
+    rng = np.random.default_rng(13)
+    k, n = 4, 6
+    system = np.zeros((4, k, n))
+    system[0, :, 1:] = rng.uniform(-1.0, 0.0, (k, n - 1))
+    system[1] = 3.0
+    system[2, :, :-1] = rng.uniform(-1.0, 0.0, (k, n - 1))
+    system[3] = rng.standard_normal((k, n))
+    alone = [_solve_tridiagonal_stack(system[:, j : j + 1].copy())[0] for j in range(k)]
+    assert np.array_equal(_solve_tridiagonal_stack(system.copy()), np.array(alone))
+    system[:3, 3] = 0.0  # a singular block makes LAPACK refuse the whole stack
+    steps = _solve_tridiagonal_stack(system.copy())
+    assert np.array_equal(steps[:3], np.array(alone)[:3])
+    assert np.isnan(steps[3]).all()
+    system[3, 1, 2] = np.nan  # would leak into every block through the elimination
+    steps = _solve_tridiagonal_stack(system)
+    assert np.array_equal(steps[[0, 2]], np.array(alone)[[0, 2]])
+    assert np.isnan(steps[[1, 3]]).all()
+
+
+def test_batch_input_validation():
+    spec = _spec(3.0, "dirichlet")
+    with pytest.raises(ValueError, match="shape"):
+        solve_resolvent_batch(spec, 0.1, np.zeros(N_NODES))
+    with pytest.raises(ValueError, match="finite"):
+        solve_resolvent_batch(spec, 0.1, np.full((2, N_NODES), np.nan))
+    with pytest.raises(ValueError):
+        solve_resolvent_batch(spec, -1.0, np.zeros((2, N_NODES)))
+    out = solve_resolvent_batch(spec, 0.1, np.zeros((0, N_NODES)))
+    assert out.u.shape == (0, N_NODES) and out.failures == []
