@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import harness
@@ -22,19 +21,6 @@ from .exponents import ConditionError, iteration_sequence, moser_q_sequence
 from .harness import exponents_from_query
 from .measure import lq_norm
 from .semigroup import trajectory_to_csv
-
-
-def _encode(obj):
-    if isinstance(obj, dict):
-        return {k: _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-    return obj
 
 
 def _decode(obj):
@@ -50,7 +36,7 @@ def _decode(obj):
 
 
 def _emit(obj):
-    sys.stdout.write(json.dumps(_encode(obj), sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(harness._jsonable(obj), sort_keys=True) + "\n")
 
 
 def _load_config(path):
@@ -213,8 +199,10 @@ def _cmd_verify(args):
     reports = []
     for name in names:
         print(f"running suite: {name}", file=sys.stderr)
-        report = harness.run_suite(name, config=config, seed=args.seed, tol=args.tol)
-        reports.append(report)
+        routed = config
+        if suite == "all" and config is not None and harness.missing_config_keys(name, config):
+            routed = None  # 'all' hands a config only to the suites whose experiment keys it carries
+        reports.append(harness.run_suite(name, config=routed, seed=args.seed, tol=args.tol))
     all_pass = all(r.passed for r in reports)
     if len(reports) == 1:
         _emit(reports[0].to_jsonable())
@@ -226,7 +214,7 @@ def _cmd_verify(args):
                 "pass": all_pass,
                 "suites": [r.to_jsonable() for r in reports],
             }
-            json.dump(_encode(payload), f, sort_keys=True)
+            json.dump(harness._jsonable(payload), f, sort_keys=True)
             f.write("\n")
     return 0 if all_pass else 1
 

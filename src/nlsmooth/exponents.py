@@ -19,7 +19,7 @@ conditions are reported by name, and violations raise ConditionError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 INF = float("inf")
 
@@ -659,16 +659,7 @@ def doubly_nonlinear_exponents(d, p, m, s=1.0, q0=None, theta=None):
         _require(conditions, "q0_ge_p", q0 >= p, f"need q0 >= p = {p}, got q0 = {q0}")
         out = moser_exponents(kappa=d / (d - p), m=m, p=p, q0=q0, s=s)
         conditions.update(out.conditions)
-        return SExponents(
-            s=out.s,
-            alpha_s=out.alpha_s,
-            beta_s=out.beta_s,
-            gamma_s=out.gamma_s,
-            theta_s=out.theta_s,
-            case="doubly-nonlinear:p<d",
-            star=out.star,
-            conditions=conditions,
-        )
+        return replace(out, case="doubly-nonlinear:p<d", conditions=conditions)
 
     if p == d:
         theta = 0.5 if theta is None else float(theta)
@@ -680,16 +671,7 @@ def doubly_nonlinear_exponents(d, p, m, s=1.0, q0=None, theta=None):
         _require(conditions, "q0_ge_p", q0 >= p, f"need q0 >= p = {p}, got q0 = {q0}")
         out = moser_exponents(kappa=1.0 / (1.0 - theta), m=m, p=p, q0=q0, s=s)
         conditions.update(out.conditions)
-        return SExponents(
-            s=out.s,
-            alpha_s=out.alpha_s,
-            beta_s=out.beta_s,
-            gamma_s=out.gamma_s,
-            theta_s=out.theta_s,
-            case="doubly-nonlinear:p=d",
-            star=out.star,
-            conditions=conditions,
-        )
+        return replace(out, case="doubly-nonlinear:p=d", conditions=conditions)
 
     # p > d: direct estimate with source L^{m+1}
     _no_theta(theta, "p > d")

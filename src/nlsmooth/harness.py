@@ -143,29 +143,17 @@ def time_grid_from_config(config):
 # ---------------------------------------------------------------------------
 
 
-def _radius(grid):
-    nodes = grid.nodes()
-    if grid.d == 1:
-        centers = [0.5 * (lo + hi) for lo, hi in grid.bounds]
-        return np.abs(nodes - centers[0])
-    x, y = nodes
-    cx = 0.5 * sum(grid.bounds[0])
-    cy = 0.5 * sum(grid.bounds[1])
-    return np.sqrt((x - cx) ** 2 + (y - cy) ** 2)
-
-
 def smooth_bump(grid, center=None, width=None, amplitude=1.0):
-    """C^inf bump with exact compact support of the given radius."""
-    nodes = grid.nodes()
-    if grid.d == 1:
-        c = 0.5 * sum(grid.bounds[0]) if center is None else float(center)
-        w = 0.25 * (grid.bounds[0][1] - grid.bounds[0][0]) if width is None else float(width)
-        r = np.abs(nodes - c) / w
-    else:
-        x, y = nodes
-        cx, cy = (0.5 * sum(b) for b in grid.bounds) if center is None else center
-        w = 0.25 * min(hi - lo for lo, hi in grid.bounds) if width is None else float(width)
-        r = np.sqrt((x - cx) ** 2 + (y - cy) ** 2) / w
+    """C^inf bump with exact compact support of the given radius.
+
+    center is a point (a number in 1d) and defaults to the box centre; width
+    defaults to a quarter of the shortest side.
+    """
+    if center is None:
+        center = [0.5 * (lo + hi) for lo, hi in grid.bounds]
+    w = 0.25 * min(hi - lo for lo, hi in grid.bounds) if width is None else float(width)
+    center = np.broadcast_to(np.asarray(center, dtype=float), (grid.d,))
+    r = np.sqrt(sum((x - c) ** 2 for x, c in zip(grid.coordinates(), center))) / w
     vals = np.zeros(grid.n_total)
     inside = r < 1.0
     vals[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - r[inside] ** 2))
@@ -175,17 +163,15 @@ def smooth_bump(grid, center=None, width=None, amplitude=1.0):
 def random_smooth_field(grid, seed, n_modes=3, nonneg=True):
     """Seeded sum of Gaussians with centers in the middle half of the box."""
     rng = np.random.default_rng(seed)
-    nodes = grid.nodes()
+    coords = grid.coordinates()
     vals = np.zeros(grid.n_total)
     for _ in range(n_modes):
         amp = rng.uniform(0.5, 1.5) * (1.0 if nonneg else rng.choice([-1.0, 1.0]))
         parts = []
-        for axis in range(grid.d):
-            lo, hi = grid.bounds[axis]
+        for (lo, hi), coord in zip(grid.bounds, coords):
             span = hi - lo
             c = rng.uniform(lo + 0.25 * span, hi - 0.25 * span)
             w = rng.uniform(0.05, 0.15) * span
-            coord = nodes if grid.d == 1 else nodes[axis]
             parts.append(((coord - c) / w) ** 2)
         vals += amp * np.exp(-sum(parts))
     return GridFunction(grid.space(), vals)
@@ -304,14 +290,8 @@ def _boundary_margin_cells(u, grid):
     top = v.max(initial=0.0)
     if top == 0.0:
         return min(grid.shape)  # empty support: maximal margin
-    live = v > SUPPORT_RELATIVE_FLOOR * top
-    if grid.d == 1:
-        idx = np.nonzero(live)[0]
-        return int(min(idx.min(), grid.shape[0] - 1 - idx.max()))
-    nx, ny = grid.shape
-    L = live.reshape(nx, ny)
-    ix, iy = np.nonzero(L)
-    return int(min(ix.min(), nx - 1 - ix.max(), iy.min(), ny - 1 - iy.max()))
+    live = np.nonzero((v > SUPPORT_RELATIVE_FLOOR * top).reshape(grid.shape))
+    return int(min(min(i.min(), n - 1 - i.max()) for i, n in zip(live, grid.shape)))
 
 
 def usable_window(traj, grid, window, bc_kind="dirichlet"):
@@ -465,7 +445,7 @@ def _barenblatt_error(config, shape, n_steps):
     t0, t1 = float(exp["t0"]), float(exp["t1"])
     p = spec.p
     half_width = 0.5 * min(hi - lo for lo, hi in spec.grid.bounds)
-    radius = barenblatt_support_radius(1 if spec.grid.d == 1 else 2, p, t1)
+    radius = barenblatt_support_radius(spec.grid.d, p, t1)
     h_max = max(spec.grid.h)
     if radius >= half_width - BOUNDARY_GUARD_CELLS * h_max:
         raise ValueError(
@@ -789,35 +769,55 @@ def convergence_study(n_nodes=64, t=0.05, n_list=(8, 16, 32, 64), seed=4):
 # ---------------------------------------------------------------------------
 
 
+def _decay(default_config):
+    return lambda config, seed, tol: run_decay_experiment(config or default_config(), tol=tol)
+
+
+def _seeded(suite):
+    return lambda config, seed, tol: suite(**({} if seed is None else {"seed": seed}))
+
+
+def _contraction(config, seed, tol):
+    kwargs = {} if seed is None else {"seed": seed}
+    if tol is not None:
+        kwargs["slack"] = tol
+    return contraction_suite(**kwargs)
+
+
+_DECAY_KEYS = ("initial", "window", "predicted")
+
+# name -> (runner(config, seed, tol), the experiment keys a config for the suite
+# must carry; suites without keys take no config)
+_SUITE_REGISTRY = {
+    "decay": (_decay(default_decay_config), _DECAY_KEYS),
+    "pme": (_decay(default_pme_config), _DECAY_KEYS),
+    "barenblatt": (lambda config, seed, tol: barenblatt_comparison(config), ("t0", "t1")),
+    "contraction": (_contraction, ()),
+    "order": (_seeded(order_suite), ()),
+    "gn": (_seeded(gn_suite), ()),
+    "conservation": (_seeded(conservation_suite), ()),
+    "convergence": (_seeded(convergence_study), ()),
+}
+SUITES = tuple(_SUITE_REGISTRY)
+
+
+def missing_config_keys(name, config):
+    """Key paths that suite `name` reads from a config and `config` lacks."""
+    exp = config.get("experiment") if isinstance(config, dict) else None
+    exp = exp if isinstance(exp, dict) else {}
+    return [f"experiment.{key}" for key in _SUITE_REGISTRY[name][1] if key not in exp]
+
+
 def run_suite(name, config=None, seed=None, tol=None, threads=1):
     """Run one named verification suite and return its Report.
 
-    threads is accepted for compatibility and ignored.
+    A config is checked for the experiment keys the suite reads before any
+    work starts; suites that take no config ignore it. threads is accepted
+    for compatibility and ignored.
     """
-    if name == "decay":
-        cfg = config or default_decay_config()
-        return run_decay_experiment(cfg, tol=tol)
-    if name == "pme":
-        cfg = config or default_pme_config()
-        return run_decay_experiment(cfg, tol=tol)
-    if name == "barenblatt":
-        return barenblatt_comparison(config)
-    if name == "contraction":
-        kwargs = {}
-        if seed is not None:
-            kwargs["seed"] = seed
-        if tol is not None:
-            kwargs["slack"] = tol
-        return contraction_suite(**kwargs)
-    if name == "order":
-        return order_suite(**({"seed": seed} if seed is not None else {}))
-    if name == "gn":
-        return gn_suite(**({"seed": seed} if seed is not None else {}))
-    if name == "conservation":
-        return conservation_suite(**({"seed": seed} if seed is not None else {}))
-    if name == "convergence":
-        return convergence_study(**({"seed": seed} if seed is not None else {}))
-    raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-
-
-SUITES = ("decay", "pme", "barenblatt", "contraction", "order", "gn", "conservation", "convergence")
+    if name not in _SUITE_REGISTRY:
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    missing = [] if config is None else missing_config_keys(name, config)
+    if missing:
+        raise ValueError(f"config for suite {name!r} lacks {', '.join(missing)}")
+    return _SUITE_REGISTRY[name][0](config, seed, tol)

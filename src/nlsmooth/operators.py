@@ -1,12 +1,20 @@
 """Discretized accretive operators of p-Laplace type, plus the source solution.
 
 The operator is A(u) = -div(a(grad phi(u))) + f(x, u) on a uniform grid of
-interior nodes in one or two dimensions, with Dirichlet (zero ghost values),
+interior nodes in any dimension d, with Dirichlet (zero ghost values),
 Neumann (zero boundary flux) or Robin (b |w|^{p-2} w boundary flux) coupling.
 The flux a(g) = (g^2 + eps^2)^{(p-2)/2} g acts on scalar edge gradients
 obtained by forward differences; the divergence is its exact adjoint, so the
 diffusion part is the gradient of a convex separable energy and monotonicity
 holds at the discrete level, not just in the limit.
+
+A grid function is a flat array over the nodes in row-major order (the last
+axis varies fastest). Every stencil operation is one loop over the axes of the
+grid-shaped array (..., n_1, ..., n_d): the boundary condition decides what
+the two boundary faces of each axis carry. The Jacobian of the diffusion is
+described by its diagonal plus one array of edge couplings per axis; in one
+dimension these are the tridiagonal bands, in general the couplings of axis a
+sit at offsets +-stride_a of the sparse matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
@@ -26,7 +34,7 @@ DEFAULT_EPS_REG = 1e-8
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid of interior nodes on a box; d = 1 or 2 axes.
+    """Uniform grid of interior nodes on a box with d >= 1 axes.
 
     shape counts interior nodes per axis (>= 3); spacing is
     (hi - lo)/(n + 1), so that both box faces are one spacing away from the
@@ -41,8 +49,8 @@ class Grid:
         shape = tuple(int(n) for n in self.shape)
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "shape", shape)
-        if len(shape) not in (1, 2) or len(bounds) != len(shape):
-            raise ValueError("grid must have 1 or 2 axes with matching bounds")
+        if not shape or len(bounds) != len(shape):
+            raise ValueError("grid needs at least one axis, with matching bounds")
         for (lo, hi), n in zip(bounds, shape):
             if not (lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"invalid axis bounds ({lo}, {hi})")
@@ -77,14 +85,15 @@ class Grid:
         (lo, _), n, h = self.bounds[axis], self.shape[axis], self.h[axis]
         return lo + h * np.arange(1, n + 1)
 
+    def coordinates(self):
+        """Node coordinates as a tuple of d flat arrays, one per axis."""
+        mesh = np.meshgrid(*(self.axis_nodes(a) for a in range(self.d)), indexing="ij")
+        return tuple(x.ravel() for x in mesh)
+
     def nodes(self):
-        """Node coordinates: (n,) in 1d, tuple (x, y) of flat arrays in 2d."""
-        if self.d == 1:
-            return self.axis_nodes(0)
-        x = self.axis_nodes(0)
-        y = self.axis_nodes(1)
-        xx, yy = np.meshgrid(x, y, indexing="ij")
-        return xx.ravel(), yy.ravel()
+        """Node coordinates: (n,) in 1d, a tuple of d flat arrays otherwise."""
+        coords = self.coordinates()
+        return coords if self.d > 1 else coords[0]
 
     def space(self):
         return DiscreteSpace(np.full(self.n_total, self.cell_volume))
@@ -268,98 +277,110 @@ def _power_flux(w, p):
     return out
 
 
+class _Axis(NamedTuple):
+    """Index tuples of one grid axis for arrays shaped (..., n_1, ..., n_d).
+
+    Node arrays have n entries along the axis and face arrays n + 1; face i
+    lies between nodes i - 1 and i.
+    """
+
+    h: float
+    pos: int  # the axis counted from the end
+    stride: int  # distance of neighbouring nodes along the axis in the flat array
+    lo: tuple  # nodes 0..n-2, or faces 0..n-1
+    hi: tuple  # nodes 1..n-1, or faces 1..n
+    inner: tuple  # interior faces 1..n-1
+    first: tuple  # node 0, or face 0
+    last: tuple  # node n-1, or face n
+    node_ends: tuple  # nodes 0 and n-1
+    face_ends: tuple  # faces 0 and n
+
+
+def _axes(grid):
+    out = []
+    for a, (n, h) in enumerate(zip(grid.shape, grid.h)):
+        at = lambda index: (Ellipsis, index) + (slice(None),) * (grid.d - 1 - a)
+        out.append(_Axis(
+            h=h, pos=a - grid.d, stride=math.prod(grid.shape[a + 1:]),
+            lo=at(slice(None, -1)), hi=at(slice(1, None)),
+            inner=at(slice(1, -1)), first=at(0), last=at(-1),
+            node_ends=at(slice(None, None, n - 1)), face_ends=at(slice(None, None, n)),
+        ))
+    return tuple(out)
+
+
 class DiscreteOperator:
-    """Evaluation and linearization of A(u) = -div(a(grad phi(u))) + f(x, u)."""
+    """Evaluation and linearization of A(u) = -div(a(grad phi(u))) + f(x, u).
+
+    Evaluation works along the last axis of its argument, so a (B, n) stack of
+    grid functions is evaluated member by member in one call.
+    """
 
     def __init__(self, spec):
         self.spec = spec
         self.grid = spec.grid
         self._space = spec.grid.space()
         self._nodes = spec.grid.nodes()
+        self._axes = _axes(spec.grid)
+        self._dirichlet = spec.bc.kind == "dirichlet"
 
     @property
     def space(self):
         return self._space
 
+    def _grid_shaped(self, w):
+        return w.reshape(w.shape[:-1] + self.grid.shape)
+
     # -- edge gradients ----------------------------------------------------
-    # Evaluation works along the last axis of its argument, so a (B, n) stack
-    # of grid functions is evaluated member by member in one call.
 
-    def _gradients_1d(self, w):
-        n, = self.grid.shape
-        h, = self.grid.h
-        g = np.empty(w.shape[:-1] + (n + 1,))
-        np.subtract(w[..., 1:], w[..., :-1], out=g[..., 1:n])
-        g[..., 1:n] /= h
-        if self.spec.bc.kind == "dirichlet":
-            g[..., 0] = w[..., 0] / h
-            g[..., n] = -w[..., n - 1] / h
-        else:
-            g[..., 0] = 0.0
-            g[..., n] = 0.0
-        return g
+    def _gradients(self, W):
+        """Forward differences of the grid-shaped W on the faces of each axis.
 
-    def _gradients_2d(self, w):
-        nx, ny = self.grid.shape
-        hx, hy = self.grid.h
-        W = w.reshape(w.shape[:-1] + (nx, ny))
-        gx = np.zeros(W.shape[:-2] + (nx + 1, ny))
-        gy = np.zeros(W.shape[:-2] + (nx, ny + 1))
-        gx[..., 1:nx, :] = (W[..., 1:, :] - W[..., :-1, :]) / hx
-        gy[..., :, 1:ny] = (W[..., :, 1:] - W[..., :, :-1]) / hy
-        if self.spec.bc.kind == "dirichlet":
-            gx[..., 0, :] = W[..., 0, :] / hx
-            gx[..., nx, :] = -W[..., nx - 1, :] / hx
-            gy[..., :, 0] = W[..., :, 0] / hy
-            gy[..., :, ny] = -W[..., :, ny - 1] / hy
-        return gx, gy
+        The two boundary faces of an axis see the ghost value 0 under
+        Dirichlet and carry no gradient under Neumann or Robin.
+        """
+        out = []
+        for ax in self._axes:
+            shape = list(W.shape)
+            shape[ax.pos] += 1
+            g = np.empty(shape)
+            np.subtract(W[ax.hi], W[ax.lo], out=g[ax.inner])
+            g[ax.inner] /= ax.h
+            if self._dirichlet:
+                g[ax.first] = W[ax.first] / ax.h
+                g[ax.last] = -W[ax.last] / ax.h
+            else:
+                g[ax.face_ends] = 0.0
+            out.append(g)
+        return out
 
     def gradient_pnorm(self, v, p, eps=0.0):
         """sum over active edges of vol * |g_e|^p, the discrete ||grad v||_p^p."""
-        vol = self.grid.cell_volume
         if eps == 0.0:
             mag = lambda g: np.abs(g) ** p
         else:
             mag = lambda g: (g * g + eps * eps) ** (p / 2.0)
-        if self.grid.d == 1:
-            g = self._gradients_1d(v)
-            if self.spec.bc.kind != "dirichlet":
-                g = g[1:-1]
-            return float(vol * np.sum(mag(g)))
-        gx, gy = self._gradients_2d(v)
-        if self.spec.bc.kind != "dirichlet":
-            gx = gx[1:-1, :]
-            gy = gy[:, 1:-1]
-        return float(vol * (np.sum(mag(gx)) + np.sum(mag(gy))))
+        total = 0.0
+        for ax, g in zip(self._axes, self._gradients(self._grid_shaped(v))):
+            total += np.sum(mag(g if self._dirichlet else g[ax.inner]))
+        return float(self.grid.cell_volume * total)
 
     # -- operator evaluation -------------------------------------------------
 
     def diffusion_values(self, w):
         """-div(a(grad w)) plus the robin boundary term, on raw values w."""
         p, eps = self.spec.p, self.spec.eps_reg
-        robin = self.spec.bc.kind == "robin"
-        if self.grid.d == 1:
-            h, = self.grid.h
-            F = _flux(self._gradients_1d(w), p, eps)
-            out = (F[..., :-1] - F[..., 1:]) / h
-            if robin:
-                ends = [0, -1]
-                out[..., ends] += self.spec.bc.b * _power_flux(w[..., ends], p) / h
-            return out
-        nx, ny = self.grid.shape
-        hx, hy = self.grid.h
-        gx, gy = self._gradients_2d(w)
-        Fx = _flux(gx, p, eps)
-        Fy = _flux(gy, p, eps)
-        out = (Fx[..., :-1, :] - Fx[..., 1:, :]) / hx + (Fy[..., :, :-1] - Fy[..., :, 1:]) / hy
-        if robin:
+        W = self._grid_shaped(w)
+        terms = []
+        for ax, g in zip(self._axes, self._gradients(W)):
+            F = _flux(g, p, eps)
+            terms.append((F[ax.lo] - F[ax.hi]) / ax.h)
+        out = sum(terms[1:], start=terms[0])
+        if self.spec.bc.kind == "robin":
             b = self.spec.bc.b
-            W = w.reshape(out.shape)
-            # face contribution: b |w|^{p-2} w * (tangential spacing) / cell volume
-            out[..., 0, :] += b * _power_flux(W[..., 0, :], p) / hx
-            out[..., -1, :] += b * _power_flux(W[..., -1, :], p) / hx
-            out[..., :, 0] += b * _power_flux(W[..., :, 0], p) / hy
-            out[..., :, -1] += b * _power_flux(W[..., :, -1], p) / hy
+            # b |w|^{p-2} w acts on the face measure cell_volume / h_a; per unit node weight that is 1 / h_a
+            for ax in self._axes:
+                out[ax.node_ends] += b * _power_flux(W[ax.node_ends], p) / ax.h
         return out.reshape(w.shape)
 
     def apply_values(self, u):
@@ -375,26 +396,18 @@ class DiscreteOperator:
     # -- linearization (for the implicit solver) ----------------------------
 
     def edge_conductivities(self, w):
+        """a'(g_e) on the faces of each axis; boundary faces carry none unless Dirichlet."""
         p, eps = self.spec.p, self.spec.eps_reg
-        dirichlet = self.spec.bc.kind == "dirichlet"
-        if self.grid.d == 1:
-            c = _flux_deriv(self._gradients_1d(w), p, eps)
-            if not dirichlet:
-                c[..., 0] = 0.0  # boundary edges carry no flux for any w
-                c[..., -1] = 0.0
-            return c
-        gx, gy = self._gradients_2d(w)
-        cx = _flux_deriv(gx, p, eps)
-        cy = _flux_deriv(gy, p, eps)
-        if not dirichlet:
-            cx[..., 0, :] = 0.0
-            cx[..., -1, :] = 0.0
-            cy[..., :, 0] = 0.0
-            cy[..., :, -1] = 0.0
-        return cx, cy
+        out = []
+        for ax, g in zip(self._axes, self._gradients(self._grid_shaped(w))):
+            c = _flux_deriv(g, p, eps)
+            if not self._dirichlet:
+                c[ax.face_ends] = 0.0  # boundary edges carry no flux for any w
+            out.append(c)
+        return out
 
-    def _robin_diag(self, w):
-        """Diagonal of the derivative of the robin boundary term wrt w."""
+    def _robin_diag(self, W):
+        """Diagonal of the derivative of the robin boundary term wrt the grid-shaped W."""
         p = self.spec.p
         b = self.spec.bc.b
 
@@ -405,75 +418,59 @@ class DiscreteOperator:
             out[nz] = (p - 1.0) * np.abs(v[nz]) ** (p - 2.0)
             return out
 
-        if self.grid.d == 1:
-            h, = self.grid.h
-            ends = [0, -1]
-            diag = np.zeros_like(w)
-            diag[..., ends] += b * dpow(w[..., ends]) / h
-            return diag
-        nx, ny = self.grid.shape
-        hx, hy = self.grid.h
-        W = w.reshape(w.shape[:-1] + (nx, ny))
         D = np.zeros_like(W)
-        D[..., 0, :] += b * dpow(W[..., 0, :]) / hx
-        D[..., -1, :] += b * dpow(W[..., -1, :]) / hx
-        D[..., :, 0] += b * dpow(W[..., :, 0]) / hy
-        D[..., :, -1] += b * dpow(W[..., :, -1]) / hy
-        return D.reshape(w.shape)
+        for ax in self._axes:
+            D[ax.node_ends] += b * dpow(W[ax.node_ends]) / ax.h
+        return D
 
-    def diffusion_jacobian_bands_1d(self, w):
-        """Tridiagonal bands of d/dw [-div(a(grad w))], for scipy solve_banded.
+    def diffusion_jacobian(self, w):
+        """d/dw [-div(a(grad w))] as (diag, couplings).
 
-        For a (B, n) stack the bands carry the same leading batch axis.
+        diag has the shape of w. couplings[a] is grid-shaped with n_a - 1
+        entries along axis a and holds c_e / h_a^2 for the interior edges of
+        that axis; the matrix carries -couplings[a] at offsets +-stride_a. In
+        one dimension (-couplings[0], diag, -couplings[0]) are the
+        tridiagonal bands. A (B, n) stack gives descriptions with the same
+        leading batch axis.
         """
-        n, = self.grid.shape
-        h, = self.grid.h
-        c = self.edge_conductivities(w) / (h * h)  # c[..., e], e = 0..n
-        lower = -c[..., 1:n]  # coupling to the left neighbor
-        upper = -c[..., 1:n]
-        diag = c[..., :n] + c[..., 1 : n + 1]
+        diag, couplings = None, []
+        for ax, c in zip(self._axes, self.edge_conductivities(w)):
+            c = c / (ax.h * ax.h)
+            diag = c[ax.lo] + c[ax.hi] if diag is None else diag + c[ax.lo] + c[ax.hi]
+            couplings.append(c[ax.inner])
         if self.spec.bc.kind == "robin":
-            diag = diag + self._robin_diag(w)
-        return lower, diag, upper
+            diag = diag + self._robin_diag(self._grid_shaped(w))
+        return diag.reshape(w.shape), tuple(couplings)
+
+    def jacobian_apply(self, diag, couplings, v):
+        """L v for the description (diag, couplings) of diffusion_jacobian."""
+        V = self._grid_shaped(v)
+        out = self._grid_shaped(diag * v)
+        for ax, c in zip(self._axes, couplings):
+            out[ax.lo] -= c * V[ax.hi]
+            out[ax.hi] -= c * V[ax.lo]
+        return out.reshape(v.shape)
+
+    def jacobian_scaled(self, diag, couplings, s):
+        """The description of diag(s) L diag(s)."""
+        S = self._grid_shaped(s)
+        return diag * s * s, tuple(c * S[ax.lo] * S[ax.hi] for ax, c in zip(self._axes, couplings))
+
+    def jacobian_matrix(self, diag, couplings):
+        """Sparse CSR matrix of one description (diag, couplings)."""
+        n = diag.size
+        bands, offsets = [diag], [0]
+        for ax, c in zip(self._axes, couplings):
+            band = np.zeros(self.grid.shape)
+            band[ax.lo] = -c
+            band = band.ravel()[: n - ax.stride]
+            bands += [band, band]
+            offsets += [-ax.stride, ax.stride]
+        return sparse.diags_array(bands, offsets=offsets, shape=(n, n), format="csr")
 
     def diffusion_jacobian_matrix(self, w):
         """Sparse SPD matrix of d/dw [-div(a(grad w))] (any dimension)."""
-        if self.grid.d == 1:
-            lower, diag, upper = self.diffusion_jacobian_bands_1d(w)
-            n = diag.size
-            return sparse.diags_array(
-                (lower, diag, upper), offsets=(-1, 0, 1), shape=(n, n), format="csr"
-            )
-        nx, ny = self.grid.shape
-        hx, hy = self.grid.h
-        cx, cy = self.edge_conductivities(w)
-        cx = cx / (hx * hx)
-        cy = cy / (hy * hy)
-        diag = (cx[:-1, :] + cx[1:, :] + cy[:, :-1] + cy[:, 1:]).ravel()
-        if self.spec.bc.kind == "robin":
-            diag = diag + self._robin_diag(w)
-        rows, cols, vals = [np.arange(diag.size)], [np.arange(diag.size)], [diag]
-        idx = np.arange(nx * ny).reshape(nx, ny)
-        # x-neighbors: interior x-edges couple (i-1, j) and (i, j)
-        cin = cx[1:nx, :]
-        rows.append(idx[1:, :].ravel())
-        cols.append(idx[:-1, :].ravel())
-        vals.append(-cin.ravel())
-        rows.append(idx[:-1, :].ravel())
-        cols.append(idx[1:, :].ravel())
-        vals.append(-cin.ravel())
-        cin = cy[:, 1:ny]
-        rows.append(idx[:, 1:].ravel())
-        cols.append(idx[:, :-1].ravel())
-        vals.append(-cin.ravel())
-        rows.append(idx[:, :-1].ravel())
-        cols.append(idx[:, 1:].ravel())
-        vals.append(-cin.ravel())
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        n = nx * ny
-        return sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+        return self.jacobian_matrix(*self.diffusion_jacobian(w))
 
     def phi_derivative(self, u):
         return self.spec.phi.derivative(u, self.spec.eps_reg)
@@ -507,15 +504,10 @@ def energy(spec, u):
     p, eps = spec.p, spec.eps_reg
     total = op.gradient_pnorm(v, p, eps) / p
     if spec.bc.kind == "robin":
-        b = spec.bc.b
-        if spec.grid.d == 1:
-            total += b / p * (abs(v[0]) ** p + abs(v[-1]) ** p)
-        else:
-            nx, ny = spec.grid.shape
-            hx, hy = spec.grid.h
-            V = v.reshape(nx, ny)
-            total += b / p * hy * float(np.sum(np.abs(V[0, :]) ** p + np.abs(V[-1, :]) ** p))
-            total += b / p * hx * float(np.sum(np.abs(V[:, 0]) ** p + np.abs(V[:, -1]) ** p))
+        V = op._grid_shaped(v)
+        for ax in op._axes:
+            face = spec.grid.cell_volume / ax.h
+            total += spec.bc.b / p * face * float(np.sum(np.abs(V[ax.node_ends]) ** p))
     return float(total)
 
 
@@ -549,17 +541,6 @@ def gn_check(spec, u, gn):
 # -- source solution -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BarenblattQuery:
-    d: int
-    p: float
-    x: object
-    t: float
-
-    def evaluate(self):
-        return barenblatt_profile(self.d, self.p, self.x, self.t)
-
-
 def barenblatt_constants(d, p):
     lam = d * (p - 2.0) + p
     if lam <= 0.0:
@@ -576,19 +557,17 @@ def barenblatt_profile(d, p, x, t):
     (x, t) -> (s^{1/lam} x, s t) with amplitude s^{d/lam}.
     """
     d = int(d)
+    x = np.asarray(x, dtype=float)
+    radius = np.abs(x) if d == 1 else np.sqrt(np.sum(x * x, axis=-1))
+    return _barenblatt_radial(d, p, radius, t)
+
+
+def _barenblatt_radial(d, p, radius, t):
     if p == 2.0:
         raise ValueError("the profile is defined for p != 2")
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
     lam, cp = barenblatt_constants(d, p)
-    x = np.asarray(x, dtype=float)
-    if d == 1:
-        radius = np.abs(x)
-    else:
-        if x.ndim == 1 and x.shape[0] == d:
-            radius = float(np.sqrt(np.sum(x * x)))
-        else:
-            radius = np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
     xi = radius * t ** (-1.0 / lam)
     base = 1.0 + cp * xi ** (p / (p - 1.0))
     core = np.maximum(base, 0.0) ** ((p - 1.0) / (p - 2.0))
@@ -605,11 +584,5 @@ def barenblatt_support_radius(d, p, t):
 
 def barenblatt_on_grid(grid, p, t):
     """Profile sampled at the grid nodes as a GridFunction."""
-    nodes = grid.nodes()
-    if grid.d == 1:
-        vals = barenblatt_profile(1, p, nodes, t)
-    else:
-        x, y = nodes
-        r = np.sqrt(x * x + y * y)
-        vals = barenblatt_profile(2, p, r, t)
-    return GridFunction(grid.space(), vals)
+    radius = np.sqrt(sum(x * x for x in grid.coordinates()))
+    return GridFunction(grid.space(), _barenblatt_radial(grid.d, p, radius, t))

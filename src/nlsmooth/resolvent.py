@@ -5,16 +5,23 @@ system is solved by a damped Newton method on the weighted-l2 residual with
 Armijo backtracking, falling back to damped Picard sweeps whenever the
 linearized step is unusable.
 
+The Newton system is (diag(a) + lambda L diag(phi'(u))) delta = -R, with
+a = 1 + lambda f'(u), L the Jacobian of the diffusion at phi(u) and R the
+residual. With S = sqrt(phi'(u)) it is solved through the SPD system
+(diag(a) + lambda S L S) y = -S R, and delta = (-R - lambda L(S y)) / a. This
+never divides by phi'(u), which vanishes where u does for the porous-medium
+phi at eps_reg = 0. For phi = identity S = 1 and delta = y.
+
 solve_resolvent_batch runs one Newton loop over a (B, n) stack of right-hand
 sides that share the operator and lambda. Each member keeps its own residual,
 iteration count, step length and failure reason, and leaves the loop when it
-converges or fails; solve_resolvent is the B = 1 case. In one dimension the
-B tridiagonal Newton systems of an iteration are stacked into a single
-tridiagonal system of size B*n with zero coupling between blocks and solved by
-one LAPACK gtsv call: without a nonzero coupling gtsv never pivots across a
-block boundary, so each block gets the solution it would get alone. In two
-dimensions each member's system is symmetrized to an SPD system and solved by
-Jacobi-preconditioned conjugate gradients.
+converges or fails; solve_resolvent is the B = 1 case. The linear solver is
+chosen from the structure of the grid. In one dimension the B tridiagonal
+systems of an iteration are stacked into a single tridiagonal system of size
+B*n with zero coupling between blocks and solved by one LAPACK gtsv call:
+without a nonzero coupling gtsv never pivots across a block boundary, so each
+block gets the solution it would get alone. In more dimensions each member's
+system is solved by Jacobi-preconditioned conjugate gradients.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.sparse import diags_array
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .measure import GridFunction
@@ -46,15 +52,6 @@ class NonConvergenceError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
-
-
-@dataclass(frozen=True)
-class ResolventQuery:
-    spec: object
-    lam: float
-    g: GridFunction
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
 
 
 @dataclass(frozen=True)
@@ -125,50 +122,52 @@ def _single(V):
     return V[0] if len(V) == 1 else V
 
 
-def _newton_steps_1d(op, lam, U, R):
+def _newton_steps(op, lam, U, R):
+    """Newton directions for the (k, n) rows of U, whose residuals are R (see
+    the module docstring); a row whose linear solve failed comes back as NaN."""
     k, n = U.shape
     U, R = _single(U), _single(R)
-    lower, diag, upper = op.diffusion_jacobian_bands_1d(op.spec.phi.value(U))
-    upper, lower = lam * upper, lam * lower
-    if op.spec.phi.kind != "identity":  # phi' = 1 would make these products no-ops
-        D = op.phi_derivative(U)
-        upper, diag, lower = upper * D[..., 1:], diag * D, lower * D[..., :-1]
-    if op.spec.perturbation is not None:
-        diag = diag + op.perturbation_derivative(U)
-    system = np.zeros((4,) + U.shape)
-    system[0, ..., 1:] = upper  # J[i, i+1]
-    system[1] = 1.0 + lam * diag
-    system[2, ..., :-1] = lower  # J[i+1, i]
-    np.negative(R, out=system[3])
-    return _solve_tridiagonal_stack(system.reshape(4, k, n))
+    diag, couplings = op.diffusion_jacobian(op.spec.phi.value(U))
+    a = 1.0 if op.spec.perturbation is None else 1.0 + lam * op.perturbation_derivative(U)
+    scaled = op.spec.phi.kind != "identity"
+    if scaled:
+        S = np.sqrt(op.phi_derivative(U))
+        sys_diag, sys_couplings = op.jacobian_scaled(diag, couplings, S)
+        rhs = -S * R
+    else:
+        sys_diag, sys_couplings, rhs = diag, couplings, -R
+    sys_diag = a + lam * sys_diag
+    sys_couplings = [lam * c for c in sys_couplings]
+    if op.grid.d == 1:
+        system = np.zeros((4,) + U.shape)
+        system[0, ..., 1:] = system[2, ..., :-1] = np.negative(sys_couplings[0])
+        system[1] = sys_diag
+        system[3] = rhs
+        y = _solve_tridiagonal_stack(system.reshape(4, k, n))
+    else:
+        y = _solve_cg_stack(op, sys_diag.reshape(k, n), sys_couplings, rhs.reshape(k, n))
+    if not scaled:
+        return y
+    step = op.jacobian_apply(diag, couplings, S * y.reshape(U.shape))
+    step *= -lam
+    step -= R
+    step /= a
+    return step.reshape(k, n)
 
 
-def _newton_step_2d(op, lam, u, res):
-    w = op.spec.phi.value(u)
-    Lw = op.diffusion_jacobian_matrix(w)
-    D = op.phi_derivative(u)
-    fp = op.perturbation_derivative(u)
-    # substitute z = D * delta: the system becomes SPD
-    # (diag((1 + lam f') / D) + lam Lw) z = -res
-    dd = (1.0 + lam * fp) / D
-    M = diags_array(dd, format="csr") + lam * Lw
-    n = u.size
-    inv_diag = 1.0 / M.diagonal()
-    precond = LinearOperator((n, n), matvec=lambda v: inv_diag * v)
-    rhs = -res
-    z, info = cg(M, rhs, rtol=CG_RTOL, atol=0.0, maxiter=20 * n, M=precond)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"cg failed with info={info}")
-    return z / D
-
-
-def _newton_steps_2d(op, lam, U, R):
-    steps = np.full(U.shape, np.nan)
-    for j in range(len(U)):
-        try:
-            steps[j] = _newton_step_2d(op, lam, U[j], R[j])
-        except (np.linalg.LinAlgError, ValueError):
-            pass
+def _solve_cg_stack(op, diag, couplings, rhs):
+    """Solve each member's SPD system by Jacobi-preconditioned CG; rows of
+    members whose CG did not converge come back as NaN."""
+    k, n = rhs.shape
+    couplings = [c.reshape(k, *c.shape[c.ndim - op.grid.d:]) for c in couplings]
+    steps = np.full((k, n), np.nan)
+    for j in range(k):
+        M = op.jacobian_matrix(diag[j], [c[j] for c in couplings])
+        inv_diag = 1.0 / diag[j]
+        precond = LinearOperator((n, n), matvec=lambda v: inv_diag * v)
+        z, info = cg(M, rhs[j], rtol=CG_RTOL, atol=0.0, maxiter=20 * n, M=precond)
+        if info == 0:
+            steps[j] = z
     return steps
 
 
@@ -272,12 +271,11 @@ def solve_resolvent_batch(spec, lam, G, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_IT
         raise ValueError(f"G must have shape (B, {op.space.n}), got {G.shape}")
     if not np.isfinite(G).all():
         raise ValueError("G must be finite")
-    return _newton(spec, op, lam, G, tol, max_iter)
+    return _newton(op, lam, G, tol, max_iter)
 
 
-def _newton(spec, op, lam, G, tol, max_iter):
+def _newton(op, lam, G, tol, max_iter):
     """The damped Newton loop over the rows of G; returns a ResolventBatchResult."""
-    newton_steps = _newton_steps_1d if spec.grid.d == 1 else _newton_steps_2d
     m = _Members(op, lam, G)
     while m.idx.size:
         active = m.rn > tol  # a NaN residual stops too, as in `while rn > tol`
@@ -289,7 +287,7 @@ def _newton(spec, op, lam, G, tol, max_iter):
         if m.k >= max_iter:
             m.leave(None, "resolvent did not converge")
             break
-        step = newton_steps(op, lam, m.u, m.r)
+        step = _newton_steps(op, lam, m.u, m.r)
         if np.isfinite(step).all():
             stuck = m.line_search(step, None, armijo=True)
         else:
@@ -317,7 +315,7 @@ def solve_resolvent(spec, lam, g, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, op
     _check_step(spec, lam)
     if op is None:
         op = DiscreteOperator(spec)
-    out = _newton(spec, op, lam, g.values[None, :], tol, max_iter)
+    out = _newton(op, lam, g.values[None, :], tol, max_iter)
     residual, iterations = float(out.residual[0]), int(out.iterations[0])
     if not out.converged[0]:
         raise NonConvergenceError(out.failures[0], residual=residual, iterations=iterations)
@@ -327,10 +325,6 @@ def solve_resolvent(spec, lam, g, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, op
         iterations=iterations,
         converged=True,
     )
-
-
-def solve_query(query):
-    return solve_resolvent(query.spec, query.lam, query.g, tol=query.tol, max_iter=query.max_iter)
 
 
 def resolvent_power(spec, lam, g, n, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, op=None):

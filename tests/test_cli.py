@@ -9,7 +9,8 @@ import pytest
 from pathlib import Path
 
 from nlsmooth import harness
-from nlsmooth.cli import _decode, _encode, _load_config, main
+from nlsmooth.cli import _decode, _load_config, main
+from nlsmooth.harness import _jsonable
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -113,7 +114,7 @@ def test_sequence_invalid_kappa(capsys):
 
 def test_encode_decode_round_trip():
     obj = {"a": float("inf"), "b": [float("-inf"), 1.0], "c": "text", "d": {"e": 2}}
-    enc = _encode(obj)
+    enc = _jsonable(obj)
     assert enc["a"] == "inf"
     assert enc["b"][0] == "-inf"
     json.dumps(enc)
@@ -142,7 +143,7 @@ def _smoke_config():
 def test_simulate_writes_csv_and_summary(tmp_path, capsys):
     cfg = _smoke_config()
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(_encode(cfg)))
+    cfg_path.write_text(json.dumps(_jsonable(cfg)))
     csv_path = tmp_path / "trajectory.csv"
     code, out, _ = run_cli(capsys, ["simulate", "--config", str(cfg_path), "--out", str(csv_path)])
     assert code == 0
@@ -176,6 +177,31 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+def test_verify_all_routes_a_config_to_the_suites_it_describes(monkeypatch, capsys):
+    received = {}
+
+    def fake_run_suite(name, config=None, seed=None, tol=None):
+        received[name] = config
+        return harness.Report(name=name, passed=True, metrics={}, config_hash="")
+
+    monkeypatch.setattr(harness, "run_suite", fake_run_suite)
+    code, out, _ = run_cli(capsys, ["verify", "all", "--config", str(CONFIG_DIR / "p3_d1.json")])
+    assert code == 0 and json.loads(out)["pass"] is True
+    decay_config = _load_config(CONFIG_DIR / "p3_d1.json")
+    assert received["decay"] == received["pme"] == decay_config
+    assert received["barenblatt"] is None  # the config has no experiment.t0 / t1
+
+
+def test_verify_single_suite_names_the_missing_config_key(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(harness, "barenblatt_comparison", no_work)
+    code, out, err = run_cli(capsys, ["verify", "barenblatt", "--config", str(CONFIG_DIR / "p3_d1.json")])
+    assert code == 2 and out == ""
+    assert "experiment.t0" in err and "Traceback" not in err
+
+
 def test_verify_convergence_writes_report(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, err = run_cli(capsys, ["verify", "convergence", "--out", str(out_path)])
@@ -192,7 +218,7 @@ def test_verify_decay_exit_codes_and_tol_override(tmp_path, capsys):
     cfg = _smoke_config()
     cfg["experiment"]["tolerance"] = 1e-6  # unachievably tight
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(_encode(cfg)))
+    cfg_path.write_text(json.dumps(_jsonable(cfg)))
     code, out, _ = run_cli(capsys, ["verify", "decay", "--config", str(cfg_path)])
     assert code == 1
     assert json.loads(out)["pass"] is False

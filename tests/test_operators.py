@@ -12,7 +12,6 @@ from nlsmooth.exponents import GNParams
 from nlsmooth.measure import GridFunction, lq_norm, mass, q_bracket
 from nlsmooth.operators import (
     DEFAULT_EPS_REG,
-    BarenblattQuery,
     BoundaryCondition,
     DiscreteOperator,
     Grid,
@@ -48,6 +47,11 @@ def _spec_2d(p, bc, nx=3, ny=4, eps=DEFAULT_EPS_REG):
                         eps_reg=eps)
 
 
+def _spec_3d(p, bc, phi=None):
+    grid = Grid(bounds=((-1.0, 1.0), (0.0, 2.0), (0.0, 1.5)), shape=(3, 4, 5))
+    return OperatorSpec(grid=grid, p=p, bc=bc, phi=phi or PhiSpec.identity())
+
+
 def test_grid_geometry():
     g = interval(0.0, 1.0, 3)
     assert g.h == (0.25,)
@@ -68,6 +72,14 @@ def test_grid_geometry():
         interval(1.0, 0.0, 5)
     with pytest.raises(ValueError):
         Grid(bounds=((0.0, 1.0),), shape=(3, 3))
+    with pytest.raises(ValueError):
+        Grid(bounds=(), shape=())
+    box = Grid(bounds=((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0)), shape=(3, 4, 5))
+    assert box.n_total == 60 and box.cell_volume == pytest.approx(0.25 * 0.4 * (1.0 / 3.0))
+    x, y, z = box.nodes()
+    # row-major: the last axis varies fastest
+    assert (x[1], y[1], z[1]) == (0.25, 0.4, pytest.approx(-1.0 / 3.0))
+    assert (x[5], y[5]) == (0.25, pytest.approx(0.8))
 
 
 def test_grid_geometry_is_cached_and_equality_stays_field_based():
@@ -84,13 +96,16 @@ def test_evaluation_is_row_wise_on_a_stack():
              for p in (1.5, 3.0) for bc in ALL_BCS
              for phi, pert in ((None, None), (PhiSpec.power(2.0), tanh_perturbation(0.3)))]
     specs += [_spec_2d(3.0, bc) for bc in ALL_BCS]
+    specs += [_spec_3d(3.0, bc, phi=phi) for bc in ALL_BCS for phi in (None, PhiSpec.power(2.0))]
     for spec in specs:
         op = DiscreteOperator(spec)
         W = rng.standard_normal((3, spec.grid.n_total))
+        # per-axis arrays keep the grid shape; flatten them behind the batch axis
+        flat = lambda parts: [x.reshape(x.shape[: x.ndim - spec.grid.d] + (-1,)) for x in parts]
         methods = [op.apply_values, op.diffusion_values, op.phi_derivative,
-                   op.perturbation_values, op.perturbation_derivative]
-        if spec.grid.d == 1:
-            methods += [op.edge_conductivities, lambda w: np.concatenate(op.diffusion_jacobian_bands_1d(w), axis=-1)]
+                   op.perturbation_values, op.perturbation_derivative,
+                   lambda w: np.concatenate(flat(op.edge_conductivities(w)), axis=-1),
+                   lambda w: np.concatenate([op.diffusion_jacobian(w)[0]] + flat(op.diffusion_jacobian(w)[1]), axis=-1)]
         for method in methods:
             stacked = method(W)
             for k in range(len(W)):
@@ -232,7 +247,7 @@ def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(RNG_SEED + 4)
     delta = 1e-6
     for make in (lambda bc: _spec_1d(3.0, bc), lambda bc: _spec_1d(1.5, bc),
-                 lambda bc: _spec_2d(3.0, bc)):
+                 lambda bc: _spec_2d(3.0, bc), lambda bc: _spec_3d(3.0, bc)):
         for bc in ALL_BCS:
             spec = make(bc)
             op = DiscreteOperator(spec)
@@ -253,18 +268,33 @@ def test_jacobian_bands_match_matrix():
     spec = _spec_1d(3.0, BoundaryCondition.robin(0.7))
     op = DiscreteOperator(spec)
     w = rng.standard_normal(spec.grid.n_total)
-    lower, diag, upper = op.diffusion_jacobian_bands_1d(w)
+    diag, (coupling,) = op.diffusion_jacobian(w)
     dense = op.diffusion_jacobian_matrix(w).toarray()
     assert np.allclose(np.diag(dense), diag, atol=1e-14)
-    assert np.allclose(np.diag(dense, -1), lower, atol=1e-14)
-    assert np.allclose(np.diag(dense, 1), upper, atol=1e-14)
+    assert np.allclose(np.diag(dense, -1), -coupling, atol=1e-14)
+    assert np.allclose(np.diag(dense, 1), -coupling, atol=1e-14)
+
+
+def test_jacobian_description_applies_and_scales_like_the_matrix():
+    rng = np.random.default_rng(RNG_SEED + 10)
+    for spec in (_spec_1d(3.0, BoundaryCondition.neumann()), _spec_2d(3.0, BoundaryCondition.dirichlet()),
+                 _spec_3d(3.0, BoundaryCondition.robin(0.7))):
+        op = DiscreteOperator(spec)
+        n = spec.grid.n_total
+        w, v, s = rng.standard_normal(n), rng.standard_normal(n), rng.uniform(0.0, 2.0, n)
+        diag, couplings = op.diffusion_jacobian(w)
+        dense = op.jacobian_matrix(diag, couplings).toarray()
+        assert np.allclose(dense, dense.T, atol=0.0)
+        np.testing.assert_allclose(op.jacobian_apply(diag, couplings, v), dense @ v, rtol=1e-12, atol=1e-12)
+        scaled = op.jacobian_matrix(*op.jacobian_scaled(diag, couplings, s)).toarray()
+        np.testing.assert_allclose(scaled, s[:, None] * dense * s[None, :], rtol=1e-14, atol=1e-12)
 
 
 def test_energy_gradient_consistency():
     rng = np.random.default_rng(RNG_SEED + 6)
     step = 1e-6
-    for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.robin(0.7)):
-        spec = _spec_1d(3.0, bc)
+    for spec in (_spec_1d(3.0, BoundaryCondition.dirichlet()), _spec_1d(3.0, BoundaryCondition.robin(0.7)),
+                 _spec_3d(3.0, BoundaryCondition.robin(0.7))):
         space = spec.space()
         u = GridFunction(space, rng.standard_normal(space.n))
         v = GridFunction(space, rng.standard_normal(space.n))
@@ -381,15 +411,23 @@ def test_barenblatt_mass_and_scaling():
         assert np.allclose(direct, scaled, rtol=1e-12, atol=1e-15)
 
 
-def test_barenblatt_validation_and_query():
+def test_barenblatt_on_grid_samples_the_profile_in_any_dimension():
+    grids = (interval(-3.0, 3.0, 11), rectangle((-3.0, 3.0), (-2.0, 4.0), 7, 9),
+             Grid(bounds=((-2.0, 2.0),) * 3, shape=(5, 4, 3)))
+    for grid in grids:
+        points = np.stack(grid.coordinates(), axis=-1)
+        expected = barenblatt_profile(grid.d, 3.0, points if grid.d > 1 else points[:, 0], 1.5)
+        assert np.ptp(expected) > 0.0
+        np.testing.assert_allclose(barenblatt_on_grid(grid, 3.0, 1.5).values, expected, rtol=1e-14, atol=0.0)
+
+
+def test_barenblatt_validation():
     with pytest.raises(ValueError):
         barenblatt_profile(1, 2.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         barenblatt_profile(1, 3.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         barenblatt_support_radius(1, 1.5, 1.0)
-    q = BarenblattQuery(d=1, p=3.0, x=np.array([0.0, 1.0]), t=2.0)
-    assert np.allclose(q.evaluate(), barenblatt_profile(1, 3.0, np.array([0.0, 1.0]), 2.0))
     # radial evaluation in two dimensions accepts a single point or a batch
     single = barenblatt_profile(2, 3.0, np.array([0.6, 0.8]), 1.0)
     batch = barenblatt_profile(2, 3.0, np.array([[0.6, 0.8]]), 1.0)

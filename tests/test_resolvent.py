@@ -6,9 +6,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from nlsmooth.harness import smooth_bump
 from nlsmooth.measure import GridFunction, lq_norm, positive_part
 from nlsmooth.operators import (
     BoundaryCondition,
+    Grid,
     OperatorSpec,
     PhiSpec,
     interval,
@@ -18,10 +20,8 @@ from nlsmooth.operators import (
 from nlsmooth.resolvent import (
     NonConvergenceError,
     PreconditionError,
-    ResolventQuery,
     _solve_tridiagonal_stack,
     resolvent_power,
-    solve_query,
     solve_resolvent,
     solve_resolvent_batch,
 )
@@ -169,13 +169,13 @@ def test_non_convergence_is_reported():
     assert err.value.residual > 0.0
 
 
-def test_query_wrapper_and_2d_solve():
+def test_2d_neumann_solve_contracts():
     rng = np.random.default_rng(11)
     spec = OperatorSpec(grid=rectangle((-1.0, 1.0), (-1.0, 1.0), 5, 4), p=3.0,
                         bc=BoundaryCondition.neumann())
     space = spec.space()
     g = GridFunction(space, rng.standard_normal(space.n))
-    out = solve_query(ResolventQuery(spec=spec, lam=0.2, g=g, tol=1e-11))
+    out = solve_resolvent(spec, 0.2, g, tol=1e-11)
     assert out.converged and out.residual <= 1e-11
     g2 = GridFunction(space, rng.standard_normal(space.n))
     out2 = solve_resolvent(spec, 0.2, g2, tol=1e-11)
@@ -192,7 +192,21 @@ BATCH_CASES = {
     "tanh": (_spec(3.0, "dirichlet", perturbation=tanh_perturbation(0.5)), 0.3),
     "2d": (OperatorSpec(grid=rectangle((-1.0, 1.0), (-1.0, 1.0), 5, 4), p=3.0,
                         bc=BoundaryCondition.robin(0.5)), 0.2),
+    "3d-phi-power": (OperatorSpec(grid=Grid(bounds=((-1.0, 1.0),) * 3, shape=(3, 4, 5)), p=2.0,
+                                  bc=BoundaryCondition.neumann(), phi=PhiSpec.power(2)), 0.2),
 }
+
+
+@pytest.mark.parametrize("d, max_iterations", [(1, 8), (2, 10)])
+def test_degenerate_porous_medium_resolvent_converges_fast(d, max_iterations):
+    # phi'(u) = 2|u| vanishes outside the compact bump when eps_reg = 0; the
+    # Newton step must not divide by it
+    grid = Grid(bounds=((-5.0, 5.0),) * d, shape=(31,) * d)
+    spec = OperatorSpec(grid=grid, p=2.0, phi=PhiSpec.power(2), eps_reg=0.0)
+    g = smooth_bump(grid, width=2.0)
+    assert np.count_nonzero(g.values == 0.0) > grid.n_total // 4
+    out = solve_resolvent(spec, 0.05, g)
+    assert out.converged and out.iterations <= max_iterations
 
 
 def _assert_matches_solo(spec, lam, G, out, rows, tol=SOLVER_TOL):

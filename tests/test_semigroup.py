@@ -5,9 +5,11 @@ import csv
 import numpy as np
 import pytest
 
+from nlsmooth.harness import random_smooth_field
 from nlsmooth.measure import GridFunction, lq_norm, mass
 from nlsmooth.operators import (
     BoundaryCondition,
+    Grid,
     OperatorSpec,
     PhiSpec,
     interval,
@@ -116,6 +118,15 @@ def test_neumann_flow_conserves_mass():
         traj = evolve(spec, _bump(spec), TimeGrid(2.0, 80))
         drift = np.abs(traj.mass - traj.mass[0]).max()
         assert drift / 2.0 <= 1e-8 * max(1.0, abs(traj.mass[0]))
+
+
+def test_3d_neumann_flow_conserves_mass():
+    grid = Grid(bounds=((-1.0, 1.0), (-1.0, 1.0), (0.0, 1.5)), shape=(6, 7, 8))
+    spec = OperatorSpec(grid=grid, p=3.0, bc=BoundaryCondition.neumann())
+    t_end = 0.5
+    traj = evolve(spec, random_smooth_field(grid, seed=5), TimeGrid(t_end, 12))
+    assert np.ptp(traj.norm_linf) > 0.1 * traj.norm_linf[0]  # the flow does move
+    assert np.abs(traj.mass - traj.mass[0]).max() / t_end <= 1e-8  # the conservation_suite bound
 
 
 def test_trajectory_series_access():
