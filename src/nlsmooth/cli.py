@@ -200,8 +200,8 @@ def _cmd_verify(args):
     for name in names:
         print(f"running suite: {name}", file=sys.stderr)
         routed = config
-        if suite == "all" and config is not None and harness.missing_config_keys(name, config):
-            routed = None  # 'all' hands a config only to the suites whose experiment keys it carries
+        if suite == "all" and config is not None and harness.config_error(name, config):
+            routed = None  # 'all' hands a config only to the suites that read it
         reports.append(harness.run_suite(name, config=routed, seed=args.seed, tol=args.tol))
     all_pass = all(r.passed for r in reports)
     if len(reports) == 1:

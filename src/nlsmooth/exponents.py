@@ -37,6 +37,11 @@ class ConditionError(ValueError):
         self.conditions = dict(conditions or {})
 
 
+def _positive(*terms):
+    """sum(terms) > 0 beyond roundoff, which must not decide a critical case."""
+    return sum(terms) > 1e-12 * sum(abs(t) for t in terms)
+
+
 def _require(conditions, name, ok, message, strict=True):
     conditions[name] = bool(ok)
     if strict and not ok:
@@ -210,7 +215,7 @@ def extrapolate_to_infinity(q, r, gamma, alpha, beta, m0, strict=True):
     ok &= _require(
         conditions,
         "denominator_positive",
-        D > 0.0,
+        _positive((kappa_ratio - 1.0) * m0, q * (1.0 / gamma - 1.0)),
         f"need (gamma*r/q - 1)*m0 + q*(1/gamma - 1) > 0, got {D}",
         strict,
     )
@@ -267,7 +272,7 @@ def extrapolate_to_s(q, r, gamma, alpha, beta, s, c=1.0):
     _require(
         conditions,
         "gamma_condition",
-        den > 0.0,
+        _positive(1.0, -gamma * (1.0 - theta_s)),
         f"need gamma*(1 - theta_s) < 1, got gamma*(1-theta_s) = {gamma * (1.0 - theta_s)}",
     )
     alpha_s = alpha / den
@@ -308,7 +313,7 @@ def _reduce_star_to_s(star, s, case, conditions=None, s_lower_name=None, s_lower
     _require(
         conditions,
         "gamma_star_condition",
-        den > 0.0,
+        _positive(1.0, -star.gamma_star * (1.0 - nu)),
         f"need gamma_star*(1 - s/pivot) < 1, got {star.gamma_star * (1.0 - nu)}",
     )
     return SExponents(
@@ -437,7 +442,7 @@ def moser_exponents(kappa, m, p, q0, s=1.0):
     _require(
         conditions,
         "seed_condition",
-        D > 0.0,
+        _positive((kappa - 1.0) * q0, p, -1.0, -1.0 / m),
         f"need (kappa-1)*q0 + p - 1 - 1/m > 0, got {D}",
     )
     alpha_star = 1.0 / (m * D)
@@ -704,7 +709,7 @@ def barenblatt_exponent(d, p):
     _require(
         conditions,
         "lambda_positive",
-        lam > 0.0,
+        _positive(d * (p - 2.0), p),
         f"need d(p-2)+p > 0, i.e. p > {2.0 * d / (d + 1.0)}, got p = {p}",
     )
     return d / lam

@@ -801,23 +801,26 @@ _SUITE_REGISTRY = {
 SUITES = tuple(_SUITE_REGISTRY)
 
 
-def missing_config_keys(name, config):
-    """Key paths that suite `name` reads from a config and `config` lacks."""
+def config_error(name, config):
+    """Why suite `name` refuses `config`, or None if it has every key the suite reads."""
+    keys = _SUITE_REGISTRY[name][1]
+    if not keys:
+        return f"suite {name!r} takes no config"
     exp = config.get("experiment") if isinstance(config, dict) else None
     exp = exp if isinstance(exp, dict) else {}
-    return [f"experiment.{key}" for key in _SUITE_REGISTRY[name][1] if key not in exp]
+    missing = [f"experiment.{key}" for key in keys if key not in exp]
+    return f"config for suite {name!r} lacks {', '.join(missing)}" if missing else None
 
 
 def run_suite(name, config=None, seed=None, tol=None, threads=1):
     """Run one named verification suite and return its Report.
 
-    A config is checked for the experiment keys the suite reads before any
-    work starts; suites that take no config ignore it. threads is accepted
-    for compatibility and ignored.
+    A config is refused with a ValueError before any work starts when the
+    suite takes no config or the config lacks an experiment key the suite
+    reads. threads is accepted for compatibility and ignored.
     """
     if name not in _SUITE_REGISTRY:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    missing = [] if config is None else missing_config_keys(name, config)
-    if missing:
-        raise ValueError(f"config for suite {name!r} lacks {', '.join(missing)}")
+    if config is not None and (error := config_error(name, config)):
+        raise ValueError(error)
     return _SUITE_REGISTRY[name][0](config, seed, tol)

@@ -22,6 +22,13 @@ B*n with zero coupling between blocks and solved by one LAPACK gtsv call:
 without a nonzero coupling gtsv never pivots across a block boundary, so each
 block gets the solution it would get alone. In more dimensions each member's
 system is solved by Jacobi-preconditioned conjugate gradients.
+
+For phi = identity in d >= 2, CG stops at each member's Eisenstat-Walker
+(1996) choice-2 forcing term: eta_0 = 0.1, eta_k = 0.9 (|R_k| / |R_k-1|)^2,
+at least 0.9 eta_k-1^2 when that exceeds 0.1 and 0.5 tol / |R_k| (no
+oversolving), within [CG_RTOL, 0.1]. The sqrt(phi')-scaled system keeps
+CG_RTOL: its CG residual does not bound the unscaled Newton residual, and
+forcing it stalls degenerate porous-medium solves.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ DEFAULT_MAX_ITER = 200
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 40
 CG_RTOL = 1e-12
+FORCING_GAMMA = 0.9
+FORCING_MAX = 0.1
 
 
 class PreconditionError(ValueError):
@@ -116,15 +125,24 @@ def _solve_tridiagonal_stack(system):
     return steps
 
 
+def _forcing(rn, rn_prev, eta_prev, tol):
+    """CG tolerances for residual norms rn, rn_prev a step ago (NaN at first)."""
+    eta = FORCING_GAMMA * (rn / rn_prev) ** 2
+    safeguard = FORCING_GAMMA * eta_prev**2
+    eta = np.where(safeguard > FORCING_MAX, np.maximum(eta, safeguard), eta)
+    eta = np.clip(np.maximum(eta, 0.5 * tol / rn), CG_RTOL, FORCING_MAX)
+    return np.where(np.isnan(rn_prev), FORCING_MAX, eta)
+
+
 def _single(V):
     """A one-row stack as its 1-D row: the operators take either, and numpy's
     per-call overhead, which dominates at these sizes, is lower in 1-D."""
     return V[0] if len(V) == 1 else V
 
 
-def _newton_steps(op, lam, U, R):
-    """Newton directions for the (k, n) rows of U, whose residuals are R (see
-    the module docstring); a row whose linear solve failed comes back as NaN."""
+def _newton_steps(op, lam, U, R, rtol):
+    """Newton directions for the (k, n) rows of U, whose residuals are R, with
+    CG tolerances rtol (see the module docstring); failed rows come back NaN."""
     k, n = U.shape
     U, R = _single(U), _single(R)
     diag, couplings = op.diffusion_jacobian(op.spec.phi.value(U))
@@ -145,7 +163,7 @@ def _newton_steps(op, lam, U, R):
         system[3] = rhs
         y = _solve_tridiagonal_stack(system.reshape(4, k, n))
     else:
-        y = _solve_cg_stack(op, sys_diag.reshape(k, n), sys_couplings, rhs.reshape(k, n))
+        y = _solve_cg_stack(op, sys_diag.reshape(k, n), sys_couplings, rhs.reshape(k, n), rtol)
     if not scaled:
         return y
     step = op.jacobian_apply(diag, couplings, S * y.reshape(U.shape))
@@ -155,9 +173,9 @@ def _newton_steps(op, lam, U, R):
     return step.reshape(k, n)
 
 
-def _solve_cg_stack(op, diag, couplings, rhs):
-    """Solve each member's SPD system by Jacobi-preconditioned CG; rows of
-    members whose CG did not converge come back as NaN."""
+def _solve_cg_stack(op, diag, couplings, rhs, rtol):
+    """Solve each member's SPD system by Jacobi-preconditioned CG to its rtol;
+    rows of members whose CG did not converge come back as NaN."""
     k, n = rhs.shape
     couplings = [c.reshape(k, *c.shape[c.ndim - op.grid.d:]) for c in couplings]
     steps = np.full((k, n), np.nan)
@@ -165,7 +183,7 @@ def _solve_cg_stack(op, diag, couplings, rhs):
         M = op.jacobian_matrix(diag[j], [c[j] for c in couplings])
         inv_diag = 1.0 / diag[j]
         precond = LinearOperator((n, n), matvec=lambda v: inv_diag * v)
-        z, info = cg(M, rhs[j], rtol=CG_RTOL, atol=0.0, maxiter=20 * n, M=precond)
+        z, info = cg(M, rhs[j], rtol=rtol[j], atol=0.0, maxiter=20 * n, M=precond)
         if info == 0:
             steps[j] = z
     return steps
@@ -184,7 +202,8 @@ def _check_step(spec, lam):
 class _Members:
     """Iterates and residuals of the members still iterating.
 
-    Row j of the arrays is member idx[j]; all of them have taken k steps. A
+    Row j of the arrays is member idx[j]; all of them have taken k steps. eta
+    holds their CG tolerances, which _forcing sets from rn_prev and rn. A
     member that converges or fails is written to `out` and its row removed,
     so a batch whose members all take the same number of iterations is never
     re-indexed.
@@ -197,6 +216,7 @@ class _Members:
         self.u = G.copy()
         self.r = self.residual(self.u, slice(None))
         self.rn = _weighted_norms(self.weights, self.r)
+        self.rn_prev, self.eta = np.full(len(G), np.nan), np.full(len(G), CG_RTOL)
         self.k = 0
         self.out = ResolventBatchResult(
             u=np.empty_like(G), residual=np.empty(len(G)), iterations=np.empty(len(G), dtype=int),
@@ -220,8 +240,8 @@ class _Members:
         else:
             keep = np.ones(len(self.idx), dtype=bool)
             keep[rows] = False
-        self.idx, self.g, self.u, self.r, self.rn = (
-            a[keep] for a in (self.idx, self.g, self.u, self.r, self.rn)
+        self.idx, self.g, self.u, self.r, self.rn, self.rn_prev, self.eta = (
+            a[keep] for a in (self.idx, self.g, self.u, self.r, self.rn, self.rn_prev, self.eta)
         )
 
     def line_search(self, direction, rows, armijo):
@@ -277,6 +297,7 @@ def solve_resolvent_batch(spec, lam, G, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_IT
 def _newton(op, lam, G, tol, max_iter):
     """The damped Newton loop over the rows of G; returns a ResolventBatchResult."""
     m = _Members(op, lam, G)
+    forced = op.grid.d > 1 and op.spec.phi.kind == "identity"
     while m.idx.size:
         active = m.rn > tol  # a NaN residual stops too, as in `while rn > tol`
         n_active = np.count_nonzero(active)
@@ -287,7 +308,9 @@ def _newton(op, lam, G, tol, max_iter):
         if m.k >= max_iter:
             m.leave(None, "resolvent did not converge")
             break
-        step = _newton_steps(op, lam, m.u, m.r)
+        if forced:
+            m.eta, m.rn_prev = _forcing(m.rn, m.rn_prev, m.eta, tol), m.rn.copy()
+        step = _newton_steps(op, lam, m.u, m.r, m.eta)
         if np.isfinite(step).all():
             stuck = m.line_search(step, None, armijo=True)
         else:

@@ -190,6 +190,19 @@ def test_verify_all_routes_a_config_to_the_suites_it_describes(monkeypatch, caps
     decay_config = _load_config(CONFIG_DIR / "p3_d1.json")
     assert received["decay"] == received["pme"] == decay_config
     assert received["barenblatt"] is None  # the config has no experiment.t0 / t1
+    assert len(received) == len(harness.SUITES)
+    assert all(received[name] is None for name in ("contraction", "order", "gn", "conservation", "convergence"))
+
+
+@pytest.mark.parametrize("suite", ["contraction", "order", "gn", "conservation", "convergence"])
+def test_verify_refuses_a_config_for_a_suite_that_takes_none(monkeypatch, capsys, suite):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setitem(harness._SUITE_REGISTRY, suite, (no_work, ()))
+    code, out, err = run_cli(capsys, ["verify", suite, "--config", str(CONFIG_DIR / "barenblatt.json")])
+    assert code == 2 and out == ""
+    assert f"suite {suite!r} takes no config" in err and "Traceback" not in err
 
 
 def test_verify_single_suite_names_the_missing_config_key(monkeypatch, capsys):

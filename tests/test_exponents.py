@@ -419,6 +419,22 @@ def test_barenblatt_exponent_pins():
     assert err.value.condition == "lambda_positive"
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_critical_exponent_p_is_refused_in_every_dimension(d):
+    # lambda = d(p-2)+p vanishes at p = 2d/(d+1); in real arithmetic the
+    # gamma* condition is an equality there, and roundoff must not decide it
+    p = 2.0 * d / (d + 1.0)
+    with pytest.raises(ConditionError) as err:
+        plaplace_exponents(d, p, s=1.0)
+    assert err.value.condition == "gamma_star_condition"
+    with pytest.raises(ConditionError) as err:
+        doubly_nonlinear_exponents(d, p, 1.0, s=1.0)
+    assert err.value.condition == "gamma_star_condition"
+    with pytest.raises(ConditionError) as err:
+        barenblatt_exponent(d, p)
+    assert err.value.condition == "lambda_positive"
+
+
 def test_exponent_functions_are_pure():
     a = plaplace_exponents(3, 2.5, s=1.0)
     b = plaplace_exponents(3, 2.5, s=1.0)

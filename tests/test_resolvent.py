@@ -6,7 +6,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nlsmooth.harness import smooth_bump
+import nlsmooth.resolvent as resolvent
+from nlsmooth.harness import random_smooth_field, smooth_bump
 from nlsmooth.measure import GridFunction, lq_norm, positive_part
 from nlsmooth.operators import (
     BoundaryCondition,
@@ -18,6 +19,7 @@ from nlsmooth.operators import (
     tanh_perturbation,
 )
 from nlsmooth.resolvent import (
+    CG_RTOL,
     NonConvergenceError,
     PreconditionError,
     _solve_tridiagonal_stack,
@@ -207,6 +209,38 @@ def test_degenerate_porous_medium_resolvent_converges_fast(d, max_iterations):
     assert np.count_nonzero(g.values == 0.0) > grid.n_total // 4
     out = solve_resolvent(spec, 0.05, g)
     assert out.converged and out.iterations <= max_iterations
+
+
+def test_scaled_porous_medium_resolvent_keeps_converging_on_64x64():
+    # the sqrt(phi')-scaled system keeps CG_RTOL; a forced CG tolerance there
+    # stalls this solve, which needs 11 iterations with exact CG solves
+    grid = Grid(bounds=((-5.0, 5.0),) * 2, shape=(64, 64))
+    spec = OperatorSpec(grid=grid, p=2.0, phi=PhiSpec.power(2), eps_reg=0.0)
+    out = solve_resolvent(spec, 0.5, smooth_bump(grid, width=2.0), tol=1e-12)
+    assert out.converged and out.iterations <= 11
+
+
+def test_forcing_saves_cg_iterations(monkeypatch):
+    grid = Grid(bounds=((-5.0, 5.0),) * 2, shape=(64, 64))
+    spec = OperatorSpec(grid=grid, p=3.0, bc=BoundaryCondition.dirichlet())
+    g = random_smooth_field(grid, 3)
+    # count CG iterations as perfbench's tracer does: wrap the module-level cg
+    count = [0]
+    plain_cg = resolvent.cg
+
+    def counting_cg(*args, **kwargs):
+        kwargs["callback"] = lambda xk: count.__setitem__(0, count[0] + 1)
+        return plain_cg(*args, **kwargs)
+
+    monkeypatch.setattr(resolvent, "cg", counting_cg)
+    out = solve_resolvent(spec, 0.5, g, tol=1e-12)
+    assert out.converged and out.iterations <= 10
+    forced = count[0]
+    assert forced <= 787 // 2  # 787 with every CG solve at CG_RTOL
+    monkeypatch.setattr(resolvent, "_forcing", lambda rn, *_: np.full_like(rn, CG_RTOL))
+    exact = solve_resolvent(spec, 0.5, g, tol=1e-12)
+    assert count[0] - forced >= 2 * forced
+    assert lq_norm(out.u - exact.u, 2) <= 1e-10
 
 
 def _assert_matches_solo(spec, lam, G, out, rows, tol=SOLVER_TOL):
