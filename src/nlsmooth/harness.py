@@ -90,10 +90,22 @@ def config_hash(config):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _grid_from_config(cfg):
-    bounds = tuple(tuple(b) for b in cfg["bounds"])
-    shape = tuple(cfg["shape"])
-    return Grid(bounds=bounds, shape=shape)
+def _section(config, name, required, optional=()):
+    """config[name]; a ValueError names the key path if it is missing, has an
+    unknown key (named first: it may be a misspelt one) or lacks a required key."""
+    sec = config.get(name) if isinstance(config, dict) else None
+    if not isinstance(sec, dict):
+        raise ValueError(f"config lacks section {name}")
+    for problem, keys in (("has unknown key", [k for k in sec if k not in required + optional]),
+                          ("lacks", [k for k in required if k not in sec])):
+        if keys:
+            raise ValueError(f"config {problem} {', '.join(f'{name}.{k}' for k in keys)}")
+    return sec
+
+
+def _grid_from_config(config):
+    cfg = _section(config, "grid", ("bounds", "shape"))
+    return Grid(bounds=tuple(tuple(b) for b in cfg["bounds"]), shape=tuple(cfg["shape"]))
 
 
 def _phi_from_config(cfg):
@@ -119,9 +131,11 @@ def _perturbation_from_config(cfg):
 
 def spec_from_config(config):
     """Build an OperatorSpec from the flat config sections."""
-    grid = _grid_from_config(config["grid"])
-    op = config["operator"]
+    grid = _grid_from_config(config)
+    op = _section(config, "operator", ("p",), ("bc", "eps_reg", "robin_b"))
     kind = op.get("bc", "dirichlet")
+    if kind == "robin" and "robin_b" not in op:
+        raise ValueError("config lacks operator.robin_b, which bc 'robin' needs")
     bc = BoundaryCondition.robin(op["robin_b"]) if kind == "robin" else BoundaryCondition(kind)
     return OperatorSpec(
         grid=grid,
@@ -134,7 +148,7 @@ def spec_from_config(config):
 
 
 def time_grid_from_config(config):
-    t = config["time"]
+    t = _section(config, "time", ("t_end", "n_steps"))
     return TimeGrid(t_end=float(t["t_end"]), n_steps=int(t["n_steps"]))
 
 
@@ -470,8 +484,8 @@ def barenblatt_comparison(config=None, refinement=True):
     """
     config = config or default_barenblatt_config()
     exp = config["experiment"]
-    shape = config["grid"]["shape"]
-    n_steps = config["time"]["n_steps"]
+    shape = spec_from_config(config).grid.shape
+    n_steps = time_grid_from_config(config).n_steps
     err_fine = _barenblatt_error(config, shape, n_steps)
     metrics = {
         "rel_l1_error": err_fine,

@@ -18,10 +18,11 @@ iteration count, step length and failure reason, and leaves the loop when it
 converges or fails; solve_resolvent is the B = 1 case. The linear solver is
 chosen from the structure of the grid. In one dimension the B tridiagonal
 systems of an iteration are stacked into a single tridiagonal system of size
-B*n with zero coupling between blocks and solved by one LAPACK gtsv call:
-without a nonzero coupling gtsv never pivots across a block boundary, so each
-block gets the solution it would get alone. In more dimensions each member's
-system is solved by Jacobi-preconditioned conjugate gradients.
+B*n with zero coupling between blocks and solved by one direct LAPACK gtsv
+call (the checks of scipy.linalg.solve_banded take a third of each solve at
+n = 2001): with zero coupling gtsv never pivots across a block boundary, so
+each block gets the solution it would get alone. In more dimensions each
+member's system is solved by Jacobi-preconditioned conjugate gradients.
 
 For phi = identity in d >= 2, CG stops at each member's Eisenstat-Walker
 (1996) choice-2 forcing term: eta_0 = 0.1, eta_k = 0.9 (|R_k| / |R_k-1|)^2,
@@ -37,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .measure import GridFunction
@@ -91,37 +92,35 @@ def _weighted_norms(weights, R):
     return np.sqrt(np.vecdot(R * R, weights))
 
 
+def solve_banded(system, overwrite=False):
+    """LAPACK gtsv on one (4, m) system laid out as in _solve_tridiagonal_stack,
+    in place if overwrite is set; all NaN when gtsv meets a zero pivot.
+    perfbench traces this name as the 1-D linear solve."""
+    *_, x, info = dgtsv(system[2, :-1], system[1], system[0, 1:], system[3], *[overwrite] * 4)
+    return x if info == 0 else np.full_like(x, np.nan)
+
+
 def _solve_tridiagonal_stack(system):
     """Solve k tridiagonal systems as one, returning the (k, n) solutions.
 
     system is (4, k, n): the superdiagonal, diagonal and subdiagonal of each
-    block in the band layout of solve_banded((1, 1), ...), with
+    block in the band layout of scipy's solve_banded((1, 1), ...), with
     system[0, :, 0] = system[2, :, -1] = 0, then the right-hand sides. A NaN
     or inf in one block would leak into its neighbours through the
-    elimination, so when the stack is not finite, LAPACK rejects it, or its
-    solution is not finite, the blocks are solved one by one instead. Rows
-    whose system is unusable come back as NaN.
+    elimination, so when the stack is not finite, LAPACK meets a zero pivot,
+    or its solution is not finite, the blocks are solved one by one instead.
+    Rows whose system is unusable come back as NaN.
     """
     _, k, n = system.shape
     if np.isfinite(system).all():
         lone = k == 1  # no block-by-block retry follows, so LAPACK may work in place
-        try:
-            steps = solve_banded(
-                (1, 1), system[:3].reshape(3, k * n), system[3].reshape(k * n),
-                overwrite_ab=lone, overwrite_b=lone, check_finite=False,
-            ).reshape(k, n)
-            if lone or np.isfinite(steps).all():
-                return steps
-        except (np.linalg.LinAlgError, ValueError):
-            pass
+        steps = solve_banded(system.reshape(4, k * n), overwrite=lone).reshape(k, n)
+        if lone or np.isfinite(steps).all():
+            return steps
     steps = np.full((k, n), np.nan)
     for j in range(k) if k > 1 else ():
-        block = system[:, j]
-        if np.isfinite(block).all():
-            try:
-                steps[j] = solve_banded((1, 1), block[:3], block[3], check_finite=False)
-            except (np.linalg.LinAlgError, ValueError):
-                pass
+        if np.isfinite(system[:, j]).all():
+            steps[j] = solve_banded(system[:, j])
     return steps
 
 
@@ -154,16 +153,18 @@ def _newton_steps(op, lam, U, R, rtol):
         rhs = -S * R
     else:
         sys_diag, sys_couplings, rhs = diag, couplings, -R
-    sys_diag = a + lam * sys_diag
-    sys_couplings = [lam * c for c in sys_couplings]
     if op.grid.d == 1:
-        system = np.zeros((4,) + U.shape)
-        system[0, ..., 1:] = system[2, ..., :-1] = np.negative(sys_couplings[0])
-        system[1] = sys_diag
+        system = np.empty((4, k, n))
+        system[0, :, 0] = system[2, :, -1] = 0.0
+        np.multiply(-lam, sys_couplings[0], out=system[0, :, 1:])
+        system[2, :, :-1] = system[0, :, 1:]
+        np.multiply(lam, sys_diag, out=system[1])
+        system[1] += a
         system[3] = rhs
-        y = _solve_tridiagonal_stack(system.reshape(4, k, n))
+        y = _solve_tridiagonal_stack(system)
     else:
-        y = _solve_cg_stack(op, sys_diag.reshape(k, n), sys_couplings, rhs.reshape(k, n), rtol)
+        sys_couplings = [lam * c for c in sys_couplings]
+        y = _solve_cg_stack(op, (a + lam * sys_diag).reshape(k, n), sys_couplings, rhs.reshape(k, n), rtol)
     if not scaled:
         return y
     step = op.jacobian_apply(diag, couplings, S * y.reshape(U.shape))

@@ -215,6 +215,30 @@ def test_verify_single_suite_names_the_missing_config_key(monkeypatch, capsys):
     assert "experiment.t0" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--out", "unused.csv"], ["verify", "decay"]])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda cfg: cfg["operator"].pop("p"), "config lacks operator.p"),
+        (lambda cfg: cfg["operator"].update(bc="robin"), "config lacks operator.robin_b"),
+        (lambda cfg: cfg.pop("time"), "config lacks section time"),
+        (lambda cfg: cfg["operator"].update(pp=cfg["operator"].pop("p")), "config has unknown key operator.pp"),
+        (lambda cfg: cfg["grid"].update(spacing=0.08), "config has unknown key grid.spacing"),
+        (lambda cfg: cfg["time"].update(dt=0.025), "config has unknown key time.dt"),
+    ],
+)
+def test_a_bad_config_section_exits_2_naming_the_key(tmp_path, monkeypatch, capsys, argv, edit, message):
+    monkeypatch.chdir(tmp_path)
+    cfg = _smoke_config()
+    edit(cfg)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_jsonable(cfg)))
+    code, out, err = run_cli(capsys, argv + ["--config", str(cfg_path)])
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "unused.csv").exists()
+
+
 def test_verify_convergence_writes_report(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, err = run_cli(capsys, ["verify", "convergence", "--out", str(out_path)])

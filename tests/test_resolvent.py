@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import solve_banded
 
 import nlsmooth.resolvent as resolvent
 from nlsmooth.harness import random_smooth_field, smooth_bump
@@ -211,6 +212,17 @@ def test_degenerate_porous_medium_resolvent_converges_fast(d, max_iterations):
     assert out.converged and out.iterations <= max_iterations
 
 
+@pytest.mark.xfail(strict=True, raises=NonConvergenceError, reason=(
+    "open defect: the damped Newton iteration from the cold start u = g stalls on fine "
+    "1-D grids; this solve needs 7 iterations at n = 31, 112 at n = 961 and at n = 2001 "
+    "ends at residual 0.136 after 200 iterations"))
+def test_degenerate_porous_medium_resolvent_converges_on_a_fine_1d_grid():
+    grid = interval(-5.0, 5.0, 2001)
+    spec = OperatorSpec(grid=grid, p=2.0, phi=PhiSpec.power(2), eps_reg=0.0)
+    out = solve_resolvent(spec, 0.5, smooth_bump(grid, width=2.0))
+    assert out.converged
+
+
 def test_scaled_porous_medium_resolvent_keeps_converging_on_64x64():
     # the sqrt(phi')-scaled system keeps CG_RTOL; a forced CG tolerance there
     # stalls this solve, which needs 11 iterations with exact CG solves
@@ -300,6 +312,30 @@ def test_stacked_tridiagonal_solve_isolates_bad_blocks():
     steps = _solve_tridiagonal_stack(system)
     assert np.array_equal(steps[[0, 2]], np.array(alone)[[0, 2]])
     assert np.isnan(steps[[1, 3]]).all()
+
+
+@pytest.mark.parametrize("n", [64, 2001])
+@pytest.mark.parametrize("k", [1, 3])
+def test_stacked_tridiagonal_solve_equals_scipy_solve_banded(k, n):
+    rng = np.random.default_rng(k * n)
+    system = np.zeros((4, k, n))
+    system[0, :, 1:] = -rng.uniform(0.0, 1.0, (k, n - 1))
+    system[1] = rng.uniform(0.5, 2.5, (k, n))  # not dominant, so gtsv pivots within blocks
+    system[2, :, :-1] = -rng.uniform(0.0, 1.0, (k, n - 1))
+    system[3] = rng.standard_normal((k, n))
+    steps = _solve_tridiagonal_stack(system.copy())
+    for j in range(k):
+        assert np.array_equal(steps[j], solve_banded((1, 1), system[:3, j], system[3, j]))
+
+
+def test_a_lone_zero_pivot_block_comes_back_nan():
+    system = np.zeros((4, 1, 5))
+    system[1] = 1.0
+    system[1, 0, 2] = 0.0  # a zero row: gtsv reports info > 0
+    system[3] = 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_banded((1, 1), system[:3, 0], system[3, 0])
+    assert np.isnan(_solve_tridiagonal_stack(system)).all()
 
 
 def test_batch_input_validation():
