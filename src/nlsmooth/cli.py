@@ -36,7 +36,9 @@ def _decode(obj):
 
 
 def _emit(obj):
-    sys.stdout.write(json.dumps(harness._jsonable(obj), sort_keys=True) + "\n")
+    line = json.dumps(harness._jsonable(obj), sort_keys=True) + "\n"
+    sys.stdout.write(line)
+    return line
 
 
 def _load_config(path):
@@ -71,14 +73,7 @@ def _cmd_exponents(args):
         "bc": args.bc,
         "kappa": args.kappa,
     }
-    query = {k: v for k, v in query.items() if v is not None}
-    if args.theorem == "barenblatt":
-        query.pop("s", None)
-    if args.theorem != "plaplace":
-        query.pop("bc", None)
-    if args.theorem != "moser":
-        query.pop("kappa", None)
-    inputs = dict(query)
+    inputs = query = {k: v for k, v in query.items() if v is not None}
     try:
         out = exponents_from_query(query)
     except ConditionError as exc:
@@ -96,23 +91,10 @@ def _cmd_exponents(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if isinstance(out, float):
-        _emit(
-            {
-                "inputs": inputs,
-                "case": "barenblatt",
-                "valid": True,
-                "alpha": out,
-                "beta": None,
-                "gamma": None,
-                "conditions": {},
-            }
-        )
-        return 0
-    _emit(
-        {
-            "inputs": inputs,
+        payload = {"case": "barenblatt", "alpha": out, "beta": None, "gamma": None, "conditions": {}}
+    else:
+        payload = {
             "case": out.case,
-            "valid": True,
             "alpha": out.alpha_s,
             "beta": out.beta_s,
             "gamma": out.gamma_s,
@@ -124,7 +106,7 @@ def _cmd_exponents(args):
             "star": _star_jsonable(out.star),
             "conditions": dict(out.conditions),
         }
-    )
+    _emit({"inputs": inputs, "valid": True, **payload})
     return 0
 
 
@@ -204,18 +186,14 @@ def _cmd_verify(args):
             routed = None  # 'all' hands a config only to the suites that read it
         reports.append(harness.run_suite(name, config=routed, seed=args.seed, tol=args.tol))
     all_pass = all(r.passed for r in reports)
-    if len(reports) == 1:
-        _emit(reports[0].to_jsonable())
-    else:
-        _emit({"pass": all_pass, "suites": [r.to_jsonable() for r in reports]})
+    payload = reports[0].to_jsonable() if len(reports) == 1 else {
+        "pass": all_pass,
+        "suites": [r.to_jsonable() for r in reports],
+    }
+    line = _emit(payload)
     if args.out:
         with open(args.out, "w") as f:
-            payload = reports[0].to_jsonable() if len(reports) == 1 else {
-                "pass": all_pass,
-                "suites": [r.to_jsonable() for r in reports],
-            }
-            json.dump(harness._jsonable(payload), f, sort_keys=True)
-            f.write("\n")
+            f.write(line)
     return 0 if all_pass else 1
 
 
@@ -234,8 +212,7 @@ def build_parser():
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
 
     pe = sub.add_parser("exponents", help="closed-form smoothing exponents")
-    pe.add_argument("--theorem", required=True,
-                    choices=["plaplace", "doubly-nonlinear", "dtn", "fractional", "moser", "barenblatt"])
+    pe.add_argument("--theorem", required=True, choices=list(harness._THEOREMS))
     pe.add_argument("--d", type=int)
     pe.add_argument("--p", type=float)
     pe.add_argument("--s", type=float)

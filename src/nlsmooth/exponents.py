@@ -8,9 +8,13 @@ regularization estimates of the form
 A Gagliardo-Nirenberg inequality for the generator yields a base triple
 (alpha, beta, gamma) for one (q, r) pair; an iteration along the Lebesgue
 scale extrapolates it to r = inf; interpolation with the contraction scale
-brings the source norm down to any admissible s. The application helpers
-(p-Laplace with various boundary couplings, doubly nonlinear diffusions)
-package the standard inequality constants for each dimensional regime.
+brings the source norm down to any admissible s. The p-Laplace, boundary
+trace (dtn) and fractional families follow this route in one function,
+_gn_exponents; each family is a row of the table _FAMILIES, which holds
+what differs between them in each regime x < d, x = d, x > d (x = p, or
+sfrac*p): the default-seed threshold and the target r, the theta range and
+the inequality with its pinned seed, and the direct (alpha, gamma). Doubly
+nonlinear diffusions take the Moser route instead.
 
 All functions are pure: same inputs give bit-identical outputs. Validity
 conditions are reported by name, and violations raise ConditionError.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 INF = float("inf")
 
@@ -264,34 +269,41 @@ def extrapolate_to_s(q, r, gamma, alpha, beta, s, c=1.0):
         1.0 <= s < q,
         f"need 1 <= s < q = {q}, got s = {s}",
     )
-    if r == INF:
-        theta_s = s / q
-    else:
-        theta_s = (r - q) * s / (q * (r - s))
-    den = 1.0 - gamma * (1.0 - theta_s)
+    theta_s = s / q if r == INF else (r - q) * s / (q * (r - s))
+    return _lower_source(s, theta_s, alpha, beta, gamma, conditions, "gamma_condition", "gamma*(1 - theta_s)",
+                         case="source-interpolation", c=c)
+
+
+def _lower_source(s, theta, alpha, beta, gamma, conditions, name, what, case, star=None, c=None):
+    """The source-lowering step both reductions share.
+
+    den = 1 - gamma(1 - theta) must be positive, under the condition name
+    (what spells gamma(1 - theta) in the message). Then alpha_s = alpha/den,
+    beta_s = (beta/2 + gamma theta)/den, gamma_s = gamma theta/den and, for
+    a constant c, constant_s = (c 2^{alpha_s})^{1/den}.
+    """
+    den = 1.0 - gamma * (1.0 - theta)
     _require(
         conditions,
-        "gamma_condition",
-        _positive(1.0, -gamma * (1.0 - theta_s)),
-        f"need gamma*(1 - theta_s) < 1, got gamma*(1-theta_s) = {gamma * (1.0 - theta_s)}",
+        name,
+        _positive(1.0, -gamma * (1.0 - theta)),
+        f"need {what} < 1, got {gamma * (1.0 - theta)}",
     )
     alpha_s = alpha / den
-    beta_s = (beta / 2.0 + gamma * theta_s) / den
-    gamma_s = gamma * theta_s / den
-    constant_s = (c * 2.0**alpha_s) ** (1.0 / den)
     return SExponents(
         s=float(s),
         alpha_s=alpha_s,
-        beta_s=beta_s,
-        gamma_s=gamma_s,
-        theta_s=theta_s,
-        constant_s=constant_s,
-        case="source-interpolation",
+        beta_s=(beta / 2.0 + gamma * theta) / den,
+        gamma_s=gamma * theta / den,
+        theta_s=theta,
+        constant_s=None if c is None else (c * 2.0**alpha_s) ** (1.0 / den),
+        case=case,
+        star=star,
         conditions=conditions,
     )
 
 
-def _reduce_star_to_s(star, s, case, conditions=None, s_lower_name=None, s_lower_ok=True, s_lower_msg=""):
+def _reduce_star_to_s(star, s, case, conditions=None):
     """Shared source-lowering step from the pivot norm of a star estimate.
 
     theta_s = s/pivot; the reduction reuses the interpolation formulas with
@@ -299,34 +311,14 @@ def _reduce_star_to_s(star, s, case, conditions=None, s_lower_name=None, s_lower
     star exponents unchanged.
     """
     conditions = dict(conditions or {})
-    pivot = star.pivot
     _require(
         conditions,
         "s_in_range",
-        1.0 <= s <= pivot,
-        f"need 1 <= s <= {pivot}, got s = {s}",
+        1.0 <= s <= star.pivot,
+        f"need 1 <= s <= {star.pivot}, got s = {s}",
     )
-    if s_lower_name is not None:
-        _require(conditions, s_lower_name, s_lower_ok, s_lower_msg)
-    nu = s / pivot
-    den = 1.0 - star.gamma_star * (1.0 - nu)
-    _require(
-        conditions,
-        "gamma_star_condition",
-        _positive(1.0, -star.gamma_star * (1.0 - nu)),
-        f"need gamma_star*(1 - s/pivot) < 1, got {star.gamma_star * (1.0 - nu)}",
-    )
-    return SExponents(
-        s=float(s),
-        alpha_s=star.alpha_star / den,
-        beta_s=(star.beta_star / 2.0 + star.gamma_star * nu) / den,
-        gamma_s=star.gamma_star * nu / den,
-        theta_s=nu,
-        constant_s=None,
-        case=case,
-        star=star,
-        conditions=conditions,
-    )
+    return _lower_source(s, s / star.pivot, star.alpha_star, star.beta_star, star.gamma_star, conditions,
+                         "gamma_star_condition", "gamma_star*(1 - s/pivot)", case=case, star=star)
 
 
 def iteration_sequence(kappa, r, gamma, m0, n):
@@ -454,7 +446,7 @@ def moser_exponents(kappa, m, p, q0, s=1.0):
 
 
 # ---------------------------------------------------------------------------
-# application helpers: p-Laplace family
+# application helpers: the Gagliardo-Nirenberg families
 # ---------------------------------------------------------------------------
 
 _BCS = ("dirichlet", "neumann", "robin")
@@ -486,14 +478,79 @@ def _direct_star(alpha, gamma, pivot):
     )
 
 
-def _no_theta(theta, case):
-    if theta is not None:
-        raise ValueError(f"theta only applies in the borderline case, not {case}")
+def _plaplace_direct(d, p):
+    theta0 = p * d / (p * d + 2.0 * (p - d))
+    return theta0 / p, (2.0 * theta0 + p * (1.0 - theta0)) / p
 
 
-def _no_m0(m0, case):
-    if m0 is not None:
-        raise ValueError(f"m0 is determined internally in {case}; pass m0=None")
+# One row per family of the Gagliardo-Nirenberg route; x is p, or sfrac*p,
+# against d. x < d: the seed defaults to m0 = p iff p > m0_threshold(d, sfrac),
+# and the inequality runs from L^2 to L^sub_r(d, p, x). x = d: theta(p) gives
+# the lower end lo of the range (lo, 1) and the default, critical(p, theta)
+# the inequality and pinned(p, base) the seed. x > d: direct(d, p) is the
+# (alpha, gamma) of an estimate from L^2 straight into L^inf.
+_FAMILIES = {
+    "plaplace": SimpleNamespace(
+        x="p",
+        m0_threshold=lambda d, sfrac: 2.0 * d / (d + 2.0),
+        sub_r=lambda d, p, x: p * d / (d - x),
+        theta=lambda p: (0.0, 0.5),
+        critical=lambda p, t: GNParams(q=2.0, r=2.0 / (1.0 - t), sigma=p / t, rho=p * (1.0 - t) / t),
+        pinned=lambda p, base: 2.0 / base.gamma,
+        direct=_plaplace_direct,
+    ),
+    # the boundary trace: the effective dimension is d - 1
+    "dtn": SimpleNamespace(
+        x="p",
+        m0_threshold=lambda d, sfrac: 2.0 * d / (d + 1.0),
+        sub_r=lambda d, p, x: p * (d - 1.0) / (d - p),
+        theta=lambda p: (1.0 - 1.0 / p, 1.0 - 1.0 / (2.0 * p)),
+        critical=lambda p, t: GNParams(q=2.0, r=1.0 / (1.0 - t), sigma=p),
+        pinned=lambda p, base: p,
+        direct=lambda d, p: (1.0 / p, 2.0 / p),
+    ),
+    "fractional": SimpleNamespace(
+        x="sp",
+        m0_threshold=lambda d, sfrac: 2.0 * d / (d + 2.0 * sfrac),
+        sub_r=lambda d, p, x: p * d / (d - x),
+        theta=lambda p: ((lo := max(0.0, 1.0 - p / 2.0)), (lo + 1.0) / 2.0),
+        critical=lambda p, t: GNParams(q=2.0, r=p / (1.0 - t), sigma=p),
+        pinned=lambda p, base: p,
+        direct=lambda d, p: (1.0 / p, 2.0 / p),
+    ),
+}
+
+
+def _gn_exponents(family, d, p, s, m0, theta, sfrac=1.0):
+    """The GN route of one family: L^2 -> L^r, extrapolation to L^inf, L^s."""
+    row = _FAMILIES[family]
+    x = sfrac * p
+    regime = "<" if x < d else "=" if x == d else ">"
+    case = f"{family}:{row.x}{regime}d"
+    if theta is not None and x != d:
+        raise ValueError(f"theta only applies in the borderline case, not {row.x} {regime} d")
+    if m0 is not None and x >= d:
+        raise ValueError(f"m0 is determined internally when {row.x} {regime} d; pass m0=None")
+    if x > d:
+        alpha, gamma = row.direct(d, p)
+        return _reduce_star_to_s(_direct_star(alpha, gamma, pivot=2.0), s, case=case)
+
+    conditions = {}
+    if x < d:
+        m0 = _default_m0(p, row.m0_threshold(d, sfrac), m0, f"{family}_exponents with {row.x} < d")
+        _require(conditions, "m0_ge_p", m0 >= p, f"need m0 >= p = {p}, got m0 = {m0}")
+        gn = GNParams(q=2.0, r=row.sub_r(d, p, x), sigma=p)
+    else:
+        lo, default = row.theta(p)
+        theta = default if theta is None else float(theta)
+        _require(conditions, "theta_in_range", lo < theta < 1.0, f"need theta in ({lo}, 1), got {theta}")
+        gn = row.critical(p, theta)
+    base = smoothing_exponents(gn)
+    if x == d:
+        m0 = row.pinned(p, base)
+    star = extrapolate_to_infinity(gn.q, gn.r, base.gamma, base.alpha, base.beta, m0)
+    conditions.update(star.conditions)
+    return _reduce_star_to_s(star, s, case=case, conditions=conditions)
 
 
 def plaplace_exponents(d, p, s=1.0, m0=None, bc="dirichlet", theta=None):
@@ -511,36 +568,7 @@ def plaplace_exponents(d, p, s=1.0, m0=None, bc="dirichlet", theta=None):
     if str(bc).lower() not in _BCS:
         raise ValueError(f"bc must be one of {_BCS}, got {bc!r}")
     _check_s(s)
-
-    if p < d:
-        _no_theta(theta, "p < d")
-        m0 = _default_m0(p, 2.0 * d / (d + 2.0), m0, "plaplace_exponents with p < d")
-        conditions = {}
-        _require(conditions, "m0_ge_p", m0 >= p, f"need m0 >= p = {p}, got m0 = {m0}")
-        gn = GNParams(q=2.0, r=p * d / (d - p), sigma=p, rho=0.0)
-        base = smoothing_exponents(gn)
-        star = extrapolate_to_infinity(gn.q, gn.r, base.gamma, base.alpha, base.beta, m0)
-        conditions.update(star.conditions)
-        return _reduce_star_to_s(star, s, case="plaplace:p<d", conditions=conditions)
-
-    if p == d:
-        _no_m0(m0, "the p = d case (it is pinned to 2/gamma_theta)")
-        theta = 0.5 if theta is None else float(theta)
-        if not (0.0 < theta < 1.0):
-            raise ValueError(f"theta must lie in (0, 1), got {theta}")
-        gn = GNParams(q=2.0, r=2.0 / (1.0 - theta), sigma=p / theta, rho=p * (1.0 - theta) / theta)
-        base = smoothing_exponents(gn)
-        m0_pinned = 2.0 / base.gamma
-        star = extrapolate_to_infinity(gn.q, gn.r, base.gamma, base.alpha, base.beta, m0_pinned)
-        return _reduce_star_to_s(star, s, case="plaplace:p=d", conditions=dict(star.conditions))
-
-    # p > d: the inequality reaches L^inf directly with source L^2
-    _no_theta(theta, "p > d")
-    _no_m0(m0, "the p > d case")
-    theta0 = p * d / (p * d + 2.0 * (p - d))
-    gamma = (2.0 * theta0 + p * (1.0 - theta0)) / p
-    star = _direct_star(alpha=theta0 / p, gamma=gamma, pivot=2.0)
-    return _reduce_star_to_s(star, s, case="plaplace:p>d")
+    return _gn_exponents("plaplace", d, p, s, m0, theta)
 
 
 def dtn_exponents(d, p, s=1.0, m0=None, theta=None):
@@ -556,38 +584,7 @@ def dtn_exponents(d, p, s=1.0, m0=None, theta=None):
         raise ValueError(f"the boundary-trace case needs d >= 2, got d = {d}")
     p = _check_p(p)
     _check_s(s)
-
-    if p < d:
-        _no_theta(theta, "p < d")
-        m0 = _default_m0(p, 2.0 * d / (d + 1.0), m0, "dtn_exponents with p < d")
-        conditions = {}
-        _require(conditions, "m0_ge_p", m0 >= p, f"need m0 >= p = {p}, got m0 = {m0}")
-        gn = GNParams(q=2.0, r=p * (d - 1.0) / (d - p), sigma=p, rho=0.0)
-        base = smoothing_exponents(gn)
-        star = extrapolate_to_infinity(gn.q, gn.r, base.gamma, base.alpha, base.beta, m0)
-        conditions.update(star.conditions)
-        return _reduce_star_to_s(star, s, case="dtn:p<d", conditions=conditions)
-
-    if p == d:
-        _no_m0(m0, "the p = d trace case (it is pinned to p)")
-        theta = 1.0 - 1.0 / (2.0 * p) if theta is None else float(theta)
-        conditions = {}
-        _require(
-            conditions,
-            "theta_in_range",
-            1.0 - 1.0 / p < theta < 1.0,
-            f"need theta in (1 - 1/p, 1) = ({1.0 - 1.0 / p}, 1), got {theta}",
-        )
-        gn = GNParams(q=2.0, r=1.0 / (1.0 - theta), sigma=p, rho=0.0)
-        base = smoothing_exponents(gn)
-        star = extrapolate_to_infinity(gn.q, gn.r, base.gamma, base.alpha, base.beta, float(p))
-        conditions.update(star.conditions)
-        return _reduce_star_to_s(star, s, case="dtn:p=d", conditions=conditions)
-
-    _no_theta(theta, "p > d")
-    _no_m0(m0, "the p > d trace case")
-    star = _direct_star(alpha=1.0 / p, gamma=2.0 / p, pivot=2.0)
-    return _reduce_star_to_s(star, s, case="dtn:p>d")
+    return _gn_exponents("dtn", d, p, s, m0, theta)
 
 
 def fractional_exponents(d, p, sfrac, s=1.0, m0=None, theta=None):
@@ -604,40 +601,7 @@ def fractional_exponents(d, p, sfrac, s=1.0, m0=None, theta=None):
     if not (0.0 < sfrac <= 1.0):
         raise ValueError(f"sfrac must lie in (0, 1], got {sfrac}")
     _check_s(s)
-    sp = sfrac * p
-
-    if sp < d:
-        _no_theta(theta, "sfrac*p < d")
-        m0 = _default_m0(p, 2.0 * d / (d + 2.0 * sfrac), m0, "fractional_exponents with sfrac*p < d")
-        conditions = {}
-        _require(conditions, "m0_ge_p", m0 >= p, f"need m0 >= p = {p}, got m0 = {m0}")
-        gn = GNParams(q=2.0, r=p * d / (d - sp), sigma=p, rho=0.0)
-        base = smoothing_exponents(gn)
-        star = extrapolate_to_infinity(gn.q, gn.r, base.gamma, base.alpha, base.beta, m0)
-        conditions.update(star.conditions)
-        return _reduce_star_to_s(star, s, case="fractional:sp<d", conditions=conditions)
-
-    if sp == d:
-        _no_m0(m0, "the sfrac*p = d case (it is pinned to p)")
-        lo = max(0.0, 1.0 - p / 2.0)
-        theta = (lo + 1.0) / 2.0 if theta is None else float(theta)
-        conditions = {}
-        _require(
-            conditions,
-            "theta_in_range",
-            lo < theta < 1.0,
-            f"need theta in ({lo}, 1), got {theta}",
-        )
-        gn = GNParams(q=2.0, r=p / (1.0 - theta), sigma=p, rho=0.0)
-        base = smoothing_exponents(gn)
-        star = extrapolate_to_infinity(gn.q, gn.r, base.gamma, base.alpha, base.beta, float(p))
-        conditions.update(star.conditions)
-        return _reduce_star_to_s(star, s, case="fractional:sp=d", conditions=conditions)
-
-    _no_theta(theta, "sfrac*p > d")
-    _no_m0(m0, "the sfrac*p > d case")
-    star = _direct_star(alpha=1.0 / p, gamma=2.0 / p, pivot=2.0)
-    return _reduce_star_to_s(star, s, case="fractional:sp>d")
+    return _gn_exponents("fractional", d, p, s, m0, theta, sfrac)
 
 
 def doubly_nonlinear_exponents(d, p, m, s=1.0, q0=None, theta=None):
@@ -656,45 +620,30 @@ def doubly_nonlinear_exponents(d, p, m, s=1.0, q0=None, theta=None):
         raise ValueError(f"m must be positive and finite, got {m}")
     _check_s(s)
 
+    if theta is not None and p != d:
+        raise ValueError(f"theta only applies in the borderline case p = d, got p = {p}, d = {d}")
+
+    if p > d:  # direct estimate with source L^{m+1}
+        if q0 is not None:
+            raise ValueError("q0 does not apply when p > d; pass q0=None")
+        E = 1.0 + (m + 1.0) / m * (1.0 / d - 1.0 / p)
+        star = _direct_star(alpha=1.0 / (p * m * E), gamma=(m + 1.0) / (d * m * E), pivot=m + 1.0)
+        return _reduce_star_to_s(star, s, case="doubly-nonlinear:p>d")
+
+    conditions = {}
     if p < d:
-        _no_theta(theta, "p < d")
         threshold = d * (1.0 + 1.0 / m) / (1.0 + d + 1.0 / m)
         q0 = _default_m0(p, threshold, q0, "doubly_nonlinear_exponents with p < d")
-        conditions = {}
-        _require(conditions, "q0_ge_p", q0 >= p, f"need q0 >= p = {p}, got q0 = {q0}")
-        out = moser_exponents(kappa=d / (d - p), m=m, p=p, q0=q0, s=s)
-        conditions.update(out.conditions)
-        return replace(out, case="doubly-nonlinear:p<d", conditions=conditions)
-
-    if p == d:
+        kappa = d / (d - p)
+    else:
         theta = 0.5 if theta is None else float(theta)
-        if not (0.0 < theta < 1.0):
-            raise ValueError(f"theta must lie in (0, 1), got {theta}")
-        conditions = {}
-        if q0 is None:
-            q0 = float(p)
-        _require(conditions, "q0_ge_p", q0 >= p, f"need q0 >= p = {p}, got q0 = {q0}")
-        out = moser_exponents(kappa=1.0 / (1.0 - theta), m=m, p=p, q0=q0, s=s)
-        conditions.update(out.conditions)
-        return replace(out, case="doubly-nonlinear:p=d", conditions=conditions)
-
-    # p > d: direct estimate with source L^{m+1}
-    _no_theta(theta, "p > d")
-    if q0 is not None:
-        raise ValueError("q0 does not apply when p > d; pass q0=None")
-    E = 1.0 + (m + 1.0) / m * (1.0 / d - 1.0 / p)
-    alpha_star = 1.0 / (p * m * E)
-    gamma_star = (m + 1.0) / (d * m * E)
-    star = StarExponents(
-        alpha_star=alpha_star,
-        beta_star=gamma_star + 1.0,
-        gamma_star=gamma_star,
-        m0=None,
-        pivot=m + 1.0,
-        valid=True,
-        conditions={},
-    )
-    return _reduce_star_to_s(star, s, case="doubly-nonlinear:p>d")
+        _require(conditions, "theta_in_range", 0.0 < theta < 1.0, f"need theta in (0, 1), got {theta}")
+        q0 = float(p) if q0 is None else q0
+        kappa = 1.0 / (1.0 - theta)
+    _require(conditions, "q0_ge_p", q0 >= p, f"need q0 >= p = {p}, got q0 = {q0}")
+    out = moser_exponents(kappa=kappa, m=m, p=p, q0=q0, s=s)
+    conditions.update(out.conditions)
+    return replace(out, case=f"doubly-nonlinear:p{'<' if p < d else '='}d", conditions=conditions)
 
 
 def barenblatt_exponent(d, p):

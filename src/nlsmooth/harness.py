@@ -108,25 +108,29 @@ def _grid_from_config(config):
     return Grid(bounds=tuple(tuple(b) for b in cfg["bounds"]), shape=tuple(cfg["shape"]))
 
 
-def _phi_from_config(cfg):
-    if cfg is None:
-        return PhiSpec.identity()
-    kind = cfg.get("kind", "identity")
-    if kind == "identity":
-        return PhiSpec.identity()
-    if kind == "power":
-        return PhiSpec.power(cfg["m"])
-    raise ValueError(f"config cannot describe phi kind {kind!r}")
+def _kind_section(config, name, kinds):
+    """(kind, config[name]) for a section that may be absent; kinds maps each
+    kind to its required keys, and the first kind is the default."""
+    kind = next(iter(kinds))
+    if config.get(name) is None:
+        return kind, {}
+    if isinstance(config[name], dict):
+        kind = config[name].get("kind", kind)
+    if kind not in kinds:
+        raise ValueError(f"config cannot describe {name} kind {kind!r}")
+    return kind, _section(config, name, kinds[kind], ("kind",))
 
 
-def _perturbation_from_config(cfg):
-    if cfg is None or cfg.get("kind", "none") == "none":
+def _phi_from_config(config):
+    kind, cfg = _kind_section(config, "phi", {"identity": (), "power": ("m",)})
+    return PhiSpec.power(cfg["m"]) if kind == "power" else PhiSpec.identity()
+
+
+def _perturbation_from_config(config):
+    kind, cfg = _kind_section(config, "perturbation", {"none": (), "linear": ("coeff",), "tanh": ("coeff",)})
+    if kind == "none":
         return None
-    if cfg["kind"] == "linear":
-        return linear_perturbation(cfg["coeff"])
-    if cfg["kind"] == "tanh":
-        return tanh_perturbation(cfg["coeff"])
-    raise ValueError(f"unknown perturbation kind {cfg['kind']!r}")
+    return (linear_perturbation if kind == "linear" else tanh_perturbation)(cfg["coeff"])
 
 
 def spec_from_config(config):
@@ -141,8 +145,8 @@ def spec_from_config(config):
         grid=grid,
         p=float(op["p"]),
         bc=bc,
-        phi=_phi_from_config(config.get("phi")),
-        perturbation=_perturbation_from_config(config.get("perturbation")),
+        phi=_phi_from_config(config),
+        perturbation=_perturbation_from_config(config),
         eps_reg=float(op.get("eps_reg", 1e-8)),
     )
 
@@ -275,22 +279,23 @@ def predicted_alpha(predicted):
     return out.alpha_s
 
 
+_THEOREMS = {
+    "plaplace": expo.plaplace_exponents,
+    "doubly-nonlinear": expo.doubly_nonlinear_exponents,
+    "dtn": expo.dtn_exponents,
+    "fractional": expo.fractional_exponents,
+    "moser": expo.moser_exponents,
+    "barenblatt": expo.barenblatt_exponent,
+}
+
+
 def exponents_from_query(query):
     """Dispatch a theorem-name query dict to the closed-form exponents."""
     q = {k: v for k, v in query.items() if v is not None}
     theorem = q.pop("theorem")
-    dispatch = {
-        "plaplace": expo.plaplace_exponents,
-        "doubly-nonlinear": expo.doubly_nonlinear_exponents,
-        "doubly": expo.doubly_nonlinear_exponents,
-        "dtn": expo.dtn_exponents,
-        "fractional": expo.fractional_exponents,
-        "moser": expo.moser_exponents,
-        "barenblatt": expo.barenblatt_exponent,
-    }
-    if theorem not in dispatch:
-        raise ValueError(f"unknown theorem {theorem!r}; choose from {sorted(dispatch)}")
-    return dispatch[theorem](**q)
+    if theorem not in _THEOREMS:
+        raise ValueError(f"unknown theorem {theorem!r}; choose from {sorted(_THEOREMS)}")
+    return _THEOREMS[theorem](**q)
 
 
 # ---------------------------------------------------------------------------

@@ -172,9 +172,10 @@ class PhiSpec:
         return cls("custom", func=func, deriv=deriv)
 
     def value(self, s, eps=0.0):
+        """phi(s); the identity returns the float array s itself, not a copy."""
         s = np.asarray(s, dtype=float)
         if self.kind == "identity":
-            return s.copy()
+            return s
         if self.kind == "power":
             return np.sign(s) * np.abs(s) ** self.m
         return np.asarray(self.func(s), dtype=float)

@@ -74,6 +74,23 @@ def test_exponents_argparse_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "theorem, extra, refused",
+    [
+        ("dtn", ["--bc", "neumann"], "bc"),
+        ("fractional", ["--sfrac", "0.5", "--bc", "robin"], "bc"),
+        ("plaplace", ["--kappa", "2"], "kappa"),
+        ("doubly-nonlinear", ["--m", "2", "--kappa", "2"], "kappa"),
+        ("barenblatt", ["--s", "1"], "s"),
+        ("plaplace", ["--m", "2"], "m"),
+    ],
+)
+def test_exponents_refuses_a_flag_the_theorem_does_not_take(capsys, theorem, extra, refused):
+    code, out, err = run_cli(capsys, ["exponents", "--theorem", theorem, "--d", "3", "--p", "2.5", *extra])
+    assert code == 2 and out == ""
+    assert f"argument '{refused}'" in err and "Traceback" not in err
+
+
 def test_sequence_iteration_worked_example(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -225,6 +242,11 @@ def test_verify_single_suite_names_the_missing_config_key(monkeypatch, capsys):
         (lambda cfg: cfg["operator"].update(pp=cfg["operator"].pop("p")), "config has unknown key operator.pp"),
         (lambda cfg: cfg["grid"].update(spacing=0.08), "config has unknown key grid.spacing"),
         (lambda cfg: cfg["time"].update(dt=0.025), "config has unknown key time.dt"),
+        (lambda cfg: cfg.update(phi={"kind": "power"}), "config lacks phi.m"),
+        (lambda cfg: cfg.update(phi={"kind": "identity", "m": 2.0}), "config has unknown key phi.m"),
+        (lambda cfg: cfg.update(perturbation={"kind": "linear"}), "config lacks perturbation.coeff"),
+        (lambda cfg: cfg.update(perturbation={"kind": "tanh"}), "config lacks perturbation.coeff"),
+        (lambda cfg: cfg["perturbation"].update(coef=0.3), "config has unknown key perturbation.coef"),
     ],
 )
 def test_a_bad_config_section_exits_2_naming_the_key(tmp_path, monkeypatch, capsys, argv, edit, message):

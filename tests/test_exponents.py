@@ -7,7 +7,7 @@ before the implementation existed; the tests freeze those values.
 import math
 
 import pytest
-from hypothesis import given, seed
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from nlsmooth.exponents import (
@@ -335,6 +335,10 @@ def test_plaplace_argument_validation():
         plaplace_exponents(2, 2.0, m0=3.0)  # m0 pinned at p = d
     with pytest.raises(ValueError):
         plaplace_exponents(1, 3.0, theta=0.5)  # no theta when p > d
+    for theta in (0.0, 1.0):  # theta in (0, 1) is a recorded condition
+        with pytest.raises(ConditionError) as err:
+            plaplace_exponents(2, 2.0, theta=theta)
+        assert err.value.condition == "theta_in_range"
     with pytest.raises(ValueError):
         plaplace_exponents(3, 2.0, s=0.5)
 
@@ -351,6 +355,65 @@ def test_dtn_pins():
     assert sup.gamma_s == pytest.approx(0.5, abs=ABS_TOLERANCE)
     with pytest.raises(ValueError):
         dtn_exponents(1, 2.0)
+
+
+def test_dtn_critical_pins():
+    # d = p = 2: theta = 3/4, r = 4, sigma = 2, so alpha = 1/2, gamma = 1, beta = 2
+    # with m0 pinned to p = 2; kappa = 2, D = 2, pivot 4, then s = 1: den = 1/4
+    out = dtn_exponents(2, 2.0, s=1.0)
+    assert out.case == "dtn:p=d"
+    assert out.star.m0 == 2.0
+    assert out.star.pivot == pytest.approx(4.0, abs=ABS_TOLERANCE)
+    assert out.star.alpha_star == pytest.approx(0.5, abs=ABS_TOLERANCE)
+    assert out.star.gamma_star == pytest.approx(1.0, abs=ABS_TOLERANCE)
+    assert out.star.beta_star == pytest.approx(1.5, abs=ABS_TOLERANCE)
+    assert (out.alpha_s, out.beta_s, out.gamma_s) == pytest.approx((2.0, 4.0, 1.0), abs=ABS_TOLERANCE)
+    # theta = 0.6: r = 5/2, kappa = 5/4, D = 1/2, pivot 5/2, den = 2/5
+    out = dtn_exponents(2, 2.0, s=1.0, theta=0.6)
+    assert (out.alpha_s, out.beta_s, out.gamma_s) == pytest.approx((5.0, 23.0 / 8.0, 1.0), abs=ABS_TOLERANCE)
+    # d = p = 3: theta = 5/6, r = 6, sigma = 3, m0 = 3; kappa = 2, D = 4, pivot 6
+    out = dtn_exponents(3, 3.0, s=1.0)
+    assert out.star.alpha_star == pytest.approx(0.25, abs=ABS_TOLERANCE)
+    assert out.star.gamma_star == pytest.approx(0.75, abs=ABS_TOLERANCE)
+    assert out.star.beta_star == pytest.approx(13.0 / 12.0, abs=ABS_TOLERANCE)
+    assert out.star.pivot == pytest.approx(6.0, abs=ABS_TOLERANCE)
+    assert (out.alpha_s, out.beta_s, out.gamma_s) == pytest.approx((2.0 / 3.0, 16.0 / 9.0, 1.0 / 3.0),
+                                                                   abs=ABS_TOLERANCE)
+    # theta must lie in (1 - 1/p, 1); m0 is pinned
+    for theta in (0.5, 0.2, 1.0):
+        with pytest.raises(ConditionError) as err:
+            dtn_exponents(2, 2.0, s=1.0, theta=theta)
+        assert err.value.condition == "theta_in_range"
+        assert err.value.conditions == {"theta_in_range": False}
+    with pytest.raises(ValueError):
+        dtn_exponents(2, 2.0, m0=2.0)
+
+
+def test_fractional_critical_pins():
+    # d = 1, p = 4, sfrac = 1/4: theta = 1/2, r = 8, sigma = 4, so alpha = 1/4,
+    # gamma = 1/2, beta = 3/2, m0 = 4; kappa = 2, D = 6, pivot 8, den = 5/12
+    out = fractional_exponents(1, 4.0, 0.25, s=1.0)
+    assert out.case == "fractional:sp=d"
+    assert out.star.alpha_star == pytest.approx(1.0 / 6.0, abs=ABS_TOLERANCE)
+    assert out.star.gamma_star == pytest.approx(2.0 / 3.0, abs=ABS_TOLERANCE)
+    assert out.star.beta_star == pytest.approx(1.0, abs=ABS_TOLERANCE)
+    assert out.star.pivot == pytest.approx(8.0, abs=ABS_TOLERANCE)
+    assert (out.alpha_s, out.beta_s, out.gamma_s) == pytest.approx((0.4, 1.4, 0.2), abs=ABS_TOLERANCE)
+    # p = 3/2 < 2 raises the lower end to 1 - p/2 = 1/4: theta = 5/8, r = 4,
+    # sigma = 3/2, m0 = 3/2; kappa = 8/3, D = 2, pivot 4, den = 1/16
+    sfrac = 1.0 / 1.5
+    assert sfrac * 1.5 == 1.0  # exactly the critical case
+    out = fractional_exponents(1, 1.5, sfrac, s=1.0)
+    assert out.case == "fractional:sp=d"
+    assert out.star.alpha_star == pytest.approx(0.5, abs=ABS_TOLERANCE)
+    assert out.star.gamma_star == pytest.approx(1.25, abs=ABS_TOLERANCE)
+    assert out.star.beta_star == pytest.approx(41.0 / 18.0, abs=ABS_TOLERANCE)
+    assert (out.alpha_s, out.beta_s, out.gamma_s) == pytest.approx((8.0, 209.0 / 9.0, 5.0), rel=REL_TOLERANCE)
+    for p, sf, theta in ((1.5, sfrac, 0.25), (1.5, sfrac, 0.1), (4.0, 0.25, 0.0), (4.0, 0.25, 1.0)):
+        with pytest.raises(ConditionError) as err:
+            fractional_exponents(1, p, sf, s=1.0, theta=theta)
+        assert err.value.condition == "theta_in_range"
+        assert err.value.conditions == {"theta_in_range": False}
 
 
 def test_fractional_reduces_to_local_at_order_one():
@@ -408,6 +471,47 @@ def test_doubly_nonlinear_validation():
     with pytest.raises(ConditionError) as err:
         doubly_nonlinear_exponents(3, 2.0, 1.0, q0=1.0)  # q0 < p
     assert err.value.condition == "q0_ge_p"
+    assert doubly_nonlinear_exponents(2, 2.0, 2.0).conditions["theta_in_range"] is True
+    for theta in (0.0, 1.0):
+        with pytest.raises(ConditionError) as err:
+            doubly_nonlinear_exponents(2, 2.0, 2.0, theta=theta)
+        assert err.value.condition == "theta_in_range"
+
+
+@seed(24)
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(["plaplace", "plaplace:p=d", "fractional", "doubly-nonlinear"]),
+       d=st.integers(min_value=1, max_value=6),
+       p=st.floats(min_value=1.05, max_value=8.0),
+       m=st.floats(min_value=0.2, max_value=4.0))
+def test_dilation_and_time_scaling_laws(family, d, p, m):
+    # L^1 -> L^inf exponents of a flow with homogeneity k = m(p-1): the
+    # dilation law alpha_1 = d/(d(k-1)+p) and gamma_1 = 1 - alpha_1(k-1)
+    if family == "doubly-nonlinear":
+        assume(p != d)  # the p = d dilation law is an open question
+        call = lambda: doubly_nonlinear_exponents(d, p, m, s=1.0)  # noqa: E731
+    else:
+        m = 1.0
+        if family == "plaplace:p=d":
+            assume(d >= 2)
+            p = float(d)
+        if family == "fractional":
+            assume(p < d)
+            call = lambda: fractional_exponents(d, p, 1.0, s=1.0)  # noqa: E731
+        else:
+            call = lambda: plaplace_exponents(d, p, s=1.0)  # noqa: E731
+    k = m * (p - 1.0)
+    lam = d * (k - 1.0) + p
+    # within roundoff of lam = 0 the refusal is the critical-exponent test's
+    assume(abs(lam) > 1e-9 * (d * abs(k - 1.0) + p))
+    if lam <= 0.0:
+        with pytest.raises(ConditionError):
+            call()
+        return
+    out = call()
+    alpha1 = d / lam
+    assert out.alpha_s == pytest.approx(alpha1, rel=1e-10)
+    assert out.gamma_s == pytest.approx(1.0 - alpha1 * (k - 1.0), rel=1e-10)
 
 
 def test_barenblatt_exponent_pins():

@@ -350,6 +350,8 @@ def test_phi_spec_power():
     assert phi.derivative(np.array([0.0]), eps=1e-8)[0] == pytest.approx(2e-8, rel=1e-9)
     ident = PhiSpec.identity()
     assert np.all(ident.derivative(np.array([1.0, -5.0]), eps=0.0) == 1.0)
+    s = np.array([1.0, -5.0])
+    assert ident.value(s) is s  # read-only callers: no copy per operator application
     with pytest.raises(ValueError):
         PhiSpec("power", m=0.0)
     with pytest.raises(ValueError):
