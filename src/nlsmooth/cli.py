@@ -2,7 +2,10 @@
 
 Subcommands: exponents (closed-form smoothing exponents), sequence (the
 Lebesgue-scale iterations), simulate (evolve a configured flow, write the
-trajectory CSV), verify <suite> (run one verification suite or 'all').
+trajectory CSV) and verify <suite> (run one verification suite or 'all').
+Each registers only the flags it reads, and a theorem, sequence kind or
+suite refuses the inputs it does not read, naming them, before any work
+starts; 'verify all' gives each suite the inputs it reads.
 
 All results go to stdout as JSON with sorted keys, so identical invocations
 produce byte-identical output; diagnostics go to stderr. Exit codes:
@@ -13,6 +16,7 @@ values are encoded as the strings "inf" / "-inf" in both configs and output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -20,7 +24,21 @@ from . import harness
 from .exponents import ConditionError, iteration_sequence, moser_q_sequence
 from .harness import exponents_from_query
 from .measure import lq_norm
-from .semigroup import trajectory_to_csv
+from .semigroup import evolve, trajectory_to_csv
+
+_THEOREM_FLAGS = ("d", "p", "s", "m0", "m", "q0", "theta", "sfrac", "bc", "kappa")
+# kind -> (orbit, the flags it reads before n)
+_SEQUENCES = {
+    "iteration": (iteration_sequence, ("kappa", "r", "gamma", "m0")),
+    "moser": (moser_q_sequence, ("kappa", "m", "p", "q0")),
+}
+_SEQUENCE_FLAGS = tuple(dict.fromkeys(flag for _, flags in _SEQUENCES.values() for flag in flags))
+# argparse keywords of the exponents and sequence flags; the rest are floats
+_FLAG_KWARGS = {
+    "d": {"type": int},
+    "n": {"type": int, "required": True},
+    "bc": {"choices": ["dirichlet", "neumann", "robin"]},
+}
 
 
 def _decode(obj):
@@ -47,48 +65,23 @@ def _load_config(path):
 
 
 def _star_jsonable(star):
-    if star is None:
-        return None
-    return {
-        "alpha_star": star.alpha_star,
-        "beta_star": star.beta_star,
-        "gamma_star": star.gamma_star,
-        "m0": star.m0,
-        "pivot": star.pivot,
-        "valid": star.valid,
-    }
+    return None if star is None else {k: v for k, v in dataclasses.asdict(star).items() if k != "conditions"}
 
 
 def _cmd_exponents(args):
-    query = {
-        "theorem": args.theorem,
-        "d": args.d,
-        "p": args.p,
-        "s": args.s,
-        "m0": args.m0,
-        "m": args.m,
-        "q0": args.q0,
-        "theta": args.theta,
-        "sfrac": args.sfrac,
-        "bc": args.bc,
-        "kappa": args.kappa,
-    }
-    inputs = query = {k: v for k, v in query.items() if v is not None}
+    query = {k: getattr(args, k) for k in ("theorem",) + _THEOREM_FLAGS if getattr(args, k) is not None}
     try:
         out = exponents_from_query(query)
     except ConditionError as exc:
         _emit(
             {
-                "inputs": inputs,
+                "inputs": query,
                 "case": None,
                 "valid": False,
                 "conditions": exc.conditions,
                 "error": str(exc),
             }
         )
-        return 2
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     if isinstance(out, float):
         payload = {"case": "barenblatt", "alpha": out, "beta": None, "gamma": None, "conditions": {}}
@@ -106,31 +99,22 @@ def _cmd_exponents(args):
             "star": _star_jsonable(out.star),
             "conditions": dict(out.conditions),
         }
-    _emit({"inputs": inputs, "valid": True, **payload})
+    _emit({"inputs": query, "valid": True, **payload})
     return 0
 
 
 def _cmd_sequence(args):
-    try:
-        if args.kind == "iteration":
-            missing = [k for k in ("kappa", "r", "gamma", "m0") if getattr(args, k) is None]
-            if missing:
-                print(f"error: sequence --kind iteration needs --{' --'.join(missing)}", file=sys.stderr)
-                return 2
-            out = iteration_sequence(args.kappa, args.r, args.gamma, args.m0, args.n)
-        else:
-            missing = [k for k in ("kappa", "m", "p", "q0") if getattr(args, k) is None]
-            if missing:
-                print(f"error: sequence --kind moser needs --{' --'.join(missing)}", file=sys.stderr)
-                return 2
-            out = moser_q_sequence(args.kappa, args.m, args.p, args.q0, args.n)
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    orbit, reads = _SEQUENCES[args.kind]
+    given = {k: getattr(args, k) for k in _SEQUENCE_FLAGS}
+    for problem, flags in (("does not take", [k for k in _SEQUENCE_FLAGS if k not in reads and given[k] is not None]),
+                           ("needs", [k for k in reads if given[k] is None])):
+        if flags:
+            print(f"error: sequence --kind {args.kind} {problem} --{' --'.join(flags)}", file=sys.stderr)
+            return 2
+    out = orbit(*(given[k] for k in reads), args.n)
     _emit(
         {
-            "inputs": {"kind": args.kind, "kappa": args.kappa, "r": args.r, "gamma": args.gamma,
-                       "m0": args.m0, "m": args.m, "p": args.p, "q0": args.q0, "n": args.n},
+            "inputs": {"kind": args.kind, **given, "n": args.n},
             "values": list(out.values),
             "closed_form": list(out.closed_form),
             "increasing": out.increasing,
@@ -151,8 +135,6 @@ def _cmd_simulate(args):
     recipe = exp.get("initial", {"kind": "bump"})
     seed = args.seed if args.seed is not None else exp.get("seed", 0)
     u0 = harness.initial_condition(recipe, spec.grid, seed=seed)
-    from .semigroup import evolve
-
     traj = evolve(spec, u0, tg)
     trajectory_to_csv(traj, args.out)
     _emit(
@@ -172,19 +154,21 @@ def _cmd_simulate(args):
 
 
 def _cmd_verify(args):
-    suite = args.suite
-    config = _load_config(args.config) if args.config else None
-    names = list(harness.SUITES) if suite == "all" else [suite]
-    if suite != "all" and suite not in harness.SUITES:
-        print(f"error: unknown suite {suite!r}; choose from {list(harness.SUITES) + ['all']}", file=sys.stderr)
-        return 2
+    if args.suite != "all" and args.suite not in harness.SUITES:
+        raise ValueError(f"unknown suite {args.suite!r}; choose from {list(harness.SUITES) + ['all']}")
+    given = {"config": _load_config(args.config) if args.config else None, "seed": args.seed, "tol": args.tol}
+    plan = {args.suite: given}
+    if args.suite == "all":  # each suite gets the inputs it reads; one that no suite reads is refused
+        routed = {name: harness.suite_inputs(name, **given) for name in harness.SUITES}
+        for key in (k for k, v in given.items() if v is not None):
+            if not any(key in inputs for inputs, _ in routed.values()):
+                reasons = "; ".join(refusals[key] for _, refusals in routed.values())
+                raise ValueError(f"no suite reads the {key}: {reasons}")
+        plan = {name: inputs for name, (inputs, _) in routed.items()}
     reports = []
-    for name in names:
+    for name, inputs in plan.items():
         print(f"running suite: {name}", file=sys.stderr)
-        routed = config
-        if suite == "all" and config is not None and harness.config_error(name, config):
-            routed = None  # 'all' hands a config only to the suites that read it
-        reports.append(harness.run_suite(name, config=routed, seed=args.seed, tol=args.tol))
+        reports.append(harness.run_suite(name, **inputs))
     all_pass = all(r.passed for r in reports)
     payload = reports[0].to_jsonable() if len(reports) == 1 else {
         "pass": all_pass,
@@ -204,53 +188,31 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--out", type=str, default=None, help="output file path")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed")
-        p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; ignored")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-
     pe = sub.add_parser("exponents", help="closed-form smoothing exponents")
     pe.add_argument("--theorem", required=True, choices=list(harness._THEOREMS))
-    pe.add_argument("--d", type=int)
-    pe.add_argument("--p", type=float)
-    pe.add_argument("--s", type=float)
-    pe.add_argument("--m0", type=float)
-    pe.add_argument("--m", type=float)
-    pe.add_argument("--q0", type=float)
-    pe.add_argument("--theta", type=float)
-    pe.add_argument("--sfrac", type=float)
-    pe.add_argument("--bc", type=str, choices=["dirichlet", "neumann", "robin"])
-    pe.add_argument("--kappa", type=float)
-    add_common(pe)
+    for flag in _THEOREM_FLAGS:
+        pe.add_argument(f"--{flag}", **_FLAG_KWARGS.get(flag, {"type": float}))
     pe.set_defaults(func=_cmd_exponents)
 
     ps = sub.add_parser("sequence", help="Lebesgue-scale iteration orbits")
-    ps.add_argument("--kind", required=True, choices=["iteration", "moser"])
-    ps.add_argument("--kappa", type=float)
-    ps.add_argument("--r", type=float)
-    ps.add_argument("--gamma", type=float)
-    ps.add_argument("--m0", type=float)
-    ps.add_argument("--m", type=float)
-    ps.add_argument("--p", type=float)
-    ps.add_argument("--q0", type=float)
-    ps.add_argument("--n", type=int, required=True)
-    add_common(ps)
+    ps.add_argument("--kind", required=True, choices=list(_SEQUENCES))
+    for flag in _SEQUENCE_FLAGS + ("n",):
+        ps.add_argument(f"--{flag}", **_FLAG_KWARGS.get(flag, {"type": float}))
     ps.set_defaults(func=_cmd_sequence)
 
     pm = sub.add_parser("simulate", help="evolve a configured flow, write trajectory CSV")
-    add_common(pm)
+    pm.add_argument("--config", help="JSON config file")
+    pm.add_argument("--out", help="trajectory CSV path")
+    pm.add_argument("--seed", type=int, help="seed of a random initial state; default experiment.seed")
     pm.set_defaults(func=_cmd_simulate)
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", type=str, help=f"one of {list(harness.SUITES) + ['all']}")
-    add_common(pv)
+    pv.add_argument("--config", help="JSON config file for decay, pme or barenblatt")
+    pv.add_argument("--out", help="also write the report to this path")
+    pv.add_argument("--seed", type=int, help="seed of the property suites")
+    pv.add_argument("--tol", type=float, help="decay tolerance of decay and pme")
     pv.set_defaults(func=_cmd_verify)
-
-    pa = sub.add_parser("all", help="run every verification suite")
-    add_common(pa)
-    pa.set_defaults(func=_cmd_verify, suite="all")
 
     return parser
 
@@ -260,10 +222,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as exc:
+    except (FileNotFoundError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -521,22 +521,30 @@ _FAMILIES = {
 }
 
 
+def _regime(x, d):
+    """'<', '=' or '>' for x against d; x within a relative 1e-12 of d is the
+    critical '=', so roundoff in x = sfrac*p cannot pick the regime."""
+    if math.isclose(x, d, rel_tol=1e-12):
+        return "="
+    return "<" if x < d else ">"
+
+
 def _gn_exponents(family, d, p, s, m0, theta, sfrac=1.0):
     """The GN route of one family: L^2 -> L^r, extrapolation to L^inf, L^s."""
     row = _FAMILIES[family]
     x = sfrac * p
-    regime = "<" if x < d else "=" if x == d else ">"
+    regime = _regime(x, d)
     case = f"{family}:{row.x}{regime}d"
-    if theta is not None and x != d:
+    if theta is not None and regime != "=":
         raise ValueError(f"theta only applies in the borderline case, not {row.x} {regime} d")
-    if m0 is not None and x >= d:
+    if m0 is not None and regime != "<":
         raise ValueError(f"m0 is determined internally when {row.x} {regime} d; pass m0=None")
-    if x > d:
+    if regime == ">":
         alpha, gamma = row.direct(d, p)
         return _reduce_star_to_s(_direct_star(alpha, gamma, pivot=2.0), s, case=case)
 
     conditions = {}
-    if x < d:
+    if regime == "<":
         m0 = _default_m0(p, row.m0_threshold(d, sfrac), m0, f"{family}_exponents with {row.x} < d")
         _require(conditions, "m0_ge_p", m0 >= p, f"need m0 >= p = {p}, got m0 = {m0}")
         gn = GNParams(q=2.0, r=row.sub_r(d, p, x), sigma=p)
@@ -546,7 +554,7 @@ def _gn_exponents(family, d, p, s, m0, theta, sfrac=1.0):
         _require(conditions, "theta_in_range", lo < theta < 1.0, f"need theta in ({lo}, 1), got {theta}")
         gn = row.critical(p, theta)
     base = smoothing_exponents(gn)
-    if x == d:
+    if regime == "=":
         m0 = row.pinned(p, base)
     star = extrapolate_to_infinity(gn.q, gn.r, base.gamma, base.alpha, base.beta, m0)
     conditions.update(star.conditions)

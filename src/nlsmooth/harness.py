@@ -12,6 +12,7 @@ is recorded whenever less than half of the requested window survives.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -91,15 +92,16 @@ def config_hash(config):
 
 
 def _section(config, name, required, optional=()):
-    """config[name]; a ValueError names the key path if it is missing, has an
-    unknown key (named first: it may be a misspelt one) or lacks a required key."""
+    """config[name]; a ValueError names the key path if it is missing, and names
+    every unknown key (first: it may be a misspelt one) and every missing required key."""
     sec = config.get(name) if isinstance(config, dict) else None
     if not isinstance(sec, dict):
         raise ValueError(f"config lacks section {name}")
-    for problem, keys in (("has unknown key", [k for k in sec if k not in required + optional]),
-                          ("lacks", [k for k in required if k not in sec])):
-        if keys:
-            raise ValueError(f"config {problem} {', '.join(f'{name}.{k}' for k in keys)}")
+    problems = [f"config {problem} {', '.join(f'{name}.{k}' for k in keys)}"
+                for problem, keys in (("has unknown key", [k for k in sec if k not in required + optional]),
+                                      ("lacks", [k for k in required if k not in sec])) if keys]
+    if problems:
+        raise ValueError("; ".join(problems))
     return sec
 
 
@@ -352,6 +354,10 @@ def usable_window(traj, grid, window, bc_kind="dirichlet"):
 # experiments
 # ---------------------------------------------------------------------------
 
+# the (required, optional) experiment keys of each experiment config
+_DECAY_KEYS = (("initial", "window", "predicted"), ("name", "tolerance", "r2_min", "norm", "seed"))
+_BARENBLATT_KEYS = (("t0", "t1", "rel_l1_max", "refinement_min_ratio"), ("name",))
+
 
 def default_decay_config(p=3.0, name=None):
     """Unit-mass bump released on [-20, 20], fitted on the window [0.5, 50]."""
@@ -405,14 +411,14 @@ def run_decay_experiment(config, tol=None):
     """
     spec = spec_from_config(config)
     tg = time_grid_from_config(config)
-    exp = config["experiment"]
+    exp = _section(config, "experiment", *_DECAY_KEYS)
+    alpha_pred = predicted_alpha(exp["predicted"])  # a bad query fails before the flow runs
     u0 = initial_condition(exp["initial"], spec.grid, seed=exp.get("seed", 0))
     traj = evolve(spec, u0, tg)
     lo, hi, info = usable_window(traj, spec.grid, exp["window"], bc_kind=spec.bc.kind)
     norm_q = float(expo.INF) if exp.get("norm", "inf") in ("inf", float("inf")) else float(exp["norm"])
     series = traj.norm_series(norm_q)
     fit = fit_power_law(traj.times, series, (lo, hi))
-    alpha_pred = predicted_alpha(exp["predicted"])
     rel_err = abs(fit.alpha_hat - alpha_pred) / abs(alpha_pred) if alpha_pred != 0.0 else abs(fit.alpha_hat)
     tolerance = float(tol if tol is not None else exp.get("tolerance", DEFAULT_TOLERANCE))
     r2_min = float(exp.get("r2_min", DEFAULT_R2_MIN))
@@ -488,7 +494,7 @@ def barenblatt_comparison(config=None, refinement=True):
     error by at least refinement_min_ratio.
     """
     config = config or default_barenblatt_config()
-    exp = config["experiment"]
+    exp = _section(config, "experiment", *_BARENBLATT_KEYS)
     shape = spec_from_config(config).grid.shape
     n_steps = time_grid_from_config(config).n_steps
     err_fine = _barenblatt_error(config, shape, n_steps)
@@ -640,15 +646,15 @@ def order_suite(p_values=(1.5, 2.0, 3.0), n_pairs=50, n_nodes=48, lam=0.1, seed=
     )
 
 
-def gn_suite(d=1, p=3.0, n_nodes=64, n_draws=100, seed=2):
+def gn_suite(p=3.0, n_nodes=64, n_draws=100, seed=2):
     """Sampled functional ratios of the generator inequality stay bounded.
 
-    Uses the direct regime (p > d in one dimension): ratio of
-    ||u||_inf^sigma to ||u||_2^rho <u, Au>_2 with theta0 = pd/(pd + 2(p-d)).
+    Uses the direct regime p > d = 1 on a 1-D grid: ratio of
+    ||u||_inf^sigma to ||u||_2^rho <u, Au>_2 with theta0 = p/(p + 2(p-1)).
     Passes when every denominator is positive, every ratio is finite, and
     the sampled sup is stable (within a factor 2) under grid doubling.
     """
-    theta0 = p * d / (p * d + 2.0 * (p - d))
+    theta0 = p / (p + 2.0 * (p - 1.0))
     gn = expo.GNParams(q=2.0, r=expo.INF, sigma=p / theta0, rho=p * (1.0 - theta0) / theta0)
 
     def sampled_sup(n):
@@ -688,7 +694,7 @@ def gn_suite(d=1, p=3.0, n_nodes=64, n_draws=100, seed=2):
             "bad_denominators": bad_n + bad_2n,
             "nonfinite_ratios": nf_n + nf_2n,
         },
-        config_hash=config_hash({"d": d, "p": p, "n_nodes": n_nodes, "n_draws": n_draws, "seed": seed}),
+        config_hash=config_hash({"d": 1, "p": p, "n_nodes": n_nodes, "n_draws": n_draws, "seed": seed}),
     )
 
 
@@ -789,57 +795,59 @@ def convergence_study(n_nodes=64, t=0.05, n_list=(8, 16, 32, 64), seed=4):
 
 
 def _decay(default_config):
-    return lambda config, seed, tol: run_decay_experiment(config or default_config(), tol=tol)
+    return lambda config=None, tol=None: run_decay_experiment(config or default_config(), tol=tol)
 
 
-def _seeded(suite):
-    return lambda config, seed, tol: suite(**({} if seed is None else {"seed": seed}))
-
-
-def _contraction(config, seed, tol):
-    kwargs = {} if seed is None else {"seed": seed}
-    if tol is not None:
-        kwargs["slack"] = tol
-    return contraction_suite(**kwargs)
-
-
-_DECAY_KEYS = ("initial", "window", "predicted")
-
-# name -> (runner(config, seed, tol), the experiment keys a config for the suite
-# must carry; suites without keys take no config)
+# name -> (suite, the (required, optional) experiment keys of a config for it);
+# a suite reads config, seed or tol only if its signature names it
 _SUITE_REGISTRY = {
     "decay": (_decay(default_decay_config), _DECAY_KEYS),
     "pme": (_decay(default_pme_config), _DECAY_KEYS),
-    "barenblatt": (lambda config, seed, tol: barenblatt_comparison(config), ("t0", "t1")),
-    "contraction": (_contraction, ()),
-    "order": (_seeded(order_suite), ()),
-    "gn": (_seeded(gn_suite), ()),
-    "conservation": (_seeded(conservation_suite), ()),
-    "convergence": (_seeded(convergence_study), ()),
+    "barenblatt": (barenblatt_comparison, _BARENBLATT_KEYS),
+    "contraction": (contraction_suite, ()),
+    "order": (order_suite, ()),
+    "gn": (gn_suite, ()),
+    "conservation": (conservation_suite, ()),
+    "convergence": (convergence_study, ()),
 }
 SUITES = tuple(_SUITE_REGISTRY)
 
 
-def config_error(name, config):
-    """Why suite `name` refuses `config`, or None if it has every key the suite reads."""
-    keys = _SUITE_REGISTRY[name][1]
-    if not keys:
-        return f"suite {name!r} takes no config"
-    exp = config.get("experiment") if isinstance(config, dict) else None
-    exp = exp if isinstance(exp, dict) else {}
-    missing = [f"experiment.{key}" for key in keys if key not in exp]
-    return f"config for suite {name!r} lacks {', '.join(missing)}" if missing else None
+def suite_inputs(name, config=None, seed=None, tol=None):
+    """(inputs, refusals): the given inputs suite `name` reads, and for each
+    other given input why the suite refuses it.
+
+    None means not given. A config is refused unless its experiment section
+    has every required key of the suite and no key the suite does not read.
+    """
+    suite, keys = _SUITE_REGISTRY[name]
+    named = inspect.signature(suite).parameters
+    inputs, refusals = {}, {}
+    for key, value in (("config", config), ("seed", seed), ("tol", tol)):
+        if value is None:
+            continue
+        if key not in named:
+            refusals[key] = f"suite {name!r} takes no {key}"
+            continue
+        if key == "config":
+            try:
+                _section(value, "experiment", *keys)
+            except ValueError as exc:
+                refusals[key] = f"suite {name!r}: {exc}"
+                continue
+        inputs[key] = value
+    return inputs, refusals
 
 
-def run_suite(name, config=None, seed=None, tol=None, threads=1):
+def run_suite(name, config=None, seed=None, tol=None):
     """Run one named verification suite and return its Report.
 
-    A config is refused with a ValueError before any work starts when the
-    suite takes no config or the config lacks an experiment key the suite
-    reads. threads is accepted for compatibility and ignored.
+    A ValueError refuses, before any work starts, every given input the
+    suite does not read (see suite_inputs).
     """
     if name not in _SUITE_REGISTRY:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if config is not None and (error := config_error(name, config)):
-        raise ValueError(error)
-    return _SUITE_REGISTRY[name][0](config, seed, tol)
+    inputs, refusals = suite_inputs(name, config=config, seed=seed, tol=tol)
+    if refusals:
+        raise ValueError("; ".join(refusals.values()))
+    return _SUITE_REGISTRY[name][0](**inputs)

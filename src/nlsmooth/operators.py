@@ -270,14 +270,6 @@ def _flux_deriv(g, p, eps):
     return (g2 + eps * eps) ** ((p - 4.0) / 2.0) * ((p - 1.0) * g2 + eps * eps)
 
 
-def _power_flux(w, p):
-    """|w|^{p-2} w for the robin boundary term (never regularized)."""
-    out = np.zeros_like(w)
-    nz = w != 0.0
-    out[nz] = np.abs(w[nz]) ** (p - 2.0) * w[nz]
-    return out
-
-
 class _Axis(NamedTuple):
     """Index tuples of one grid axis for arrays shaped (..., n_1, ..., n_d).
 
@@ -381,7 +373,7 @@ class DiscreteOperator:
             b = self.spec.bc.b
             # b |w|^{p-2} w acts on the face measure cell_volume / h_a; per unit node weight that is 1 / h_a
             for ax in self._axes:
-                out[ax.node_ends] += b * _power_flux(W[ax.node_ends], p) / ax.h
+                out[ax.node_ends] += b * _flux(W[ax.node_ends], p, 0.0) / ax.h
         return out.reshape(w.shape)
 
     def apply_values(self, u):
@@ -411,17 +403,10 @@ class DiscreteOperator:
         """Diagonal of the derivative of the robin boundary term wrt the grid-shaped W."""
         p = self.spec.p
         b = self.spec.bc.b
-
-        def dpow(v):
-            # derivative of |w|^{p-2} w; zeroed at w = 0 for p < 2 to keep it finite
-            out = np.zeros_like(v)
-            nz = (v != 0.0) | (p >= 2.0)
-            out[nz] = (p - 1.0) * np.abs(v[nz]) ** (p - 2.0)
-            return out
-
         D = np.zeros_like(W)
         for ax in self._axes:
-            D[ax.node_ends] += b * dpow(W[ax.node_ends]) / ax.h
+            # the derivative of |w|^{p-2} w, zeroed at w = 0 for p < 2 to keep it finite
+            D[ax.node_ends] += b * _flux_deriv(W[ax.node_ends], p, 0.0) / ax.h
         return D
 
     def diffusion_jacobian(self, w):

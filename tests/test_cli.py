@@ -1,6 +1,8 @@
 """Command line interface: JSON schemas, exit codes, determinism."""
 
+import functools
 import json
+import re
 import subprocess
 import sys
 
@@ -230,6 +232,87 @@ def test_verify_single_suite_names_the_missing_config_key(monkeypatch, capsys):
     code, out, err = run_cli(capsys, ["verify", "barenblatt", "--config", str(CONFIG_DIR / "p3_d1.json")])
     assert code == 2 and out == ""
     assert "experiment.t0" in err and "Traceback" not in err
+
+
+def run_cli_or_usage_error(capsys, argv):
+    """run_cli that also returns the exit code of an argparse usage error."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _suites_must_not_run(monkeypatch):
+    # each suite keeps its signature, which decides what it reads, but fails if it runs
+    for name, (suite, keys) in list(harness._SUITE_REGISTRY.items()):
+        @functools.wraps(suite)
+        def no_work(*args, **kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(harness._SUITE_REGISTRY, name, (no_work, keys))
+
+
+_ITERATION = ["sequence", "--kind", "iteration", "--kappa", "2", "--r", "1", "--gamma", "1", "--m0", "1", "--n", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["exponents", "--theorem", "barenblatt", "--d", "1", "--p", "3", "--seed", "1"], "--seed"),
+        (_ITERATION + ["--m", "7"], "--m"),
+        (["simulate", "--config", str(CONFIG_DIR / "p3_d1.json"), "--out", "unused.csv", "--tol", "5"], "--tol"),
+        (["verify", "order", "--tol", "0.5"], "tol"),
+        (["verify", "decay", "--seed", "5"], "seed"),
+        (["verify", "barenblatt", "--tol", "0.1"], "tol"),
+        (["verify", "contraction", "--threads", "2"], "--threads"),
+        (["all"], "'all'"),
+    ],
+)
+def test_a_flag_the_subcommand_does_not_read_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    _suites_must_not_run(monkeypatch)
+    code, out, err = run_cli_or_usage_error(capsys, argv)
+    assert code == 2 and out == ""
+    assert re.search(re.escape(named) + r"(?![\w-])", err) and "Traceback" not in err
+    assert not (tmp_path / "unused.csv").exists()
+
+
+def test_verify_all_gives_each_flag_only_to_the_suites_that_read_it(monkeypatch, capsys):
+    received = {}
+
+    def fake_run_suite(name, **inputs):
+        received[name] = inputs
+        return harness.Report(name=name, passed=True, metrics={}, config_hash="")
+
+    monkeypatch.setattr(harness, "run_suite", fake_run_suite)
+    code, _, _ = run_cli(capsys, ["verify", "all", "--tol", "0.5", "--seed", "3"])
+    assert code == 0
+    assert received["decay"] == received["pme"] == {"tol": 0.5}  # --tol is the decay tolerance only
+    assert received["barenblatt"] == {}
+    assert all(received[name] == {"seed": 3} for name in ("contraction", "order", "gn", "conservation", "convergence"))
+
+
+@pytest.mark.parametrize(
+    "suite, edit, message",
+    [
+        ("decay", lambda exp: exp.update(tolerence=1e-6), "config has unknown key experiment.tolerence"),
+        ("barenblatt", lambda exp: exp.pop("rel_l1_max"), "config lacks experiment.rel_l1_max"),
+    ],
+)
+def test_a_bad_experiment_key_exits_2_naming_it(tmp_path, monkeypatch, capsys, suite, edit, message):
+    cfg = _smoke_config() if suite == "decay" else _load_config(CONFIG_DIR / "barenblatt.json")
+    edit(cfg["experiment"])
+    with pytest.raises(ValueError, match=message):
+        (harness.run_decay_experiment if suite == "decay" else harness.barenblatt_comparison)(cfg)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_jsonable(cfg)))
+    _suites_must_not_run(monkeypatch)
+    for argv in (["verify", suite], ["verify", "all"]):  # with all, no suite reads the config
+        code, out, err = run_cli(capsys, argv + ["--config", str(cfg_path)])
+        assert code == 2 and out == ""
+        assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--out", "unused.csv"], ["verify", "decay"]])

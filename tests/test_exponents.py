@@ -416,6 +416,29 @@ def test_fractional_critical_pins():
         assert err.value.conditions == {"theta_in_range": False}
 
 
+@pytest.mark.parametrize(
+    "p", [1.1, 1.3, 1.5, 1.7, 2.0, 2.2, 2.5, 2.7, 3.0, 3.3, 3.5, 4.0, 4.4, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.7, 8.0, 9.0, 10.0]
+)
+def test_fractional_sfrac_d_over_p_is_critical_despite_roundoff(p):
+    # sfrac = d/p rounds, so sfrac*p can miss d by an ulp (p = 7.7 at d = 1, 2, 4);
+    # the critical branch depends on p alone, so every d must give one outcome
+    def outcome(d, sfrac):
+        try:
+            out = fractional_exponents(d, p, sfrac)
+        except ConditionError as err:
+            return err.condition
+        assert out.case == "fractional:sp=d"
+        return out.alpha_s, out.beta_s, out.gamma_s
+
+    sfracs = [(d, d / p) for d in range(1, 7) if d <= p]
+    if p == 7.7:
+        sfracs.append((1, 0.12987012987012989))  # sfrac*p one ulp above 1
+    assert len({outcome(d, sfrac) for d, sfrac in sfracs}) == 1
+    # a relative miss well above roundoff keeps its regime
+    assert fractional_exponents(1, 3.0, (1.0 + 1e-9) / 3.0).case == "fractional:sp>d"
+    assert fractional_exponents(1, 3.0, (1.0 - 1e-9) / 3.0).case == "fractional:sp<d"
+
+
 def test_fractional_reduces_to_local_at_order_one():
     for d, p, m0 in [(3, 2.0, 2.0), (4, 3.0, 3.0), (5, 2.5, None)]:
         local = plaplace_exponents(d, p, s=1.0, m0=m0)

@@ -372,6 +372,17 @@ def test_decay_experiment_smoke():
     assert rep2.config_hash == rep.config_hash
 
 
+def test_decay_experiment_resolves_the_prediction_before_the_flow(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the flow ran")
+
+    monkeypatch.setattr(harness, "evolve", no_work)
+    cfg = _smoke_decay_config()
+    cfg["experiment"]["predicted"] = {"theorem": "plaplace", "d": 1, "pp": 3.0}
+    with pytest.raises(TypeError, match="'pp'"):
+        harness.run_decay_experiment(cfg)
+
+
 def test_barenblatt_comparison_smoke():
     cfg = {
         "grid": {"bounds": [[-6.0, 6.0]], "shape": [301]},
