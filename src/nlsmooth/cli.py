@@ -131,10 +131,11 @@ def _cmd_simulate(args):
     config = _load_config(args.config)
     spec = harness.spec_from_config(config)
     tg = harness.time_grid_from_config(config)
-    exp = config.get("experiment", {})
-    recipe = exp.get("initial", {"kind": "bump"})
+    exp = harness._section(config, "experiment", *harness._DECAY_KEYS)
     seed = args.seed if args.seed is not None else exp.get("seed", 0)
-    u0 = harness.initial_condition(recipe, spec.grid, seed=seed)
+    u0 = harness.initial_condition(exp["initial"], spec.grid, seed=seed)  # checks the recipe keys
+    if args.seed is not None and exp["initial"].get("kind") != "random":
+        raise ValueError("simulate --seed needs a random experiment.initial; this one draws no random numbers")
     traj = evolve(spec, u0, tg)
     trajectory_to_csv(traj, args.out)
     _emit(

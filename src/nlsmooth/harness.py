@@ -4,9 +4,9 @@ property suites over the discretized semigroups.
 Every experiment is described by a plain-data config, hashed for
 reproducibility, and produces a Report {name, pass, metrics, config_hash}.
 Fitted decay exponents use ordinary least squares on log-log samples taken
-geometrically inside an observation window; windows are trimmed when the
-support approaches the boundary or the solution extinguishes, and a warning
-is recorded whenever less than half of the requested window survives.
+geometrically inside an observation window; windows are trimmed when mass
+leaves through the boundary or the solution extinguishes, and a warning is
+recorded whenever less than half of the requested window survives.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import hashlib
 import inspect
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -39,8 +38,8 @@ from .operators import (
 from .resolvent import resolvent_power, solve_resolvent_batch
 from .semigroup import TimeGrid, evolve, exponential_formula_probe
 
-SUPPORT_RELATIVE_FLOOR = 1e-12
 BOUNDARY_GUARD_CELLS = 5
+MASS_GUARD = 1e-6  # share of ||u0||_1 that may leave through the boundary inside a fit window
 DEFAULT_TOLERANCE = 0.15
 DEFAULT_R2_MIN = 0.98
 FIT_SAMPLES = 33
@@ -112,7 +111,7 @@ def _grid_from_config(config):
 
 def _kind_section(config, name, kinds):
     """(kind, config[name]) for a section that may be absent; kinds maps each
-    kind to its required keys, and the first kind is the default."""
+    kind to its (required, optional) keys, and the first kind is the default."""
     kind = next(iter(kinds))
     if config.get(name) is None:
         return kind, {}
@@ -120,16 +119,18 @@ def _kind_section(config, name, kinds):
         kind = config[name].get("kind", kind)
     if kind not in kinds:
         raise ValueError(f"config cannot describe {name} kind {kind!r}")
-    return kind, _section(config, name, kinds[kind], ("kind",))
+    required, optional = kinds[kind]
+    return kind, _section(config, name, required, ("kind",) + optional)
 
 
 def _phi_from_config(config):
-    kind, cfg = _kind_section(config, "phi", {"identity": (), "power": ("m",)})
+    kind, cfg = _kind_section(config, "phi", {"identity": ((), ()), "power": (("m",), ())})
     return PhiSpec.power(cfg["m"]) if kind == "power" else PhiSpec.identity()
 
 
 def _perturbation_from_config(config):
-    kind, cfg = _kind_section(config, "perturbation", {"none": (), "linear": ("coeff",), "tanh": ("coeff",)})
+    kinds = {"none": ((), ()), "linear": (("coeff",), ()), "tanh": (("coeff",), ())}
+    kind, cfg = _kind_section(config, "perturbation", kinds)
     if kind == "none":
         return None
     return (linear_perturbation if kind == "linear" else tanh_perturbation)(cfg["coeff"])
@@ -197,13 +198,23 @@ def random_smooth_field(grid, seed, n_modes=3, nonneg=True):
     return GridFunction(grid.space(), vals)
 
 
+# kind -> (required, optional) keys of an experiment.initial recipe; the first kind is the default
+_INITIAL_KINDS = {
+    "bump": ((), ("center", "width", "amplitude", "normalize")),
+    "barenblatt": (("p",), ("t0", "normalize")),
+    "random": ((), ("n_modes", "normalize")),
+}
+
+
 def initial_condition(recipe, grid, seed=0):
-    """Build the initial state from a recipe dict.
+    """Build the initial state from an experiment.initial recipe dict.
 
     kinds: bump {center, width, amplitude}, barenblatt {p, t0},
-    random {n_modes}. normalize: "l1" rescales to unit L^1 norm.
+    random {n_modes}, drawn from seed. normalize: "l1" rescales to unit L^1
+    norm. A ValueError names an unknown or missing key.
     """
-    kind = recipe.get("kind", "bump")
+    # wrapped under its key path, so that an error names experiment.initial.<key>
+    kind, recipe = _kind_section({"experiment.initial": recipe}, "experiment.initial", _INITIAL_KINDS)
     if kind == "bump":
         u = smooth_bump(
             grid,
@@ -213,10 +224,8 @@ def initial_condition(recipe, grid, seed=0):
         )
     elif kind == "barenblatt":
         u = barenblatt_on_grid(grid, float(recipe["p"]), float(recipe.get("t0", 1.0)))
-    elif kind == "random":
-        u = random_smooth_field(grid, seed=recipe.get("seed", seed), n_modes=recipe.get("n_modes", 3))
     else:
-        raise ValueError(f"unknown initial kind {kind!r}")
+        u = random_smooth_field(grid, seed=seed, n_modes=recipe.get("n_modes", 3))
     if recipe.get("normalize") == "l1":
         n1 = lq_norm(u, 1)
         if n1 == 0.0:
@@ -236,8 +245,6 @@ class DecayFit:
     r2: float
     window: tuple
     n_points: int
-    predicted: Optional[float] = None
-    rel_err: Optional[float] = None
 
 
 def fit_power_law(times, values, window, n_samples=FIT_SAMPLES, min_points=MIN_FIT_POINTS):
@@ -301,27 +308,18 @@ def exponents_from_query(query):
 
 
 # ---------------------------------------------------------------------------
-# window trimming: boundary guard and extinction
+# window trimming: mass guard and extinction
 # ---------------------------------------------------------------------------
 
 
-def _boundary_margin_cells(u, grid):
-    """Distance in cells from the support of u to the nearest face."""
-    v = np.abs(u.values)
-    top = v.max(initial=0.0)
-    if top == 0.0:
-        return min(grid.shape)  # empty support: maximal margin
-    live = np.nonzero((v > SUPPORT_RELATIVE_FLOOR * top).reshape(grid.shape))
-    return int(min(min(i.min(), n - 1 - i.max()) for i, n in zip(live, grid.shape)))
-
-
-def usable_window(traj, grid, window, bc_kind="dirichlet"):
-    """Trim the requested window for extinction and boundary proximity.
+def usable_window(traj, window):
+    """Trim the requested window for extinction and mass loss.
 
     Returns (lo, hi, info) where info records extinction_time and
-    boundary_guard_time (None when not triggered). For Dirichlet runs the
-    window is capped at the first snapshot whose support comes within
-    BOUNDARY_GUARD_CELLS cells of a face; extinction caps every run.
+    boundary_guard_time (None when not triggered). With f = 0 the mass
+    changes only through the boundary, so the window is capped at the first
+    step whose mass differs from the initial mass by more than MASS_GUARD
+    times the initial L^1 norm; extinction caps every run.
     """
     lo, hi = float(window[0]), float(window[1])
     info = {"extinction_time": None, "boundary_guard_time": None, "window_warning": False}
@@ -332,14 +330,10 @@ def usable_window(traj, grid, window, bc_kind="dirichlet"):
         t_ext = traj.times[dead[0]]
         info["extinction_time"] = float(t_ext)
         hi = min(hi, 0.999 * t_ext)
-    if bc_kind == "dirichlet":
-        for t, snap in zip(traj.snapshot_times, traj.snapshots):
-            if t <= 0.0:
-                continue
-            if _boundary_margin_cells(snap, grid) <= BOUNDARY_GUARD_CELLS:
-                info["boundary_guard_time"] = float(t)
-                hi = min(hi, t)
-                break
+    lost = np.nonzero(np.abs(traj.mass - traj.mass[0]) > MASS_GUARD * traj.norm_l1[0])[0]
+    if lost.size:
+        info["boundary_guard_time"] = float(traj.times[lost[0]])
+        hi = min(hi, info["boundary_guard_time"])
     if hi <= lo:
         raise ValueError(
             f"window collapsed: requested ({window[0]}, {window[1]}), usable hi = {hi}"
@@ -408,14 +402,18 @@ def run_decay_experiment(config, tol=None):
 
     Passes when the fitted exponent is within the configured relative
     tolerance of the prediction and the log-log fit is tight (r2 >= r2_min).
+    The flow must have f = 0: the predicted exponents assume it, and the
+    window guard reads a change of mass as mass leaving through the boundary.
     """
     spec = spec_from_config(config)
+    if spec.perturbation is not None:
+        raise ValueError("config perturbation.kind must be 'none' in a decay experiment")
     tg = time_grid_from_config(config)
     exp = _section(config, "experiment", *_DECAY_KEYS)
     alpha_pred = predicted_alpha(exp["predicted"])  # a bad query fails before the flow runs
     u0 = initial_condition(exp["initial"], spec.grid, seed=exp.get("seed", 0))
     traj = evolve(spec, u0, tg)
-    lo, hi, info = usable_window(traj, spec.grid, exp["window"], bc_kind=spec.bc.kind)
+    lo, hi, info = usable_window(traj, exp["window"])
     norm_q = float(expo.INF) if exp.get("norm", "inf") in ("inf", float("inf")) else float(exp["norm"])
     series = traj.norm_series(norm_q)
     fit = fit_power_law(traj.times, series, (lo, hi))
@@ -461,13 +459,8 @@ def default_barenblatt_config():
     }
 
 
-def _barenblatt_error(config, shape, n_steps):
-    cfg = json.loads(json.dumps(_jsonable(config)))
-    cfg["grid"]["shape"] = [int(s) for s in shape]
-    cfg["time"]["n_steps"] = int(n_steps)
-    spec = spec_from_config(cfg)
-    exp = cfg["experiment"]
-    t0, t1 = float(exp["t0"]), float(exp["t1"])
+def _barenblatt_error(spec, n_steps, t0, t1):
+    """Relative L^1 error at t1 of the flow started from the source solution at t0."""
     p = spec.p
     half_width = 0.5 * min(hi - lo for lo, hi in spec.grid.bounds)
     radius = barenblatt_support_radius(spec.grid.d, p, t1)
@@ -478,10 +471,7 @@ def _barenblatt_error(config, shape, n_steps):
             f"(half width {half_width:g})"
         )
     u0 = barenblatt_on_grid(spec.grid, p, t0)
-    if t1 == t0:
-        return 0.0
-    tg = TimeGrid(t_end=t1 - t0, n_steps=int(cfg["time"]["n_steps"]))
-    traj = evolve(spec, u0, tg)
+    traj = evolve(spec, u0, TimeGrid(t_end=t1 - t0, n_steps=n_steps))
     exact = barenblatt_on_grid(spec.grid, p, t1)
     return lq_norm(traj.final - exact, 1) / lq_norm(exact, 1)
 
@@ -491,13 +481,17 @@ def barenblatt_comparison(config=None, refinement=True):
 
     Passes when the error at the configured resolution is below rel_l1_max
     and, if refinement is on, when halving both resolutions inflates the
-    error by at least refinement_min_ratio.
+    error by at least refinement_min_ratio. time.t_end must equal t1 - t0.
     """
     config = config or default_barenblatt_config()
     exp = _section(config, "experiment", *_BARENBLATT_KEYS)
-    shape = spec_from_config(config).grid.shape
-    n_steps = time_grid_from_config(config).n_steps
-    err_fine = _barenblatt_error(config, shape, n_steps)
+    spec = spec_from_config(config)
+    tg = time_grid_from_config(config)
+    t0, t1 = float(exp["t0"]), float(exp["t1"])
+    if not abs(tg.t_end - (t1 - t0)) <= 1e-12 * abs(t1 - t0):
+        raise ValueError(f"config time.t_end = {tg.t_end:g} must equal experiment.t1 - experiment.t0 = {t1 - t0:g}")
+    shape, n_steps = spec.grid.shape, tg.n_steps
+    err_fine = _barenblatt_error(spec, n_steps, t0, t1)
     metrics = {
         "rel_l1_error": err_fine,
         "rel_l1_max": exp["rel_l1_max"],
@@ -507,9 +501,9 @@ def barenblatt_comparison(config=None, refinement=True):
         "n_steps": n_steps,
     }
     passed = err_fine <= float(exp["rel_l1_max"])
-    if refinement and float(exp["t1"]) > float(exp["t0"]):
-        coarse_shape = [max(3, (int(s) + 1) // 2) for s in shape]
-        err_coarse = _barenblatt_error(config, coarse_shape, max(1, int(n_steps) // 2))
+    if refinement:
+        coarse = Grid(bounds=spec.grid.bounds, shape=tuple(max(3, (s + 1) // 2) for s in shape))
+        err_coarse = _barenblatt_error(replace(spec, grid=coarse), max(1, n_steps // 2), t0, t1)
         ratio = err_coarse / err_fine if err_fine > 0 else float("inf")
         metrics["rel_l1_error_coarse"] = err_coarse
         metrics["refinement_ratio"] = ratio

@@ -171,7 +171,7 @@ class PhiSpec:
     def custom(cls, func, deriv=None):
         return cls("custom", func=func, deriv=deriv)
 
-    def value(self, s, eps=0.0):
+    def value(self, s):
         """phi(s); the identity returns the float array s itself, not a copy."""
         s = np.asarray(s, dtype=float)
         if self.kind == "identity":

@@ -1,8 +1,8 @@
 """Semigroup evolution by iterated implicit Euler steps.
 
 evolve() advances u' + A(u) = 0 on a uniform partition of [0, t_end],
-recording L^1, L^2, L^inf norms and mass at every step and keeping at most
-64 geometrically spaced state snapshots. exponential_formula_probe()
+recording L^1, L^2, L^inf norms and mass at every step and keeping the
+final state. exponential_formula_probe()
 measures the Cauchy gaps of the n-fold resolvent representation, whose
 first-order convergence shows up as gap ratios near 2 under doubling.
 """
@@ -20,7 +20,6 @@ from .measure import GridFunction, lq_norm, mass
 from .operators import DiscreteOperator
 from .resolvent import NonConvergenceError, resolvent_power, solve_resolvent
 
-MAX_SNAPSHOTS = 64
 EVOLVE_TOL = 1e-12  # per-step residual; keeps cumulative mass drift far below budget
 
 
@@ -30,7 +29,6 @@ class TimeGrid:
 
     t_end: float
     n_steps: int
-    snapshot_times: Optional[tuple] = None
 
     def __post_init__(self):
         if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
@@ -38,8 +36,6 @@ class TimeGrid:
         if int(self.n_steps) < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         object.__setattr__(self, "n_steps", int(self.n_steps))
-        if self.snapshot_times is not None:
-            object.__setattr__(self, "snapshot_times", tuple(float(t) for t in self.snapshot_times))
 
     @property
     def dt(self):
@@ -47,21 +43,6 @@ class TimeGrid:
 
     def times(self):
         return np.linspace(0.0, self.t_end, self.n_steps + 1)
-
-    def snapshot_indices(self, max_snapshots=MAX_SNAPSHOTS):
-        """Step indices to snapshot: geometric in time, deduplicated,
-        always including 0 and the final step."""
-        if self.snapshot_times is not None:
-            wanted = np.asarray(self.snapshot_times, dtype=float)
-        else:
-            wanted = np.geomspace(self.dt, self.t_end, max_snapshots - 1)
-        idx = np.rint(wanted / self.dt).astype(int)
-        idx = np.clip(idx, 0, self.n_steps)
-        idx = np.unique(np.concatenate(([0], idx, [self.n_steps])))
-        if idx.size > max_snapshots:
-            keep = np.linspace(0, idx.size - 1, max_snapshots).round().astype(int)
-            idx = idx[np.unique(keep)]
-        return idx
 
 
 @dataclass(frozen=True)
@@ -71,12 +52,7 @@ class Trajectory:
     norm_l2: np.ndarray
     norm_linf: np.ndarray
     mass: np.ndarray
-    snapshot_times: tuple
-    snapshots: tuple
-
-    @property
-    def final(self):
-        return self.snapshots[-1]
+    final: GridFunction
 
     def norm_series(self, q):
         q = float(q)
@@ -99,24 +75,18 @@ def evolve(spec, u0, time_grid, tol=EVOLVE_TOL, max_iter=200, op=None):
     dt = time_grid.dt
     n_steps = time_grid.n_steps
     times = time_grid.times()
-    snap_idx = set(int(i) for i in time_grid.snapshot_indices())
 
     u = u0
     l1 = np.empty(n_steps + 1)
     l2 = np.empty(n_steps + 1)
     linf = np.empty(n_steps + 1)
     ms = np.empty(n_steps + 1)
-    snapshots = []
-    snapshot_times = []
 
     def record(k, v):
         l1[k] = lq_norm(v, 1)
         l2[k] = lq_norm(v, 2)
         linf[k] = lq_norm(v, float("inf"))
         ms[k] = mass(v)
-        if k in snap_idx:
-            snapshots.append(v)
-            snapshot_times.append(times[k])
 
     record(0, u)
     for k in range(1, n_steps + 1):
@@ -136,8 +106,7 @@ def evolve(spec, u0, time_grid, tol=EVOLVE_TOL, max_iter=200, op=None):
         norm_l2=l2,
         norm_linf=linf,
         mass=ms,
-        snapshot_times=tuple(snapshot_times),
-        snapshots=tuple(snapshots),
+        final=u,
     )
 
 

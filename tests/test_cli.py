@@ -178,6 +178,58 @@ def test_simulate_writes_csv_and_summary(tmp_path, capsys):
     assert payload["final_norms"]["l1"] <= 1.0 + 1e-9  # contraction from unit mass
 
 
+def _misspell(section, old, new):
+    section[new] = section.pop(old)
+
+
+@pytest.mark.parametrize(
+    "edit, extra, message",
+    [
+        (lambda cfg: _load_config(CONFIG_DIR / "barenblatt.json"), [], "config lacks experiment.initial"),
+        (lambda cfg: _load_config(CONFIG_DIR / "p3_d1.json"), ["--seed", "5"], "--seed needs a random experiment.initial"),
+        (lambda cfg: _misspell(cfg["experiment"], "initial", "intial"), [], "config has unknown key experiment.intial"),
+        (lambda cfg: _misspell(cfg["experiment"]["initial"], "width", "widht"), [],
+         "config has unknown key experiment.initial.widht"),
+    ],
+)
+def test_simulate_checks_the_experiment_section(tmp_path, monkeypatch, capsys, edit, extra, message):
+    monkeypatch.setattr("nlsmooth.cli.evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
+    cfg = _smoke_config()
+    cfg = edit(cfg) or cfg
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_jsonable(cfg)))
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")] + extra)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_simulate_seed_draws_a_random_initial_state(tmp_path, capsys):
+    cfg = _smoke_config()
+    cfg["experiment"]["initial"] = {"kind": "random", "n_modes": 2}
+    cfg["time"] = {"t_end": 0.1, "n_steps": 4}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_jsonable(cfg)))
+    norms = []
+    for seed in ("5", "5", "6"):
+        code, out, _ = run_cli(capsys, ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv"),
+                                        "--seed", seed])
+        assert code == 0
+        norms.append(json.loads(out)["final_norms"]["l1"])
+    assert norms[0] == norms[1] != norms[2]
+
+
+def test_verify_decay_refuses_a_perturbation(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
+    cfg = _smoke_config()
+    cfg["perturbation"] = {"kind": "tanh", "coeff": 0.3}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_jsonable(cfg)))
+    code, out, err = run_cli(capsys, ["verify", "decay", "--config", str(cfg_path)])
+    assert code == 2 and out == ""
+    assert "perturbation.kind" in err and "Traceback" not in err
+
+
 def test_simulate_missing_args(capsys):
     code, _, err = run_cli(capsys, ["simulate"])
     assert code == 2

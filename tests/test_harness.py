@@ -1,7 +1,10 @@
 """Experiment harness: power-law fits, window trimming, configs, suites."""
 
+import dataclasses
+import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,8 +23,8 @@ from nlsmooth.harness import (
     time_grid_from_config,
     usable_window,
 )
-from nlsmooth.measure import GridFunction, lq_norm
-from nlsmooth.operators import Grid, barenblatt_on_grid
+from nlsmooth.measure import lq_norm
+from nlsmooth.operators import Grid, PhiSpec, barenblatt_on_grid
 from nlsmooth.semigroup import Trajectory
 
 FIT_TOLERANCE = 1e-10
@@ -101,7 +104,7 @@ def test_fit_skips_nonpositive_values():
 # ---------------------------------------------------------------------------
 
 
-def _synthetic_traj(times, linf, snap_pairs=()):
+def _synthetic_traj(times, linf, mass=None):
     times = np.asarray(times, dtype=float)
     ones = np.ones_like(times)
     return Trajectory(
@@ -109,16 +112,15 @@ def _synthetic_traj(times, linf, snap_pairs=()):
         norm_l1=ones,
         norm_l2=ones,
         norm_linf=np.asarray(linf, dtype=float),
-        mass=ones,
-        snapshot_times=tuple(t for t, _ in snap_pairs),
-        snapshots=tuple(s for _, s in snap_pairs),
+        mass=ones if mass is None else np.asarray(mass, dtype=float),
+        final=None,
     )
 
 
 def test_window_untouched_without_extinction_or_guard():
     times = np.linspace(0.0, 10.0, 101)
     traj = _synthetic_traj(times, np.exp(-times))
-    lo, hi, info = usable_window(traj, Grid(bounds=((-1.0, 1.0),), shape=(11,)), (0.5, 9.0), bc_kind="neumann")
+    lo, hi, info = usable_window(traj, (0.5, 9.0))
     assert (lo, hi) == (0.5, 9.0)
     assert info["extinction_time"] is None
     assert info["boundary_guard_time"] is None
@@ -129,7 +131,7 @@ def test_window_caps_at_extinction_and_warns():
     times = np.linspace(0.0, 10.0, 101)
     linf = np.where(times < 3.0, 1.0, 0.0)  # hits the floor at t = 3
     traj = _synthetic_traj(times, linf)
-    lo, hi, info = usable_window(traj, Grid(bounds=((-1.0, 1.0),), shape=(11,)), (0.5, 9.5), bc_kind="neumann")
+    lo, hi, info = usable_window(traj, (0.5, 9.5))
     assert lo == 0.5
     assert hi == pytest.approx(0.999 * 3.0, rel=1e-12)
     assert info["extinction_time"] == pytest.approx(3.0)
@@ -141,32 +143,51 @@ def test_window_collapse_raises():
     linf = np.where(times < 0.3, 1.0, 0.0)
     traj = _synthetic_traj(times, linf)
     with pytest.raises(ValueError, match="window collapsed"):
-        usable_window(traj, Grid(bounds=((-1.0, 1.0),), shape=(11,)), (0.5, 9.0), bc_kind="neumann")
+        usable_window(traj, (0.5, 9.0))
 
 
 def test_window_dirichlet_boundary_guard():
-    grid = Grid(bounds=((-5.0, 5.0),), shape=(101,))
-    space = grid.space()
-    wide = GridFunction(space, np.ones(grid.n_total))  # support touches the faces
-    narrow_vals = np.zeros(grid.n_total)
-    narrow_vals[45:56] = 1.0
-    narrow = GridFunction(space, narrow_vals)
     times = np.linspace(0.0, 10.0, 101)
-    traj = _synthetic_traj(
-        times,
-        np.ones_like(times),
-        snap_pairs=[(0.0, wide), (1.0, narrow), (2.0, wide), (4.0, wide)],
-    )
-    lo, hi, info = usable_window(traj, grid, (0.5, 9.0), bc_kind="dirichlet")
-    # t = 0 is skipped, t = 1 has a fat margin, t = 2 trips the guard
+    # mass leaves through the boundary from t = 2 on
+    leaking = _synthetic_traj(times, np.ones_like(times), mass=np.where(times < 2.0, 1.0, 1.0 - 1e-3))
+    lo, hi, info = usable_window(leaking, (0.5, 9.0))
     assert info["boundary_guard_time"] == 2.0
     assert hi == 2.0
     assert info["window_warning"] is True
 
-    # the same trajectory under Neumann keeps the full window
-    lo2, hi2, info2 = usable_window(traj, grid, (0.5, 9.0), bc_kind="neumann")
+    # roundoff drift below MASS_GUARD keeps the full window
+    drift = 0.5 * harness.MASS_GUARD * np.sin(times)
+    conserved = _synthetic_traj(times, np.ones_like(times), mass=1.0 + drift)
+    lo2, hi2, info2 = usable_window(conserved, (0.5, 9.0))
     assert hi2 == 9.0
     assert info2["boundary_guard_time"] is None
+
+
+def _decay_config_2d_p2():
+    # p = d = 2: the support reaches the faces at once, so only the mass guard can end the window
+    return {
+        "grid": {"bounds": [[-8.0, 8.0], [-8.0, 8.0]], "shape": [48, 48]},
+        "operator": {"p": 2.0, "bc": "dirichlet", "eps_reg": 1e-8},
+        "phi": {"kind": "identity"},
+        "perturbation": {"kind": "none"},
+        "time": {"t_end": 5.0, "n_steps": 200},
+        "experiment": {
+            "name": "decay-p2-d2",
+            "initial": {"kind": "bump", "width": 0.5, "normalize": "l1"},
+            "window": [0.5, 5.0],
+            "predicted": {"theorem": "plaplace", "d": 2, "p": 2.0, "s": 1.0},
+            "tolerance": 0.05,
+        },
+    }
+
+
+def test_decay_2d_p2_dirichlet_fits_before_mass_leaves():
+    rep = harness.run_decay_experiment(_decay_config_2d_p2())
+    m = rep.metrics
+    assert m["alpha_predicted"] == pytest.approx(1.0, rel=1e-12)
+    assert 0.5 < m["boundary_guard_time"] < 5.0
+    assert m["window_used"][1] == m["boundary_guard_time"]
+    assert rep.passed and m["rel_err"] <= 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +309,28 @@ def test_initial_condition_rejects_bad_recipes():
         initial_condition({"kind": "bump", "amplitude": 0.0, "normalize": "l1"}, grid)
 
 
+@pytest.mark.parametrize(
+    "recipe, message",
+    [
+        ({"kind": "bump", "widht": 0.5}, "config has unknown key experiment.initial.widht"),
+        ({"width": 0.5, "p": 3.0}, "config has unknown key experiment.initial.p"),
+        ({"kind": "barenblatt", "t0": 1.0}, "config lacks experiment.initial.p"),
+        ({"kind": "barenblatt", "p": 3.0, "width": 1.0}, "config has unknown key experiment.initial.width"),
+        ({"kind": "random", "seed": 3}, "config has unknown key experiment.initial.seed"),
+    ],
+)
+def test_initial_condition_names_a_bad_recipe_key(recipe, message):
+    grid = Grid(bounds=((-4.0, 4.0),), shape=(101,))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        initial_condition(recipe, grid)
+
+
+def test_dead_fields_and_parameters_are_gone():
+    assert [f.name for f in dataclasses.fields(harness.DecayFit)] == ["alpha_hat", "r2", "window", "n_points"]
+    assert list(inspect.signature(PhiSpec.value).parameters) == ["self", "s"]
+    assert list(inspect.signature(usable_window).parameters) == ["traj", "window"]
+
+
 # ---------------------------------------------------------------------------
 # exponent queries
 # ---------------------------------------------------------------------------
@@ -389,7 +432,7 @@ def test_barenblatt_comparison_smoke():
         "operator": {"p": 3.0, "bc": "dirichlet", "eps_reg": 1e-8},
         "phi": {"kind": "identity"},
         "perturbation": {"kind": "none"},
-        "time": {"t_end": 1.0, "n_steps": 60},
+        "time": {"t_end": 0.3, "n_steps": 60},
         "experiment": {
             "name": "barenblatt-smoke",
             "t0": 1.0,
@@ -410,7 +453,7 @@ def test_barenblatt_comparison_rejects_small_domain():
         "operator": {"p": 3.0, "bc": "dirichlet", "eps_reg": 1e-8},
         "phi": {"kind": "identity"},
         "perturbation": {"kind": "none"},
-        "time": {"t_end": 1.0, "n_steps": 10},
+        "time": {"t_end": 199.0, "n_steps": 10},
         "experiment": {
             "name": "barenblatt-too-big",
             "t0": 1.0,
@@ -421,6 +464,14 @@ def test_barenblatt_comparison_rejects_small_domain():
     }
     with pytest.raises(ValueError, match="does not fit"):
         harness.barenblatt_comparison(cfg, refinement=False)
+
+
+def test_barenblatt_comparison_reads_t_end(monkeypatch):
+    monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
+    cfg = harness.default_barenblatt_config()
+    cfg["time"]["t_end"] = 7.0  # t1 - t0 is 1
+    with pytest.raises(ValueError, match=r"time\.t_end = 7 must equal experiment\.t1 - experiment\.t0 = 1"):
+        harness.barenblatt_comparison(cfg)
 
 
 def test_contraction_suite_is_thread_invariant():

@@ -17,6 +17,7 @@ from nlsmooth.operators import (
 )
 from nlsmooth.resolvent import NonConvergenceError, solve_resolvent
 from nlsmooth.semigroup import (
+    EVOLVE_TOL,
     TimeGrid,
     exponential_formula_probe,
     evolve,
@@ -43,13 +44,6 @@ def test_time_grid_basics():
     tg = TimeGrid(t_end=2.0, n_steps=8)
     assert tg.dt == 0.25
     assert np.allclose(tg.times(), np.linspace(0.0, 2.0, 9))
-    idx = tg.snapshot_indices()
-    assert idx[0] == 0 and idx[-1] == 8
-    assert np.all(np.diff(idx) > 0)
-    long = TimeGrid(t_end=1.0, n_steps=5000)
-    assert long.snapshot_indices().size <= 64
-    chosen = TimeGrid(t_end=1.0, n_steps=10, snapshot_times=(0.3, 0.7)).snapshot_indices()
-    assert set(chosen) == {0, 3, 7, 10}
     with pytest.raises(ValueError):
         TimeGrid(t_end=0.0, n_steps=4)
     with pytest.raises(ValueError):
@@ -137,10 +131,11 @@ def test_trajectory_series_access():
     assert traj.norm_series(float("inf")) is traj.norm_linf
     with pytest.raises(ValueError):
         traj.norm_series(3)
-    assert traj.snapshot_times[0] == 0.0
-    assert traj.snapshot_times[-1] == pytest.approx(0.2)
-    assert traj.final is traj.snapshots[-1]
-    assert np.array_equal(traj.snapshots[0].values, _bump(spec).values)
+    # final is the state of the last step
+    tg, u = TimeGrid(0.2, 10), _bump(spec)
+    for _ in range(tg.n_steps):
+        u = solve_resolvent(spec, tg.dt, u, tol=EVOLVE_TOL).u
+    assert np.array_equal(traj.final.values, u.values)
 
 
 def test_probe_gap_ratios_show_first_order_convergence():
