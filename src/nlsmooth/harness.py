@@ -35,8 +35,8 @@ from .operators import (
     linear_perturbation,
     tanh_perturbation,
 )
-from .resolvent import resolvent_power, solve_resolvent_batch
-from .semigroup import TimeGrid, evolve, exponential_formula_probe
+from .resolvent import solve_resolvent_batch
+from .semigroup import RECORDED_NORMS, TimeGrid, evolve
 
 BOUNDARY_GUARD_CELLS = 5
 MASS_GUARD = 1e-6  # share of ||u0||_1 that may leave through the boundary inside a fit window
@@ -44,6 +44,7 @@ DEFAULT_TOLERANCE = 0.15
 DEFAULT_R2_MIN = 0.98
 FIT_SAMPLES = 33
 MIN_FIT_POINTS = 8
+CONTRACTION_SLACK = 1e-6  # relative slack of the contraction checks, for roundoff in the solves
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +212,13 @@ def initial_condition(recipe, grid, seed=0):
 
     kinds: bump {center, width, amplitude}, barenblatt {p, t0},
     random {n_modes}, drawn from seed. normalize: "l1" rescales to unit L^1
-    norm. A ValueError names an unknown or missing key.
+    norm. A ValueError names an unknown or missing key, or a normalize other
+    than "l1".
     """
     # wrapped under its key path, so that an error names experiment.initial.<key>
     kind, recipe = _kind_section({"experiment.initial": recipe}, "experiment.initial", _INITIAL_KINDS)
+    if recipe.get("normalize", "l1") != "l1":
+        raise ValueError(f"config experiment.initial.normalize must be 'l1', got {recipe['normalize']!r}")
     if kind == "bump":
         u = smooth_bump(
             grid,
@@ -226,7 +230,7 @@ def initial_condition(recipe, grid, seed=0):
         u = barenblatt_on_grid(grid, float(recipe["p"]), float(recipe.get("t0", 1.0)))
     else:
         u = random_smooth_field(grid, seed=seed, n_modes=recipe.get("n_modes", 3))
-    if recipe.get("normalize") == "l1":
+    if "normalize" in recipe:
         n1 = lq_norm(u, 1)
         if n1 == 0.0:
             raise ValueError("cannot normalize the zero function")
@@ -251,8 +255,9 @@ def fit_power_law(times, values, window, n_samples=FIT_SAMPLES, min_points=MIN_F
     """OLS fit of values ~ c * t^{-alpha} on log-log, geometric samples.
 
     Picks up to n_samples geometrically spaced targets inside the window,
-    snaps each to the nearest recorded time with a positive value, and
-    dedupes. Raises if fewer than min_points usable samples remain.
+    takes for each the first usable sample (inside the window, with a
+    positive value) at or after it, and dedupes. Raises if fewer than
+    min_points usable samples remain.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -397,6 +402,14 @@ def default_pme_config():
     return cfg
 
 
+def _recorded_norm(norm):
+    """The q of an experiment.norm value: 1, 2 or "inf", the norms a Trajectory records."""
+    q = math.inf if norm == "inf" else norm
+    if isinstance(q, bool) or q not in RECORDED_NORMS:
+        raise ValueError(f"config experiment.norm must be 1, 2 or 'inf', got {norm!r}")
+    return float(q)
+
+
 def run_decay_experiment(config, tol=None):
     """Evolve the configured flow and fit the sup-norm decay exponent.
 
@@ -411,12 +424,11 @@ def run_decay_experiment(config, tol=None):
     tg = time_grid_from_config(config)
     exp = _section(config, "experiment", *_DECAY_KEYS)
     alpha_pred = predicted_alpha(exp["predicted"])  # a bad query fails before the flow runs
+    norm_q = _recorded_norm(exp.get("norm", "inf"))
     u0 = initial_condition(exp["initial"], spec.grid, seed=exp.get("seed", 0))
     traj = evolve(spec, u0, tg)
     lo, hi, info = usable_window(traj, exp["window"])
-    norm_q = float(expo.INF) if exp.get("norm", "inf") in ("inf", float("inf")) else float(exp["norm"])
-    series = traj.norm_series(norm_q)
-    fit = fit_power_law(traj.times, series, (lo, hi))
+    fit = fit_power_law(traj.times, traj.norm_series(norm_q), (lo, hi))
     rel_err = abs(fit.alpha_hat - alpha_pred) / abs(alpha_pred) if alpha_pred != 0.0 else abs(fit.alpha_hat)
     tolerance = float(tol if tol is not None else exp.get("tolerance", DEFAULT_TOLERANCE))
     r2_min = float(exp.get("r2_min", DEFAULT_R2_MIN))
@@ -543,7 +555,6 @@ def contraction_suite(
     n_pairs=100,
     n_nodes=64,
     seed=0,
-    slack=1e-6,
     threads=1,
 ):
     """Resolvent contraction in every L^q and order preservation, in bulk.
@@ -570,7 +581,7 @@ def contraction_suite(
             JA, JB, ok = _solve_pairs(spec, op, lam, A, B)
             errors += int(np.count_nonzero(~ok))
             dj, dg = JA[ok] - JB[ok], A[ok] - B[ok]
-            margins = [lq_norm_rows(weights, dj, q) - lq_norm_rows(weights, dg, q) * (1.0 + slack) for q in q_values]
+            margins = [lq_norm_rows(weights, dj, q) - lq_norm_rows(weights, dg, q) * (1.0 + CONTRACTION_SLACK) for q in q_values]
             order = lq_norm_rows(weights, np.maximum(dj, 0.0), 1) - lq_norm_rows(weights, np.maximum(dg, 0.0), 1)
             margins = np.stack(margins + [order - 1e-8], axis=1)  # (pairs, checks)
             if margins.size:
@@ -744,26 +755,24 @@ def conservation_suite(n_nodes=201, n_steps=400, t_end=2.0, seed=3):
 def convergence_study(n_nodes=64, t=0.05, n_list=(8, 16, 32, 64), seed=4):
     """First-order convergence evidence for the exponential formula.
 
-    Part 1: Cauchy gap ratios of the n-fold resolvent under doubling stay
-    in [1.5, 3]. Part 2 (p = 2): implicit Euler error against the dense
-    matrix exponential halves when the step count doubles, ratios in the
-    same bracket.
+    Each u_n = (I + (t/n) A)^{-n} u0 is an n-step evolve to t (p = 2, so the
+    flow is linear). Part 1: Cauchy gap ratios of u_n under doubling stay
+    in [1.5, 3]. Part 2: implicit Euler error against the dense matrix
+    exponential halves when the step count doubles, ratios in the same
+    bracket.
     """
     grid = Grid(bounds=((0.0, 1.0),), shape=(n_nodes,))
     spec = OperatorSpec(grid=grid, p=2.0, bc=BoundaryCondition.dirichlet(), eps_reg=0.0)
     u0 = random_smooth_field(grid, seed=seed)
+    op = DiscreteOperator(spec)
+    u_n = [evolve(spec, u0, TimeGrid(t, n), tol=1e-13, op=op).final for n in n_list]
 
-    records = exponential_formula_probe(spec, u0, t, n_list=n_list)
-    gaps = [r.gap_l1 for r in records if r.gap_l1 is not None]
+    gaps = [lq_norm(v - u, 1) for u, v in zip(u_n, u_n[1:])]
     gap_ratios = [gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1)]
 
-    op = DiscreteOperator(spec)
     L = op.diffusion_jacobian_matrix(np.zeros(grid.n_total)).toarray()
     exact = expm(-t * L) @ u0.values
-    euler_errors = []
-    for n in n_list:
-        u_n = resolvent_power(spec, t / n, u0, n, tol=1e-13, op=op).u
-        euler_errors.append(float(np.max(np.abs(u_n.values - exact))))
+    euler_errors = [float(np.max(np.abs(u.values - exact))) for u in u_n]
     euler_ratios = [euler_errors[i] / euler_errors[i + 1] for i in range(len(euler_errors) - 1)]
 
     in_bracket = lambda r: 1.5 <= r <= 3.0

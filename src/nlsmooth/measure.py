@@ -62,10 +62,6 @@ class DiscreteSpace:
         return f"DiscreteSpace(n={self.n}, total_mass={self.total_mass:g})"
 
 
-def uniform_space(n, weight=1.0):
-    return DiscreteSpace(np.full(n, float(weight)))
-
-
 class GridFunction:
     """Real-valued function on a DiscreteSpace."""
 

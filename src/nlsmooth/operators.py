@@ -99,14 +99,6 @@ class Grid:
         return DiscreteSpace(np.full(self.n_total, self.cell_volume))
 
 
-def interval(lo, hi, n):
-    return Grid(bounds=((lo, hi),), shape=(n,))
-
-
-def rectangle(bounds_x, bounds_y, nx, ny):
-    return Grid(bounds=(tuple(bounds_x), tuple(bounds_y)), shape=(nx, ny))
-
-
 @dataclass(frozen=True)
 class BoundaryCondition:
     kind: str
@@ -461,20 +453,10 @@ class DiscreteOperator:
     def phi_derivative(self, u):
         return self.spec.phi.derivative(u, self.spec.eps_reg)
 
-    def perturbation_values(self, u):
-        if self.spec.perturbation is None:
-            return np.zeros_like(u)
-        return self.spec.perturbation.value(self._nodes, u)
-
     def perturbation_derivative(self, u):
         if self.spec.perturbation is None:
             return np.zeros_like(u)
         return self.spec.perturbation.derivative(self._nodes, u)
-
-
-def apply_operator(spec, u):
-    """A(u) as a GridFunction; zero stays zero when f(x, 0) = 0."""
-    return DiscreteOperator(spec).apply(u)
 
 
 def energy(spec, u):

@@ -349,19 +349,3 @@ def solve_resolvent(spec, lam, g, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, op
         iterations=iterations,
         converged=True,
     )
-
-
-def resolvent_power(spec, lam, g, n, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, op=None):
-    """n-fold resolvent (I + lam A)^{-n} g; n = 0 returns g unchanged."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if op is None:
-        op = DiscreteOperator(spec)
-    u = g
-    total_iter = 0
-    residual = 0.0
-    for _ in range(n):
-        out = solve_resolvent(spec, lam, u, tol=tol, max_iter=max_iter, op=op)
-        u, total_iter, residual = out.u, total_iter + out.iterations, out.residual
-    return ResolventResult(u=u, residual=residual, iterations=total_iter, converged=True)

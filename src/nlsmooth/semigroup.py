@@ -2,9 +2,9 @@
 
 evolve() advances u' + A(u) = 0 on a uniform partition of [0, t_end],
 recording L^1, L^2, L^inf norms and mass at every step and keeping the
-final state. exponential_formula_probe()
-measures the Cauchy gaps of the n-fold resolvent representation, whose
-first-order convergence shows up as gap ratios near 2 under doubling.
+final state. Its n steps of size t/n are the n-fold resolvent
+(I + (t/n) A)^{-n} u0 of the Crandall-Liggett exponential formula, and it
+is the only place that chains resolvent solves.
 """
 
 from __future__ import annotations
@@ -12,15 +12,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .measure import GridFunction, lq_norm, mass
 from .operators import DiscreteOperator
-from .resolvent import NonConvergenceError, resolvent_power, solve_resolvent
+from .resolvent import NonConvergenceError, solve_resolvent
 
 EVOLVE_TOL = 1e-12  # per-step residual; keeps cumulative mass drift far below budget
+RECORDED_NORMS = (1.0, 2.0, math.inf)  # the q of the L^q norms a Trajectory records
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,11 @@ class Trajectory:
     final: GridFunction
 
     def norm_series(self, q):
+        """The recorded L^q norm series; q must be one of RECORDED_NORMS."""
         q = float(q)
-        if q == 1.0:
-            return self.norm_l1
-        if q == 2.0:
-            return self.norm_l2
-        if math.isinf(q):
-            return self.norm_linf
-        raise ValueError(f"recorded norms are q in {{1, 2, inf}}, got {q}")
+        if q not in RECORDED_NORMS:
+            raise ValueError(f"recorded norms are q in {{1, 2, inf}}, got {q}")
+        return (self.norm_l1, self.norm_l2, self.norm_linf)[RECORDED_NORMS.index(q)]
 
 
 def evolve(spec, u0, time_grid, tol=EVOLVE_TOL, max_iter=200, op=None):
@@ -125,34 +122,3 @@ def trajectory_to_csv(traj, path):
                     repr(float(traj.mass[k])),
                 ]
             )
-
-
-@dataclass(frozen=True)
-class ProbeRecord:
-    n: int
-    u: GridFunction
-    gap_l1: Optional[float]
-
-
-def exponential_formula_probe(spec, u0, t, n_list=(8, 16, 32, 64), tol=1e-12, op=None):
-    """Cauchy gaps of u_n = (I + (t/n) A)^{-n} u0 along a doubling ladder.
-
-    Returns one record per n with the L^1 gap ||u_n - u_prev||_1 against the
-    previous entry (None for the first). First-order convergence makes
-    consecutive gaps shrink by about 2 when n doubles.
-    """
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError(f"t must be positive and finite, got {t}")
-    n_list = [int(n) for n in n_list]
-    if any(n < 1 for n in n_list):
-        raise ValueError(f"all n must be >= 1, got {n_list}")
-    if op is None:
-        op = DiscreteOperator(spec)
-    records = []
-    prev = None
-    for n in n_list:
-        u_n = resolvent_power(spec, t / n, u0, n, tol=tol, op=op).u
-        gap = None if prev is None else lq_norm(u_n - prev, 1)
-        records.append(ProbeRecord(n=n, u=u_n, gap_l1=gap))
-        prev = u_n
-    return records

@@ -219,15 +219,26 @@ def test_simulate_seed_draws_a_random_initial_state(tmp_path, capsys):
     assert norms[0] == norms[1] != norms[2]
 
 
-def test_verify_decay_refuses_a_perturbation(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda cfg: cfg.update(perturbation={"kind": "tanh", "coeff": 0.3}), "perturbation.kind"),
+        (lambda cfg: cfg["experiment"].update(norm=3), "config experiment.norm must be 1, 2 or 'inf', got 3"),
+        (lambda cfg: cfg["experiment"].update(norm="L2"), "config experiment.norm must be 1, 2 or 'inf', got 'L2'"),
+        (lambda cfg: cfg["experiment"]["initial"].update(normalize="L1"),
+         "config experiment.initial.normalize must be 'l1', got 'L1'"),
+    ],
+)
+def test_verify_decay_refuses_a_bad_value_before_any_step(tmp_path, monkeypatch, capsys, edit, message):
+    # values, unlike keys, are read by the suite itself, so the flow is what must not run
     monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
     cfg = _smoke_config()
-    cfg["perturbation"] = {"kind": "tanh", "coeff": 0.3}
+    edit(cfg)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(_jsonable(cfg)))
     code, out, err = run_cli(capsys, ["verify", "decay", "--config", str(cfg_path)])
     assert code == 2 and out == ""
-    assert "perturbation.kind" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
 
 
 def test_simulate_missing_args(capsys):

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from nlsmooth import harness
+from nlsmooth import harness, resolvent, semigroup
 from nlsmooth.exponents import INF
 from nlsmooth.harness import (
     Report,
@@ -317,6 +317,7 @@ def test_initial_condition_rejects_bad_recipes():
         ({"kind": "barenblatt", "t0": 1.0}, "config lacks experiment.initial.p"),
         ({"kind": "barenblatt", "p": 3.0, "width": 1.0}, "config has unknown key experiment.initial.width"),
         ({"kind": "random", "seed": 3}, "config has unknown key experiment.initial.seed"),
+        ({"kind": "bump", "normalize": "L1"}, "config experiment.initial.normalize must be 'l1', got 'L1'"),
     ],
 )
 def test_initial_condition_names_a_bad_recipe_key(recipe, message):
@@ -426,6 +427,16 @@ def test_decay_experiment_resolves_the_prediction_before_the_flow(monkeypatch):
         harness.run_decay_experiment(cfg)
 
 
+def test_decay_experiment_reads_only_a_recorded_norm(monkeypatch):
+    monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
+    cfg = _smoke_decay_config()
+    for norm in (1.5, "2", True, None):  # 3 and "L2" are refused through the CLI in test_cli.py
+        cfg["experiment"]["norm"] = norm
+        with pytest.raises(ValueError, match=re.escape(f"config experiment.norm must be 1, 2 or 'inf', got {norm!r}")):
+            harness.run_decay_experiment(cfg)
+    assert [harness._recorded_norm(q) for q in (1, 2.0, "inf")] == [1.0, 2.0, INF]
+
+
 def test_barenblatt_comparison_smoke():
     cfg = {
         "grid": {"bounds": [[-6.0, 6.0]], "shape": [301]},
@@ -497,6 +508,23 @@ def test_contraction_suite_is_thread_invariant():
     "near 2.2e-3 after 200 iterations"))
 def test_contraction_suite_solves_every_pair_at_p_1_5():
     assert harness.contraction_suite(seed=2).metrics["solver_errors"] == 0
+
+
+def test_convergence_study_solves_each_state_once(monkeypatch):
+    # u_8, ..., u_64 take 8 + 16 + 32 + 64 = 120 resolvent solves; the gaps and
+    # the Euler errors are both read from those states
+    count = [0]
+    plain_solve = resolvent.solve_resolvent
+
+    def counting_solve(*args, **kwargs):
+        count[0] += 1
+        return plain_solve(*args, **kwargs)
+
+    for module in (resolvent, semigroup):
+        monkeypatch.setattr(module, "solve_resolvent", counting_solve)
+    rep = harness.convergence_study()
+    assert rep.passed
+    assert count[0] == 120
 
 
 def test_suite_registry():

@@ -22,7 +22,6 @@ from nlsmooth.measure import (
     q_bracket,
     save_grid_function,
     sup,
-    uniform_space,
 )
 
 N_NODES = 7
@@ -69,7 +68,7 @@ def test_space_validation():
         DiscreteSpace([1.0, -2.0])
     with pytest.raises(ValueError):
         DiscreteSpace([[1.0, 2.0]])
-    space = uniform_space(3, 0.5)
+    space = DiscreteSpace(np.full(3, 0.5))
     assert space.n == 3
     assert space.total_mass == 1.5
     with pytest.raises(ValueError):
@@ -77,7 +76,7 @@ def test_space_validation():
 
 
 def test_grid_function_validation_and_sugar():
-    space = uniform_space(3)
+    space = DiscreteSpace(np.full(3, 1.0))
     with pytest.raises(ValueError):
         GridFunction(space, [1.0, 2.0])
     with pytest.raises(ValueError):
@@ -94,7 +93,7 @@ def test_grid_function_validation_and_sugar():
 
 
 def test_lq_norm_pins():
-    space = uniform_space(4, 0.5)
+    space = DiscreteSpace(np.full(4, 0.5))
     u = GridFunction(space, [1.0, -2.0, 3.0, 0.0])
     assert lq_norm(u, 1) == pytest.approx(3.0, abs=1e-15)
     assert lq_norm(u, 2) == pytest.approx(np.sqrt(7.0), rel=1e-15)
@@ -104,7 +103,7 @@ def test_lq_norm_pins():
 
 def test_q_bracket_pins():
     # q = 1 splits on the bitwise zero set of u
-    space = uniform_space(4, 0.5)
+    space = DiscreteSpace(np.full(4, 0.5))
     u = GridFunction(space, [0.0, 1.0, -2.0, 0.0])
     v = GridFunction(space, [3.0, -1.0, 1.0, -5.0])
     assert q_bracket(u, v, 1) == pytest.approx(0.5 * (3.0 - 1.0 - 1.0 + 5.0), abs=1e-15)
@@ -114,7 +113,7 @@ def test_q_bracket_pins():
     assert q_bracket(u, u, 2) == pytest.approx(lq_norm(u, 2) ** 2, rel=1e-15)
     with pytest.raises(ValueError):
         q_bracket(u, v, INF)
-    vv = GridFunction(uniform_space(4, 0.7), v.values)
+    vv = GridFunction(DiscreteSpace(np.full(4, 0.7)), v.values)
     with pytest.raises(ValueError):
         q_bracket(u, vv, 2)
     with pytest.raises(ValueError):
@@ -122,7 +121,7 @@ def test_q_bracket_pins():
 
 
 def test_bracket_of_zero_function_is_l1_norm():
-    space = uniform_space(5, 0.3)
+    space = DiscreteSpace(np.full(5, 0.3))
     z = GridFunction(space, np.zeros(5))
     v = GridFunction(space, [1.0, -2.0, 0.0, 4.0, -0.5])
     assert q_bracket(z, v, 1) == pytest.approx(lq_norm(v, 1), rel=1e-15)
@@ -216,7 +215,7 @@ def test_mass_is_weighted_sum():
 
 def test_save_load_roundtrip_uniform(tmp_path):
     path = tmp_path / "field.csv"
-    u = GridFunction(uniform_space(6, 0.25), [1.0, -2.5, 3.7e-5, 0.0, 1e-12, 9.0])
+    u = GridFunction(DiscreteSpace(np.full(6, 0.25)), [1.0, -2.5, 3.7e-5, 0.0, 1e-12, 9.0])
     save_grid_function(u, path, domain={"bounds": [[0.0, 1.0]]})
     w = load_grid_function(path)
     assert np.array_equal(w.values, u.values)  # repr roundtrip is bit exact
@@ -235,7 +234,7 @@ def test_save_load_roundtrip_explicit_weights(tmp_path):
 
 def test_load_rejects_malformed_file(tmp_path):
     path = tmp_path / "bad.csv"
-    u = GridFunction(uniform_space(3), [1.0, 2.0, 3.0])
+    u = GridFunction(DiscreteSpace(np.full(3, 1.0)), [1.0, 2.0, 3.0])
     save_grid_function(u, path)
     path.write_text("wrong,header\n1.0,2.0\n")
     with pytest.raises(ValueError):

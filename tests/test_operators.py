@@ -18,16 +18,13 @@ from nlsmooth.operators import (
     LipschitzF,
     OperatorSpec,
     PhiSpec,
-    apply_operator,
     barenblatt_constants,
     barenblatt_on_grid,
     barenblatt_profile,
     barenblatt_support_radius,
     energy,
     gn_check,
-    interval,
     linear_perturbation,
-    rectangle,
     tanh_perturbation,
 )
 
@@ -37,13 +34,13 @@ ALL_BCS = (BoundaryCondition.dirichlet(), BoundaryCondition.neumann(), BoundaryC
 
 
 def _spec_1d(p, bc, n=8, phi=None, eps=DEFAULT_EPS_REG, perturbation=None):
-    return OperatorSpec(grid=interval(-1.0, 1.0, n), p=p, bc=bc,
+    return OperatorSpec(grid=Grid(bounds=((-1.0, 1.0),), shape=(n,)), p=p, bc=bc,
                         phi=phi or PhiSpec.identity(), eps_reg=eps,
                         perturbation=perturbation)
 
 
 def _spec_2d(p, bc, nx=3, ny=4, eps=DEFAULT_EPS_REG):
-    return OperatorSpec(grid=rectangle((-1.0, 1.0), (0.0, 2.0), nx, ny), p=p, bc=bc,
+    return OperatorSpec(grid=Grid(bounds=((-1.0, 1.0), (0.0, 2.0)), shape=(nx, ny)), p=p, bc=bc,
                         eps_reg=eps)
 
 
@@ -53,11 +50,11 @@ def _spec_3d(p, bc, phi=None):
 
 
 def test_grid_geometry():
-    g = interval(0.0, 1.0, 3)
+    g = Grid(bounds=((0.0, 1.0),), shape=(3,))
     assert g.h == (0.25,)
     assert np.allclose(g.nodes(), [0.25, 0.5, 0.75])
     assert np.all(g.space().weights == 0.25)
-    r = rectangle((-1.0, 1.0), (0.0, 2.0), 3, 4)
+    r = Grid(bounds=((-1.0, 1.0), (0.0, 2.0)), shape=(3, 4))
     assert r.h == (0.5, 0.4)
     assert r.n_total == 12
     x, y = r.nodes()
@@ -67,9 +64,9 @@ def test_grid_geometry():
     assert (x[4], y[4]) == (0.0, 0.4)
     assert r.cell_volume == pytest.approx(0.2)
     with pytest.raises(ValueError):
-        interval(0.0, 1.0, 2)
+        Grid(bounds=((0.0, 1.0),), shape=(2,))
     with pytest.raises(ValueError):
-        interval(1.0, 0.0, 5)
+        Grid(bounds=((1.0, 0.0),), shape=(5,))
     with pytest.raises(ValueError):
         Grid(bounds=((0.0, 1.0),), shape=(3, 3))
     with pytest.raises(ValueError):
@@ -83,11 +80,11 @@ def test_grid_geometry():
 
 
 def test_grid_geometry_is_cached_and_equality_stays_field_based():
-    g = interval(0.0, 1.0, 3)
+    g = Grid(bounds=((0.0, 1.0),), shape=(3,))
     assert g.h is g.h and g.cell_volume == 0.25 and g.n_total == 3
-    twin = interval(0.0, 1.0, 3)  # geometry not yet computed
+    twin = Grid(bounds=((0.0, 1.0),), shape=(3,))  # geometry not yet computed
     assert g == twin and hash(g) == hash(twin)
-    assert g != interval(0.0, 1.0, 4)
+    assert g != Grid(bounds=((0.0, 1.0),), shape=(4,))
 
 
 def test_evaluation_is_row_wise_on_a_stack():
@@ -102,8 +99,7 @@ def test_evaluation_is_row_wise_on_a_stack():
         W = rng.standard_normal((3, spec.grid.n_total))
         # per-axis arrays keep the grid shape; flatten them behind the batch axis
         flat = lambda parts: [x.reshape(x.shape[: x.ndim - spec.grid.d] + (-1,)) for x in parts]
-        methods = [op.apply_values, op.diffusion_values, op.phi_derivative,
-                   op.perturbation_values, op.perturbation_derivative,
+        methods = [op.apply_values, op.diffusion_values, op.phi_derivative, op.perturbation_derivative,
                    lambda w: np.concatenate(flat(op.edge_conductivities(w)), axis=-1),
                    lambda w: np.concatenate([op.diffusion_jacobian(w)[0]] + flat(op.diffusion_jacobian(w)[1]), axis=-1)]
         for method in methods:
@@ -115,17 +111,17 @@ def test_evaluation_is_row_wise_on_a_stack():
 def test_laplacian_stencil_1d():
     # p = 2 makes the flux linear for every eps, so A is the exact
     # (-1, 2, -1)/h^2 Dirichlet stencil
-    spec = OperatorSpec(grid=interval(0.0, 1.0, 3), p=2.0)
+    spec = OperatorSpec(grid=Grid(bounds=((0.0, 1.0),), shape=(3,)), p=2.0)
     u = GridFunction(spec.space(), [1.0, 0.0, 0.0])
-    au = apply_operator(spec, u)
+    au = DiscreteOperator(spec).apply(u)
     assert np.allclose(au.values, [32.0, -16.0, 0.0], atol=1e-12)
 
 
 def test_laplacian_stencil_2d():
-    spec = OperatorSpec(grid=rectangle((0.0, 1.0), (0.0, 1.0), 3, 3), p=2.0)
+    spec = OperatorSpec(grid=Grid(bounds=((0.0, 1.0), (0.0, 1.0)), shape=(3, 3)), p=2.0)
     e_center = np.zeros(9)
     e_center[4] = 1.0
-    au = apply_operator(spec, GridFunction(spec.space(), e_center))
+    au = DiscreteOperator(spec).apply(GridFunction(spec.space(), e_center))
     expected = np.zeros(9)
     expected[4] = 64.0
     for j in (1, 3, 5, 7):
@@ -140,8 +136,9 @@ def test_p2_operator_is_linear_symmetric_nonnegative():
         space = spec.space()
         u = GridFunction(space, rng.standard_normal(space.n))
         v = GridFunction(space, rng.standard_normal(space.n))
-        au, av = apply_operator(spec, u), apply_operator(spec, v)
-        auv = apply_operator(spec, u + v)
+        op = DiscreteOperator(spec)
+        au, av = op.apply(u), op.apply(v)
+        auv = op.apply(u + v)
         assert np.allclose(auv.values, au.values + av.values, atol=1e-9)
         assert mass(u.with_values(au.values * v.values)) == pytest.approx(
             mass(u.with_values(av.values * u.values)), rel=1e-9, abs=1e-9)
@@ -154,14 +151,14 @@ def test_zero_maps_to_zero():
             for pert in (None, tanh_perturbation(0.4)):
                 spec = _spec_1d(3.0, bc, phi=phi, perturbation=pert)
                 z = GridFunction(spec.space(), np.zeros(spec.grid.n_total))
-                assert np.all(apply_operator(spec, z).values == 0.0)
+                assert np.all(DiscreteOperator(spec).apply(z).values == 0.0)
 
 
 def test_constant_is_neumann_equilibrium():
     for p in (1.5, 2.0, 3.0):
         spec = _spec_1d(p, BoundaryCondition.neumann())
         c = GridFunction(spec.space(), np.full(spec.grid.n_total, 2.3))
-        assert np.all(apply_operator(spec, c).values == 0.0)
+        assert np.all(DiscreteOperator(spec).apply(c).values == 0.0)
 
 
 def test_neumann_diffusion_conserves_mass():
@@ -173,8 +170,9 @@ def test_neumann_diffusion_conserves_mass():
                 spec = make()
                 space = spec.space()
                 u = GridFunction(space, rng.standard_normal(space.n))
-                drift = mass(apply_operator(spec, u))
-                scale = max(1.0, lq_norm(apply_operator(spec, u), 1))
+                au = DiscreteOperator(spec).apply(u)
+                drift = mass(au)
+                scale = max(1.0, lq_norm(au, 1))
                 assert abs(drift) <= 1e-12 * scale
 
 
@@ -183,12 +181,13 @@ def test_monotonicity_in_l2():
     for bc in ALL_BCS:
         for p in (1.5, 2.0, 3.0):
             spec = _spec_1d(p, bc)
+            op = DiscreteOperator(spec)
             space = spec.space()
             for _ in range(20):
                 u = GridFunction(space, rng.standard_normal(space.n))
                 v = GridFunction(space, rng.standard_normal(space.n))
                 du = u - v
-                da = apply_operator(spec, u) - apply_operator(spec, v)
+                da = op.apply(u) - op.apply(v)
                 inner = mass(du.with_values(du.values * da.values))
                 assert inner >= -1e-11 * max(1.0, abs(inner))
 
@@ -200,12 +199,13 @@ def test_complete_accretivity_tanh_surrogate():
     for bc in ALL_BCS:
         for p in (1.5, 3.0):
             spec = _spec_1d(p, bc)
+            op = DiscreteOperator(spec)
             space = spec.space()
             for _ in range(10):
                 u = GridFunction(space, rng.standard_normal(space.n))
                 v = GridFunction(space, rng.standard_normal(space.n))
                 w = (u - v).values
-                da = (apply_operator(spec, u) - apply_operator(spec, v)).values
+                da = (op.apply(u) - op.apply(v)).values
                 for a in (0.5, 2.0):
                     for c in (-1.0, 0.0, 1.0):
                         t_w = np.tanh(a * (w - c)) + np.tanh(a * c)
@@ -217,11 +217,12 @@ def test_accretivity_in_l1_and_l2_brackets():
     rng = np.random.default_rng(RNG_SEED + 2)
     for bc in ALL_BCS:
         spec = _spec_1d(3.0, bc)
+        op = DiscreteOperator(spec)
         space = spec.space()
         for _ in range(10):
             u = GridFunction(space, rng.standard_normal(space.n))
             v = GridFunction(space, rng.standard_normal(space.n))
-            da = apply_operator(spec, u) - apply_operator(spec, v)
+            da = op.apply(u) - op.apply(v)
             for q in (1.0, 2.0, 4.0):
                 assert q_bracket(u - v, da, q) >= -ABS_TOLERANCE
 
@@ -298,7 +299,7 @@ def test_energy_gradient_consistency():
         space = spec.space()
         u = GridFunction(space, rng.standard_normal(space.n))
         v = GridFunction(space, rng.standard_normal(space.n))
-        au = apply_operator(spec, u)
+        au = DiscreteOperator(spec).apply(u)
         inner = mass(u.with_values(au.values * v.values))
         quotient = (energy(spec, u + step * v) - energy(spec, u - step * v)) / (2 * step)
         assert inner == pytest.approx(quotient, rel=1e-6, abs=1e-8)
@@ -308,7 +309,7 @@ def test_gn_check_matches_dirichlet_eigenvalue():
     # p = 2, q = r = 2, sigma = 2: the ratio is the Rayleigh quotient inverse,
     # maximized by the discrete ground state sin(pi x)
     n = 15
-    spec = OperatorSpec(grid=interval(0.0, 1.0, n), p=2.0)
+    spec = OperatorSpec(grid=Grid(bounds=((0.0, 1.0),), shape=(n,)), p=2.0)
     h = spec.grid.h[0]
     lam1 = (2.0 - 2.0 * np.cos(np.pi * h)) / h**2
     gn = GNParams(q=2.0, r=2.0, sigma=2.0)
@@ -335,8 +336,8 @@ def test_perturbation_enters_additively():
     base = _spec_1d(3.0, BoundaryCondition.dirichlet())
     shifted = _spec_1d(3.0, BoundaryCondition.dirichlet(), perturbation=linear_perturbation(0.3))
     u = GridFunction(base.space(), rng.standard_normal(base.grid.n_total))
-    a0 = apply_operator(base, u)
-    a1 = apply_operator(shifted, u)
+    a0 = DiscreteOperator(base).apply(u)
+    a1 = DiscreteOperator(shifted).apply(u)
     assert np.allclose(a1.values, a0.values + 0.3 * u.values, atol=1e-12)
     assert shifted.perturbation.lipschitz == pytest.approx(0.3)
     assert tanh_perturbation(-0.5).lipschitz == pytest.approx(0.5)
@@ -377,7 +378,7 @@ def test_boundary_condition_validation():
 
 
 def test_operator_spec_validation():
-    grid = interval(0.0, 1.0, 4)
+    grid = Grid(bounds=((0.0, 1.0),), shape=(4,))
     with pytest.raises(ValueError):
         OperatorSpec(grid=grid, p=1.0)
     with pytest.raises(ValueError):
@@ -403,7 +404,7 @@ def test_barenblatt_pins_d1_p3():
 
 
 def test_barenblatt_mass_and_scaling():
-    grid = interval(-8.0, 8.0, 4001)
+    grid = Grid(bounds=((-8.0, 8.0),), shape=(4001,))
     u = barenblatt_on_grid(grid, 3.0, 1.0)
     assert mass(u) == pytest.approx(0.9 * 6.0 ** (2.0 / 3.0), rel=1e-4)
     x = np.linspace(-3.0, 3.0, 41)
@@ -414,7 +415,7 @@ def test_barenblatt_mass_and_scaling():
 
 
 def test_barenblatt_on_grid_samples_the_profile_in_any_dimension():
-    grids = (interval(-3.0, 3.0, 11), rectangle((-3.0, 3.0), (-2.0, 4.0), 7, 9),
+    grids = (Grid(bounds=((-3.0, 3.0),), shape=(11,)), Grid(bounds=((-3.0, 3.0), (-2.0, 4.0)), shape=(7, 9)),
              Grid(bounds=((-2.0, 2.0),) * 3, shape=(5, 4, 3)))
     for grid in grids:
         points = np.stack(grid.coordinates(), axis=-1)

@@ -15,8 +15,6 @@ from nlsmooth.operators import (
     Grid,
     OperatorSpec,
     PhiSpec,
-    interval,
-    rectangle,
     tanh_perturbation,
 )
 from nlsmooth.resolvent import (
@@ -24,7 +22,6 @@ from nlsmooth.resolvent import (
     NonConvergenceError,
     PreconditionError,
     _solve_tridiagonal_stack,
-    resolvent_power,
     solve_resolvent,
     solve_resolvent_batch,
 )
@@ -41,14 +38,14 @@ values_st = arrays(
 
 def _spec(p, bc_kind="dirichlet", phi=None, perturbation=None):
     bc = BoundaryCondition(bc_kind, b=0.7 if bc_kind == "robin" else 0.0)
-    return OperatorSpec(grid=interval(-1.0, 1.0, N_NODES), p=p, bc=bc,
+    return OperatorSpec(grid=Grid(bounds=((-1.0, 1.0),), shape=(N_NODES,)), p=p, bc=bc,
                         phi=phi or PhiSpec.identity(), perturbation=perturbation)
 
 
 def test_linear_resolvent_pin():
     # p=2, n=3 on (0,1): lambda = h^2 makes (I + lambda A) the matrix
     # [[3,-1,0],[-1,3,-1],[0,-1,3]]; solving against e_2 gives (1/7, 3/7, 1/7)
-    spec = OperatorSpec(grid=interval(0.0, 1.0, 3), p=2.0)
+    spec = OperatorSpec(grid=Grid(bounds=((0.0, 1.0),), shape=(3,)), p=2.0)
     h = spec.grid.h[0]
     g = GridFunction(spec.space(), [0.0, 1.0, 0.0])
     out = solve_resolvent(spec, h * h, g, tol=1e-14)
@@ -148,21 +145,6 @@ def test_solver_is_deterministic():
     assert a.residual == b.residual
 
 
-def test_resolvent_power():
-    rng = np.random.default_rng(10)
-    spec = _spec(3.0, "dirichlet")
-    g = GridFunction(spec.space(), rng.standard_normal(N_NODES))
-    assert resolvent_power(spec, 0.1, g, 0).u is g
-    chained = resolvent_power(spec, 0.1, g, 3, tol=SOLVER_TOL)
-    manual = g
-    for _ in range(3):
-        manual = solve_resolvent(spec, 0.1, manual, tol=SOLVER_TOL).u
-    assert lq_norm(chained.u - manual, "inf") <= 1e-12
-    assert chained.converged
-    with pytest.raises(ValueError):
-        resolvent_power(spec, 0.1, g, -1)
-
-
 def test_non_convergence_is_reported():
     spec = _spec(3.0, "dirichlet")
     g = GridFunction(spec.space(), np.ones(N_NODES))
@@ -174,7 +156,7 @@ def test_non_convergence_is_reported():
 
 def test_2d_neumann_solve_contracts():
     rng = np.random.default_rng(11)
-    spec = OperatorSpec(grid=rectangle((-1.0, 1.0), (-1.0, 1.0), 5, 4), p=3.0,
+    spec = OperatorSpec(grid=Grid(bounds=((-1.0, 1.0), (-1.0, 1.0)), shape=(5, 4)), p=3.0,
                         bc=BoundaryCondition.neumann())
     space = spec.space()
     g = GridFunction(space, rng.standard_normal(space.n))
@@ -189,11 +171,11 @@ def test_2d_neumann_solve_contracts():
 BATCH_CASES = {
     "dirichlet": (_spec(3.0, "dirichlet"), 0.3),
     "neumann": (_spec(1.5, "neumann"), 0.3),
-    "robin": (OperatorSpec(grid=interval(-1.0, 1.0, N_NODES), p=3.0,
+    "robin": (OperatorSpec(grid=Grid(bounds=((-1.0, 1.0),), shape=(N_NODES,)), p=3.0,
                            bc=BoundaryCondition.robin(0.5)), 0.3),
     "phi-power": (_spec(2.0, "neumann", phi=PhiSpec.power(2)), 0.3),
     "tanh": (_spec(3.0, "dirichlet", perturbation=tanh_perturbation(0.5)), 0.3),
-    "2d": (OperatorSpec(grid=rectangle((-1.0, 1.0), (-1.0, 1.0), 5, 4), p=3.0,
+    "2d": (OperatorSpec(grid=Grid(bounds=((-1.0, 1.0), (-1.0, 1.0)), shape=(5, 4)), p=3.0,
                         bc=BoundaryCondition.robin(0.5)), 0.2),
     "3d-phi-power": (OperatorSpec(grid=Grid(bounds=((-1.0, 1.0),) * 3, shape=(3, 4, 5)), p=2.0,
                                   bc=BoundaryCondition.neumann(), phi=PhiSpec.power(2)), 0.2),
@@ -217,7 +199,7 @@ def test_degenerate_porous_medium_resolvent_converges_fast(d, max_iterations):
     "1-D grids; this solve needs 7 iterations at n = 31, 112 at n = 961 and at n = 2001 "
     "ends at residual 0.136 after 200 iterations"))
 def test_degenerate_porous_medium_resolvent_converges_on_a_fine_1d_grid():
-    grid = interval(-5.0, 5.0, 2001)
+    grid = Grid(bounds=((-5.0, 5.0),), shape=(2001,))
     spec = OperatorSpec(grid=grid, p=2.0, phi=PhiSpec.power(2), eps_reg=0.0)
     out = solve_resolvent(spec, 0.5, smooth_bump(grid, width=2.0))
     assert out.converged
@@ -280,7 +262,7 @@ def test_batch_members_equal_their_own_solves(case, batch):
 def test_batch_isolates_a_failing_member():
     # member a of pair 8 in contraction_suite(seed=2) at p = 1.5, lambda = 0.01
     # stalls (see test_harness); it must not disturb the members around it
-    spec = OperatorSpec(grid=interval(-1.0, 1.0, 64), p=1.5, bc=BoundaryCondition.dirichlet())
+    spec = OperatorSpec(grid=Grid(bounds=((-1.0, 1.0),), shape=(64,)), p=1.5, bc=BoundaryCondition.dirichlet())
     pairs = np.random.default_rng(2).standard_normal((100, 2, 64))
     G = np.stack([pairs[7, 0], pairs[8, 0], pairs[8, 1], pairs[10, 0]])
     out = solve_resolvent_batch(spec, 0.01, G)

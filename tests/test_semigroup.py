@@ -1,4 +1,4 @@
-"""Implicit Euler evolution: contraction in time, conservation, probe ratios."""
+"""Implicit Euler evolution: contraction in time, conservation, the chained resolvent."""
 
 import csv
 
@@ -12,14 +12,12 @@ from nlsmooth.operators import (
     Grid,
     OperatorSpec,
     PhiSpec,
-    interval,
     tanh_perturbation,
 )
 from nlsmooth.resolvent import NonConvergenceError, solve_resolvent
 from nlsmooth.semigroup import (
     EVOLVE_TOL,
     TimeGrid,
-    exponential_formula_probe,
     evolve,
     trajectory_to_csv,
 )
@@ -27,11 +25,12 @@ from nlsmooth.semigroup import (
 N_NODES = 32
 NORM_SLACK = 1e-9
 ORDER_SLACK = 1e-8
+SOLVER_TOL = 1e-12
 
 
 def _spec(p=3.0, bc_kind="dirichlet", phi=None, perturbation=None):
     bc = BoundaryCondition(bc_kind)
-    return OperatorSpec(grid=interval(-1.0, 1.0, N_NODES), p=p, bc=bc,
+    return OperatorSpec(grid=Grid(bounds=((-1.0, 1.0),), shape=(N_NODES,)), p=p, bc=bc,
                         phi=phi or PhiSpec.identity(), perturbation=perturbation)
 
 
@@ -138,27 +137,16 @@ def test_trajectory_series_access():
     assert np.array_equal(traj.final.values, u.values)
 
 
-def test_probe_gap_ratios_show_first_order_convergence():
-    spec = _spec(p=2.0, bc_kind="dirichlet")
-    records = exponential_formula_probe(spec, _bump(spec), t=0.05, n_list=(8, 16, 32, 64))
-    gaps = [r.gap_l1 for r in records]
-    assert gaps[0] is None
-    ratios = [gaps[i] / gaps[i + 1] for i in range(1, len(gaps) - 1)]
-    for r in ratios:
-        assert 1.5 <= r <= 3.0
-
-
-def test_probe_single_step_matches_resolvent():
+def test_evolve_is_the_chained_resolvent():
+    # (I + (t/n) A)^{-n} g of the exponential formula, t = 0.3, n = 3; the grid's
+    # step 0.3 / 3 is one ulp below 0.1, so the chain takes tg.dt
     spec = _spec(p=3.0)
-    u0 = _bump(spec)
-    records = exponential_formula_probe(spec, u0, t=0.1, n_list=(1,), tol=1e-13)
-    direct = solve_resolvent(spec, 0.1, u0, tol=1e-13).u
-    assert lq_norm(records[0].u - direct, "inf") <= 1e-12
-    assert records[0].gap_l1 is None
-    with pytest.raises(ValueError):
-        exponential_formula_probe(spec, u0, t=0.0)
-    with pytest.raises(ValueError):
-        exponential_formula_probe(spec, u0, t=0.1, n_list=(0, 4))
+    g = GridFunction(spec.space(), np.random.default_rng(10).standard_normal(N_NODES))
+    tg = TimeGrid(0.3, 3)
+    manual = g
+    for _ in range(3):
+        manual = solve_resolvent(spec, tg.dt, manual, tol=SOLVER_TOL).u
+    assert np.array_equal(evolve(spec, g, tg, tol=SOLVER_TOL).final.values, manual.values)
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
