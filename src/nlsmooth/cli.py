@@ -129,11 +129,7 @@ def _cmd_simulate(args):
         print("error: simulate needs --config and --out", file=sys.stderr)
         return 2
     config = _load_config(args.config)
-    spec = harness.spec_from_config(config)
-    tg = harness.time_grid_from_config(config)
-    exp = harness._section(config, "experiment", *harness._DECAY_KEYS)
-    seed = args.seed if args.seed is not None else exp.get("seed", 0)
-    u0 = harness.initial_condition(exp["initial"], spec.grid, seed=seed)  # checks the recipe keys
+    spec, tg, u0, exp, _, _ = harness.decay_setup(config, seed=args.seed)
     if args.seed is not None and exp["initial"].get("kind") != "random":
         raise ValueError("simulate --seed needs a random experiment.initial; this one draws no random numbers")
     traj = evolve(spec, u0, tg)

@@ -36,7 +36,7 @@ from .operators import (
     tanh_perturbation,
 )
 from .resolvent import solve_resolvent_batch
-from .semigroup import RECORDED_NORMS, TimeGrid, evolve
+from .semigroup import RECORDED_NORMS, TimeGrid, _is_real, evolve
 
 BOUNDARY_GUARD_CELLS = 5
 MASS_GUARD = 1e-6  # share of ||u0||_1 that may leave through the boundary inside a fit window
@@ -156,8 +156,13 @@ def spec_from_config(config):
 
 
 def time_grid_from_config(config):
-    t = _section(config, "time", ("t_end", "n_steps"))
-    return TimeGrid(t_end=float(t["t_end"]), n_steps=int(t["n_steps"]))
+    """The TimeGrid of the time section: t_end, n_steps and the optional
+    geometric first step t_first. A ValueError names the bad key."""
+    t = _section(config, "time", ("t_end", "n_steps"), ("t_first",))
+    try:
+        return TimeGrid(**t)
+    except ValueError as exc:  # TimeGrid names the field
+        raise ValueError(f"config time.{exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +290,8 @@ def fit_power_law(times, values, window, n_samples=FIT_SAMPLES, min_points=MIN_F
 
 def predicted_alpha(predicted):
     """Resolve a predicted-decay source: {"value": x} or an exponent query."""
+    if not isinstance(predicted, dict):
+        raise ValueError(f"config experiment.predicted must be {{'value': x}} or an exponent query, got {predicted!r}")
     if "value" in predicted:
         return float(predicted["value"])
     out = exponents_from_query(predicted)
@@ -365,7 +372,7 @@ def default_decay_config(p=3.0, name=None):
         "operator": {"p": p, "bc": "dirichlet", "eps_reg": 1e-8},
         "phi": {"kind": "identity"},
         "perturbation": {"kind": "none"},
-        "time": {"t_end": 50.0, "n_steps": 4000},
+        "time": {"t_end": 50.0, "n_steps": 250, "t_first": 1e-3},
         "experiment": {
             "name": name or f"decay-p{p:g}",
             # narrow release so the flow is close to self-similar by t = 0.5
@@ -375,7 +382,6 @@ def default_decay_config(p=3.0, name=None):
             "tolerance": DEFAULT_TOLERANCE,
             "r2_min": DEFAULT_R2_MIN,
             "norm": "inf",
-            "seed": 0,
         },
     }
 
@@ -387,7 +393,7 @@ def default_pme_config():
         "operator": {"p": 2.0, "bc": "dirichlet", "eps_reg": 1e-8},
         "phi": {"kind": "power", "m": 2.0},
         "perturbation": {"kind": "none"},
-        "time": {"t_end": 50.0, "n_steps": 4000},
+        "time": {"t_end": 50.0, "n_steps": 250, "t_first": 1e-3},
         "experiment": {
             "name": "decay-pme-m2",
             "initial": {"kind": "bump", "center": 0.0, "width": 0.5, "normalize": "l1"},
@@ -396,7 +402,6 @@ def default_pme_config():
             "tolerance": 0.20,
             "r2_min": DEFAULT_R2_MIN,
             "norm": "inf",
-            "seed": 0,
         },
     }
     return cfg
@@ -410,6 +415,33 @@ def _recorded_norm(norm):
     return float(q)
 
 
+def decay_setup(config, seed=None):
+    """Check every value of a decay config and build the state its flow starts from.
+
+    Returns (spec, time grid, u0, experiment section, predicted alpha, the q
+    of the fitted norm). A ValueError names the bad key before any step runs.
+    seed overrides experiment.seed; experiment.seed is refused unless the
+    experiment.initial recipe is random, the only one that reads it.
+    """
+    spec = spec_from_config(config)
+    tg = time_grid_from_config(config)
+    exp = _section(config, "experiment", *_DECAY_KEYS)
+    alpha_pred = predicted_alpha(exp["predicted"])
+    norm_q = _recorded_norm(exp.get("norm", "inf"))
+    window = exp["window"]
+    if not (isinstance(window, list) and len(window) == 2 and all(map(_is_real, window))
+            and 0.0 < window[0] < window[1] < math.inf):
+        raise ValueError(f"config experiment.window must be two numbers 0 < lo < hi, got {window!r}")
+    for key in ("tolerance", "r2_min"):
+        if key in exp and not _is_real(exp[key]):
+            raise ValueError(f"config experiment.{key} must be a number, got {exp[key]!r}")
+    u0 = initial_condition(exp["initial"], spec.grid, seed=exp.get("seed", 0) if seed is None else seed)
+    if "seed" in exp and exp["initial"].get("kind") != "random":
+        raise ValueError("config experiment.seed is read only by a random experiment.initial; "
+                         f"this one is {exp['initial'].get('kind', 'bump')!r}")
+    return spec, tg, u0, exp, alpha_pred, norm_q
+
+
 def run_decay_experiment(config, tol=None):
     """Evolve the configured flow and fit the sup-norm decay exponent.
 
@@ -418,14 +450,9 @@ def run_decay_experiment(config, tol=None):
     The flow must have f = 0: the predicted exponents assume it, and the
     window guard reads a change of mass as mass leaving through the boundary.
     """
-    spec = spec_from_config(config)
+    spec, tg, u0, exp, alpha_pred, norm_q = decay_setup(config)
     if spec.perturbation is not None:
         raise ValueError("config perturbation.kind must be 'none' in a decay experiment")
-    tg = time_grid_from_config(config)
-    exp = _section(config, "experiment", *_DECAY_KEYS)
-    alpha_pred = predicted_alpha(exp["predicted"])  # a bad query fails before the flow runs
-    norm_q = _recorded_norm(exp.get("norm", "inf"))
-    u0 = initial_condition(exp["initial"], spec.grid, seed=exp.get("seed", 0))
     traj = evolve(spec, u0, tg)
     lo, hi, info = usable_window(traj, exp["window"])
     fit = fit_power_law(traj.times, traj.norm_series(norm_q), (lo, hi))
@@ -471,7 +498,7 @@ def default_barenblatt_config():
     }
 
 
-def _barenblatt_error(spec, n_steps, t0, t1):
+def _barenblatt_error(spec, tg, t0, t1):
     """Relative L^1 error at t1 of the flow started from the source solution at t0."""
     p = spec.p
     half_width = 0.5 * min(hi - lo for lo, hi in spec.grid.bounds)
@@ -483,7 +510,7 @@ def _barenblatt_error(spec, n_steps, t0, t1):
             f"(half width {half_width:g})"
         )
     u0 = barenblatt_on_grid(spec.grid, p, t0)
-    traj = evolve(spec, u0, TimeGrid(t_end=t1 - t0, n_steps=n_steps))
+    traj = evolve(spec, u0, tg)
     exact = barenblatt_on_grid(spec.grid, p, t1)
     return lq_norm(traj.final - exact, 1) / lq_norm(exact, 1)
 
@@ -503,7 +530,7 @@ def barenblatt_comparison(config=None, refinement=True):
     if not abs(tg.t_end - (t1 - t0)) <= 1e-12 * abs(t1 - t0):
         raise ValueError(f"config time.t_end = {tg.t_end:g} must equal experiment.t1 - experiment.t0 = {t1 - t0:g}")
     shape, n_steps = spec.grid.shape, tg.n_steps
-    err_fine = _barenblatt_error(spec, n_steps, t0, t1)
+    err_fine = _barenblatt_error(spec, tg, t0, t1)
     metrics = {
         "rel_l1_error": err_fine,
         "rel_l1_max": exp["rel_l1_max"],
@@ -515,7 +542,7 @@ def barenblatt_comparison(config=None, refinement=True):
     passed = err_fine <= float(exp["rel_l1_max"])
     if refinement:
         coarse = Grid(bounds=spec.grid.bounds, shape=tuple(max(3, (s + 1) // 2) for s in shape))
-        err_coarse = _barenblatt_error(replace(spec, grid=coarse), max(1, n_steps // 2), t0, t1)
+        err_coarse = _barenblatt_error(replace(spec, grid=coarse), replace(tg, n_steps=max(1, n_steps // 2)), t0, t1)
         ratio = err_coarse / err_fine if err_fine > 0 else float("inf")
         metrics["rel_l1_error_coarse"] = err_coarse
         metrics["refinement_ratio"] = ratio

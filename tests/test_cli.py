@@ -190,6 +190,13 @@ def _misspell(section, old, new):
         (lambda cfg: _misspell(cfg["experiment"], "initial", "intial"), [], "config has unknown key experiment.intial"),
         (lambda cfg: _misspell(cfg["experiment"]["initial"], "width", "widht"), [],
          "config has unknown key experiment.initial.widht"),
+        (lambda cfg: cfg["experiment"].update(norm=3), [], "config experiment.norm must be 1, 2 or 'inf', got 3"),
+        (lambda cfg: cfg["experiment"].update(window=["a"]), [],
+         "config experiment.window must be two numbers 0 < lo < hi, got ['a']"),
+        (lambda cfg: cfg["experiment"].update(predicted="plaplace"), [],
+         "config experiment.predicted must be {'value': x} or an exponent query, got 'plaplace'"),
+        (lambda cfg: cfg["experiment"].update(seed=5), [],
+         "config experiment.seed is read only by a random experiment.initial; this one is 'bump'"),
     ],
 )
 def test_simulate_checks_the_experiment_section(tmp_path, monkeypatch, capsys, edit, extra, message):
@@ -227,16 +234,23 @@ def test_simulate_seed_draws_a_random_initial_state(tmp_path, capsys):
         (lambda cfg: cfg["experiment"].update(norm="L2"), "config experiment.norm must be 1, 2 or 'inf', got 'L2'"),
         (lambda cfg: cfg["experiment"]["initial"].update(normalize="L1"),
          "config experiment.initial.normalize must be 'l1', got 'L1'"),
+        (lambda cfg: cfg["experiment"].update(window=[4.0, 0.25]),
+         "config experiment.window must be two numbers 0 < lo < hi, got [4.0, 0.25]"),
+        (lambda cfg: cfg["experiment"].update(tolerance="0.1"),
+         "config experiment.tolerance must be a number, got '0.1'"),
+        (lambda cfg: cfg["experiment"].update(seed=0),
+         "config experiment.seed is read only by a random experiment.initial; this one is 'bump'"),
     ],
 )
-def test_verify_decay_refuses_a_bad_value_before_any_step(tmp_path, monkeypatch, capsys, edit, message):
+@pytest.mark.parametrize("suite", ["decay", "pme"])
+def test_verify_decay_refuses_a_bad_value_before_any_step(tmp_path, monkeypatch, capsys, suite, edit, message):
     # values, unlike keys, are read by the suite itself, so the flow is what must not run
     monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
     cfg = _smoke_config()
     edit(cfg)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(_jsonable(cfg)))
-    code, out, err = run_cli(capsys, ["verify", "decay", "--config", str(cfg_path)])
+    code, out, err = run_cli(capsys, ["verify", suite, "--config", str(cfg_path)])
     assert code == 2 and out == ""
     assert message in err and "Traceback" not in err
 
@@ -388,6 +402,20 @@ def test_a_bad_experiment_key_exits_2_naming_it(tmp_path, monkeypatch, capsys, s
         (lambda cfg: cfg["operator"].update(pp=cfg["operator"].pop("p")), "config has unknown key operator.pp"),
         (lambda cfg: cfg["grid"].update(spacing=0.08), "config has unknown key grid.spacing"),
         (lambda cfg: cfg["time"].update(dt=0.025), "config has unknown key time.dt"),
+        (lambda cfg: cfg["time"].update(n_steps=400.7), "config time.n_steps must be an integer >= 1, got 400.7"),
+        (lambda cfg: cfg["time"].update(n_steps=True), "config time.n_steps must be an integer >= 1, got True"),
+        (lambda cfg: cfg["time"].update(t_end="50"), "config time.t_end must be a positive finite number, got '50'"),
+        (lambda cfg: cfg["time"].update(t_end=True), "config time.t_end must be a positive finite number, got True"),
+        (lambda cfg: cfg["time"].update(t_first=60),
+         "config time.t_first must be a finite number with 0 < t_first < t_end = 4, got 60"),
+        (lambda cfg: cfg["time"].update(t_first=0),
+         "config time.t_first must be a finite number with 0 < t_first < t_end = 4, got 0"),
+        (lambda cfg: cfg["time"].update(t_first="inf"),
+         "config time.t_first must be a finite number with 0 < t_first < t_end = 4, got inf"),
+        (lambda cfg: cfg["time"].update(t_first="1e-3"),
+         "config time.t_first must be a finite number with 0 < t_first < t_end = 4, got '1e-3'"),
+        (lambda cfg: cfg["time"].update(t_first=1e-3, n_steps=1),
+         "config time.n_steps must be >= 2 on a grid graded from t_first, got 1"),
         (lambda cfg: cfg.update(phi={"kind": "power"}), "config lacks phi.m"),
         (lambda cfg: cfg.update(phi={"kind": "identity", "m": 2.0}), "config has unknown key phi.m"),
         (lambda cfg: cfg.update(perturbation={"kind": "linear"}), "config lacks perturbation.coeff"),
@@ -442,6 +470,16 @@ def test_shipped_configs_match_defaults():
     for fname, default in pairs:
         loaded = _load_config(CONFIG_DIR / fname)
         assert harness.config_hash(loaded) == harness.config_hash(default), fname
+
+
+@pytest.mark.parametrize("fname, rel_err_max", [("p3_d1.json", 1e-3), ("pme_m2.json", 5e-3)])
+def test_shipped_decay_configs_fit_from_at_most_250_graded_steps(fname, rel_err_max):
+    cfg = _load_config(CONFIG_DIR / fname)
+    assert cfg["time"]["n_steps"] <= 250 and "t_first" in cfg["time"]
+    rep = harness.run_decay_experiment(cfg)
+    m = rep.metrics
+    assert rep.passed and m["rel_err"] <= rel_err_max and m["r2"] >= 0.99999
+    assert m["window_used"] == m["window_requested"] == [0.5, 50.0]
 
 
 def test_cli_stdout_is_byte_identical_across_runs():

@@ -437,6 +437,21 @@ def test_decay_experiment_reads_only_a_recorded_norm(monkeypatch):
     assert [harness._recorded_norm(q) for q in (1, 2.0, "inf")] == [1.0, 2.0, INF]
 
 
+def test_decay_setup_reads_experiment_seed_only_for_a_random_recipe(monkeypatch):
+    monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
+    cfg = _smoke_decay_config()
+    cfg["experiment"]["seed"] = 5
+    message = "config experiment.seed is read only by a random experiment.initial; this one is 'bump'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        harness.run_decay_experiment(cfg)
+    cfg["experiment"]["initial"] = {"kind": "random", "n_modes": 2}
+    u5 = harness.decay_setup(cfg)[2]
+    cfg["experiment"]["seed"] = 6
+    u6 = harness.decay_setup(cfg)[2]
+    assert not np.array_equal(u5.values, u6.values)
+    assert np.array_equal(harness.decay_setup(cfg, seed=5)[2].values, u5.values)  # seed overrides experiment.seed
+
+
 def test_barenblatt_comparison_smoke():
     cfg = {
         "grid": {"bounds": [[-6.0, 6.0]], "shape": [301]},
@@ -483,6 +498,20 @@ def test_barenblatt_comparison_reads_t_end(monkeypatch):
     cfg["time"]["t_end"] = 7.0  # t1 - t0 is 1
     with pytest.raises(ValueError, match=r"time\.t_end = 7 must equal experiment\.t1 - experiment\.t0 = 1"):
         harness.barenblatt_comparison(cfg)
+
+
+def test_barenblatt_comparison_runs_on_the_configured_time_grid(monkeypatch):
+    grids = []
+
+    def record(spec, u0, tg):
+        grids.append(tg)
+        return Trajectory(*([np.zeros(1)] * 5), final=u0)
+
+    monkeypatch.setattr(harness, "evolve", record)
+    cfg = harness.default_barenblatt_config()
+    cfg["time"]["t_first"] = 1e-3
+    harness.barenblatt_comparison(cfg)
+    assert grids == [semigroup.TimeGrid(1.0, 400, t_first=1e-3), semigroup.TimeGrid(1.0, 200, t_first=1e-3)]
 
 
 def test_contraction_suite_is_thread_invariant():

@@ -1,6 +1,8 @@
 """Implicit Euler evolution: contraction in time, conservation, the chained resolvent."""
 
 import csv
+import math
+import re
 
 import numpy as np
 import pytest
@@ -43,10 +45,59 @@ def test_time_grid_basics():
     tg = TimeGrid(t_end=2.0, n_steps=8)
     assert tg.dt == 0.25
     assert np.allclose(tg.times(), np.linspace(0.0, 2.0, 9))
-    with pytest.raises(ValueError):
-        TimeGrid(t_end=0.0, n_steps=4)
-    with pytest.raises(ValueError):
-        TimeGrid(t_end=1.0, n_steps=0)
+
+
+@pytest.mark.parametrize("t_end, n_steps", [(2.0, 8), (0.3, 3), (1.0, 7), (50.0, 4000)])
+def test_uniform_steps_are_bitwise_the_one_step(t_end, n_steps):
+    tg = TimeGrid(t_end, n_steps)
+    steps = tg.steps()
+    assert steps.shape == (n_steps,)
+    assert np.all(steps == t_end / n_steps) and np.all(steps == tg.dt)
+    assert math.fsum(steps) == pytest.approx(t_end, rel=1e-14)
+
+
+@pytest.mark.parametrize("t_end, n_steps, t_first",
+                         [(50.0, 250, 1e-3), (50.0, 125, 1e-3), (1.0, 3, 0.3), (7.3, 40, 1e-6)])
+def test_graded_time_grid(t_end, n_steps, t_first):
+    tg = TimeGrid(t_end, n_steps, t_first=t_first)
+    t = tg.times()
+    assert t.shape == (n_steps + 1,)
+    assert t[0] == 0.0 and t[1] == t_first and t[-1] == t_end
+    assert np.all(np.diff(t) > 0.0)
+    steps = tg.steps()
+    assert np.array_equal(steps, np.diff(t))
+    ratios = steps[2:] / steps[1:-1]  # geometric after the first step
+    assert np.allclose(ratios, (t_end / t_first) ** (1.0 / (n_steps - 1)), rtol=1e-9)
+    # each time after t_first is at most twice the one before, so every difference of
+    # times is exact (Sterbenz) and the steps sum to t_end without roundoff
+    assert ratios[0] <= 2.0 and math.fsum(steps) == t_end
+    with pytest.raises(ValueError, match="no single step size"):
+        tg.dt
+
+
+_BAD_T_FIRST = "t_first must be a finite number with 0 < t_first < t_end = 1, got "
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(t_end=0.0, n_steps=4), "t_end must be a positive finite number, got 0.0"),
+        (dict(t_end=math.inf, n_steps=4), "t_end must be a positive finite number, got inf"),
+        (dict(t_end="50", n_steps=4), "t_end must be a positive finite number, got '50'"),
+        (dict(t_end=True, n_steps=4), "t_end must be a positive finite number, got True"),
+        (dict(t_end=1.0, n_steps=0), "n_steps must be an integer >= 1, got 0"),
+        (dict(t_end=1.0, n_steps=400.7), "n_steps must be an integer >= 1, got 400.7"),
+        (dict(t_end=1.0, n_steps=True), "n_steps must be an integer >= 1, got True"),
+        (dict(t_end=1.0, n_steps=4, t_first=1.0), _BAD_T_FIRST + "1.0"),
+        (dict(t_end=1.0, n_steps=4, t_first=0.0), _BAD_T_FIRST + "0.0"),
+        (dict(t_end=1.0, n_steps=4, t_first=math.nan), _BAD_T_FIRST + "nan"),
+        (dict(t_end=1.0, n_steps=4, t_first="0.1"), _BAD_T_FIRST + "'0.1'"),
+        (dict(t_end=1.0, n_steps=1, t_first=0.1), "n_steps must be >= 2 on a grid graded from t_first, got 1"),
+    ],
+)
+def test_time_grid_names_a_bad_field(kwargs, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        TimeGrid(**kwargs)
 
 
 def test_zero_initial_state_stays_zero():
@@ -137,16 +188,20 @@ def test_trajectory_series_access():
     assert np.array_equal(traj.final.values, u.values)
 
 
-def test_evolve_is_the_chained_resolvent():
-    # (I + (t/n) A)^{-n} g of the exponential formula, t = 0.3, n = 3; the grid's
-    # step 0.3 / 3 is one ulp below 0.1, so the chain takes tg.dt
+@pytest.mark.parametrize("tg", [TimeGrid(0.3, 3), TimeGrid(0.5, 6, t_first=1e-3)], ids=["uniform", "graded"])
+def test_evolve_is_the_chained_resolvent(tg):
+    # uniform: (I + (t/n) A)^{-n} g of the exponential formula, t = 0.3, n = 3; the
+    # grid's step 0.3 / 3 is one ulp below 0.1, so the chain takes the grid's steps
     spec = _spec(p=3.0)
     g = GridFunction(spec.space(), np.random.default_rng(10).standard_normal(N_NODES))
-    tg = TimeGrid(0.3, 3)
-    manual = g
-    for _ in range(3):
-        manual = solve_resolvent(spec, tg.dt, manual, tol=SOLVER_TOL).u
-    assert np.array_equal(evolve(spec, g, tg, tol=SOLVER_TOL).final.values, manual.values)
+    manual, linf = g, [lq_norm(g, "inf")]
+    for lam in tg.steps():
+        manual = solve_resolvent(spec, float(lam), manual, tol=SOLVER_TOL).u
+        linf.append(lq_norm(manual, "inf"))
+    traj = evolve(spec, g, tg, tol=SOLVER_TOL)
+    assert np.array_equal(traj.final.values, manual.values)
+    assert np.array_equal(traj.norm_linf, linf)
+    assert np.array_equal(traj.times, tg.times())
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
