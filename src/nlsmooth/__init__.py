@@ -6,7 +6,6 @@ from .exponents import (
     ConditionError,
     ExponentTriple,
     GNParams,
-    IterationParams,
     IterationResult,
     SExponents,
     StarExponents,
@@ -14,7 +13,6 @@ from .exponents import (
     doubly_nonlinear_exponents,
     dtn_exponents,
     extrapolate_to_infinity,
-    extrapolate_to_s,
     fractional_exponents,
     iteration_sequence,
     moser_exponents,
@@ -46,17 +44,10 @@ from .harness import (
 from .measure import (
     DiscreteSpace,
     GridFunction,
-    absolute,
-    inf,
     lq_norm,
     lq_norm_rows,
     mass,
-    negative_part,
-    positive_part,
     q_bracket,
-    save_grid_function,
-    load_grid_function,
-    sup,
 )
 from .operators import (
     BoundaryCondition,

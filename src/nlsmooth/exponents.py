@@ -47,11 +47,10 @@ def _positive(*terms):
     return sum(terms) > 1e-12 * sum(abs(t) for t in terms)
 
 
-def _require(conditions, name, ok, message, strict=True):
+def _require(conditions, name, ok, message):
     conditions[name] = bool(ok)
-    if strict and not ok:
+    if not ok:
         raise ConditionError(name, message, conditions)
-    return bool(ok)
 
 
 @dataclass(frozen=True)
@@ -120,43 +119,16 @@ class SExponents:
     beta_s: float
     gamma_s: float
     theta_s: float
-    constant_s: float | None = None
     case: str = ""
     star: StarExponents | None = None
     conditions: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
-class IterationParams:
-    """Parameters of the Lebesgue-scale iteration m_{k+1} = kappa m_k - (r/kappa)(gamma - 1)."""
-
-    kappa: float
-    r: float
-    gamma: float
-    m0: float
-
-    def __post_init__(self):
-        if not (self.kappa > 1.0 and math.isfinite(self.kappa)):
-            raise ValueError(f"kappa must satisfy kappa > 1, got {self.kappa}")
-        for name in ("r", "gamma", "m0"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-
-    @property
-    def seed_coefficient(self):
-        # (kappa - 1) m0 + (r/kappa)(1 - gamma); positivity <=> strict growth
-        k = self.kappa
-        return (k - 1.0) * self.m0 + (self.r / k) * (1.0 - self.gamma)
-
-    @property
-    def increasing(self):
-        return self.seed_coefficient > 0.0
-
-
-@dataclass(frozen=True)
 class IterationResult:
-    params: IterationParams
+    """An orbit of x_{k+1} = kappa x_k + c: its terms, their closed form, the
+    strict-monotonicity flag and the growth limit lim x_k / kappa^k."""
+
     values: tuple
     closed_form: tuple
     increasing: bool
@@ -170,8 +142,6 @@ def smoothing_exponents(params):
     constant is (c/q)^{1/sigma}. The estimate it parametrizes is
     ||T_t u - T_t v||_r <= K t^{-alpha} e^{omega beta t} ||u - v||_q^{gamma}.
     """
-    if not isinstance(params, GNParams):
-        params = GNParams(*params)
     alpha = 1.0 / params.sigma
     gamma = (params.q + params.rho) / params.sigma
     beta = gamma + 1.0
@@ -179,14 +149,14 @@ def smoothing_exponents(params):
     return ExponentTriple(alpha=alpha, beta=beta, gamma=gamma, constant=constant)
 
 
-def extrapolate_to_infinity(q, r, gamma, alpha, beta, m0, strict=True):
+def extrapolate_to_infinity(q, r, gamma, alpha, beta, m0):
     """Iterate a q -> r estimate along the Lebesgue scale up to L^inf.
 
     Requires a finite r with gamma*r > q (strict), a seed m0 >= q/gamma and
     a positive denominator D = (gamma*r/q - 1)*m0 + q*(1/gamma - 1). The
     result bounds the L^inf norm by the L^pivot norm, pivot = gamma*r*m0/q.
-    With strict=False a violated condition yields valid=False instead of
-    raising, with every condition reported by name.
+    A violated condition raises ConditionError, with every condition
+    evaluated so far reported by name.
     """
     for name, v in (("q", q), ("gamma", gamma), ("alpha", alpha), ("beta", beta), ("m0", m0)):
         if not (math.isfinite(v)):
@@ -199,33 +169,28 @@ def extrapolate_to_infinity(q, r, gamma, alpha, beta, m0, strict=True):
         raise ValueError(f"r must satisfy 1 <= r < inf, got {r}")
 
     conditions = {}
-    ok = _require(
+    _require(
         conditions,
         "gamma_r_gt_q",
         gamma * r > q,
         f"need gamma*r > q strictly, got gamma*r = {gamma * r} vs q = {q}",
-        strict,
     )
     # multiplicative form with a roundoff slack: the boundary m0 = q/gamma is
     # admissible and is hit exactly (in real arithmetic) by the default seeds
-    ok &= _require(
+    _require(
         conditions,
         "m0_ge_q_over_gamma",
         m0 * gamma >= q * (1.0 - 1e-12),
         f"need m0 >= q/gamma = {q / gamma}, got m0 = {m0}",
-        strict,
     )
     kappa_ratio = gamma * r / q
     D = (kappa_ratio - 1.0) * m0 + q * (1.0 / gamma - 1.0)
-    ok &= _require(
+    _require(
         conditions,
         "denominator_positive",
         _positive((kappa_ratio - 1.0) * m0, q * (1.0 / gamma - 1.0)),
         f"need (gamma*r/q - 1)*m0 + q*(1/gamma - 1) > 0, got {D}",
-        strict,
     )
-    if not ok:
-        return StarExponents(None, None, None, m0, None, False, conditions)
 
     alpha_star = alpha * q / (gamma * D)
     gamma_star = (kappa_ratio - 1.0) * m0 / D
@@ -243,72 +208,13 @@ def extrapolate_to_infinity(q, r, gamma, alpha, beta, m0, strict=True):
     return StarExponents(alpha_star, beta_star, gamma_star, m0, pivot, True, conditions)
 
 
-def extrapolate_to_s(q, r, gamma, alpha, beta, s, c=1.0):
-    """Lower the source norm of a q -> r estimate to L^s, 1 <= s < q.
-
-    Interpolation against the L^s contraction gives, with
-    theta_s = (r-q)s / (q(r-s)) for finite r and theta_s = s/q at r = inf,
-
-        alpha_s = alpha / (1 - gamma(1 - theta_s)),
-        beta_s  = (beta/2 + gamma theta_s) / (1 - gamma(1 - theta_s)),
-        gamma_s = gamma theta_s / (1 - gamma(1 - theta_s)),
-
-    valid when gamma(1 - theta_s) < 1. The constant amplifies to
-    (c 2^{alpha_s})^{1/(1 - gamma(1 - theta_s))}.
-    """
-    if not (1.0 <= q < INF):
-        raise ValueError(f"q must satisfy 1 <= q < inf, got {q}")
-    if not (q < r):
-        raise ValueError(f"r must exceed q, got r = {r} vs q = {q}")
-    if gamma <= 0.0 or alpha <= 0.0:
-        raise ValueError(f"need gamma > 0 and alpha > 0, got gamma={gamma}, alpha={alpha}")
-    conditions = {}
-    _require(
-        conditions,
-        "s_below_q",
-        1.0 <= s < q,
-        f"need 1 <= s < q = {q}, got s = {s}",
-    )
-    theta_s = s / q if r == INF else (r - q) * s / (q * (r - s))
-    return _lower_source(s, theta_s, alpha, beta, gamma, conditions, "gamma_condition", "gamma*(1 - theta_s)",
-                         case="source-interpolation", c=c)
-
-
-def _lower_source(s, theta, alpha, beta, gamma, conditions, name, what, case, star=None, c=None):
-    """The source-lowering step both reductions share.
-
-    den = 1 - gamma(1 - theta) must be positive, under the condition name
-    (what spells gamma(1 - theta) in the message). Then alpha_s = alpha/den,
-    beta_s = (beta/2 + gamma theta)/den, gamma_s = gamma theta/den and, for
-    a constant c, constant_s = (c 2^{alpha_s})^{1/den}.
-    """
-    den = 1.0 - gamma * (1.0 - theta)
-    _require(
-        conditions,
-        name,
-        _positive(1.0, -gamma * (1.0 - theta)),
-        f"need {what} < 1, got {gamma * (1.0 - theta)}",
-    )
-    alpha_s = alpha / den
-    return SExponents(
-        s=float(s),
-        alpha_s=alpha_s,
-        beta_s=(beta / 2.0 + gamma * theta) / den,
-        gamma_s=gamma * theta / den,
-        theta_s=theta,
-        constant_s=None if c is None else (c * 2.0**alpha_s) ** (1.0 / den),
-        case=case,
-        star=star,
-        conditions=conditions,
-    )
-
-
 def _reduce_star_to_s(star, s, case, conditions=None):
-    """Shared source-lowering step from the pivot norm of a star estimate.
+    """The source-lowering step of every theorem, from the pivot norm of a star estimate.
 
-    theta_s = s/pivot; the reduction reuses the interpolation formulas with
-    the star triple in place of (alpha, beta, gamma). s = pivot returns the
-    star exponents unchanged.
+    Interpolation against the L^s contraction with theta_s = s/pivot needs
+    den = 1 - gamma*(1 - theta_s) > 0, and gives alpha_s = alpha*/den,
+    beta_s = (beta*/2 + gamma* theta_s)/den and gamma_s = gamma* theta_s/den.
+    s = pivot returns the star exponents unchanged.
     """
     conditions = dict(conditions or {})
     _require(
@@ -317,63 +223,73 @@ def _reduce_star_to_s(star, s, case, conditions=None):
         1.0 <= s <= star.pivot,
         f"need 1 <= s <= {star.pivot}, got s = {s}",
     )
-    return _lower_source(s, s / star.pivot, star.alpha_star, star.beta_star, star.gamma_star, conditions,
-                         "gamma_star_condition", "gamma_star*(1 - s/pivot)", case=case, star=star)
+    theta, gamma = s / star.pivot, star.gamma_star
+    den = 1.0 - gamma * (1.0 - theta)
+    _require(
+        conditions,
+        "gamma_star_condition",
+        _positive(1.0, -gamma * (1.0 - theta)),
+        f"need gamma_star*(1 - s/pivot) < 1, got {gamma * (1.0 - theta)}",
+    )
+    return SExponents(
+        s=float(s),
+        alpha_s=star.alpha_star / den,
+        beta_s=(star.beta_star / 2.0 + gamma * theta) / den,
+        gamma_s=gamma * theta / den,
+        theta_s=theta,
+        case=case,
+        star=star,
+        conditions=conditions,
+    )
 
 
-def iteration_sequence(kappa, r, gamma, m0, n):
-    """Orbit of m_{k+1} = kappa m_k - (r/kappa)(gamma - 1) with its closed form.
+def _check_kappa(kappa):
+    if not (kappa > 1.0 and math.isfinite(kappa)):
+        raise ValueError(f"kappa must satisfy kappa > 1, got {kappa}")
+
+
+def _affine_orbit(kappa, c, x0, n):
+    """Orbit of x_{k+1} = kappa x_k + c with its closed form.
 
     Returns the first n+1 terms, the closed-form values
 
-        m_k = kappa^k [ (kappa-1) m0 + (r/kappa)(1-gamma) ] / (kappa-1)
-              - (r/kappa)(1-gamma)/(kappa-1),
+        x_k = kappa^k [ (kappa-1) x0 + c ] / (kappa-1) - c/(kappa-1),
 
     the strict-monotonicity flag (positivity of the bracketed seed
-    coefficient) and the growth limit lim m_k / kappa^k.
+    coefficient) and the growth limit lim x_k / kappa^k.
     """
-    params = IterationParams(kappa=kappa, r=r, gamma=gamma, m0=m0)
     n = int(n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    k, shift = params.kappa, (params.r / params.kappa) * (1.0 - params.gamma)
-    values = [float(m0)]
+    values = [float(x0)]
     for _ in range(n):
-        values.append(k * values[-1] - (params.r / k) * (params.gamma - 1.0))
-    coeff = params.seed_coefficient / (k - 1.0)
-    offset = shift / (k - 1.0)
-    closed = [coeff * k**j - offset for j in range(n + 1)]
+        values.append(kappa * values[-1] + c)
+    seed = (kappa - 1.0) * x0 + c
+    coeff = seed / (kappa - 1.0)
+    offset = c / (kappa - 1.0)
     return IterationResult(
-        params=params,
         values=tuple(values),
-        closed_form=tuple(closed),
-        increasing=params.increasing,
+        closed_form=tuple(coeff * kappa**j - offset for j in range(n + 1)),
+        increasing=seed > 0.0,
         growth_limit=coeff,
     )
+
+
+def iteration_sequence(kappa, r, gamma, m0, n):
+    """Orbit of m_{k+1} = kappa m_k - (r/kappa)(gamma - 1), the Lebesgue-scale iteration."""
+    _check_kappa(kappa)
+    for name, v in (("r", r), ("gamma", gamma), ("m0", m0)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    return _affine_orbit(kappa, (r / kappa) * (1.0 - gamma), m0, n)
 
 
 def moser_q_sequence(kappa, m, p, q0, n):
-    """Orbit of q_{k+1} = kappa q_k + p - 1 - 1/m with its closed form."""
-    if not (kappa > 1.0 and math.isfinite(kappa)):
-        raise ValueError(f"kappa must satisfy kappa > 1, got {kappa}")
+    """Orbit of q_{k+1} = kappa q_k + p - 1 - 1/m, the Moser iteration."""
+    _check_kappa(kappa)
     if m <= 0.0:
         raise ValueError(f"m must be positive, got {m}")
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    c = p - 1.0 - 1.0 / m
-    values = [float(q0)]
-    for _ in range(n):
-        values.append(kappa * values[-1] + c)
-    coeff = q0 + c / (kappa - 1.0)
-    closed = [coeff * kappa**j - c / (kappa - 1.0) for j in range(n + 1)]
-    return IterationResult(
-        params=IterationParams(kappa=kappa, r=0.0, gamma=1.0, m0=q0),
-        values=tuple(values),
-        closed_form=tuple(closed),
-        increasing=coeff * (kappa - 1.0) > 0.0,
-        growth_limit=coeff,
-    )
+    return _affine_orbit(kappa, p - 1.0 - 1.0 / m, q0, n)
 
 
 def _moser_beta_series(kappa, m, p, q0, rel_tol=1e-12, max_terms=20000):
@@ -413,8 +329,7 @@ def moser_exponents(kappa, m, p, q0, s=1.0):
     with S the iterated-constant series summed numerically. The source norm
     is lowered from the pivot kappa*m*q0 to L^s by the shared reduction.
     """
-    if not (kappa > 1.0 and math.isfinite(kappa)):
-        raise ValueError(f"kappa must satisfy kappa > 1, got {kappa}")
+    _check_kappa(kappa)
     if not (m > 0.0 and math.isfinite(m)):
         raise ValueError(f"m must be positive and finite, got {m}")
     if not (q0 > 0.0 and math.isfinite(q0)):
@@ -627,11 +542,11 @@ def doubly_nonlinear_exponents(d, p, m, s=1.0, q0=None, theta=None):
     if not (m > 0.0 and math.isfinite(m)):
         raise ValueError(f"m must be positive and finite, got {m}")
     _check_s(s)
-
-    if theta is not None and p != d:
+    regime = _regime(p, d)
+    if theta is not None and regime != "=":
         raise ValueError(f"theta only applies in the borderline case p = d, got p = {p}, d = {d}")
 
-    if p > d:  # direct estimate with source L^{m+1}
+    if regime == ">":  # direct estimate with source L^{m+1}
         if q0 is not None:
             raise ValueError("q0 does not apply when p > d; pass q0=None")
         E = 1.0 + (m + 1.0) / m * (1.0 / d - 1.0 / p)
@@ -639,7 +554,7 @@ def doubly_nonlinear_exponents(d, p, m, s=1.0, q0=None, theta=None):
         return _reduce_star_to_s(star, s, case="doubly-nonlinear:p>d")
 
     conditions = {}
-    if p < d:
+    if regime == "<":
         threshold = d * (1.0 + 1.0 / m) / (1.0 + d + 1.0 / m)
         q0 = _default_m0(p, threshold, q0, "doubly_nonlinear_exponents with p < d")
         kappa = d / (d - p)
@@ -651,7 +566,7 @@ def doubly_nonlinear_exponents(d, p, m, s=1.0, q0=None, theta=None):
     _require(conditions, "q0_ge_p", q0 >= p, f"need q0 >= p = {p}, got q0 = {q0}")
     out = moser_exponents(kappa=kappa, m=m, p=p, q0=q0, s=s)
     conditions.update(out.conditions)
-    return replace(out, case=f"doubly-nonlinear:p{'<' if p < d else '='}d", conditions=conditions)
+    return replace(out, case=f"doubly-nonlinear:p{regime}d", conditions=conditions)
 
 
 def barenblatt_exponent(d, p):

@@ -15,6 +15,7 @@ import hashlib
 import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,9 +92,24 @@ def config_hash(config):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _section(config, name, required, optional=()):
+# config keys whose value may be a list of numbers, nested for boxes: grid axes and points
+_LIST_KEYS = ("bounds", "shape", "center")
+
+
+def _is_number(value, integer=False, listed=False):
+    """value is a real number (an integer if integer is set) or, if listed is
+    set, a list of them, nested for boxes."""
+    if isinstance(value, list):
+        return listed and all(_is_number(v, integer, listed) for v in value)
+    return _is_real(value) and (not integer or isinstance(value, numbers.Integral))
+
+
+def _section(config, name, required, optional=(), reals=(), integers=()):
     """config[name]; a ValueError names the key path if it is missing, and names
-    every unknown key (first: it may be a misspelt one) and every missing required key."""
+    every unknown key (first: it may be a misspelt one) and every missing required key.
+    Then the value of each present key in reals must be a number, and in integers an
+    integer, or for a key of _LIST_KEYS a list of them; a ValueError names the first
+    key that is not."""
     sec = config.get(name) if isinstance(config, dict) else None
     if not isinstance(sec, dict):
         raise ValueError(f"config lacks section {name}")
@@ -102,17 +118,25 @@ def _section(config, name, required, optional=()):
                                       ("lacks", [k for k in required if k not in sec])) if keys]
     if problems:
         raise ValueError("; ".join(problems))
+    for keys, integer in ((reals, False), (integers, True)):
+        for k in keys:
+            listed = k in _LIST_KEYS
+            if k in sec and not _is_number(sec[k], integer, listed):
+                what = ("integers" if integer else "numbers") if listed and isinstance(sec[k], list) else (
+                    "an integer" if integer else "a number")
+                raise ValueError(f"config {name}.{k} must be {what}, got {sec[k]!r}")
     return sec
 
 
 def _grid_from_config(config):
-    cfg = _section(config, "grid", ("bounds", "shape"))
+    cfg = _section(config, "grid", ("bounds", "shape"), reals=("bounds",), integers=("shape",))
     return Grid(bounds=tuple(tuple(b) for b in cfg["bounds"]), shape=tuple(cfg["shape"]))
 
 
-def _kind_section(config, name, kinds):
+def _kind_section(config, name, kinds, reals=(), integers=()):
     """(kind, config[name]) for a section that may be absent; kinds maps each
-    kind to its (required, optional) keys, and the first kind is the default."""
+    kind to its (required, optional) keys, and the first kind is the default.
+    reals and integers are checked as by _section."""
     kind = next(iter(kinds))
     if config.get(name) is None:
         return kind, {}
@@ -121,17 +145,17 @@ def _kind_section(config, name, kinds):
     if kind not in kinds:
         raise ValueError(f"config cannot describe {name} kind {kind!r}")
     required, optional = kinds[kind]
-    return kind, _section(config, name, required, ("kind",) + optional)
+    return kind, _section(config, name, required, ("kind",) + optional, reals, integers)
 
 
 def _phi_from_config(config):
-    kind, cfg = _kind_section(config, "phi", {"identity": ((), ()), "power": (("m",), ())})
+    kind, cfg = _kind_section(config, "phi", {"identity": ((), ()), "power": (("m",), ())}, reals=("m",))
     return PhiSpec.power(cfg["m"]) if kind == "power" else PhiSpec.identity()
 
 
 def _perturbation_from_config(config):
     kinds = {"none": ((), ()), "linear": (("coeff",), ()), "tanh": (("coeff",), ())}
-    kind, cfg = _kind_section(config, "perturbation", kinds)
+    kind, cfg = _kind_section(config, "perturbation", kinds, reals=("coeff",))
     if kind == "none":
         return None
     return (linear_perturbation if kind == "linear" else tanh_perturbation)(cfg["coeff"])
@@ -140,7 +164,7 @@ def _perturbation_from_config(config):
 def spec_from_config(config):
     """Build an OperatorSpec from the flat config sections."""
     grid = _grid_from_config(config)
-    op = _section(config, "operator", ("p",), ("bc", "eps_reg", "robin_b"))
+    op = _section(config, "operator", ("p",), ("bc", "eps_reg", "robin_b"), reals=("p", "eps_reg", "robin_b"))
     kind = op.get("bc", "dirichlet")
     if kind == "robin" and "robin_b" not in op:
         raise ValueError("config lacks operator.robin_b, which bc 'robin' needs")
@@ -217,11 +241,12 @@ def initial_condition(recipe, grid, seed=0):
 
     kinds: bump {center, width, amplitude}, barenblatt {p, t0},
     random {n_modes}, drawn from seed. normalize: "l1" rescales to unit L^1
-    norm. A ValueError names an unknown or missing key, or a normalize other
-    than "l1".
+    norm. A ValueError names an unknown or missing key, a value that is not a
+    number, or a normalize other than "l1".
     """
     # wrapped under its key path, so that an error names experiment.initial.<key>
-    kind, recipe = _kind_section({"experiment.initial": recipe}, "experiment.initial", _INITIAL_KINDS)
+    kind, recipe = _kind_section({"experiment.initial": recipe}, "experiment.initial", _INITIAL_KINDS,
+                                 reals=("center", "width", "amplitude", "p", "t0"), integers=("n_modes",))
     if recipe.get("normalize", "l1") != "l1":
         raise ValueError(f"config experiment.initial.normalize must be 'l1', got {recipe['normalize']!r}")
     if kind == "bump":
@@ -294,7 +319,7 @@ def predicted_alpha(predicted):
         raise ValueError(f"config experiment.predicted must be {{'value': x}} or an exponent query, got {predicted!r}")
     if "value" in predicted:
         return float(predicted["value"])
-    out = exponents_from_query(predicted)
+    out = exponents_from_query(predicted, path="experiment.predicted")
     if isinstance(out, float):
         return out
     return out.alpha_s
@@ -310,12 +335,23 @@ _THEOREMS = {
 }
 
 
-def exponents_from_query(query):
-    """Dispatch a theorem-name query dict to the closed-form exponents."""
+def exponents_from_query(query, path=None):
+    """Dispatch a theorem-name query dict to the closed-form exponents.
+
+    A ValueError names every key the theorem does not take, or every argument
+    it needs that the query lacks, as path.key when the query sits at path.
+    """
     q = {k: v for k, v in query.items() if v is not None}
-    theorem = q.pop("theorem")
+    theorem = q.pop("theorem", None)
     if theorem not in _THEOREMS:
-        raise ValueError(f"unknown theorem {theorem!r}; choose from {sorted(_THEOREMS)}")
+        where = "theorem" if path is None else f"{path}.theorem"
+        raise ValueError(f"unknown {where} {theorem!r}; choose from {sorted(_THEOREMS)}")
+    params = inspect.signature(_THEOREMS[theorem]).parameters
+    for problem, keys in (("does not take", [k for k in q if k not in params]),
+                          ("needs", [k for k, v in params.items() if v.default is v.empty and k not in q])):
+        if keys:
+            names = ", ".join(repr(k if path is None else f"{path}.{k}") for k in keys)
+            raise ValueError(f"theorem {theorem!r} {problem} argument {names}")
     return _THEOREMS[theorem](**q)
 
 
@@ -425,16 +461,13 @@ def decay_setup(config, seed=None):
     """
     spec = spec_from_config(config)
     tg = time_grid_from_config(config)
-    exp = _section(config, "experiment", *_DECAY_KEYS)
+    exp = _section(config, "experiment", *_DECAY_KEYS, reals=("tolerance", "r2_min"), integers=("seed",))
     alpha_pred = predicted_alpha(exp["predicted"])
     norm_q = _recorded_norm(exp.get("norm", "inf"))
     window = exp["window"]
     if not (isinstance(window, list) and len(window) == 2 and all(map(_is_real, window))
             and 0.0 < window[0] < window[1] < math.inf):
         raise ValueError(f"config experiment.window must be two numbers 0 < lo < hi, got {window!r}")
-    for key in ("tolerance", "r2_min"):
-        if key in exp and not _is_real(exp[key]):
-            raise ValueError(f"config experiment.{key} must be a number, got {exp[key]!r}")
     u0 = initial_condition(exp["initial"], spec.grid, seed=exp.get("seed", 0) if seed is None else seed)
     if "seed" in exp and exp["initial"].get("kind") != "random":
         raise ValueError("config experiment.seed is read only by a random experiment.initial; "
@@ -523,7 +556,7 @@ def barenblatt_comparison(config=None, refinement=True):
     error by at least refinement_min_ratio. time.t_end must equal t1 - t0.
     """
     config = config or default_barenblatt_config()
-    exp = _section(config, "experiment", *_BARENBLATT_KEYS)
+    exp = _section(config, "experiment", *_BARENBLATT_KEYS, reals=("t0", "t1", "rel_l1_max", "refinement_min_ratio"))
     spec = spec_from_config(config)
     tg = time_grid_from_config(config)
     t0, t1 = float(exp["t0"]), float(exp["t1"])

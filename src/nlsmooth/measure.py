@@ -1,4 +1,4 @@
-"""Weighted discrete measure spaces, L^q norms, lattice operations and q-brackets.
+"""Weighted discrete measure spaces, L^q norms, mass and q-brackets.
 
 A DiscreteSpace is a finite measure space: n nodes with strictly positive
 weights (cell volumes). GridFunction pairs a space with per-node values and
@@ -7,9 +7,6 @@ directional derivative of (1/q)||.||_q^q and expresses accretivity in L^q.
 """
 
 from __future__ import annotations
-
-import csv
-import json
 
 import numpy as np
 
@@ -26,11 +23,6 @@ def parse_index(x):
     if np.isnan(x) or x < 1.0:
         raise ValueError(f"Lebesgue index must be >= 1 or 'inf', got {x!r}")
     return x
-
-
-def format_index(q):
-    """Inverse of parse_index for JSON output ('inf' for infinity)."""
-    return "inf" if q == INF else q
 
 
 class DiscreteSpace:
@@ -146,71 +138,5 @@ def q_bracket(u, v, q):
     return float(np.dot(w, np.sign(uu) * np.abs(uu) ** (q - 1.0) * vv))
 
 
-def positive_part(u):
-    return u.with_values(np.maximum(u.values, 0.0))
-
-
-def negative_part(u):
-    """u^- >= 0, so that u = u^+ - u^-."""
-    return u.with_values(np.maximum(-u.values, 0.0))
-
-
-def sup(u, v):
-    _same_space(u, v)
-    return u.with_values(np.maximum(u.values, v.values))
-
-
-def inf(u, v):
-    _same_space(u, v)
-    return u.with_values(np.minimum(u.values, v.values))
-
-
-def absolute(u):
-    return u.with_values(np.abs(u.values))
-
-
 def mass(u):
     return float(np.dot(u.space.weights, u.values))
-
-
-def save_grid_function(u, path, domain=None):
-    """Write values as a flat one-column CSV plus a sidecar JSON header.
-
-    The sidecar (path + '.json') records n, the weights policy (uniform
-    weight or explicit list) and an optional domain description.
-    """
-    path = str(path)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["value"])
-        for x in u.values:
-            writer.writerow([repr(float(x))])  # repr of a float roundtrips exactly
-    w = u.space.weights
-    if np.all(w == w[0]):
-        policy = {"policy": "uniform", "weight": float(w[0])}
-    else:
-        policy = {"policy": "explicit", "values": [float(x) for x in w]}
-    header = {"n": u.space.n, "weights": policy, "domain": domain}
-    with open(path + ".json", "w") as f:
-        json.dump(header, f, sort_keys=True)
-        f.write("\n")
-
-
-def load_grid_function(path):
-    path = str(path)
-    with open(path + ".json") as f:
-        header = json.load(f)
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0] != ["value"]:
-        raise ValueError(f"{path}: expected a single 'value' column")
-    values = np.array([float(r[0]) for r in rows[1:]])
-    n = int(header["n"])
-    if values.size != n:
-        raise ValueError(f"{path}: header n={n} but {values.size} rows")
-    policy = header["weights"]
-    if policy["policy"] == "uniform":
-        weights = np.full(n, float(policy["weight"]))
-    else:
-        weights = np.array(policy["values"], dtype=float)
-    return GridFunction(DiscreteSpace(weights), values)

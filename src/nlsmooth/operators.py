@@ -133,23 +133,19 @@ class PhiSpec:
 
     identity: phi(s) = s. power(m): phi(s) = |s|^{m-1} s with the exact
     derivative m |s|^{m-1}, regularized to m (s^2 + eps^2)^{(m-1)/2} so it
-    stays positive at s = 0. custom: user-supplied value and derivative.
+    stays positive at s = 0.
     """
 
     kind: str = "identity"
     m: float = 1.0
-    func: Optional[Callable] = None
-    deriv: Optional[Callable] = None
 
     def __post_init__(self):
         kind = str(self.kind).lower()
         object.__setattr__(self, "kind", kind)
-        if kind not in ("identity", "power", "custom"):
+        if kind not in ("identity", "power"):
             raise ValueError(f"unknown phi kind {self.kind!r}")
         if kind == "power" and not (self.m > 0.0 and math.isfinite(self.m)):
             raise ValueError(f"power exponent must be positive, got {self.m}")
-        if kind == "custom" and self.func is None:
-            raise ValueError("custom phi needs func")
 
     @classmethod
     def identity(cls):
@@ -159,29 +155,18 @@ class PhiSpec:
     def power(cls, m):
         return cls("power", m=float(m))
 
-    @classmethod
-    def custom(cls, func, deriv=None):
-        return cls("custom", func=func, deriv=deriv)
-
     def value(self, s):
         """phi(s); the identity returns the float array s itself, not a copy."""
         s = np.asarray(s, dtype=float)
         if self.kind == "identity":
             return s
-        if self.kind == "power":
-            return np.sign(s) * np.abs(s) ** self.m
-        return np.asarray(self.func(s), dtype=float)
+        return np.sign(s) * np.abs(s) ** self.m
 
     def derivative(self, s, eps):
         s = np.asarray(s, dtype=float)
         if self.kind == "identity":
             return np.ones_like(s)
-        if self.kind == "power":
-            return self.m * (s * s + eps * eps) ** ((self.m - 1.0) / 2.0)
-        if self.deriv is not None:
-            return np.asarray(self.deriv(s), dtype=float)
-        step = 1e-6 * np.maximum(1.0, np.abs(s))
-        return (self.func(s + step) - self.func(s - step)) / (2.0 * step)
+        return self.m * (s * s + eps * eps) ** ((self.m - 1.0) / 2.0)
 
 
 @dataclass(frozen=True)

@@ -255,6 +255,36 @@ def test_verify_decay_refuses_a_bad_value_before_any_step(tmp_path, monkeypatch,
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--out", "unused.csv"], ["verify", "decay"]])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda cfg: cfg["grid"].update(shape=[201.5]), "config grid.shape must be integers, got [201.5]"),
+        (lambda cfg: cfg["grid"].update(shape=["201"]), "config grid.shape must be integers, got ['201']"),
+        (lambda cfg: cfg["operator"].update(p="3"), "config operator.p must be a number, got '3'"),
+        (lambda cfg: cfg.update(phi={"kind": "power", "m": "2"}), "config phi.m must be a number, got '2'"),
+        (lambda cfg: cfg["experiment"]["initial"].update(width="0.5"),
+         "config experiment.initial.width must be a number, got '0.5'"),
+        (lambda cfg: cfg["experiment"]["predicted"].update(pp=3),
+         "theorem 'plaplace' does not take argument 'experiment.predicted.pp'"),
+        (lambda cfg: cfg["experiment"]["predicted"].pop("p"), "theorem 'plaplace' needs argument 'experiment.predicted.p'"),
+        (lambda cfg: cfg["experiment"]["predicted"].pop("theorem"), "unknown experiment.predicted.theorem None"),
+    ],
+)
+def test_a_config_value_of_the_wrong_type_exits_2_naming_the_key(tmp_path, monkeypatch, capsys, argv, edit, message):
+    monkeypatch.chdir(tmp_path)
+    for module in ("nlsmooth.cli", "nlsmooth.harness"):
+        monkeypatch.setattr(f"{module}.evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
+    cfg = _smoke_config()
+    edit(cfg)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_jsonable(cfg)))
+    code, out, err = run_cli(capsys, argv + ["--config", str(cfg_path)])
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "unused.csv").exists()
+
+
 def test_simulate_missing_args(capsys):
     code, _, err = run_cli(capsys, ["simulate"])
     assert code == 2

@@ -18,7 +18,6 @@ from nlsmooth.exponents import (
     doubly_nonlinear_exponents,
     dtn_exponents,
     extrapolate_to_infinity,
-    extrapolate_to_s,
     fractional_exponents,
     iteration_sequence,
     moser_exponents,
@@ -91,10 +90,6 @@ def test_extrapolation_rejects_gamma_r_equal_q():
     with pytest.raises(ConditionError) as err:
         extrapolate_to_infinity(2.0, 2.0, 1.0, 0.5, 2.0, 2.0)
     assert err.value.condition == "gamma_r_gt_q"
-    record = extrapolate_to_infinity(2.0, 2.0, 1.0, 0.5, 2.0, 2.0, strict=False)
-    assert not record.valid
-    assert record.conditions["gamma_r_gt_q"] is False
-    assert record.alpha_star is None
 
 
 def test_extrapolation_rejects_infinite_r_and_bad_seed():
@@ -103,35 +98,6 @@ def test_extrapolation_rejects_infinite_r_and_bad_seed():
     with pytest.raises(ConditionError) as err:
         extrapolate_to_infinity(2.0, 6.0, 1.0, 0.5, 2.0, 0.5)
     assert err.value.condition == "m0_ge_q_over_gamma"
-
-
-def test_source_interpolation_worked_examples():
-    # r = inf: theta_s = s/q
-    se = extrapolate_to_s(2.0, INF, 1.0, 0.75, 2.0, 1.0)
-    assert se.theta_s == pytest.approx(0.5, abs=ABS_TOLERANCE)
-    assert se.alpha_s == pytest.approx(1.5, abs=ABS_TOLERANCE)
-    assert se.beta_s == pytest.approx(3.0, abs=ABS_TOLERANCE)
-    assert se.gamma_s == pytest.approx(1.0, abs=ABS_TOLERANCE)
-    # finite r: theta_s = (r-q)s/(q(r-s)); here 4*2/(4*6) = 1/3
-    se2 = extrapolate_to_s(4.0, 8.0, 0.5, 1.0, 2.0, 2.0)
-    assert se2.theta_s == pytest.approx(1.0 / 3.0, abs=ABS_TOLERANCE)
-    assert se2.alpha_s == pytest.approx(1.5, abs=ABS_TOLERANCE)
-    assert se2.beta_s == pytest.approx(1.75, abs=ABS_TOLERANCE)
-    assert se2.gamma_s == pytest.approx(0.25, abs=ABS_TOLERANCE)
-
-
-def test_source_interpolation_constant():
-    # c = 1, alpha_s = 3/2, den = 1/2: constant = (2^{3/2})^2 = 8
-    se = extrapolate_to_s(2.0, INF, 1.0, 0.75, 2.0, 1.0)
-    assert se.constant_s == pytest.approx(8.0, rel=REL_TOLERANCE)
-
-
-def test_source_interpolation_rejects_s_at_or_above_q():
-    with pytest.raises(ConditionError) as err:
-        extrapolate_to_s(2.0, 8.0, 1.0, 1.0, 2.0, 3.0)
-    assert err.value.condition == "s_below_q"
-    with pytest.raises(ConditionError):
-        extrapolate_to_s(2.0, 8.0, 1.0, 1.0, 2.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +465,16 @@ def test_doubly_nonlinear_validation():
         with pytest.raises(ConditionError) as err:
             doubly_nonlinear_exponents(2, 2.0, 2.0, theta=theta)
         assert err.value.condition == "theta_in_range"
+
+
+@pytest.mark.parametrize("rel", [1e-14, -1e-14])
+def test_doubly_nonlinear_regime_is_not_decided_by_roundoff(rel):
+    # p within roundoff of d = 2 takes the borderline p = d route, as the GN families do
+    exact = doubly_nonlinear_exponents(2, 2.0, 2.0, s=1.0)
+    near = doubly_nonlinear_exponents(2, 2.0 * (1.0 + rel), 2.0, s=1.0)
+    assert near.case == exact.case == "doubly-nonlinear:p=d"
+    for name in ("alpha_s", "beta_s", "gamma_s", "theta_s"):
+        assert getattr(near, name) == pytest.approx(getattr(exact, name), rel=1e-12)
 
 
 @seed(24)

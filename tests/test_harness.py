@@ -423,7 +423,7 @@ def test_decay_experiment_resolves_the_prediction_before_the_flow(monkeypatch):
     monkeypatch.setattr(harness, "evolve", no_work)
     cfg = _smoke_decay_config()
     cfg["experiment"]["predicted"] = {"theorem": "plaplace", "d": 1, "pp": 3.0}
-    with pytest.raises(TypeError, match="'pp'"):
+    with pytest.raises(ValueError, match=re.escape("does not take argument 'experiment.predicted.pp'")):
         harness.run_decay_experiment(cfg)
 
 

@@ -1,4 +1,4 @@
-"""Norms, brackets and lattice operations on weighted discrete spaces."""
+"""Norms, brackets and mass on weighted discrete spaces."""
 
 import numpy as np
 import pytest
@@ -10,18 +10,10 @@ from nlsmooth.measure import (
     INF,
     DiscreteSpace,
     GridFunction,
-    absolute,
-    format_index,
-    inf,
-    load_grid_function,
     lq_norm,
     mass,
-    negative_part,
     parse_index,
-    positive_part,
     q_bracket,
-    save_grid_function,
-    sup,
 )
 
 N_NODES = 7
@@ -47,8 +39,6 @@ def test_parse_index_accepts_inf_spellings():
         assert parse_index(spelling) == INF
     assert parse_index("2") == 2.0
     assert parse_index(3) == 3.0
-    assert format_index(INF) == "inf"
-    assert format_index(2.0) == 2.0
 
 
 def test_parse_index_rejects_bad_values():
@@ -116,8 +106,6 @@ def test_q_bracket_pins():
     vv = GridFunction(DiscreteSpace(np.full(4, 0.7)), v.values)
     with pytest.raises(ValueError):
         q_bracket(u, vv, 2)
-    with pytest.raises(ValueError):
-        sup(u, vv)
 
 
 def test_bracket_of_zero_function_is_l1_norm():
@@ -194,48 +182,7 @@ def test_norm_interpolation(weights, u_vals, triple):
     assert lhs <= rhs * (1.0 + REL_TOLERANCE) + ABS_TOLERANCE
 
 
-@seed(15)
-@given(weights=weights_st, u_vals=values_st, v_vals=values_st)
-def test_lattice_identities(weights, u_vals, v_vals):
-    u, v = _pair(weights, u_vals, v_vals)
-    assert np.array_equal((positive_part(u) - negative_part(u)).values, u.values)
-    assert np.array_equal((positive_part(u) + negative_part(u)).values, absolute(u).values)
-    assert np.all(positive_part(u).values * negative_part(u).values == 0.0)
-    assert np.allclose((sup(u, v) + inf(u, v)).values, (u + v).values, atol=1e-12)
-    assert np.allclose((sup(u, v) - inf(u, v)).values, absolute(u - v).values, atol=1e-12)
-    assert mass(u) == pytest.approx(mass(positive_part(u)) - mass(negative_part(u)),
-                                    rel=1e-12, abs=1e-12)
-
-
 def test_mass_is_weighted_sum():
     space = DiscreteSpace([0.5, 1.5, 2.0])
     u = GridFunction(space, [2.0, -1.0, 3.0])
     assert mass(u) == pytest.approx(0.5 * 2.0 - 1.5 + 2.0 * 3.0, rel=1e-15)
-
-
-def test_save_load_roundtrip_uniform(tmp_path):
-    path = tmp_path / "field.csv"
-    u = GridFunction(DiscreteSpace(np.full(6, 0.25)), [1.0, -2.5, 3.7e-5, 0.0, 1e-12, 9.0])
-    save_grid_function(u, path, domain={"bounds": [[0.0, 1.0]]})
-    w = load_grid_function(path)
-    assert np.array_equal(w.values, u.values)  # repr roundtrip is bit exact
-    assert np.array_equal(w.space.weights, u.space.weights)
-
-
-def test_save_load_roundtrip_explicit_weights(tmp_path):
-    path = tmp_path / "field.csv"
-    space = DiscreteSpace([0.1, 0.2, 0.7])
-    u = GridFunction(space, [np.pi, -np.e, 1.0 / 3.0])
-    save_grid_function(u, path)
-    w = load_grid_function(path)
-    assert np.array_equal(w.values, u.values)
-    assert np.array_equal(w.space.weights, space.weights)
-
-
-def test_load_rejects_malformed_file(tmp_path):
-    path = tmp_path / "bad.csv"
-    u = GridFunction(DiscreteSpace(np.full(3, 1.0)), [1.0, 2.0, 3.0])
-    save_grid_function(u, path)
-    path.write_text("wrong,header\n1.0,2.0\n")
-    with pytest.raises(ValueError):
-        load_grid_function(path)

@@ -361,12 +361,6 @@ def test_phi_spec_power():
         PhiSpec("custom")
 
 
-def test_phi_spec_custom_numeric_derivative():
-    phi = PhiSpec.custom(func=lambda s: np.sinh(s))
-    s = np.array([0.0, 0.7, -1.2])
-    assert np.allclose(phi.derivative(s, eps=0.0), np.cosh(s), rtol=1e-8)
-
-
 def test_boundary_condition_validation():
     with pytest.raises(ValueError):
         BoundaryCondition("robin", b=0.0)
