@@ -130,7 +130,13 @@ def _section(config, name, required, optional=(), reals=(), integers=()):
 
 def _grid_from_config(config):
     cfg = _section(config, "grid", ("bounds", "shape"), reals=("bounds",), integers=("shape",))
-    return Grid(bounds=tuple(tuple(b) for b in cfg["bounds"]), shape=tuple(cfg["shape"]))
+    shape, bounds = cfg["shape"], cfg["bounds"]
+    if not (isinstance(shape, list) and shape and all(map(_is_real, shape))):
+        raise ValueError(f"config grid.shape must be a list of integers, one per axis, got {shape!r}")
+    if not (isinstance(bounds, list) and len(bounds) == len(shape)
+            and all(isinstance(b, list) and len(b) == 2 and all(map(_is_real, b)) for b in bounds)):
+        raise ValueError(f"config grid.bounds must be a list of [lo, hi] pairs, one per axis, got {bounds!r}")
+    return Grid(bounds=tuple(map(tuple, bounds)), shape=tuple(shape))
 
 
 def _kind_section(config, name, kinds, reals=(), integers=()):
@@ -318,7 +324,8 @@ def predicted_alpha(predicted):
     if not isinstance(predicted, dict):
         raise ValueError(f"config experiment.predicted must be {{'value': x}} or an exponent query, got {predicted!r}")
     if "value" in predicted:
-        return float(predicted["value"])
+        name = "experiment.predicted"  # {"value": x} takes no other key
+        return float(_section({name: predicted}, name, ("value",), reals=("value",))["value"])
     out = exponents_from_query(predicted, path="experiment.predicted")
     if isinstance(out, float):
         return out
@@ -339,19 +346,22 @@ def exponents_from_query(query, path=None):
     """Dispatch a theorem-name query dict to the closed-form exponents.
 
     A ValueError names every key the theorem does not take, or every argument
-    it needs that the query lacks, as path.key when the query sits at path.
+    it needs that the query lacks, or the first value other than bc that is not
+    a number, as path.key when the query sits at path.
     """
+    where = lambda k: k if path is None else f"{path}.{k}"
     q = {k: v for k, v in query.items() if v is not None}
     theorem = q.pop("theorem", None)
     if theorem not in _THEOREMS:
-        where = "theorem" if path is None else f"{path}.theorem"
-        raise ValueError(f"unknown {where} {theorem!r}; choose from {sorted(_THEOREMS)}")
+        raise ValueError(f"unknown {where('theorem')} {theorem!r}; choose from {sorted(_THEOREMS)}")
     params = inspect.signature(_THEOREMS[theorem]).parameters
     for problem, keys in (("does not take", [k for k in q if k not in params]),
                           ("needs", [k for k, v in params.items() if v.default is v.empty and k not in q])):
         if keys:
-            names = ", ".join(repr(k if path is None else f"{path}.{k}") for k in keys)
-            raise ValueError(f"theorem {theorem!r} {problem} argument {names}")
+            raise ValueError(f"theorem {theorem!r} {problem} argument {', '.join(repr(where(k)) for k in keys)}")
+    for k, v in q.items():
+        if k != "bc" and not _is_real(v):
+            raise ValueError(f"{where(k)} must be a number, got {v!r}")
     return _THEOREMS[theorem](**q)
 
 
@@ -424,7 +434,7 @@ def default_decay_config(p=3.0, name=None):
 
 def default_pme_config():
     """Porous-medium decay (phi = power 2) against the doubly nonlinear rate."""
-    cfg = {
+    return {
         "grid": {"bounds": [[-20.0, 20.0]], "shape": [1501]},
         "operator": {"p": 2.0, "bc": "dirichlet", "eps_reg": 1e-8},
         "phi": {"kind": "power", "m": 2.0},
@@ -440,7 +450,6 @@ def default_pme_config():
             "norm": "inf",
         },
     }
-    return cfg
 
 
 def _recorded_norm(norm):
@@ -506,12 +515,7 @@ def run_decay_experiment(config, tol=None):
         "mass_final": float(traj.mass[-1]),
         **info,
     }
-    return Report(
-        name=exp.get("name", "decay"),
-        passed=passed,
-        metrics=metrics,
-        config_hash=config_hash(config),
-    )
+    return Report(exp.get("name", "decay"), passed, metrics, config_hash(config))
 
 
 def default_barenblatt_config():
@@ -538,10 +542,7 @@ def _barenblatt_error(spec, tg, t0, t1):
     radius = barenblatt_support_radius(spec.grid.d, p, t1)
     h_max = max(spec.grid.h)
     if radius >= half_width - BOUNDARY_GUARD_CELLS * h_max:
-        raise ValueError(
-            f"support radius {radius:g} at t1 = {t1} does not fit the domain "
-            f"(half width {half_width:g})"
-        )
+        raise ValueError(f"support radius {radius:g} at t1 = {t1} does not fit the domain (half width {half_width:g})")
     u0 = barenblatt_on_grid(spec.grid, p, t0)
     traj = evolve(spec, u0, tg)
     exact = barenblatt_on_grid(spec.grid, p, t1)
@@ -581,12 +582,7 @@ def barenblatt_comparison(config=None, refinement=True):
         metrics["refinement_ratio"] = ratio
         metrics["refinement_min_ratio"] = exp["refinement_min_ratio"]
         passed = passed and ratio >= float(exp["refinement_min_ratio"])
-    return Report(
-        name=exp.get("name", "barenblatt-tracking"),
-        passed=passed,
-        metrics=metrics,
-        config_hash=config_hash(config),
-    )
+    return Report(exp.get("name", "barenblatt-tracking"), passed, metrics, config_hash(config))
 
 
 # ---------------------------------------------------------------------------

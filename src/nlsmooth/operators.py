@@ -14,7 +14,7 @@ grid-shaped array (..., n_1, ..., n_d): the boundary condition decides what
 the two boundary faces of each axis carry. The Jacobian of the diffusion is
 described by its diagonal plus one array of edge couplings per axis; in one
 dimension these are the tridiagonal bands, in general the couplings of axis a
-sit at offsets +-stride_a of the sparse matrix.
+sit at offsets +-stride_a of a DIA (constant-offset band) sparse matrix.
 """
 
 from __future__ import annotations
@@ -420,16 +420,17 @@ class DiscreteOperator:
         return diag * s * s, tuple(c * S[ax.lo] * S[ax.hi] for ax, c in zip(self._axes, couplings))
 
     def jacobian_matrix(self, diag, couplings):
-        """Sparse CSR matrix of one description (diag, couplings)."""
-        n = diag.size
-        bands, offsets = [diag], [0]
-        for ax, c in zip(self._axes, couplings):
-            band = np.zeros(self.grid.shape)
-            band[ax.lo] = -c
-            band = band.ravel()[: n - ax.stride]
-            bands += [band, band]
-            offsets += [-ax.stride, ax.stride]
-        return sparse.diags_array(bands, offsets=offsets, shape=(n, n), format="csr")
+        """Sparse DIA matrix of one description (diag, couplings), data[k, j] =
+        M[j - offset_k, j]. The offsets ascend, so a matvec adds each row's terms
+        in ascending column order, exactly as a CSR matvec does."""
+        d, n = self.grid.d, diag.size
+        data = np.zeros((2 * d + 1, n))
+        data[d] = diag
+        bands = self._grid_shaped(data)
+        for a, (ax, c) in enumerate(zip(self._axes, couplings)):
+            bands[a][ax.lo] = bands[2 * d - a][ax.hi] = -c
+        offsets = [-ax.stride for ax in self._axes] + [0] + [ax.stride for ax in reversed(self._axes)]
+        return sparse.dia_array((data, offsets), shape=(n, n))
 
     def diffusion_jacobian_matrix(self, w):
         """Sparse SPD matrix of d/dw [-div(a(grad w))] (any dimension)."""

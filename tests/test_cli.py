@@ -269,6 +269,20 @@ def test_verify_decay_refuses_a_bad_value_before_any_step(tmp_path, monkeypatch,
          "theorem 'plaplace' does not take argument 'experiment.predicted.pp'"),
         (lambda cfg: cfg["experiment"]["predicted"].pop("p"), "theorem 'plaplace' needs argument 'experiment.predicted.p'"),
         (lambda cfg: cfg["experiment"]["predicted"].pop("theorem"), "unknown experiment.predicted.theorem None"),
+        (lambda cfg: cfg["experiment"]["predicted"].update(p="3"), "experiment.predicted.p must be a number, got '3'"),
+        (lambda cfg: cfg["experiment"].update(predicted={"value": "0.25"}),
+         "config experiment.predicted.value must be a number, got '0.25'"),
+        (lambda cfg: cfg["experiment"].update(predicted={"value": True}),
+         "config experiment.predicted.value must be a number, got True"),
+        (lambda cfg: cfg["experiment"].update(predicted={"value": 0.25, "junk": 1}),
+         "config has unknown key experiment.predicted.junk"),
+        (lambda cfg: cfg["grid"].update(shape=201), "config grid.shape must be a list of integers, one per axis, got 201"),
+        (lambda cfg: cfg["grid"].update(shape=[[201]]),
+         "config grid.shape must be a list of integers, one per axis, got [[201]]"),
+        (lambda cfg: cfg["grid"].update(bounds=[-8.0, 8.0]),
+         "config grid.bounds must be a list of [lo, hi] pairs, one per axis, got [-8.0, 8.0]"),
+        (lambda cfg: cfg["grid"].update(bounds=[[-8.0, 8.0], [0.0, 1.0]]),
+         "config grid.bounds must be a list of [lo, hi] pairs, one per axis, got [[-8.0, 8.0], [0.0, 1.0]]"),
     ],
 )
 def test_a_config_value_of_the_wrong_type_exits_2_naming_the_key(tmp_path, monkeypatch, capsys, argv, edit, message):

@@ -7,6 +7,7 @@ gradient of a separable convex edge energy by construction.
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from nlsmooth.exponents import GNParams
 from nlsmooth.measure import GridFunction, lq_norm, mass, q_bracket
@@ -289,6 +290,22 @@ def test_jacobian_description_applies_and_scales_like_the_matrix():
         np.testing.assert_allclose(op.jacobian_apply(diag, couplings, v), dense @ v, rtol=1e-12, atol=1e-12)
         scaled = op.jacobian_matrix(*op.jacobian_scaled(diag, couplings, s)).toarray()
         np.testing.assert_allclose(scaled, s[:, None] * dense * s[None, :], rtol=1e-14, atol=1e-12)
+
+
+@pytest.mark.parametrize("bc", ALL_BCS, ids=lambda bc: bc.kind)
+@pytest.mark.parametrize("make", [_spec_1d, _spec_2d, _spec_3d], ids=["1d", "2d", "3d"])
+def test_jacobian_matrix_is_dia_and_multiplies_bitwise_as_csr(make, bc):
+    # ascending offsets make the DIA matvec add each row's terms in ascending
+    # column order, the order of a CSR matvec, so the products agree bitwise
+    rng = np.random.default_rng(RNG_SEED + 11)
+    spec = make(3.0, bc)
+    op = DiscreteOperator(spec)
+    n = spec.grid.n_total
+    w, v = rng.standard_normal(n), rng.standard_normal(n)
+    matrix = op.diffusion_jacobian_matrix(w)
+    assert matrix.format == "dia"
+    assert np.all(np.diff(matrix.offsets) > 0)
+    assert np.array_equal(matrix @ v, sparse.csr_array(matrix.toarray()) @ v)
 
 
 def test_energy_gradient_consistency():

@@ -11,6 +11,7 @@ from nlsmooth.harness import random_smooth_field
 from nlsmooth.measure import GridFunction, lq_norm, mass
 from nlsmooth.operators import (
     BoundaryCondition,
+    DiscreteOperator,
     Grid,
     OperatorSpec,
     PhiSpec,
@@ -171,6 +172,25 @@ def test_3d_neumann_flow_conserves_mass():
     traj = evolve(spec, random_smooth_field(grid, seed=5), TimeGrid(t_end, 12))
     assert np.ptp(traj.norm_linf) > 0.1 * traj.norm_linf[0]  # the flow does move
     assert np.abs(traj.mass - traj.mass[0]).max() / t_end <= 1e-8  # the conservation_suite bound
+
+
+def test_2d_flow_is_bitwise_the_same_with_a_csr_newton_matrix(monkeypatch):
+    grid = Grid(bounds=((-4.0, 4.0), (-4.0, 4.0)), shape=(32, 32))
+    spec = OperatorSpec(grid=grid, p=3.0)
+    u0, tg = random_smooth_field(grid, seed=0), TimeGrid(0.1, 2)
+    dia = evolve(spec, u0, tg)
+    as_dia, calls = DiscreteOperator.jacobian_matrix, []
+
+    def as_csr(self, diag, couplings):
+        calls.append(1)
+        return as_dia(self, diag, couplings).tocsr()
+
+    monkeypatch.setattr(DiscreteOperator, "jacobian_matrix", as_csr)
+    csr = evolve(spec, u0, tg)
+    assert calls  # the 2-D Newton steps went through the CSR matrix
+    assert np.ptp(dia.norm_linf) > 0.0
+    for series in ("norm_l1", "norm_l2", "norm_linf"):
+        assert np.array_equal(getattr(dia, series), getattr(csr, series))
 
 
 def test_trajectory_series_access():
