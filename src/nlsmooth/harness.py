@@ -535,14 +535,30 @@ def default_barenblatt_config():
     }
 
 
-def _barenblatt_error(spec, tg, t0, t1):
-    """Relative L^1 error at t1 of the flow started from the source solution at t0."""
-    p = spec.p
+def _check_barenblatt_spec(config, spec, t1):
+    """Refuse, naming the config key, a spec whose flow cannot be compared with
+    the source solution at t1, the compactly supported 1-D p-Laplace profile."""
+    refusals = (
+        ("operator.p", spec.p, spec.p <= 2.0, "compact support needs p > 2"),
+        ("phi.kind", spec.phi.kind, spec.phi.kind != "identity", "it solves the p-Laplace flow, phi identity"),
+        ("perturbation.kind", (config.get("perturbation") or {}).get("kind"), spec.perturbation is not None,
+         "it solves the unperturbed flow, perturbation none"),
+        ("grid.shape", list(spec.grid.shape), spec.grid.d > 1,
+         "in d >= 2 the operator is orthotropic and the error does not converge; use one axis"),
+    )
+    for key, value, refused, why in refusals:
+        if refused:
+            raise ValueError(f"config {key} = {value!r} cannot be compared with the source solution: {why}")
     half_width = 0.5 * min(hi - lo for lo, hi in spec.grid.bounds)
-    radius = barenblatt_support_radius(spec.grid.d, p, t1)
+    radius = barenblatt_support_radius(spec.grid.d, spec.p, t1)
     h_max = max(spec.grid.h)
     if radius >= half_width - BOUNDARY_GUARD_CELLS * h_max:
         raise ValueError(f"support radius {radius:g} at t1 = {t1} does not fit the domain (half width {half_width:g})")
+
+
+def _barenblatt_error(spec, tg, t0, t1):
+    """Relative L^1 error at t1 of the flow started from the source solution at t0."""
+    p = spec.p
     u0 = barenblatt_on_grid(spec.grid, p, t0)
     traj = evolve(spec, u0, tg)
     exact = barenblatt_on_grid(spec.grid, p, t1)
@@ -564,6 +580,16 @@ def barenblatt_comparison(config=None, refinement=True):
     if not abs(tg.t_end - (t1 - t0)) <= 1e-12 * abs(t1 - t0):
         raise ValueError(f"config time.t_end = {tg.t_end:g} must equal experiment.t1 - experiment.t0 = {t1 - t0:g}")
     shape, n_steps = spec.grid.shape, tg.n_steps
+    _check_barenblatt_spec(config, spec, t1)
+    if refinement:
+        # halving both resolutions must give a run the config could describe
+        coarse = replace(spec, grid=Grid(bounds=spec.grid.bounds, shape=tuple(max(3, (s + 1) // 2) for s in shape)))
+        try:
+            coarse_tg = replace(tg, n_steps=max(1, n_steps // 2))
+        except ValueError:
+            raise ValueError(f"config time.n_steps = {n_steps} halves to {n_steps // 2} steps for the refinement "
+                             "run, fewer than the 2 a time grid graded from time.t_first needs") from None
+        _check_barenblatt_spec(config, coarse, t1)
     err_fine = _barenblatt_error(spec, tg, t0, t1)
     metrics = {
         "rel_l1_error": err_fine,
@@ -575,8 +601,7 @@ def barenblatt_comparison(config=None, refinement=True):
     }
     passed = err_fine <= float(exp["rel_l1_max"])
     if refinement:
-        coarse = Grid(bounds=spec.grid.bounds, shape=tuple(max(3, (s + 1) // 2) for s in shape))
-        err_coarse = _barenblatt_error(replace(spec, grid=coarse), replace(tg, n_steps=max(1, n_steps // 2)), t0, t1)
+        err_coarse = _barenblatt_error(coarse, coarse_tg, t0, t1)
         ratio = err_coarse / err_fine if err_fine > 0 else float("inf")
         metrics["rel_l1_error_coarse"] = err_coarse
         metrics["refinement_ratio"] = ratio

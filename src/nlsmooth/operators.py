@@ -11,10 +11,15 @@ holds at the discrete level, not just in the limit.
 A grid function is a flat array over the nodes in row-major order (the last
 axis varies fastest). Every stencil operation is one loop over the axes of the
 grid-shaped array (..., n_1, ..., n_d): the boundary condition decides what
-the two boundary faces of each axis carry. The Jacobian of the diffusion is
-described by its diagonal plus one array of edge couplings per axis; in one
-dimension these are the tridiagonal bands, in general the couplings of axis a
-sit at offsets +-stride_a of a DIA (constant-offset band) sparse matrix.
+the two boundary faces of each axis carry.
+
+The Jacobian L of the diffusion has one form, 2d + 1 bands in the layout of a
+scipy DIA matrix, which both linear solvers of the resolvent take as it is.
+The offsets ascend, -stride_1, ..., -stride_d, 0, stride_d, ..., stride_1,
+where stride_a is the distance of neighbouring nodes along axis a in the flat
+array. Band k holds L[j - offset_k, j] at column j, and 0 where that row is
+off the grid; in one dimension the bands are (sub, diag, super), and these
+zeros keep the blocks of a stack of tridiagonal systems apart.
 """
 
 from __future__ import annotations
@@ -89,11 +94,6 @@ class Grid:
         """Node coordinates as a tuple of d flat arrays, one per axis."""
         mesh = np.meshgrid(*(self.axis_nodes(a) for a in range(self.d)), indexing="ij")
         return tuple(x.ravel() for x in mesh)
-
-    def nodes(self):
-        """Node coordinates: (n,) in 1d, a tuple of d flat arrays otherwise."""
-        coords = self.coordinates()
-        return coords if self.d > 1 else coords[0]
 
     def space(self):
         return DiscreteSpace(np.full(self.n_total, self.cell_volume))
@@ -171,7 +171,11 @@ class PhiSpec:
 
 @dataclass(frozen=True)
 class LipschitzF:
-    """Nodewise perturbation f(x, u), Lipschitz in u with f(x, 0) = 0."""
+    """Nodewise perturbation f(x, u), Lipschitz in u with f(x, 0) = 0.
+
+    x is the tuple of the d flat coordinate arrays of the nodes (a 1-tuple in
+    one dimension), as Grid.coordinates returns it.
+    """
 
     func: Callable
     lipschitz: float
@@ -290,8 +294,10 @@ class DiscreteOperator:
         self.spec = spec
         self.grid = spec.grid
         self._space = spec.grid.space()
-        self._nodes = spec.grid.nodes()
+        self._nodes = spec.grid.coordinates()
         self._axes = _axes(spec.grid)
+        # band offsets of the Jacobian, ascending (see the module docstring)
+        self._offsets = [-ax.stride for ax in self._axes] + [0] + [ax.stride for ax in reversed(self._axes)]
         self._dirichlet = spec.bc.kind == "dirichlet"
 
     @property
@@ -387,54 +393,53 @@ class DiscreteOperator:
         return D
 
     def diffusion_jacobian(self, w):
-        """d/dw [-div(a(grad w))] as (diag, couplings).
+        """d/dw [-div(a(grad w))] as bands of shape (2d + 1,) + w.shape.
 
-        diag has the shape of w. couplings[a] is grid-shaped with n_a - 1
-        entries along axis a and holds c_e / h_a^2 for the interior edges of
-        that axis; the matrix carries -couplings[a] at offsets +-stride_a. In
-        one dimension (-couplings[0], diag, -couplings[0]) are the
-        tridiagonal bands. A (B, n) stack gives descriptions with the same
-        leading batch axis.
+        Band k holds L[j - offset_k, j] at column j and 0 where that row is
+        off the grid. Band d is the diagonal; bands a and 2d - a carry
+        -c_e / h_a^2 for each interior edge e of axis a, at its lower and at
+        its upper node. A (B, n) stack gives (2d + 1, B, n).
         """
-        diag, couplings = None, []
-        for ax, c in zip(self._axes, self.edge_conductivities(w)):
-            c = c / (ax.h * ax.h)
-            diag = c[ax.lo] + c[ax.hi] if diag is None else diag + c[ax.lo] + c[ax.hi]
-            couplings.append(c[ax.inner])
+        d = self.grid.d
+        bands = np.zeros((2 * d + 1,) + w.shape)
+        B = self._grid_shaped(bands)
+        for a, (ax, c) in enumerate(zip(self._axes, self.edge_conductivities(w))):
+            c = c / -(ax.h * ax.h)  # the off-diagonal entries -c_e / h_a^2
+            B[d] -= c[ax.lo]
+            B[d] -= c[ax.hi]
+            B[a][ax.lo] = B[2 * d - a][ax.hi] = c[ax.inner]
         if self.spec.bc.kind == "robin":
-            diag = diag + self._robin_diag(self._grid_shaped(w))
-        return diag.reshape(w.shape), tuple(couplings)
+            B[d] += self._robin_diag(self._grid_shaped(w))
+        return bands
 
-    def jacobian_apply(self, diag, couplings, v):
-        """L v for the description (diag, couplings) of diffusion_jacobian."""
-        V = self._grid_shaped(v)
-        out = self._grid_shaped(diag * v)
-        for ax, c in zip(self._axes, couplings):
-            out[ax.lo] -= c * V[ax.hi]
-            out[ax.hi] -= c * V[ax.lo]
+    def jacobian_apply(self, bands, v):
+        """L v for the bands of diffusion_jacobian."""
+        d, V, B = self.grid.d, self._grid_shaped(v), self._grid_shaped(bands)
+        out = self._grid_shaped(bands[d] * v)
+        for a, ax in enumerate(self._axes):
+            out[ax.lo] += B[a][ax.lo] * V[ax.hi]
+            out[ax.hi] += B[2 * d - a][ax.hi] * V[ax.lo]
         return out.reshape(v.shape)
 
-    def jacobian_scaled(self, diag, couplings, s):
-        """The description of diag(s) L diag(s)."""
-        S = self._grid_shaped(s)
-        return diag * s * s, tuple(c * S[ax.lo] * S[ax.hi] for ax, c in zip(self._axes, couplings))
+    def jacobian_scaled(self, bands, s):
+        """The bands of diag(s) L diag(s)."""
+        d, S = self.grid.d, self._grid_shaped(s)
+        out = bands.copy()  # with the zeros of the rows off the grid
+        O = self._grid_shaped(out)
+        O[d] = O[d] * S * S
+        for a, ax in enumerate(self._axes):
+            O[a][ax.lo] = O[2 * d - a][ax.hi] = O[a][ax.lo] * S[ax.lo] * S[ax.hi]
+        return out
 
-    def jacobian_matrix(self, diag, couplings):
-        """Sparse DIA matrix of one description (diag, couplings), data[k, j] =
-        M[j - offset_k, j]. The offsets ascend, so a matvec adds each row's terms
-        in ascending column order, exactly as a CSR matvec does."""
-        d, n = self.grid.d, diag.size
-        data = np.zeros((2 * d + 1, n))
-        data[d] = diag
-        bands = self._grid_shaped(data)
-        for a, (ax, c) in enumerate(zip(self._axes, couplings)):
-            bands[a][ax.lo] = bands[2 * d - a][ax.hi] = -c
-        offsets = [-ax.stride for ax in self._axes] + [0] + [ax.stride for ax in reversed(self._axes)]
-        return sparse.dia_array((data, offsets), shape=(n, n))
+    def jacobian_matrix(self, bands):
+        """Sparse DIA matrix of one grid function's (2d + 1, n) bands; a matvec adds
+        each row's terms in ascending column order, exactly as CSR does."""
+        n = bands.shape[-1]
+        return sparse.dia_array((bands, self._offsets), shape=(n, n))
 
     def diffusion_jacobian_matrix(self, w):
         """Sparse SPD matrix of d/dw [-div(a(grad w))] (any dimension)."""
-        return self.jacobian_matrix(*self.diffusion_jacobian(w))
+        return self.jacobian_matrix(self.diffusion_jacobian(w))
 
     def phi_derivative(self, u):
         return self.spec.phi.derivative(u, self.spec.eps_reg)

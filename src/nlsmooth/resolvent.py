@@ -15,14 +15,15 @@ phi at eps_reg = 0. For phi = identity S = 1 and delta = y.
 solve_resolvent_batch runs one Newton loop over a (B, n) stack of right-hand
 sides that share the operator and lambda. Each member keeps its own residual,
 iteration count, step length and failure reason, and leaves the loop when it
-converges or fails; solve_resolvent is the B = 1 case. The linear solver is
-chosen from the structure of the grid. In one dimension the B tridiagonal
-systems of an iteration are stacked into a single tridiagonal system of size
-B*n with zero coupling between blocks and solved by one direct LAPACK gtsv
-call (the checks of scipy.linalg.solve_banded take a third of each solve at
-n = 2001): with zero coupling gtsv never pivots across a block boundary, so
-each block gets the solution it would get alone. In more dimensions each
-member's system is solved by Jacobi-preconditioned conjugate gradients.
+converges or fails; solve_resolvent is the B = 1 case. The members' systems
+are built alike in every dimension, as lambda times the Jacobian bands of the
+operator with a added to the diagonal band; only the linear solver depends
+on d. In one dimension the bands of the B members are one tridiagonal system
+of size B*n whose zero band ends decouple the blocks, solved by one direct
+LAPACK gtsv call (the checks of scipy.linalg.solve_banded take a third of each
+solve at n = 2001): gtsv never pivots across a zero coupling, so each block
+gets the solution it would get alone. In more dimensions each member's system
+is solved by Jacobi-preconditioned conjugate gradients on a DIA matrix.
 
 For phi = identity in d >= 2, CG stops at each member's Eisenstat-Walker
 (1996) choice-2 forcing term: eta_0 = 0.1, eta_k = 0.9 (|R_k| / |R_k-1|)^2,
@@ -96,20 +97,19 @@ def solve_banded(system, overwrite=False):
     """LAPACK gtsv on one (4, m) system laid out as in _solve_tridiagonal_stack,
     in place if overwrite is set; all NaN when gtsv meets a zero pivot.
     perfbench traces this name as the 1-D linear solve."""
-    *_, x, info = dgtsv(system[2, :-1], system[1], system[0, 1:], system[3], *[overwrite] * 4)
+    *_, x, info = dgtsv(system[0, :-1], system[1], system[2, 1:], system[3], *[overwrite] * 4)
     return x if info == 0 else np.full_like(x, np.nan)
 
 
 def _solve_tridiagonal_stack(system):
     """Solve k tridiagonal systems as one, returning the (k, n) solutions.
 
-    system is (4, k, n): the superdiagonal, diagonal and subdiagonal of each
-    block in the band layout of scipy's solve_banded((1, 1), ...), with
-    system[0, :, 0] = system[2, :, -1] = 0, then the right-hand sides. A NaN
-    or inf in one block would leak into its neighbours through the
-    elimination, so when the stack is not finite, LAPACK meets a zero pivot,
-    or its solution is not finite, the blocks are solved one by one instead.
-    Rows whose system is unusable come back as NaN.
+    system is (4, k, n): the sub-, main and superdiagonal bands of each block,
+    zero where a row is off the block, then the right-hand sides. A NaN or inf
+    in one block would leak into its neighbours through the elimination, so
+    when the stack is not finite, LAPACK meets a zero pivot, or its solution
+    is not finite, the blocks are solved one by one instead. Rows whose system
+    is unusable come back as NaN.
     """
     _, k, n = system.shape
     if np.isfinite(system).all():
@@ -143,54 +143,48 @@ def _newton_steps(op, lam, U, R, rtol):
     """Newton directions for the (k, n) rows of U, whose residuals are R, with
     CG tolerances rtol (see the module docstring); failed rows come back NaN."""
     k, n = U.shape
+    d = op.grid.d
     U, R = _single(U), _single(R)
-    diag, couplings = op.diffusion_jacobian(op.spec.phi.value(U))
+    bands = op.diffusion_jacobian(op.spec.phi.value(U))
     a = 1.0 if op.spec.perturbation is None else 1.0 + lam * op.perturbation_derivative(U)
     scaled = op.spec.phi.kind != "identity"
     if scaled:
         S = np.sqrt(op.phi_derivative(U))
-        sys_diag, sys_couplings = op.jacobian_scaled(diag, couplings, S)
-        rhs = -S * R
+        sys_bands, rhs = op.jacobian_scaled(bands, S), -S * R
     else:
-        sys_diag, sys_couplings, rhs = diag, couplings, -R
-    if op.grid.d == 1:
-        system = np.empty((4, k, n))
-        system[0, :, 0] = system[2, :, -1] = 0.0
-        np.multiply(-lam, sys_couplings[0], out=system[0, :, 1:])
-        system[2, :, :-1] = system[0, :, 1:]
-        np.multiply(lam, sys_diag, out=system[1])
-        system[1] += a
-        system[3] = rhs
-        y = _solve_tridiagonal_stack(system)
-    else:
-        sys_couplings = [lam * c for c in sys_couplings]
-        y = _solve_cg_stack(op, (a + lam * sys_diag).reshape(k, n), sys_couplings, rhs.reshape(k, n), rtol)
+        sys_bands, rhs = bands, -R
+    # the Jacobian bands of each row's system, then its right-hand side
+    system = np.empty((2 * d + 2, k, n))
+    np.multiply(lam, sys_bands.reshape(2 * d + 1, k, n), out=system[:-1])
+    system[d] += a
+    system[-1] = rhs
+    y = _solve_tridiagonal_stack(system) if d == 1 else _solve_cg_stack(op, system, rtol)
     if not scaled:
         return y
-    step = op.jacobian_apply(diag, couplings, S * y.reshape(U.shape))
+    step = op.jacobian_apply(bands, S * y.reshape(U.shape))
     step *= -lam
     step -= R
     step /= a
     return step.reshape(k, n)
 
 
-def _solve_cg_stack(op, diag, couplings, rhs, rtol):
-    """Solve each member's SPD system by Jacobi-preconditioned CG to its rtol;
-    rows of members whose CG did not converge come back as NaN."""
-    k, n = rhs.shape
-    couplings = [c.reshape(k, *c.shape[c.ndim - op.grid.d:]) for c in couplings]
+def _solve_cg_stack(op, system, rtol):
+    """Solve each member's system of _newton_steps by Jacobi-preconditioned CG
+    to its rtol; rows whose CG did not converge come back as NaN."""
+    _, k, n = system.shape
     steps = np.full((k, n), np.nan)
     for j in range(k):
-        M = op.jacobian_matrix(diag[j], [c[j] for c in couplings])
-        inv_diag = 1.0 / diag[j]
+        M = op.jacobian_matrix(np.ascontiguousarray(system[:-1, j]))
+        inv_diag = 1.0 / system[op.grid.d, j]
         precond = LinearOperator((n, n), matvec=lambda v: inv_diag * v)
-        z, info = cg(M, rhs[j], rtol=rtol[j], atol=0.0, maxiter=20 * n, M=precond)
+        z, info = cg(M, system[-1, j], rtol=rtol[j], atol=0.0, maxiter=20 * n, M=precond)
         if info == 0:
             steps[j] = z
     return steps
 
 
-def _check_step(spec, lam):
+def _operator(spec, lam, op):
+    """op, or the operator of spec if op is None, once the step lam is admissible."""
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"lambda must be positive and finite, got {lam}")
     if spec.perturbation is not None and lam * spec.perturbation.lipschitz >= 1.0:
@@ -198,6 +192,7 @@ def _check_step(spec, lam):
             f"lambda*L = {lam * spec.perturbation.lipschitz} >= 1; "
             "shrink the step below 1/L"
         )
+    return DiscreteOperator(spec) if op is None else op
 
 
 class _Members:
@@ -284,9 +279,7 @@ def solve_resolvent_batch(spec, lam, G, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_IT
     sweep decreases its residual. Failures are reported per member in the
     returned ResolventBatchResult; nothing is raised for them.
     """
-    _check_step(spec, lam)
-    if op is None:
-        op = DiscreteOperator(spec)
+    op = _operator(spec, lam, op)
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[1] != op.space.n:
         raise ValueError(f"G must have shape (B, {op.space.n}), got {G.shape}")
@@ -333,12 +326,13 @@ def solve_resolvent(spec, lam, g, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, op
     """Solve u + lambda A(u) = g for the given spec; returns ResolventResult.
 
     lam must be positive, and lambda * L < 1 when a Lipschitz perturbation
-    is present. Raises NonConvergenceError if the weighted-l2 residual does
-    not reach tol within max_iter outer iterations.
+    is present, and g must live on the operator's grid. Raises
+    NonConvergenceError if the weighted-l2 residual does not reach tol within
+    max_iter outer iterations.
     """
-    _check_step(spec, lam)
-    if op is None:
-        op = DiscreteOperator(spec)
+    op = _operator(spec, lam, op)
+    if g.space != op.space:
+        raise ValueError(f"g lives on {g.space}, but the operator acts on {op.space}")
     out = _newton(op, lam, g.values[None, :], tol, max_iter)
     residual, iterations = float(out.residual[0]), int(out.iterations[0])
     if not out.converged[0]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .measure import GridFunction, lq_norm, mass
 from .operators import DiscreteOperator
-from .resolvent import NonConvergenceError, solve_resolvent
+from .resolvent import DEFAULT_MAX_ITER, NonConvergenceError, solve_resolvent
 
 EVOLVE_TOL = 1e-12  # per-step residual; keeps cumulative mass drift far below budget
 RECORDED_NORMS = (1.0, 2.0, math.inf)  # the q of the L^q norms a Trajectory records
@@ -98,10 +98,11 @@ class Trajectory:
         return (self.norm_l1, self.norm_l2, self.norm_linf)[RECORDED_NORMS.index(q)]
 
 
-def evolve(spec, u0, time_grid, tol=EVOLVE_TOL, max_iter=200, op=None):
+def evolve(spec, u0, time_grid, tol=EVOLVE_TOL, max_iter=DEFAULT_MAX_ITER, op=None):
     """Advance the implicit Euler scheme across the whole time grid.
 
-    Solver failures are re-raised with the failing step and time attached.
+    Solver failures are re-raised with the failing step and time attached; a
+    u0 on another grid than the operator's is refused, as by solve_resolvent.
     """
     if op is None:
         op = DiscreteOperator(spec)

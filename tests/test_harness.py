@@ -269,7 +269,7 @@ def test_spec_from_config_rejects_unknown_kinds():
 def test_smooth_bump_has_exact_compact_support():
     grid = Grid(bounds=((-4.0, 4.0),), shape=(801,))
     u = smooth_bump(grid, center=0.0, width=2.0, amplitude=3.0)
-    x = grid.nodes()
+    (x,) = grid.coordinates()
     outside = np.abs(x) >= 2.0
     assert np.all(u.values[outside] == 0.0)
     assert np.any(u.values > 0.0)
@@ -512,6 +512,30 @@ def test_barenblatt_comparison_runs_on_the_configured_time_grid(monkeypatch):
     cfg["time"]["t_first"] = 1e-3
     harness.barenblatt_comparison(cfg)
     assert grids == [semigroup.TimeGrid(1.0, 400, t_first=1e-3), semigroup.TimeGrid(1.0, 200, t_first=1e-3)]
+
+
+@pytest.mark.parametrize(
+    "path, value, key",
+    [
+        ("operator.p", 2.0, r"operator\.p = 2\.0"),
+        ("operator.p", 1.5, r"operator\.p = 1\.5"),
+        ("phi", {"kind": "power", "m": 2.0}, r"phi\.kind = 'power'"),
+        ("perturbation", {"kind": "tanh", "coeff": 0.1}, r"perturbation\.kind = 'tanh'"),
+        ("grid", {"bounds": [[-6.0, 6.0], [-6.0, 6.0]], "shape": [41, 41]}, r"grid\.shape = \[41, 41\]"),
+        ("time", {"t_end": 1.0, "n_steps": 3, "t_first": 1e-3}, r"time\.n_steps = 3 halves to 1"),
+    ],
+    ids=["p2", "p1.5", "phi", "perturbation", "2d", "coarse-steps"],
+)
+def test_barenblatt_comparison_refuses_what_it_cannot_compare(monkeypatch, path, value, key):
+    monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
+    cfg = harness.default_barenblatt_config()
+    section, _, name = path.partition(".")
+    if name:
+        cfg[section][name] = value
+    else:
+        cfg[section] = value
+    with pytest.raises(ValueError, match=f"config {key}"):
+        harness.barenblatt_comparison(cfg)
 
 
 def test_contraction_suite_is_thread_invariant():

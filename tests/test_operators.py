@@ -5,6 +5,8 @@ roundoff), not an approximation to the continuum: the diffusion is the
 gradient of a separable convex edge energy by construction.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -53,12 +55,12 @@ def _spec_3d(p, bc, phi=None):
 def test_grid_geometry():
     g = Grid(bounds=((0.0, 1.0),), shape=(3,))
     assert g.h == (0.25,)
-    assert np.allclose(g.nodes(), [0.25, 0.5, 0.75])
+    assert np.allclose(g.coordinates()[0], [0.25, 0.5, 0.75])
     assert np.all(g.space().weights == 0.25)
     r = Grid(bounds=((-1.0, 1.0), (0.0, 2.0)), shape=(3, 4))
     assert r.h == (0.5, 0.4)
     assert r.n_total == 12
-    x, y = r.nodes()
+    x, y = r.coordinates()
     # row-major: the y index varies fastest
     assert (x[0], y[0]) == (-0.5, 0.4)
     assert (x[1], y[1]) == (-0.5, pytest.approx(0.8))
@@ -74,7 +76,7 @@ def test_grid_geometry():
         Grid(bounds=(), shape=())
     box = Grid(bounds=((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0)), shape=(3, 4, 5))
     assert box.n_total == 60 and box.cell_volume == pytest.approx(0.25 * 0.4 * (1.0 / 3.0))
-    x, y, z = box.nodes()
+    x, y, z = box.coordinates()
     # row-major: the last axis varies fastest
     assert (x[1], y[1], z[1]) == (0.25, 0.4, pytest.approx(-1.0 / 3.0))
     assert (x[5], y[5]) == (0.25, pytest.approx(0.8))
@@ -102,7 +104,8 @@ def test_evaluation_is_row_wise_on_a_stack():
         flat = lambda parts: [x.reshape(x.shape[: x.ndim - spec.grid.d] + (-1,)) for x in parts]
         methods = [op.apply_values, op.diffusion_values, op.phi_derivative, op.perturbation_derivative,
                    lambda w: np.concatenate(flat(op.edge_conductivities(w)), axis=-1),
-                   lambda w: np.concatenate([op.diffusion_jacobian(w)[0]] + flat(op.diffusion_jacobian(w)[1]), axis=-1)]
+                   # the bands lead, so put the batch axis first
+                   lambda w: np.moveaxis(op.diffusion_jacobian(w), 0, -2)]
         for method in methods:
             stacked = method(W)
             for k in range(len(W)):
@@ -270,26 +273,60 @@ def test_jacobian_bands_match_matrix():
     spec = _spec_1d(3.0, BoundaryCondition.robin(0.7))
     op = DiscreteOperator(spec)
     w = rng.standard_normal(spec.grid.n_total)
-    diag, (coupling,) = op.diffusion_jacobian(w)
+    sub, diag, sup = op.diffusion_jacobian(w)
     dense = op.diffusion_jacobian_matrix(w).toarray()
     assert np.allclose(np.diag(dense), diag, atol=1e-14)
-    assert np.allclose(np.diag(dense, -1), -coupling, atol=1e-14)
-    assert np.allclose(np.diag(dense, 1), -coupling, atol=1e-14)
+    assert np.allclose(np.diag(dense, -1), sub[:-1], atol=1e-14)
+    assert np.allclose(np.diag(dense, 1), sup[1:], atol=1e-14)
+    assert sub[-1] == sup[0] == 0.0
 
 
-def test_jacobian_description_applies_and_scales_like_the_matrix():
+def test_jacobian_bands_apply_and_scale_like_the_matrix():
     rng = np.random.default_rng(RNG_SEED + 10)
     for spec in (_spec_1d(3.0, BoundaryCondition.neumann()), _spec_2d(3.0, BoundaryCondition.dirichlet()),
                  _spec_3d(3.0, BoundaryCondition.robin(0.7))):
         op = DiscreteOperator(spec)
         n = spec.grid.n_total
         w, v, s = rng.standard_normal(n), rng.standard_normal(n), rng.uniform(0.0, 2.0, n)
-        diag, couplings = op.diffusion_jacobian(w)
-        dense = op.jacobian_matrix(diag, couplings).toarray()
+        bands = op.diffusion_jacobian(w)
+        dense = op.jacobian_matrix(bands).toarray()
         assert np.allclose(dense, dense.T, atol=0.0)
-        np.testing.assert_allclose(op.jacobian_apply(diag, couplings, v), dense @ v, rtol=1e-12, atol=1e-12)
-        scaled = op.jacobian_matrix(*op.jacobian_scaled(diag, couplings, s)).toarray()
+        np.testing.assert_allclose(op.jacobian_apply(bands, v), dense @ v, rtol=1e-12, atol=1e-12)
+        scaled = op.jacobian_matrix(op.jacobian_scaled(bands, s)).toarray()
         np.testing.assert_allclose(scaled, s[:, None] * dense * s[None, :], rtol=1e-14, atol=1e-12)
+
+
+@pytest.mark.parametrize("bc", ALL_BCS, ids=lambda bc: bc.kind)
+@pytest.mark.parametrize("make", [_spec_1d, _spec_2d, _spec_3d], ids=["1d", "2d", "3d"])
+def test_jacobian_band_layout(make, bc):
+    # band k holds M[j - offset_k, j] at column j, and exactly 0 where that row
+    # is off the grid: the stacked 1-D solve relies on those zeros to keep its
+    # blocks apart
+    rng = np.random.default_rng(RNG_SEED + 12)
+    spec = make(3.0, bc)
+    op = DiscreteOperator(spec)
+    shape, d, n = spec.grid.shape, spec.grid.d, spec.grid.n_total
+    strides = [math.prod(shape[a + 1:]) for a in range(d)]
+    offsets = [-st for st in strides] + [0] + strides[::-1]
+    index = np.unravel_index(np.arange(n), shape)
+    # the row j - offset_k is a grid neighbour of node j along the band's axis
+    on_grid = [index[a] < shape[a] - 1 for a in range(d)] + [np.ones(n, dtype=bool)]
+    on_grid += [index[a] > 0 for a in reversed(range(d))]
+    W = rng.standard_normal((3, n))
+    stacked = op.diffusion_jacobian(W)
+    assert stacked.shape == (2 * d + 1, 3, n)
+    for i, w in enumerate(W):
+        bands = op.diffusion_jacobian(w)
+        assert bands.shape == (2 * d + 1, n)
+        assert np.array_equal(stacked[:, i], bands)
+        matrix = op.diffusion_jacobian_matrix(w)
+        assert list(matrix.offsets) == offsets
+        dense = matrix.toarray()
+        for k, offset in enumerate(offsets):
+            j = np.flatnonzero(on_grid[k])
+            assert np.array_equal(bands[k, j], dense[j - offset, j])
+            assert np.all(bands[k, ~on_grid[k]] == 0.0)
+        assert np.count_nonzero(dense) == sum(np.count_nonzero(bands[k][on_grid[k]]) for k in range(2 * d + 1))
 
 
 @pytest.mark.parametrize("bc", ALL_BCS, ids=lambda bc: bc.kind)
@@ -330,7 +367,7 @@ def test_gn_check_matches_dirichlet_eigenvalue():
     h = spec.grid.h[0]
     lam1 = (2.0 - 2.0 * np.cos(np.pi * h)) / h**2
     gn = GNParams(q=2.0, r=2.0, sigma=2.0)
-    ground = GridFunction(spec.space(), np.sin(np.pi * spec.grid.nodes()))
+    ground = GridFunction(spec.space(), np.sin(np.pi * spec.grid.coordinates()[0]))
     res = gn_check(spec, ground, gn)
     assert res.ratio == pytest.approx(1.0 / lam1, rel=1e-10)
     rng = np.random.default_rng(RNG_SEED + 7)

@@ -1,5 +1,7 @@
 """Implicit Euler step: contraction, order preservation, resolvent identity."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -279,10 +281,10 @@ def test_batch_isolates_a_failing_member():
 def test_stacked_tridiagonal_solve_isolates_bad_blocks():
     rng = np.random.default_rng(13)
     k, n = 4, 6
-    system = np.zeros((4, k, n))
-    system[0, :, 1:] = rng.uniform(-1.0, 0.0, (k, n - 1))
+    system = np.zeros((4, k, n))  # sub-, main and superdiagonal bands, then the right-hand sides
+    system[0, :, :-1] = rng.uniform(-1.0, 0.0, (k, n - 1))
     system[1] = 3.0
-    system[2, :, :-1] = rng.uniform(-1.0, 0.0, (k, n - 1))
+    system[2, :, 1:] = rng.uniform(-1.0, 0.0, (k, n - 1))
     system[3] = rng.standard_normal((k, n))
     alone = [_solve_tridiagonal_stack(system[:, j : j + 1].copy())[0] for j in range(k)]
     assert np.array_equal(_solve_tridiagonal_stack(system.copy()), np.array(alone))
@@ -300,14 +302,15 @@ def test_stacked_tridiagonal_solve_isolates_bad_blocks():
 @pytest.mark.parametrize("k", [1, 3])
 def test_stacked_tridiagonal_solve_equals_scipy_solve_banded(k, n):
     rng = np.random.default_rng(k * n)
-    system = np.zeros((4, k, n))
-    system[0, :, 1:] = -rng.uniform(0.0, 1.0, (k, n - 1))
+    system = np.zeros((4, k, n))  # sub-, main and superdiagonal bands, then the right-hand sides
+    system[0, :, :-1] = -rng.uniform(0.0, 1.0, (k, n - 1))
     system[1] = rng.uniform(0.5, 2.5, (k, n))  # not dominant, so gtsv pivots within blocks
-    system[2, :, :-1] = -rng.uniform(0.0, 1.0, (k, n - 1))
+    system[2, :, 1:] = -rng.uniform(0.0, 1.0, (k, n - 1))
     system[3] = rng.standard_normal((k, n))
     steps = _solve_tridiagonal_stack(system.copy())
     for j in range(k):
-        assert np.array_equal(steps[j], solve_banded((1, 1), system[:3, j], system[3, j]))
+        # scipy's banded layout puts the superdiagonal first
+        assert np.array_equal(steps[j], solve_banded((1, 1), system[2::-1, j], system[3, j]))
 
 
 def test_a_lone_zero_pivot_block_comes_back_nan():
@@ -316,7 +319,7 @@ def test_a_lone_zero_pivot_block_comes_back_nan():
     system[1, 0, 2] = 0.0  # a zero row: gtsv reports info > 0
     system[3] = 1.0
     with pytest.raises(np.linalg.LinAlgError):
-        solve_banded((1, 1), system[:3, 0], system[3, 0])
+        solve_banded((1, 1), system[2::-1, 0], system[3, 0])
     assert np.isnan(_solve_tridiagonal_stack(system)).all()
 
 
@@ -330,3 +333,12 @@ def test_batch_input_validation():
         solve_resolvent_batch(spec, -1.0, np.zeros((2, N_NODES)))
     out = solve_resolvent_batch(spec, 0.1, np.zeros((0, N_NODES)))
     assert out.u.shape == (0, N_NODES) and out.failures == []
+
+
+@pytest.mark.parametrize("n", [40, 30])
+def test_solve_resolvent_refuses_a_grid_function_from_another_grid(n):
+    spec = OperatorSpec(grid=Grid(bounds=((-1.0, 1.0),), shape=(40,)), p=3.0)
+    bump = smooth_bump(Grid(bounds=((-5.0, 5.0),), shape=(n,)))
+    message = re.escape(f"g lives on {bump.space}, but the operator acts on {spec.space()}")
+    with pytest.raises(ValueError, match=message):
+        solve_resolvent(spec, 0.1, bump)

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from nlsmooth.harness import random_smooth_field
+from nlsmooth.harness import random_smooth_field, smooth_bump
 from nlsmooth.measure import GridFunction, lq_norm, mass
 from nlsmooth.operators import (
     BoundaryCondition,
@@ -38,7 +38,7 @@ def _spec(p=3.0, bc_kind="dirichlet", phi=None, perturbation=None):
 
 
 def _bump(spec, scale=1.0):
-    x = spec.grid.nodes()
+    (x,) = spec.grid.coordinates()
     return GridFunction(spec.space(), scale * np.exp(-4.0 * x * x))
 
 
@@ -181,9 +181,9 @@ def test_2d_flow_is_bitwise_the_same_with_a_csr_newton_matrix(monkeypatch):
     dia = evolve(spec, u0, tg)
     as_dia, calls = DiscreteOperator.jacobian_matrix, []
 
-    def as_csr(self, diag, couplings):
+    def as_csr(self, bands):
         calls.append(1)
-        return as_dia(self, diag, couplings).tocsr()
+        return as_dia(self, bands).tocsr()
 
     monkeypatch.setattr(DiscreteOperator, "jacobian_matrix", as_csr)
     csr = evolve(spec, u0, tg)
@@ -191,6 +191,15 @@ def test_2d_flow_is_bitwise_the_same_with_a_csr_newton_matrix(monkeypatch):
     assert np.ptp(dia.norm_linf) > 0.0
     for series in ("norm_l1", "norm_l2", "norm_linf"):
         assert np.array_equal(getattr(dia, series), getattr(csr, series))
+
+
+@pytest.mark.parametrize("n", [40, 30])
+def test_evolve_refuses_a_grid_function_from_another_grid(n):
+    spec = OperatorSpec(grid=Grid(bounds=((-1.0, 1.0),), shape=(40,)), p=3.0)
+    bump = smooth_bump(Grid(bounds=((-5.0, 5.0),), shape=(n,)))
+    message = re.escape(f"g lives on {bump.space}, but the operator acts on {spec.space()}")
+    with pytest.raises(ValueError, match=message):
+        evolve(spec, bump, TimeGrid(0.1, 2))
 
 
 def test_trajectory_series_access():
