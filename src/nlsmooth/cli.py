@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 
@@ -26,19 +27,21 @@ from .harness import exponents_from_query
 from .measure import lq_norm
 from .semigroup import evolve, trajectory_to_csv
 
-_THEOREM_FLAGS = ("d", "p", "s", "m0", "m", "q0", "theta", "sfrac", "bc", "kappa")
+
+def _arguments(func):
+    """The parameter names of func, in order: the flags it reads."""
+    return tuple(inspect.signature(func).parameters)
+
+
+_THEOREM_FLAGS = tuple(dict.fromkeys(flag for theorem in harness._THEOREMS.values() for flag in _arguments(theorem)))
 # kind -> (orbit, the flags it reads before n)
 _SEQUENCES = {
-    "iteration": (iteration_sequence, ("kappa", "r", "gamma", "m0")),
-    "moser": (moser_q_sequence, ("kappa", "m", "p", "q0")),
+    kind: (orbit, tuple(flag for flag in _arguments(orbit) if flag != "n"))
+    for kind, orbit in (("iteration", iteration_sequence), ("moser", moser_q_sequence))
 }
 _SEQUENCE_FLAGS = tuple(dict.fromkeys(flag for _, flags in _SEQUENCES.values() for flag in flags))
 # argparse keywords of the exponents and sequence flags; the rest are floats
-_FLAG_KWARGS = {
-    "d": {"type": int},
-    "n": {"type": int, "required": True},
-    "bc": {"choices": ["dirichlet", "neumann", "robin"]},
-}
+_FLAG_KWARGS = {"d": {"type": int}, "n": {"type": int, "required": True}}
 
 
 def _decode(obj):

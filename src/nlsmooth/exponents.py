@@ -364,9 +364,6 @@ def moser_exponents(kappa, m, p, q0, s=1.0):
 # application helpers: the Gagliardo-Nirenberg families
 # ---------------------------------------------------------------------------
 
-_BCS = ("dirichlet", "neumann", "robin")
-
-
 def _default_m0(p, threshold, given, what):
     """Seed defaulting: m0 = p is admissible iff p > threshold."""
     if given is not None:
@@ -476,20 +473,18 @@ def _gn_exponents(family, d, p, s, m0, theta, sfrac=1.0):
     return _reduce_star_to_s(star, s, case=case, conditions=conditions)
 
 
-def plaplace_exponents(d, p, s=1.0, m0=None, bc="dirichlet", theta=None):
+def plaplace_exponents(d, p, s=1.0, m0=None, theta=None):
     """L^s -> L^inf smoothing exponents for the p-Laplace evolution.
 
     Covers 1 < p < d, p = d and p > d on a d-dimensional domain. The
-    boundary coupling (dirichlet, neumann, robin) does not change the
-    exponents, only the constants, and is accepted for interface symmetry.
+    exponents are the same under Dirichlet, Neumann and Robin coupling; only
+    the constants differ, so the function takes no boundary condition.
     For p = d the estimate carries a free interpolation parameter
     theta in (0, 1), default 1/2; m0 is then pinned internally. For p < d
     the seed defaults to m0 = p, admissible iff p > 2d/(d+2).
     """
     d = _check_dim(d)
     p = _check_p(p)
-    if str(bc).lower() not in _BCS:
-        raise ValueError(f"bc must be one of {_BCS}, got {bc!r}")
     _check_s(s)
     return _gn_exponents("plaplace", d, p, s, m0, theta)
 

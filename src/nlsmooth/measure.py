@@ -93,11 +93,6 @@ def _vals(u):
     return u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
 
 
-def _same_space(u, v):
-    if u.space.n != v.space.n or not np.array_equal(u.space.weights, v.space.weights):
-        raise ValueError("grid functions live on different spaces")
-
-
 def lq_norm(u, q):
     """(sum_i mu_i |u_i|^q)^(1/q), or max_i |u_i| for q = inf."""
     return float(lq_norm_rows(u.space.weights, u.values, q))
@@ -125,7 +120,8 @@ def q_bracket(u, v, q):
     q = parse_index(q)
     if q == INF:
         raise ValueError("q_bracket requires q < inf")
-    _same_space(u, v)
+    if u.space != v.space:
+        raise ValueError("grid functions live on different spaces")
     w = u.space.weights
     uu, vv = u.values, v.values
     if q == 1.0:

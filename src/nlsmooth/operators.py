@@ -174,12 +174,13 @@ class LipschitzF:
     """Nodewise perturbation f(x, u), Lipschitz in u with f(x, 0) = 0.
 
     x is the tuple of the d flat coordinate arrays of the nodes (a 1-tuple in
-    one dimension), as Grid.coordinates returns it.
+    one dimension), as Grid.coordinates returns it; deriv(x, u) is the
+    derivative of f in u.
     """
 
     func: Callable
     lipschitz: float
-    deriv: Optional[Callable] = None
+    deriv: Callable
 
     def __post_init__(self):
         if not (self.lipschitz >= 0.0 and math.isfinite(self.lipschitz)):
@@ -189,10 +190,7 @@ class LipschitzF:
         return np.asarray(self.func(x, u), dtype=float)
 
     def derivative(self, x, u):
-        if self.deriv is not None:
-            return np.asarray(self.deriv(x, u), dtype=float)
-        step = 1e-6 * np.maximum(1.0, np.abs(u))
-        return (self.func(x, u + step) - self.func(x, u - step)) / (2.0 * step)
+        return np.asarray(self.deriv(x, u), dtype=float)
 
 
 def linear_perturbation(coeff):

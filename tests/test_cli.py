@@ -79,8 +79,8 @@ def test_exponents_argparse_usage_error():
 @pytest.mark.parametrize(
     "theorem, extra, refused",
     [
-        ("dtn", ["--bc", "neumann"], "bc"),
-        ("fractional", ["--sfrac", "0.5", "--bc", "robin"], "bc"),
+        ("dtn", ["--sfrac", "0.5"], "sfrac"),
+        ("fractional", ["--sfrac", "0.5", "--kappa", "2"], "kappa"),
         ("plaplace", ["--kappa", "2"], "kappa"),
         ("doubly-nonlinear", ["--m", "2", "--kappa", "2"], "kappa"),
         ("barenblatt", ["--s", "1"], "s"),
@@ -389,6 +389,7 @@ _ITERATION = ["sequence", "--kind", "iteration", "--kappa", "2", "--r", "1", "--
         (["verify", "barenblatt", "--tol", "0.1"], "tol"),
         (["verify", "contraction", "--threads", "2"], "--threads"),
         (["all"], "'all'"),
+        (["exponents", "--theorem", "plaplace", "--d", "1", "--p", "3", "--bc", "neumann"], "--bc"),
     ],
 )
 def test_a_flag_the_subcommand_does_not_read_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv, named):
@@ -471,6 +472,40 @@ def test_a_bad_config_section_exits_2_naming_the_key(tmp_path, monkeypatch, caps
     monkeypatch.chdir(tmp_path)
     cfg = _smoke_config()
     edit(cfg)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_jsonable(cfg)))
+    code, out, err = run_cli(capsys, argv + ["--config", str(cfg_path)])
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "unused.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--out", "unused.csv"], ["verify", "decay"]])
+@pytest.mark.parametrize(
+    "initial, message",
+    [
+        ({"width": -0.5}, "config experiment.initial.width must be positive and finite, got -0.5"),
+        ({"width": 0}, "config experiment.initial.width must be positive and finite, got 0"),
+        ({"width": "inf"}, "config experiment.initial.width must be positive and finite, got inf"),
+        ({"center": [0.0, 0.0]},
+         "config experiment.initial.center must be a number or a list of d = 1 numbers, got [0.0, 0.0]"),
+        ({"amplitude": 0.0}, "config experiment.initial.amplitude must be nonzero, got 0.0"),
+        ({"kind": "barenblatt", "p": 3.0, "t0": 0.0}, "config experiment.initial.t0 must be positive and finite, got 0.0"),
+        ({"kind": "barenblatt", "p": 3.0, "t0": -1.0}, "config experiment.initial.t0 must be positive and finite, got -1.0"),
+        ({"kind": "barenblatt", "p": 2.0}, "config experiment.initial.p must be > 1 and not 2, got 2.0"),
+        ({"kind": "random", "n_modes": 0}, "config experiment.initial.n_modes must be at least 1, got 0"),
+    ],
+    ids=["width-negative", "width-zero", "width-inf", "center-2d", "amplitude-zero", "t0-zero", "t0-negative", "p2", "no-modes"],
+)
+def test_a_bad_initial_value_exits_2_naming_the_key(tmp_path, monkeypatch, capsys, argv, initial, message):
+    monkeypatch.chdir(tmp_path)
+    for module in ("nlsmooth.cli", "nlsmooth.harness"):
+        monkeypatch.setattr(f"{module}.evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
+    cfg = _smoke_config()
+    recipe = cfg["experiment"]["initial"]
+    if "kind" in initial:
+        recipe.clear()
+    recipe.update(initial)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(_jsonable(cfg)))
     code, out, err = run_cli(capsys, argv + ["--config", str(cfg_path)])

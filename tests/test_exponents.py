@@ -269,15 +269,6 @@ def test_plaplace_borderline_theta_independence():
         assert out.case == "plaplace:p=d"
 
 
-def test_plaplace_boundary_coupling_does_not_change_exponents():
-    base = plaplace_exponents(3, 2.5, s=1.0)
-    for bc in ("neumann", "robin"):
-        other = plaplace_exponents(3, 2.5, s=1.0, bc=bc)
-        assert other.alpha_s == base.alpha_s
-        assert other.beta_s == base.beta_s
-        assert other.gamma_s == base.gamma_s
-
-
 def test_plaplace_seed_default_threshold():
     # p <= 2d/(d+2) needs an explicit seed
     with pytest.raises(ConditionError) as err:
@@ -295,8 +286,6 @@ def test_plaplace_argument_validation():
         plaplace_exponents(3, 1.0)
     with pytest.raises(ValueError):
         plaplace_exponents(0, 2.0)
-    with pytest.raises(ValueError):
-        plaplace_exponents(3, 2.0, bc="periodic")
     with pytest.raises(ValueError):
         plaplace_exponents(2, 2.0, m0=3.0)  # m0 pinned at p = d
     with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nlsmooth import harness, resolvent, semigroup
-from nlsmooth.exponents import INF
+from nlsmooth.exponents import INF, plaplace_exponents
 from nlsmooth.harness import (
     Report,
     config_hash,
@@ -24,7 +24,7 @@ from nlsmooth.harness import (
     usable_window,
 )
 from nlsmooth.measure import lq_norm
-from nlsmooth.operators import Grid, PhiSpec, barenblatt_on_grid
+from nlsmooth.operators import Grid, LipschitzF, PhiSpec, barenblatt_on_grid
 from nlsmooth.semigroup import Trajectory
 
 FIT_TOLERANCE = 1e-10
@@ -330,6 +330,21 @@ def test_dead_fields_and_parameters_are_gone():
     assert [f.name for f in dataclasses.fields(harness.DecayFit)] == ["alpha_hat", "r2", "window", "n_points"]
     assert list(inspect.signature(PhiSpec.value).parameters) == ["self", "s"]
     assert list(inspect.signature(usable_window).parameters) == ["traj", "window"]
+    # inputs that nothing set to another value are constants of their function
+    signatures = {
+        harness.contraction_suite: ["p_values", "n_pairs", "seed", "threads"],
+        harness.order_suite: ["p_values", "n_pairs", "seed"],
+        harness.gn_suite: ["seed"],
+        harness.conservation_suite: ["seed"],
+        harness.convergence_study: ["seed"],
+        harness.barenblatt_comparison: ["config"],
+        fit_power_law: ["times", "values", "window"],
+        plaplace_exponents: ["d", "p", "s", "m0", "theta"],
+        LipschitzF: ["func", "lipschitz", "deriv"],
+    }
+    for func, names in signatures.items():
+        assert list(inspect.signature(func).parameters) == names, func.__name__
+    assert inspect.signature(LipschitzF).parameters["deriv"].default is inspect.Parameter.empty
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +442,15 @@ def test_decay_experiment_resolves_the_prediction_before_the_flow(monkeypatch):
         harness.run_decay_experiment(cfg)
 
 
+def test_a_predicted_query_with_a_boundary_condition_is_refused(monkeypatch):
+    # the exponents do not depend on the boundary coupling, so no theorem takes bc
+    monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
+    cfg = _smoke_decay_config()
+    cfg["experiment"]["predicted"]["bc"] = "neumann"
+    with pytest.raises(ValueError, match=re.escape("does not take argument 'experiment.predicted.bc'")):
+        harness.run_decay_experiment(cfg)
+
+
 def test_decay_experiment_reads_only_a_recorded_norm(monkeypatch):
     monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
     cfg = _smoke_decay_config()
@@ -467,10 +491,11 @@ def test_barenblatt_comparison_smoke():
             "refinement_min_ratio": 1.3,
         },
     }
-    rep = harness.barenblatt_comparison(cfg, refinement=False)
+    rep = harness.barenblatt_comparison(cfg)
     assert rep.passed
     assert rep.metrics["rel_l1_error"] <= 0.05
-    assert "refinement_ratio" not in rep.metrics
+    assert rep.metrics["refinement_ratio"] >= rep.metrics["refinement_min_ratio"] == 1.3
+    assert 0.0 < rep.metrics["rel_l1_error"] < rep.metrics["rel_l1_error_coarse"]
 
 
 def test_barenblatt_comparison_rejects_small_domain():
@@ -489,7 +514,7 @@ def test_barenblatt_comparison_rejects_small_domain():
         },
     }
     with pytest.raises(ValueError, match="does not fit"):
-        harness.barenblatt_comparison(cfg, refinement=False)
+        harness.barenblatt_comparison(cfg)
 
 
 def test_barenblatt_comparison_reads_t_end(monkeypatch):
@@ -539,14 +564,7 @@ def test_barenblatt_comparison_refuses_what_it_cannot_compare(monkeypatch, path,
 
 
 def test_contraction_suite_is_thread_invariant():
-    kw = dict(
-        p_values=(3.0,),
-        lambdas=(0.1,),
-        q_values=(1.0, float("inf")),
-        n_pairs=6,
-        n_nodes=16,
-        seed=5,
-    )
+    kw = dict(p_values=(3.0,), n_pairs=6, seed=5)
     r1 = harness.contraction_suite(threads=1, **kw)
     r2 = harness.contraction_suite(threads=2, **kw)
     assert r1.passed and r2.passed

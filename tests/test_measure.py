@@ -104,8 +104,10 @@ def test_q_bracket_pins():
     with pytest.raises(ValueError):
         q_bracket(u, v, INF)
     vv = GridFunction(DiscreteSpace(np.full(4, 0.7)), v.values)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different spaces"):
         q_bracket(u, vv, 2)
+    with pytest.raises(ValueError, match="different spaces"):
+        q_bracket(u, GridFunction(DiscreteSpace(np.full(3, 0.5)), v.values[:3]), 2)
 
 
 def test_bracket_of_zero_function_is_l1_norm():

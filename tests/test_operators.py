@@ -433,7 +433,7 @@ def test_operator_spec_validation():
         OperatorSpec(grid=grid, p=2.0, eps_reg=-1e-3)
     assert OperatorSpec(grid=grid, p=2.0).eps_reg == DEFAULT_EPS_REG
     with pytest.raises(ValueError):
-        LipschitzF(func=lambda x, u: u, lipschitz=-1.0)
+        LipschitzF(func=lambda x, u: u, lipschitz=-1.0, deriv=lambda x, u: np.ones_like(u))
 
 
 # -- source solution --------------------------------------------------------
