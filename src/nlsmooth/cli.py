@@ -24,7 +24,6 @@ import sys
 from . import harness
 from .exponents import ConditionError, iteration_sequence, moser_q_sequence
 from .harness import exponents_from_query
-from .measure import lq_norm
 from .semigroup import evolve, trajectory_to_csv
 
 
@@ -144,9 +143,9 @@ def _cmd_simulate(args):
             "n_steps": tg.n_steps,
             "out": str(args.out),
             "final_norms": {
-                "l1": lq_norm(traj.final, 1),
-                "l2": lq_norm(traj.final, 2),
-                "linf": lq_norm(traj.final, float("inf")),
+                "l1": traj.norm_l1[-1],
+                "l2": traj.norm_l2[-1],
+                "linf": traj.norm_linf[-1],
             },
         }
     )

@@ -247,7 +247,8 @@ def initial_condition(recipe, grid, seed=0):
     kinds: bump {center, width, amplitude}, barenblatt {p, t0},
     random {n_modes}, drawn from seed. normalize: "l1" rescales to unit L^1
     norm. A ValueError names an unknown or missing key, a value that is not an
-    admissible number, or a normalize other than "l1".
+    admissible number, a normalize other than "l1", or the keys of a recipe
+    that is 0 at every node.
     """
     # wrapped under its key path, so that an error names experiment.initial.<key>
     kind, recipe = _kind_section({"experiment.initial": recipe}, "experiment.initial", _INITIAL_KINDS,
@@ -279,11 +280,11 @@ def initial_condition(recipe, grid, seed=0):
         u = barenblatt_on_grid(grid, float(recipe["p"]), float(recipe.get("t0", 1.0)))
     else:
         u = random_smooth_field(grid, seed=seed, n_modes=recipe.get("n_modes", 3))
+    if not u.values.any():
+        keys = "t0" if kind == "barenblatt" else "width / experiment.initial.center"
+        raise ValueError(f"config experiment.initial.{keys}: the {kind} is 0 at every node of the grid")
     if "normalize" in recipe:
-        n1 = lq_norm(u, 1)
-        if n1 == 0.0:
-            raise ValueError("cannot normalize the zero function")
-        u = u * (1.0 / n1)
+        u = u * (1.0 / lq_norm(u, 1))
     return u
 
 

@@ -2,8 +2,9 @@
 
 This is the implicit Euler step that generates the semigroup. The nonlinear
 system is solved by a damped Newton method on the weighted-l2 residual with
-Armijo backtracking, falling back to damped Picard sweeps whenever the
-linearized step is unusable.
+Armijo backtracking. A member whose Newton step finds no descent, or whose
+linear solve failed, takes a damped Picard sweep on u = g - lambda A(u): the
+same Armijo line search along -R.
 
 The Newton system is (diag(a) + lambda L diag(phi'(u))) delta = -R, with
 a = 1 + lambda f'(u), L the Jacobian of the diffusion at phi(u) and R the
@@ -70,7 +71,6 @@ class ResolventResult:
     u: GridFunction
     residual: float
     iterations: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,11 @@ def _weighted_norms(weights, R):
     return np.sqrt(np.vecdot(R * R, weights))
 
 
-def solve_banded(system, overwrite=False):
-    """LAPACK gtsv on one (4, m) system laid out as in _solve_tridiagonal_stack,
-    in place if overwrite is set; all NaN when gtsv meets a zero pivot.
+def solve_banded(system):
+    """LAPACK gtsv on a copy of one (4, m) system laid out as in
+    _solve_tridiagonal_stack; all NaN when gtsv meets a zero pivot.
     perfbench traces this name as the 1-D linear solve."""
-    *_, x, info = dgtsv(system[0, :-1], system[1], system[2, 1:], system[3], *[overwrite] * 4)
+    *_, x, info = dgtsv(system[0, :-1], system[1], system[2, 1:], system[3])
     return x if info == 0 else np.full_like(x, np.nan)
 
 
@@ -113,9 +113,8 @@ def _solve_tridiagonal_stack(system):
     """
     _, k, n = system.shape
     if np.isfinite(system).all():
-        lone = k == 1  # no block-by-block retry follows, so LAPACK may work in place
-        steps = solve_banded(system.reshape(4, k * n), overwrite=lone).reshape(k, n)
-        if lone or np.isfinite(steps).all():
+        steps = solve_banded(system.reshape(4, k * n)).reshape(k, n)
+        if np.isfinite(steps).all():
             return steps
     steps = np.full((k, n), np.nan)
     for j in range(k) if k > 1 else ():
@@ -133,18 +132,11 @@ def _forcing(rn, rn_prev, eta_prev, tol):
     return np.where(np.isnan(rn_prev), FORCING_MAX, eta)
 
 
-def _single(V):
-    """A one-row stack as its 1-D row: the operators take either, and numpy's
-    per-call overhead, which dominates at these sizes, is lower in 1-D."""
-    return V[0] if len(V) == 1 else V
-
-
 def _newton_steps(op, lam, U, R, rtol):
     """Newton directions for the (k, n) rows of U, whose residuals are R, with
     CG tolerances rtol (see the module docstring); failed rows come back NaN."""
     k, n = U.shape
     d = op.grid.d
-    U, R = _single(U), _single(R)
     bands = op.diffusion_jacobian(op.spec.phi.value(U))
     a = 1.0 if op.spec.perturbation is None else 1.0 + lam * op.perturbation_derivative(U)
     scaled = op.spec.phi.kind != "identity"
@@ -161,11 +153,11 @@ def _newton_steps(op, lam, U, R, rtol):
     y = _solve_tridiagonal_stack(system) if d == 1 else _solve_cg_stack(op, system, rtol)
     if not scaled:
         return y
-    step = op.jacobian_apply(bands, S * y.reshape(U.shape))
+    step = op.jacobian_apply(bands, S * y)
     step *= -lam
     step -= R
     step /= a
-    return step.reshape(k, n)
+    return step
 
 
 def _solve_cg_stack(op, system, rtol):
@@ -184,7 +176,9 @@ def _solve_cg_stack(op, system, rtol):
 
 
 def _operator(spec, lam, op):
-    """op, or the operator of spec if op is None, once the step lam is admissible."""
+    """op, or the operator of spec if op is None, once op acts by spec and lam is admissible."""
+    if op is not None and op.spec != spec:
+        raise ValueError(f"op is the operator of {op.spec}, not of spec = {spec}")
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"lambda must be positive and finite, got {lam}")
     if spec.perturbation is not None and lam * spec.perturbation.lipschitz >= 1.0:
@@ -220,33 +214,28 @@ class _Members:
         )
 
     def residual(self, v, rows):
-        return v + self.lam * self.op.apply_values(_single(v)) - self.g[rows]
+        return v + self.lam * self.op.apply_values(v) - self.g[rows]
 
     def leave(self, rows, reason=None):
-        """Write out the members rows (indices, or None for all), failed with
-        `reason` unless it is None, and drop them."""
-        sel = slice(None) if rows is None else rows
-        ids, out = self.idx[sel], self.out
-        out.u[ids], out.residual[ids], out.iterations[ids] = self.u[sel], self.rn[sel], self.k
+        """Write out the members at the indices rows, failed with `reason`
+        unless it is None, and drop them."""
+        ids, out = self.idx[rows], self.out
+        out.u[ids], out.residual[ids], out.iterations[ids] = self.u[rows], self.rn[rows], self.k
         out.converged[ids] = reason is None
         for j in ids if reason else ():
             out.failures[j] = f"{reason}: residual {float(out.residual[j])} after {self.k} iterations"
-        if rows is None:
-            keep = slice(0)
-        else:
-            keep = np.ones(len(self.idx), dtype=bool)
-            keep[rows] = False
+        keep = np.ones(len(self.idx), dtype=bool)
+        keep[rows] = False
         self.idx, self.g, self.u, self.r, self.rn, self.rn_prev, self.eta = (
             a[keep] for a in (self.idx, self.g, self.u, self.r, self.rn, self.rn_prev, self.eta)
         )
 
-    def line_search(self, direction, rows, armijo):
+    def line_search(self, direction, rows):
         """Damped update u += t * direction of the members rows (indices, or None for all).
 
         Each tries t = 1, 1/2, ... up to MAX_BACKTRACKS times and takes the
-        first t whose residual norm passes the Armijo test, or with
-        armijo=False simply decreases. Returns the indices of the members
-        that found no such t.
+        first t whose residual norm passes the Armijo test, which a NaN never
+        passes. Returns the indices of the members that found no such t.
         """
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
@@ -256,8 +245,7 @@ class _Members:
             u_try = self.u[sel] + t * direction[sel]
             r_try = self.residual(u_try, sel)
             rn_try = _weighted_norms(self.weights, r_try)
-            rn = self.rn[sel]
-            passed = rn_try <= (1.0 - ARMIJO_SLOPE * t) * rn if armijo else rn_try < rn
+            passed = rn_try <= (1.0 - ARMIJO_SLOPE * t) * self.rn[sel]
             if rows is None:
                 if passed.all():
                     self.u, self.r, self.rn = u_try, r_try, rn_try
@@ -274,10 +262,10 @@ def solve_resolvent_batch(spec, lam, G, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_IT
     """Solve u_k + lambda A(u_k) = g_k for every row g_k of the (B, n) array G.
 
     Every member follows the rules of solve_resolvent on its own: it stops
-    when its weighted-l2 residual reaches tol, and fails when it has used
-    max_iter iterations or when neither the Newton step nor a damped Picard
-    sweep decreases its residual. Failures are reported per member in the
-    returned ResolventBatchResult; nothing is raised for them.
+    when its weighted-l2 residual reaches tol, and fails when that residual is
+    not finite, when it has used max_iter iterations, or when neither the
+    Newton step nor a damped Picard sweep decreases it. Failures are reported
+    per member in the returned ResolventBatchResult; nothing is raised.
     """
     op = _operator(spec, lam, op)
     G = np.asarray(G, dtype=float)
@@ -292,30 +280,23 @@ def _newton(op, lam, G, tol, max_iter):
     """The damped Newton loop over the rows of G; returns a ResolventBatchResult."""
     m = _Members(op, lam, G)
     forced = op.grid.d > 1 and op.spec.phi.kind == "identity"
-    while m.idx.size:
-        active = m.rn > tol  # a NaN residual stops too, as in `while rn > tol`
-        n_active = np.count_nonzero(active)
-        if n_active < len(active):
-            m.leave(np.flatnonzero(~active) if n_active else None)
-            if not n_active:
-                break
+    if not np.isfinite(m.rn).all():  # only first residuals can be: no such trial passes the line search
+        m.leave(np.flatnonzero(~np.isfinite(m.rn)), "residual is not finite")
+    while True:
+        done = m.rn <= tol
+        if done.any():
+            m.leave(np.flatnonzero(done))
+        if not m.idx.size:
+            break
         if m.k >= max_iter:
-            m.leave(None, "resolvent did not converge")
+            m.leave(np.arange(m.idx.size), "resolvent did not converge")
             break
         if forced:
             m.eta, m.rn_prev = _forcing(m.rn, m.rn_prev, m.eta, tol), m.rn.copy()
         step = _newton_steps(op, lam, m.u, m.r, m.eta)
-        if np.isfinite(step).all():
-            stuck = m.line_search(step, None, armijo=True)
-        else:
-            usable = np.isfinite(step).all(axis=1)
-            tried = m.line_search(step, np.flatnonzero(usable), armijo=True)
-            stuck = np.union1d(np.flatnonzero(~usable), tried)
+        stuck = m.line_search(step, None)
         if stuck.size:
-            # damped Picard sweep on the fixed-point form u = g - lam A(u)
-            direction = np.zeros_like(m.u)
-            direction[stuck] = m.g[stuck] - lam * op.apply_values(m.u[stuck]) - m.u[stuck]
-            stuck = m.line_search(direction, stuck, armijo=False)
+            stuck = m.line_search(-m.r, stuck)  # the damped Picard sweep
             if stuck.size:
                 m.leave(stuck, "no descent found")
         m.k += 1
@@ -326,9 +307,9 @@ def solve_resolvent(spec, lam, g, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, op
     """Solve u + lambda A(u) = g for the given spec; returns ResolventResult.
 
     lam must be positive, and lambda * L < 1 when a Lipschitz perturbation
-    is present, and g must live on the operator's grid. Raises
-    NonConvergenceError if the weighted-l2 residual does not reach tol within
-    max_iter outer iterations.
+    is present, and g must live on the operator's grid (op, if given, must be
+    the operator of spec). Raises NonConvergenceError if the weighted-l2
+    residual is not finite or does not reach tol within max_iter iterations.
     """
     op = _operator(spec, lam, op)
     if g.space != op.space:
@@ -341,5 +322,4 @@ def solve_resolvent(spec, lam, g, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, op
         u=GridFunction(g.space, out.u[0]),
         residual=residual,
         iterations=iterations,
-        converged=True,
     )

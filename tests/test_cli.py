@@ -494,8 +494,13 @@ def test_a_bad_config_section_exits_2_naming_the_key(tmp_path, monkeypatch, caps
         ({"kind": "barenblatt", "p": 3.0, "t0": -1.0}, "config experiment.initial.t0 must be positive and finite, got -1.0"),
         ({"kind": "barenblatt", "p": 2.0}, "config experiment.initial.p must be > 1 and not 2, got 2.0"),
         ({"kind": "random", "n_modes": 0}, "config experiment.initial.n_modes must be at least 1, got 0"),
+        # the 0.08 node spacing puts no node inside these bumps
+        ({"width": 0.01, "center": 0.04}, "config experiment.initial.width / experiment.initial.center: the bump is 0"),
+        ({"center": 100}, "config experiment.initial.width / experiment.initial.center: the bump is 0"),
+        ({"kind": "bump", "center": 100}, "config experiment.initial.width / experiment.initial.center: the bump is 0"),
     ],
-    ids=["width-negative", "width-zero", "width-inf", "center-2d", "amplitude-zero", "t0-zero", "t0-negative", "p2", "no-modes"],
+    ids=["width-negative", "width-zero", "width-inf", "center-2d", "amplitude-zero", "t0-zero", "t0-negative", "p2",
+         "no-modes", "between-nodes", "off-grid", "off-grid-unnormalized"],
 )
 def test_a_bad_initial_value_exits_2_naming_the_key(tmp_path, monkeypatch, capsys, argv, initial, message):
     monkeypatch.chdir(tmp_path)

@@ -309,6 +309,12 @@ def test_initial_condition_rejects_bad_recipes():
         initial_condition({"kind": "bump", "amplitude": 0.0, "normalize": "l1"}, grid)
 
 
+def test_a_barenblatt_narrower_than_the_node_spacing_is_refused_naming_t0():
+    grid = Grid(bounds=((-4.0, 4.0),), shape=(100,))  # no node at the origin
+    with pytest.raises(ValueError, match=re.escape("config experiment.initial.t0: the barenblatt is 0 at every node")):
+        initial_condition({"kind": "barenblatt", "p": 3.0, "t0": 1e-30}, grid)
+
+
 @pytest.mark.parametrize(
     "recipe, message",
     [
