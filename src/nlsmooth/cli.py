@@ -20,11 +20,12 @@ import dataclasses
 import inspect
 import json
 import sys
+from pathlib import Path
 
 from . import harness
 from .exponents import ConditionError, iteration_sequence, moser_q_sequence
 from .harness import exponents_from_query
-from .semigroup import evolve, trajectory_to_csv
+from .semigroup import RECORDED_NORMS, evolve, trajectory_to_csv
 
 
 def _arguments(func):
@@ -64,6 +65,15 @@ def _emit(obj):
 def _load_config(path):
     with open(path) as f:
         return _decode(json.load(f))
+
+
+def _check_out(path):
+    """Refuse an --out that is a directory or lies in no directory, before any work starts."""
+    out = Path(path)
+    if out.is_dir():
+        raise ValueError(f"--out {path!r} is a directory")
+    if not out.parent.is_dir():
+        raise ValueError(f"--out {path!r}: directory {str(out.parent)!r} does not exist")
 
 
 def _star_jsonable(star):
@@ -130,6 +140,7 @@ def _cmd_simulate(args):
     if args.config is None or args.out is None:
         print("error: simulate needs --config and --out", file=sys.stderr)
         return 2
+    _check_out(args.out)
     config = _load_config(args.config)
     spec, tg, u0, exp, _, _ = harness.decay_setup(config, seed=args.seed)
     if args.seed is not None and exp["initial"].get("kind") != "random":
@@ -142,11 +153,7 @@ def _cmd_simulate(args):
             "t_end": tg.t_end,
             "n_steps": tg.n_steps,
             "out": str(args.out),
-            "final_norms": {
-                "l1": traj.norm_l1[-1],
-                "l2": traj.norm_l2[-1],
-                "linf": traj.norm_linf[-1],
-            },
+            "final_norms": {name.removeprefix("norm_"): getattr(traj, name)[-1] for name in RECORDED_NORMS.values()},
         }
     )
     return 0
@@ -155,6 +162,8 @@ def _cmd_simulate(args):
 def _cmd_verify(args):
     if args.suite != "all" and args.suite not in harness.SUITES:
         raise ValueError(f"unknown suite {args.suite!r}; choose from {list(harness.SUITES) + ['all']}")
+    if args.out:
+        _check_out(args.out)
     given = {"config": _load_config(args.config) if args.config else None, "seed": args.seed, "tol": args.tol}
     plan = {args.suite: given}
     if args.suite == "all":  # each suite gets the inputs it reads; one that no suite reads is refused
@@ -221,7 +230,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

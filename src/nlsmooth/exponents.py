@@ -172,7 +172,7 @@ def extrapolate_to_infinity(q, r, gamma, alpha, beta, m0):
     _require(
         conditions,
         "gamma_r_gt_q",
-        gamma * r > q,
+        _positive(gamma * r, -q),
         f"need gamma*r > q strictly, got gamma*r = {gamma * r} vs q = {q}",
     )
     # multiplicative form with a roundoff slack: the boundary m0 = q/gamma is

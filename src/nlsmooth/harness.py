@@ -469,7 +469,7 @@ def default_pme_config():
 def _recorded_norm(norm):
     """The q of an experiment.norm value: 1, 2 or "inf", the norms a Trajectory records."""
     q = math.inf if norm == "inf" else norm
-    if isinstance(q, bool) or q not in RECORDED_NORMS:
+    if not _is_real(q) or q not in RECORDED_NORMS:
         raise ValueError(f"config experiment.norm must be 1, 2 or 'inf', got {norm!r}")
     return float(q)
 
@@ -816,10 +816,7 @@ def conservation_suite(seed=3):
         u0 = random_smooth_field(grid, seed=seed)
         traj = evolve(spec, u0, tg)
         drift = float(np.max(np.abs(traj.mass - traj.mass[0]))) / t_end
-        rises = []
-        for series in (traj.norm_l1, traj.norm_l2, traj.norm_linf):
-            rises.append(float(np.max(np.diff(series))))
-        rise = max(rises)
+        rise = max(float(np.max(np.diff(traj.norm_series(q)))) for q in RECORDED_NORMS)
         details[label] = {"mass_drift_per_time": drift, "max_norm_rise": rise}
         worst_rise = max(worst_rise, rise)
         if spec.bc.kind == "neumann":

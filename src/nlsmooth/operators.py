@@ -8,6 +8,12 @@ obtained by forward differences; the divergence is its exact adjoint, so the
 diffusion part is the gradient of a convex separable energy and monotonicity
 holds at the discrete level, not just in the limit.
 
+Because the flux acts on each axis's edge gradient alone, in d >= 2 the
+diffusion is the orthotropic p-Laplacian sum_a d_a(|d_a u|^{p-2} d_a u),
+not the isotropic div(|grad u|^{p-2} grad u): for p != 2 its fronts spread
+faster along the axes than along the diagonals, and the radial source
+solution of the isotropic operator is not its solution.
+
 A grid function is a flat array over the nodes in row-major order (the last
 axis varies fastest). Every stencil operation is one loop over the axes of the
 grid-shaped array (..., n_1, ..., n_d): the boundary condition decides what

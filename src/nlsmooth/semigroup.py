@@ -1,13 +1,14 @@
 """Semigroup evolution by iterated implicit Euler steps.
 
 evolve() advances u' + A(u) = 0 over a partition of [0, t_end], uniform or
-graded geometrically from a first step t_first, recording L^1, L^2, L^inf
-norms and mass at every step and keeping the final state. It is the only
-place that chains resolvent solves. On a uniform grid its n steps of size
-t/n are the n-fold resolvent (I + (t/n) A)^{-n} u0 of the Crandall-Liggett
-exponential formula; on a graded grid they are the product of resolvents
-with the grid's own steps, which converges to the same semigroup as the
-largest step shrinks (Crandall & Liggett 1971).
+graded geometrically from a first step t_first. It records one table, a row
+per time and a column per entry of COLUMNS (L^1, L^2, L^inf norms and mass),
+and keeps the final state; a new per-step quantity is one more entry of
+COLUMNS. It is the only place that chains resolvent solves. On a uniform
+grid its n steps of size t/n are the n-fold resolvent (I + (t/n) A)^{-n} u0
+of the Crandall-Liggett exponential formula; on a graded grid they are the
+product of resolvents with the grid's own steps, which converges to the same
+semigroup as the largest step shrinks (Crandall & Liggett 1971).
 """
 
 from __future__ import annotations
@@ -24,7 +25,15 @@ from .operators import DiscreteOperator
 from .resolvent import DEFAULT_MAX_ITER, NonConvergenceError, solve_resolvent
 
 EVOLVE_TOL = 1e-12  # per-step residual; keeps cumulative mass drift far below budget
-RECORDED_NORMS = (1.0, 2.0, math.inf)  # the q of the L^q norms a Trajectory records
+# column name -> its value at a state. lq_norm and mass are looked up by name at
+# each call, so a wrapper put over those module names sees every call.
+COLUMNS = {
+    "norm_l1": lambda u: lq_norm(u, 1),
+    "norm_l2": lambda u: lq_norm(u, 2),
+    "norm_linf": lambda u: lq_norm(u, math.inf),
+    "mass": lambda u: mass(u),
+}
+RECORDED_NORMS = {1.0: "norm_l1", 2.0: "norm_l2", math.inf: "norm_linf"}  # q -> the column of the L^q norm
 
 
 @dataclass(frozen=True)
@@ -83,19 +92,25 @@ def _is_real(x):
 
 @dataclass(frozen=True)
 class Trajectory:
+    """times (n_steps + 1,), table (n_steps + 1, len(COLUMNS)) with one row per
+    time, and the final state. A column reads as the attribute of its name,
+    traj.mass, a view of the table."""
+
     times: np.ndarray
-    norm_l1: np.ndarray
-    norm_l2: np.ndarray
-    norm_linf: np.ndarray
-    mass: np.ndarray
+    table: np.ndarray
     final: GridFunction
+
+    def __getattr__(self, name):
+        if name not in COLUMNS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.table[:, list(COLUMNS).index(name)]
 
     def norm_series(self, q):
         """The recorded L^q norm series; q must be one of RECORDED_NORMS."""
         q = float(q)
         if q not in RECORDED_NORMS:
             raise ValueError(f"recorded norms are q in {{1, 2, inf}}, got {q}")
-        return (self.norm_l1, self.norm_l2, self.norm_linf)[RECORDED_NORMS.index(q)]
+        return getattr(self, RECORDED_NORMS[q])
 
 
 def evolve(spec, u0, time_grid, tol=EVOLVE_TOL, max_iter=DEFAULT_MAX_ITER, op=None):
@@ -108,20 +123,10 @@ def evolve(spec, u0, time_grid, tol=EVOLVE_TOL, max_iter=DEFAULT_MAX_ITER, op=No
         op = DiscreteOperator(spec)
     n_steps = time_grid.n_steps
     times = time_grid.times()
+    table = np.empty((n_steps + 1, len(COLUMNS)))
 
     u = u0
-    l1 = np.empty(n_steps + 1)
-    l2 = np.empty(n_steps + 1)
-    linf = np.empty(n_steps + 1)
-    ms = np.empty(n_steps + 1)
-
-    def record(k, v):
-        l1[k] = lq_norm(v, 1)
-        l2[k] = lq_norm(v, 2)
-        linf[k] = lq_norm(v, float("inf"))
-        ms[k] = mass(v)
-
-    record(0, u)
+    table[0] = [column(u) for column in COLUMNS.values()]
     for k, lam in enumerate(time_grid.steps().tolist(), start=1):
         try:
             u = solve_resolvent(spec, lam, u, tol=tol, max_iter=max_iter, op=op).u
@@ -131,30 +136,14 @@ def evolve(spec, u0, time_grid, tol=EVOLVE_TOL, max_iter=DEFAULT_MAX_ITER, op=No
                 residual=exc.residual,
                 iterations=exc.iterations,
             ) from exc
-        record(k, u)
-
-    return Trajectory(
-        times=times,
-        norm_l1=l1,
-        norm_l2=l2,
-        norm_linf=linf,
-        mass=ms,
-        final=u,
-    )
+        table[k] = [column(u) for column in COLUMNS.values()]
+    return Trajectory(times=times, table=table, final=u)
 
 
 def trajectory_to_csv(traj, path):
-    """Columns t, norm_l1, norm_l2, norm_linf, mass; one row per step."""
+    """Columns t and then COLUMNS; one row per time, each value written as
+    its repr, which reads back to the same float."""
     with open(str(path), "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["t", "norm_l1", "norm_l2", "norm_linf", "mass"])
-        for k in range(traj.times.size):
-            writer.writerow(
-                [
-                    repr(float(traj.times[k])),
-                    repr(float(traj.norm_l1[k])),
-                    repr(float(traj.norm_l2[k])),
-                    repr(float(traj.norm_linf[k])),
-                    repr(float(traj.mass[k])),
-                ]
-            )
+        writer.writerow(["t", *COLUMNS])
+        writer.writerows(np.column_stack((traj.times, traj.table)).tolist())

@@ -390,11 +390,19 @@ _ITERATION = ["sequence", "--kind", "iteration", "--kappa", "2", "--r", "1", "--
         (["verify", "contraction", "--threads", "2"], "--threads"),
         (["all"], "'all'"),
         (["exponents", "--theorem", "plaplace", "--d", "1", "--p", "3", "--bc", "neumann"], "--bc"),
+        # a path that cannot be read or written is refused before any step
+        (["simulate", "--config", str(CONFIG_DIR), "--out", "unused.csv"], "configs"),
+        (["verify", "decay", "--config", str(CONFIG_DIR)], "configs"),
+        (["simulate", "--config", str(CONFIG_DIR / "p3_d1.json"), "--out", str(CONFIG_DIR)], "configs"),
+        (["simulate", "--config", str(CONFIG_DIR / "p3_d1.json"), "--out", "missing/unused.csv"], "missing/unused.csv"),
+        (["verify", "decay", "--config", str(CONFIG_DIR / "p3_d1.json"), "--out", str(CONFIG_DIR)], "configs"),
+        (["verify", "all", "--out", "missing/report.json"], "missing/report.json"),
     ],
 )
 def test_a_flag_the_subcommand_does_not_read_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)
     _suites_must_not_run(monkeypatch)
+    monkeypatch.setattr("nlsmooth.cli.evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
     code, out, err = run_cli_or_usage_error(capsys, argv)
     assert code == 2 and out == ""
     assert re.search(re.escape(named) + r"(?![\w-])", err) and "Traceback" not in err

@@ -87,9 +87,13 @@ def test_extrapolation_dual_route_identity(q, gamma, excess, margin, alpha):
 
 
 def test_extrapolation_rejects_gamma_r_equal_q():
-    with pytest.raises(ConditionError) as err:
-        extrapolate_to_infinity(2.0, 2.0, 1.0, 0.5, 2.0, 2.0)
-    assert err.value.condition == "gamma_r_gt_q"
+    # the second case has gamma*r = q in real arithmetic but 7.000000000000001 in
+    # floating point, which must not pass for gamma*r > q
+    q, gamma = 7.0, 0.09
+    for args in ((2.0, 2.0, 1.0, 0.5, 2.0, 2.0), (q, q / gamma, gamma, 1.0, 1.09, q / gamma)):
+        with pytest.raises(ConditionError) as err:
+            extrapolate_to_infinity(*args)
+        assert err.value.condition == "gamma_r_gt_q"
 
 
 def test_extrapolation_rejects_infinite_r_and_bad_seed():

@@ -25,7 +25,7 @@ from nlsmooth.harness import (
 )
 from nlsmooth.measure import lq_norm
 from nlsmooth.operators import Grid, LipschitzF, PhiSpec, barenblatt_on_grid
-from nlsmooth.semigroup import Trajectory
+from nlsmooth.semigroup import COLUMNS, Trajectory
 
 FIT_TOLERANCE = 1e-10
 NOISE_TOLERANCE = 0.02
@@ -106,15 +106,11 @@ def test_fit_skips_nonpositive_values():
 
 def _synthetic_traj(times, linf, mass=None):
     times = np.asarray(times, dtype=float)
-    ones = np.ones_like(times)
-    return Trajectory(
-        times=times,
-        norm_l1=ones,
-        norm_l2=ones,
-        norm_linf=np.asarray(linf, dtype=float),
-        mass=ones if mass is None else np.asarray(mass, dtype=float),
-        final=None,
-    )
+    table = np.ones((times.size, len(COLUMNS)))
+    table[:, list(COLUMNS).index("norm_linf")] = linf
+    if mass is not None:
+        table[:, list(COLUMNS).index("mass")] = mass
+    return Trajectory(times=times, table=table, final=None)
 
 
 def test_window_untouched_without_extinction_or_guard():
@@ -536,7 +532,7 @@ def test_barenblatt_comparison_runs_on_the_configured_time_grid(monkeypatch):
 
     def record(spec, u0, tg):
         grids.append(tg)
-        return Trajectory(*([np.zeros(1)] * 5), final=u0)
+        return Trajectory(times=np.zeros(1), table=np.zeros((1, len(COLUMNS))), final=u0)
 
     monkeypatch.setattr(harness, "evolve", record)
     cfg = harness.default_barenblatt_config()

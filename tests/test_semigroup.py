@@ -15,10 +15,13 @@ from nlsmooth.operators import (
     Grid,
     OperatorSpec,
     PhiSpec,
+    barenblatt_on_grid,
+    barenblatt_support_radius,
     tanh_perturbation,
 )
 from nlsmooth.resolvent import NonConvergenceError, solve_resolvent
 from nlsmooth.semigroup import (
+    COLUMNS,
     EVOLVE_TOL,
     TimeGrid,
     evolve,
@@ -193,6 +196,24 @@ def test_2d_flow_is_bitwise_the_same_with_a_csr_newton_matrix(monkeypatch):
         assert np.array_equal(getattr(dia, series), getattr(csr, series))
 
 
+def test_the_2d_operator_is_orthotropic():
+    # sum_a d_a(|d_a u|^(p-2) d_a u) spreads faster along the axes than along
+    # the diagonals, so from the isotropic source solution the support turns
+    # square: at t = 5 it reaches 5.06 along the axis row and 4.39 along the
+    # diagonal, around the exact radius 4.91 of div(|grad u|^(p-2) grad u)
+    n = 48
+    grid = Grid(bounds=((-8.0, 8.0), (-8.0, 8.0)), shape=(n, n))
+    spec = OperatorSpec(grid=grid, p=3.0)
+    u = evolve(spec, barenblatt_on_grid(grid, 3.0, 1.0), TimeGrid(4.0, 40)).final.values.reshape(n, n)
+    radius = np.hypot(*(x.reshape(n, n) for x in grid.coordinates()))
+    live = u > 1e-6 * u.max()
+    axis_reach = radius[n // 2][live[n // 2]].max()
+    diagonal = np.arange(n)
+    diagonal_reach = radius[diagonal, diagonal][live[diagonal, diagonal]].max()
+    assert axis_reach > barenblatt_support_radius(2, 3.0, 5.0) > diagonal_reach
+    assert axis_reach - diagonal_reach > math.sqrt(2.0) * grid.h[0]
+
+
 @pytest.mark.parametrize("n", [40, 30])
 def test_evolve_refuses_a_grid_function_from_another_grid(n):
     spec = OperatorSpec(grid=Grid(bounds=((-1.0, 1.0),), shape=(40,)), p=3.0)
@@ -205,9 +226,11 @@ def test_evolve_refuses_a_grid_function_from_another_grid(n):
 def test_trajectory_series_access():
     spec = _spec()
     traj = evolve(spec, _bump(spec), TimeGrid(0.2, 10))
-    assert traj.norm_series(1) is traj.norm_l1
-    assert traj.norm_series(2) is traj.norm_l2
-    assert traj.norm_series(float("inf")) is traj.norm_linf
+    for q, name in ((1, "norm_l1"), (2, "norm_l2"), (float("inf"), "norm_linf")):
+        series = traj.norm_series(q)
+        assert np.array_equal(series, getattr(traj, name))
+        assert np.array_equal(series, traj.table[:, list(COLUMNS).index(name)])
+        assert np.shares_memory(series, traj.table)
     with pytest.raises(ValueError):
         traj.norm_series(3)
     # final is the state of the last step
@@ -240,11 +263,15 @@ def test_trajectory_csv_roundtrip(tmp_path):
     trajectory_to_csv(traj, path)
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
-    assert rows[0] == ["t", "norm_l1", "norm_l2", "norm_linf", "mass"]
+    assert rows[0] == ["t", *COLUMNS] == ["t", "norm_l1", "norm_l2", "norm_linf", "mass"]
     assert len(rows) == traj.times.size + 1
     assert float(rows[1][0]) == 0.0
     assert float(rows[-1][0]) == pytest.approx(0.3)
-    assert float(rows[-1][4]) == traj.mass[-1]  # repr roundtrip is exact
+    # every cell reads back bitwise to its time or its table entry
+    cells = np.array([[float(cell) for cell in row] for row in rows[1:]])
+    assert np.array_equal(cells[:, 0], traj.times)
+    for j, name in enumerate(COLUMNS, start=1):
+        assert np.array_equal(cells[:, j], getattr(traj, name))
 
 
 def test_evolve_reports_failing_step():
