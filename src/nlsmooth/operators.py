@@ -26,10 +26,18 @@ where stride_a is the distance of neighbouring nodes along axis a in the flat
 array. Band k holds L[j - offset_k, j] at column j, and 0 where that row is
 off the grid; in one dimension the bands are (sub, diag, super), and these
 zeros keep the blocks of a stack of tridiagonal systems apart.
+
+DiscreteOperator.window gives the operator on a box of the grid's nodes with
+zero (Dirichlet) ghosts at the box's faces, keeping the grid's spacing, cell
+volume and node coordinates. For a state that vanishes outside the box, and
+a perturbation with f(x, 0) = 0, which the operator checks on its nodes, the
+window's values, gradients, fluxes and Jacobian entries on the box are
+exactly the whole grid's; the resolvent solves compactly supported data on it.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -274,12 +282,13 @@ class _Axis(NamedTuple):
     face_ends: tuple  # faces 0 and n
 
 
-def _axes(grid):
+def _axes(shape, spacing):
+    d = len(shape)
     out = []
-    for a, (n, h) in enumerate(zip(grid.shape, grid.h)):
-        at = lambda index: (Ellipsis, index) + (slice(None),) * (grid.d - 1 - a)
+    for a, (n, h) in enumerate(zip(shape, spacing)):
+        at = lambda index: (Ellipsis, index) + (slice(None),) * (d - 1 - a)
         out.append(_Axis(
-            h=h, pos=a - grid.d, stride=math.prod(grid.shape[a + 1:]),
+            h=h, pos=a - d, stride=math.prod(shape[a + 1:]),
             lo=at(slice(None, -1)), hi=at(slice(1, None)),
             inner=at(slice(1, -1)), first=at(0), last=at(-1),
             node_ends=at(slice(None, None, n - 1)), face_ends=at(slice(None, None, n)),
@@ -291,25 +300,55 @@ class DiscreteOperator:
     """Evaluation and linearization of A(u) = -div(a(grad phi(u))) + f(x, u).
 
     Evaluation works along the last axis of its argument, so a (B, n) stack of
-    grid functions is evaluated member by member in one call.
+    grid functions is evaluated member by member in one call. shape and d are
+    those of the nodes it acts on: the grid's, or a box's for a window.
+    Refuses a perturbation that does not vanish at u = 0 on every node.
     """
 
     def __init__(self, spec):
         self.spec = spec
-        self.grid = spec.grid
-        self._space = spec.grid.space()
-        self._nodes = spec.grid.coordinates()
-        self._axes = _axes(spec.grid)
+        self._cell_volume = spec.grid.cell_volume
+        self._place(spec.grid.shape, spec.grid.h, spec.grid.coordinates(), spec.bc.kind)
+        self._window = None  # the last window built, as (box, operator)
+        if spec.perturbation is not None:
+            n = self._space.n
+            f0 = np.broadcast_to(spec.perturbation.value(self._nodes, np.zeros(n)), (n,))
+            for j in np.flatnonzero(f0 != 0.0)[:1]:
+                x = ", ".join(f"{c[j]:g}" for c in self._nodes)
+                raise ValueError(f"the perturbation must vanish at u = 0, but f(x, 0) = {float(f0[j])!r} "
+                                 f"at node {j}, x = ({x})")
+
+    def _place(self, shape, spacing, nodes, bc_kind):
+        """Act on the nodes of shape, with their spacing and flat coordinates,
+        and bc_kind at the faces of their box."""
+        self.shape, self.d = shape, len(shape)
+        self._space = DiscreteSpace(np.full(math.prod(shape), self._cell_volume))
+        self._nodes = nodes
+        self._axes = _axes(shape, spacing)
         # band offsets of the Jacobian, ascending (see the module docstring)
         self._offsets = [-ax.stride for ax in self._axes] + [0] + [ax.stride for ax in reversed(self._axes)]
-        self._dirichlet = spec.bc.kind == "dirichlet"
+        self._dirichlet = bc_kind == "dirichlet"
+        self._robin = bc_kind == "robin"
+
+    def window(self, box):
+        """This operator on the nodes of box, one slice per axis, with zero
+        (Dirichlet) ghosts at its faces (see the module docstring). box must
+        touch no face of the grid, whose own boundary condition the window
+        does not apply. The last window built is kept for the next call."""
+        if self._window is None or self._window[0] != box:
+            win = copy.copy(self)
+            sub = [x.reshape(self.shape)[box] for x in self._nodes]
+            win._place(sub[0].shape, [ax.h for ax in self._axes], tuple(x.ravel() for x in sub), "dirichlet")
+            win._window = None
+            self._window = (box, win)
+        return self._window[1]
 
     @property
     def space(self):
         return self._space
 
     def _grid_shaped(self, w):
-        return w.reshape(w.shape[:-1] + self.grid.shape)
+        return w.reshape(w.shape[:-1] + self.shape)
 
     # -- edge gradients ----------------------------------------------------
 
@@ -343,7 +382,7 @@ class DiscreteOperator:
         total = 0.0
         for ax, g in zip(self._axes, self._gradients(self._grid_shaped(v))):
             total += np.sum(mag(g if self._dirichlet else g[ax.inner]))
-        return float(self.grid.cell_volume * total)
+        return float(self._cell_volume * total)
 
     # -- operator evaluation -------------------------------------------------
 
@@ -356,7 +395,7 @@ class DiscreteOperator:
             F = _flux(g, p, eps)
             terms.append((F[ax.lo] - F[ax.hi]) / ax.h)
         out = sum(terms[1:], start=terms[0])
-        if self.spec.bc.kind == "robin":
+        if self._robin:
             b = self.spec.bc.b
             # b |w|^{p-2} w acts on the face measure cell_volume / h_a; per unit node weight that is 1 / h_a
             for ax in self._axes:
@@ -404,7 +443,7 @@ class DiscreteOperator:
         -c_e / h_a^2 for each interior edge e of axis a, at its lower and at
         its upper node. A (B, n) stack gives (2d + 1, B, n).
         """
-        d = self.grid.d
+        d = self.d
         bands = np.zeros((2 * d + 1,) + w.shape)
         B = self._grid_shaped(bands)
         for a, (ax, c) in enumerate(zip(self._axes, self.edge_conductivities(w))):
@@ -412,13 +451,13 @@ class DiscreteOperator:
             B[d] -= c[ax.lo]
             B[d] -= c[ax.hi]
             B[a][ax.lo] = B[2 * d - a][ax.hi] = c[ax.inner]
-        if self.spec.bc.kind == "robin":
+        if self._robin:
             B[d] += self._robin_diag(self._grid_shaped(w))
         return bands
 
     def jacobian_apply(self, bands, v):
         """L v for the bands of diffusion_jacobian."""
-        d, V, B = self.grid.d, self._grid_shaped(v), self._grid_shaped(bands)
+        d, V, B = self.d, self._grid_shaped(v), self._grid_shaped(bands)
         out = self._grid_shaped(bands[d] * v)
         for a, ax in enumerate(self._axes):
             out[ax.lo] += B[a][ax.lo] * V[ax.hi]
@@ -427,7 +466,7 @@ class DiscreteOperator:
 
     def jacobian_scaled(self, bands, s):
         """The bands of diag(s) L diag(s)."""
-        d, S = self.grid.d, self._grid_shaped(s)
+        d, S = self.d, self._grid_shaped(s)
         out = bands.copy()  # with the zeros of the rows off the grid
         O = self._grid_shaped(out)
         O[d] = O[d] * S * S

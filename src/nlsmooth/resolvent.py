@@ -26,6 +26,19 @@ solve at n = 2001): gtsv never pivots across a zero coupling, so each block
 gets the solution it would get alone. In more dimensions each member's system
 is solved by Jacobi-preconditioned conjugate gradients on a DIA matrix.
 
+Where the data vanish outside a box, the same Newton loop runs on the window
+of that box (DiscreteOperator.window): the nodes where some member's data are
+nonzero, exactly, grown by _WINDOW_MARGIN cells and rounded outward to
+multiples of _WINDOW_ALIGN cells, so that a window keeps the grid's node
+offsets modulo 32 and the steps of a flow share one window. A box that would
+touch a face of the grid is not used. A converged member whose solution is
+exactly zero on the outermost layer of the window is, extended by zeros, a
+solution on the whole grid with the same residual, since f(x, 0) = 0; every
+other member is solved again on the whole grid. The margin exceeds the tail, about 40 cells
+long, that eps_reg > 0 lets a first step spread beyond compact data. In one
+dimension the windowed solves equal the whole grid's bitwise; in more, CG's
+dot products over the shorter vectors may round differently.
+
 For phi = identity in d >= 2, CG stops at each member's Eisenstat-Walker
 (1996) choice-2 forcing term: eta_0 = 0.1, eta_k = 0.9 (|R_k| / |R_k-1|)^2,
 at least 0.9 eta_k-1^2 when that exceeds 0.1 and 0.5 tol / |R_k| (no
@@ -37,7 +50,7 @@ forcing it stalls degenerate porous-medium solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -53,6 +66,8 @@ MAX_BACKTRACKS = 40
 CG_RTOL = 1e-12
 FORCING_GAMMA = 0.9
 FORCING_MAX = 0.1
+_WINDOW_MARGIN = 64  # cells around the data; a first step from compact data grows an eps_reg tail about 40 long
+_WINDOW_ALIGN = 32
 
 
 class PreconditionError(ValueError):
@@ -136,7 +151,7 @@ def _newton_steps(op, lam, U, R, rtol):
     """Newton directions for the (k, n) rows of U, whose residuals are R, with
     CG tolerances rtol (see the module docstring); failed rows come back NaN."""
     k, n = U.shape
-    d = op.grid.d
+    d = op.d
     bands = op.diffusion_jacobian(op.spec.phi.value(U))
     a = 1.0 if op.spec.perturbation is None else 1.0 + lam * op.perturbation_derivative(U)
     scaled = op.spec.phi.kind != "identity"
@@ -167,7 +182,7 @@ def _solve_cg_stack(op, system, rtol):
     steps = np.full((k, n), np.nan)
     for j in range(k):
         M = op.jacobian_matrix(np.ascontiguousarray(system[:-1, j]))
-        inv_diag = 1.0 / system[op.grid.d, j]
+        inv_diag = 1.0 / system[op.d, j]
         precond = LinearOperator((n, n), matvec=lambda v: inv_diag * v)
         z, info = cg(M, system[-1, j], rtol=rtol[j], atol=0.0, maxiter=20 * n, M=precond)
         if info == 0:
@@ -265,7 +280,9 @@ def solve_resolvent_batch(spec, lam, G, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_IT
     when its weighted-l2 residual reaches tol, and fails when that residual is
     not finite, when it has used max_iter iterations, or when neither the
     Newton step nor a damped Picard sweep decreases it. Failures are reported
-    per member in the returned ResolventBatchResult; nothing is raised.
+    per member in the returned ResolventBatchResult; nothing is raised. Data
+    that vanish outside a box are solved on its window (see the module
+    docstring).
     """
     op = _operator(spec, lam, op)
     G = np.asarray(G, dtype=float)
@@ -273,13 +290,58 @@ def solve_resolvent_batch(spec, lam, G, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_IT
         raise ValueError(f"G must have shape (B, {op.space.n}), got {G.shape}")
     if not np.isfinite(G).all():
         raise ValueError("G must be finite")
-    return _newton(op, lam, G, tol, max_iter)
+    return _solve(op, lam, G, tol, max_iter)
+
+
+def _support_box(shape, G):
+    """The box of a window for the (B, n) data G, as one slice per axis: the
+    nodes where some row of G is nonzero, grown by _WINDOW_MARGIN cells and
+    rounded outward to multiples of _WINDOW_ALIGN. None when G is zero or the
+    box would touch a face of the grid."""
+    nonzero = (G != 0.0).reshape((len(G),) + shape)
+    box = []
+    for a, n in enumerate(shape):
+        hit = np.flatnonzero(nonzero.any(axis=tuple(b for b in range(nonzero.ndim) if b != a + 1)))
+        if not hit.size:
+            return None
+        lo = int(hit[0]) - _WINDOW_MARGIN
+        hi = int(hit[-1]) + 1 + _WINDOW_MARGIN
+        lo, hi = lo - lo % _WINDOW_ALIGN, hi + -hi % _WINDOW_ALIGN
+        if lo < 1 or hi > n - 1:
+            return None
+        box.append(slice(lo, hi))
+    return tuple(box)
+
+
+def _solve(op, lam, G, tol, max_iter):
+    """_newton on the window of G's support box, where there is one (see the
+    module docstring), and on the whole grid for the members it cannot serve."""
+    box = _support_box(op.shape, G)
+    if box is None:
+        return _newton(op, lam, G, tol, max_iter)
+    win, at = op.window(box), (slice(None),) + box
+    grid_shaped = lambda X: X.reshape((len(X),) + op.shape)
+    out = _newton(win, lam, grid_shaped(G)[at].reshape(len(G), -1), tol, max_iter)
+    U = out.u.reshape((len(G),) + win.shape)
+    edge = np.zeros(len(G), dtype=bool)
+    for a in range(1, U.ndim):
+        edge |= (np.take(U, [0, -1], axis=a) != 0.0).reshape(len(G), -1).any(axis=1)
+    out = replace(out, u=np.zeros_like(G))
+    grid_shaped(out.u)[at] = U
+    redo = np.flatnonzero(edge | ~out.converged)
+    if redo.size:
+        full = _newton(op, lam, G[redo], tol, max_iter)
+        out.u[redo], out.residual[redo], out.iterations[redo], out.converged[redo] = (
+            full.u, full.residual, full.iterations, full.converged)
+        for j, failure in zip(redo, full.failures):
+            out.failures[j] = failure
+    return out
 
 
 def _newton(op, lam, G, tol, max_iter):
     """The damped Newton loop over the rows of G; returns a ResolventBatchResult."""
     m = _Members(op, lam, G)
-    forced = op.grid.d > 1 and op.spec.phi.kind == "identity"
+    forced = op.d > 1 and op.spec.phi.kind == "identity"
     if not np.isfinite(m.rn).all():  # only first residuals can be: no such trial passes the line search
         m.leave(np.flatnonzero(~np.isfinite(m.rn)), "residual is not finite")
     while True:
@@ -314,7 +376,7 @@ def solve_resolvent(spec, lam, g, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, op
     op = _operator(spec, lam, op)
     if g.space != op.space:
         raise ValueError(f"g lives on {g.space}, but the operator acts on {op.space}")
-    out = _newton(op, lam, g.values[None, :], tol, max_iter)
+    out = _solve(op, lam, g.values[None, :], tol, max_iter)
     residual, iterations = float(out.residual[0]), int(out.iterations[0])
     if not out.converged[0]:
         raise NonConvergenceError(out.failures[0], residual=residual, iterations=iterations)

@@ -436,6 +436,19 @@ def test_operator_spec_validation():
         LipschitzF(func=lambda x, u: u, lipschitz=-1.0, deriv=lambda x, u: np.ones_like(u))
 
 
+def test_a_perturbation_must_vanish_at_zero():
+    grid = Grid(bounds=((0.0, 1.0), (0.0, 2.0)), shape=(4, 5))
+    shifted = LipschitzF(func=lambda x, u: u + 1.0, lipschitz=1.0, deriv=lambda x, u: np.ones_like(u))
+    with pytest.raises(ValueError, match=r"f\(x, 0\) = 1\.0 at node 0, x = \(0\.2, 0\.333333\)"):
+        DiscreteOperator(OperatorSpec(grid=grid, p=2.0, perturbation=shifted))
+    # only where x_1 > 0.5: the first such node is the 11th, the first of row 2
+    bump = LipschitzF(func=lambda x, u: u + (x[0] > 0.5), lipschitz=1.0, deriv=lambda x, u: np.ones_like(u))
+    with pytest.raises(ValueError, match=r"= 1\.0 at node 10, x = \(0\.6, 0\.333333\)"):
+        DiscreteOperator(OperatorSpec(grid=grid, p=2.0, perturbation=bump))
+    for shipped in (linear_perturbation(-0.7), tanh_perturbation(2.0)):
+        DiscreteOperator(OperatorSpec(grid=grid, p=2.0, perturbation=shipped))
+
+
 # -- source solution --------------------------------------------------------
 
 
