@@ -57,15 +57,13 @@ def _require(conditions, name, ok, message):
 class GNParams:
     """Parameters of the generator inequality
 
-    ||u||_r^{sigma} <= C ||u||_q^{rho} ( [u, Au]_q + omega ||u||_q^q ).
+    ||u||_r^{sigma} <= C ||u||_q^{rho} [u, Au]_q.
     """
 
     q: float
     r: float
     sigma: float
     rho: float = 0.0
-    omega: float = 0.0
-    c: float = 1.0
 
     def __post_init__(self):
         if not (1.0 <= self.q < INF):
@@ -76,20 +74,15 @@ class GNParams:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not (0.0 <= self.rho < INF):
             raise ValueError(f"rho must be nonnegative, got {self.rho}")
-        if not (0.0 <= self.omega < INF):
-            raise ValueError(f"omega must be nonnegative, got {self.omega}")
-        if not (0.0 < self.c < INF):
-            raise ValueError(f"c must be positive and finite, got {self.c}")
 
 
 @dataclass(frozen=True)
 class ExponentTriple:
-    """One-step smoothing exponents from q to r, with the constant."""
+    """One-step smoothing exponents from q to r."""
 
     alpha: float
     beta: float
     gamma: float
-    constant: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -138,15 +131,12 @@ class IterationResult:
 def smoothing_exponents(params):
     """Base smoothing triple implied by a generator inequality.
 
-    alpha = 1/sigma, gamma = (q + rho)/sigma, beta = gamma + 1, and the
-    constant is (c/q)^{1/sigma}. The estimate it parametrizes is
+    alpha = 1/sigma, gamma = (q + rho)/sigma and beta = gamma + 1. The
+    estimate it parametrizes is
     ||T_t u - T_t v||_r <= K t^{-alpha} e^{omega beta t} ||u - v||_q^{gamma}.
     """
-    alpha = 1.0 / params.sigma
     gamma = (params.q + params.rho) / params.sigma
-    beta = gamma + 1.0
-    constant = (params.c / params.q) ** (1.0 / params.sigma)
-    return ExponentTriple(alpha=alpha, beta=beta, gamma=gamma, constant=constant)
+    return ExponentTriple(alpha=1.0 / params.sigma, beta=gamma + 1.0, gamma=gamma)
 
 
 def extrapolate_to_infinity(q, r, gamma, alpha, beta, m0):

@@ -521,10 +521,10 @@ class GNCheckResult:
 
 
 def gn_check(spec, u, gn):
-    """Ratio ||u||_r^sigma / (||u||_q^rho ([u, Au]_q + omega ||u||_q^q)).
+    """Ratio ||u||_r^sigma / (||u||_q^rho [u, Au]_q).
 
     The inequality the smoothing machinery consumes says this ratio is
-    bounded by the constant c. Raises if the denominator is not positive.
+    bounded. Raises if the denominator is not positive.
     """
     from .measure import lq_norm, q_bracket
 
@@ -534,7 +534,7 @@ def gn_check(spec, u, gn):
     if nq == 0.0:
         raise ValueError("gn_check needs u != 0")
     numerator = lq_norm(u, gn.r) ** gn.sigma
-    denominator = nq**gn.rho * (q_bracket(u, au, gn.q) + gn.omega * nq**gn.q)
+    denominator = nq**gn.rho * q_bracket(u, au, gn.q)
     if not denominator > 0.0:
         raise ValueError(f"nonpositive denominator {denominator}; the inequality does not apply")
     return GNCheckResult(ratio=numerator / denominator, numerator=numerator, denominator=denominator)

@@ -14,17 +14,19 @@ never divides by phi'(u), which vanishes where u does for the porous-medium
 phi at eps_reg = 0. For phi = identity S = 1 and delta = y.
 
 solve_resolvent_batch runs one Newton loop over a (B, n) stack of right-hand
-sides that share the operator and lambda. Each member keeps its own residual,
-iteration count, step length and failure reason, and leaves the loop when it
-converges or fails; solve_resolvent is the B = 1 case. The members' systems
-are built alike in every dimension, as lambda times the Jacobian bands of the
-operator with a added to the diagonal band; only the linear solver depends
-on d. In one dimension the bands of the B members are one tridiagonal system
-of size B*n whose zero band ends decouple the blocks, solved by one direct
-LAPACK gtsv call (the checks of scipy.linalg.solve_banded take a third of each
-solve at n = 2001): gtsv never pivots across a zero coupling, so each block
-gets the solution it would get alone. In more dimensions each member's system
-is solved by Jacobi-preconditioned conjugate gradients on a DIA matrix.
+sides that share the operator and lambda. Each member keeps its own row of
+iterate, residual, iteration count, step length and failure reason; a member
+that converges or fails stops in place, and later Newton steps and line
+searches take only the rows still iterating. solve_resolvent is the B = 1
+case. The members' systems are built alike in every dimension, as lambda times
+the Jacobian bands of the operator with a added to the diagonal band; only the
+linear solver depends on d. In one dimension the bands of the B members are
+one tridiagonal system of size B*n whose zero band ends decouple the blocks,
+solved by one direct LAPACK gtsv call (the checks of scipy.linalg.solve_banded
+take a third of each solve at n = 2001): gtsv never pivots across a zero
+coupling, so each block gets the solution it would get alone. In more
+dimensions each member's system is solved by Jacobi-preconditioned conjugate
+gradients on a DIA matrix.
 
 Where the data vanish outside a box, the same Newton loop runs on the window
 of that box (DiscreteOperator.window): the nodes where some member's data are
@@ -60,7 +62,7 @@ from .measure import GridFunction
 from .operators import DiscreteOperator
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 200
+MAX_ITER = 200
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 40
 CG_RTOL = 1e-12
@@ -204,81 +206,40 @@ def _operator(spec, lam, op):
     return DiscreteOperator(spec) if op is None else op
 
 
-class _Members:
-    """Iterates and residuals of the members still iterating.
-
-    Row j of the arrays is member idx[j]; all of them have taken k steps. eta
-    holds their CG tolerances, which _forcing sets from rn_prev and rn. A
-    member that converges or fails is written to `out` and its row removed,
-    so a batch whose members all take the same number of iterations is never
-    re-indexed.
-    """
-
-    def __init__(self, op, lam, G):
-        self.op, self.lam, self.g = op, lam, G
-        self.weights = op.space.weights
-        self.idx = np.arange(len(G))
-        self.u = G.copy()
-        self.r = self.residual(self.u, slice(None))
-        self.rn = _weighted_norms(self.weights, self.r)
-        self.rn_prev, self.eta = np.full(len(G), np.nan), np.full(len(G), CG_RTOL)
-        self.k = 0
-        self.out = ResolventBatchResult(
-            u=np.empty_like(G), residual=np.empty(len(G)), iterations=np.empty(len(G), dtype=int),
-            converged=np.empty(len(G), dtype=bool), failures=[None] * len(G),
-        )
-
-    def residual(self, v, rows):
-        return v + self.lam * self.op.apply_values(v) - self.g[rows]
-
-    def leave(self, rows, reason=None):
-        """Write out the members at the indices rows, failed with `reason`
-        unless it is None, and drop them."""
-        ids, out = self.idx[rows], self.out
-        out.u[ids], out.residual[ids], out.iterations[ids] = self.u[rows], self.rn[rows], self.k
-        out.converged[ids] = reason is None
-        for j in ids if reason else ():
-            out.failures[j] = f"{reason}: residual {float(out.residual[j])} after {self.k} iterations"
-        keep = np.ones(len(self.idx), dtype=bool)
-        keep[rows] = False
-        self.idx, self.g, self.u, self.r, self.rn, self.rn_prev, self.eta = (
-            a[keep] for a in (self.idx, self.g, self.u, self.r, self.rn, self.rn_prev, self.eta)
-        )
-
-    def line_search(self, direction, rows):
-        """Damped update u += t * direction of the members rows (indices, or None for all).
-
-        Each tries t = 1, 1/2, ... up to MAX_BACKTRACKS times and takes the
-        first t whose residual norm passes the Armijo test, which a NaN never
-        passes. Returns the indices of the members that found no such t.
-        """
-        t = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            if rows is not None and not rows.size:
-                return rows
-            sel = slice(None) if rows is None else rows
-            u_try = self.u[sel] + t * direction[sel]
-            r_try = self.residual(u_try, sel)
-            rn_try = _weighted_norms(self.weights, r_try)
-            passed = rn_try <= (1.0 - ARMIJO_SLOPE * t) * self.rn[sel]
-            if rows is None:
-                if passed.all():
-                    self.u, self.r, self.rn = u_try, r_try, rn_try
-                    return self.idx[:0]
-                rows = np.arange(len(self.u))
-            hit = rows[passed]
-            self.u[hit], self.r[hit], self.rn[hit] = u_try[passed], r_try[passed], rn_try[passed]
-            rows = rows[~passed]
-            t *= 0.5
-        return np.arange(len(self.u)) if rows is None else rows
+def _residual(op, lam, U, G):
+    return U + lam * op.apply_values(U) - G
 
 
-def solve_resolvent_batch(spec, lam, G, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, op=None):
+def _line_search(op, lam, G, U, rn, direction):
+    """Damped updates U + t * direction of the rows of U, whose data are G and
+    residual norms rn: each row tries t = 1, 1/2, ... up to MAX_BACKTRACKS
+    times and takes the first t whose residual norm passes the Armijo test,
+    which a NaN never passes. Returns the new rows, their residuals and norms,
+    and the mask of the rows that found such a t (the others hold a trial)."""
+    t, rows = 1.0, slice(None)
+    for _ in range(MAX_BACKTRACKS):
+        u_try = U[rows] + t * direction[rows]
+        r_try = _residual(op, lam, u_try, G[rows])
+        trial = (u_try, r_try, _weighted_norms(op.space.weights, r_try))
+        passed = trial[2] <= (1.0 - ARMIJO_SLOPE * t) * rn[rows]
+        if t == 1.0:
+            new, found, rows = trial, passed, np.flatnonzero(~passed)
+        else:
+            for a, b in zip(new, trial):
+                a[rows[passed]] = b[passed]
+            found[rows[passed]], rows = True, rows[~passed]
+        if not rows.size:
+            break
+        t *= 0.5
+    return (*new, found)
+
+
+def solve_resolvent_batch(spec, lam, G, tol=DEFAULT_TOL, op=None):
     """Solve u_k + lambda A(u_k) = g_k for every row g_k of the (B, n) array G.
 
     Every member follows the rules of solve_resolvent on its own: it stops
     when its weighted-l2 residual reaches tol, and fails when that residual is
-    not finite, when it has used max_iter iterations, or when neither the
+    not finite, when it has used MAX_ITER iterations, or when neither the
     Newton step nor a damped Picard sweep decreases it. Failures are reported
     per member in the returned ResolventBatchResult; nothing is raised. Data
     that vanish outside a box are solved on its window (see the module
@@ -290,7 +251,7 @@ def solve_resolvent_batch(spec, lam, G, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_IT
         raise ValueError(f"G must have shape (B, {op.space.n}), got {G.shape}")
     if not np.isfinite(G).all():
         raise ValueError("G must be finite")
-    return _solve(op, lam, G, tol, max_iter)
+    return _solve(op, lam, G, tol)
 
 
 def _support_box(shape, G):
@@ -313,15 +274,15 @@ def _support_box(shape, G):
     return tuple(box)
 
 
-def _solve(op, lam, G, tol, max_iter):
+def _solve(op, lam, G, tol):
     """_newton on the window of G's support box, where there is one (see the
     module docstring), and on the whole grid for the members it cannot serve."""
     box = _support_box(op.shape, G)
     if box is None:
-        return _newton(op, lam, G, tol, max_iter)
+        return _newton(op, lam, G, tol)
     win, at = op.window(box), (slice(None),) + box
     grid_shaped = lambda X: X.reshape((len(X),) + op.shape)
-    out = _newton(win, lam, grid_shaped(G)[at].reshape(len(G), -1), tol, max_iter)
+    out = _newton(win, lam, grid_shaped(G)[at].reshape(len(G), -1), tol)
     U = out.u.reshape((len(G),) + win.shape)
     edge = np.zeros(len(G), dtype=bool)
     for a in range(1, U.ndim):
@@ -330,7 +291,7 @@ def _solve(op, lam, G, tol, max_iter):
     grid_shaped(out.u)[at] = U
     redo = np.flatnonzero(edge | ~out.converged)
     if redo.size:
-        full = _newton(op, lam, G[redo], tol, max_iter)
+        full = _newton(op, lam, G[redo], tol)
         out.u[redo], out.residual[redo], out.iterations[redo], out.converged[redo] = (
             full.u, full.residual, full.iterations, full.converged)
         for j, failure in zip(redo, full.failures):
@@ -338,45 +299,78 @@ def _solve(op, lam, G, tol, max_iter):
     return out
 
 
-def _newton(op, lam, G, tol, max_iter):
-    """The damped Newton loop over the rows of G; returns a ResolventBatchResult."""
-    m = _Members(op, lam, G)
+def _newton(op, lam, G, tol):
+    """The damped Newton loop over the rows of G; returns a ResolventBatchResult.
+
+    Row j of every array belongs to G[j]; eta holds the CG tolerances, which
+    _forcing sets from rn_prev and rn. index[live] are the rows still
+    iterating, and live is a plain slice while all of them are. A row records
+    its iteration count and failure when it stops and is not touched again.
+    """
+    B, index, live, k = len(G), np.arange(len(G)), slice(None), 0
+    u = G.copy()
+    r = _residual(op, lam, u, G)
+    rn = _weighted_norms(op.space.weights, r)
+    rn_prev, eta = np.full(B, np.nan), np.full(B, CG_RTOL)
+    iterations, failures = np.zeros(B, dtype=int), [None] * B
     forced = op.d > 1 and op.spec.phi.kind == "identity"
-    if not np.isfinite(m.rn).all():  # only first residuals can be: no such trial passes the line search
-        m.leave(np.flatnonzero(~np.isfinite(m.rn)), "residual is not finite")
+
+    def stop(rows, reason=None):
+        nonlocal live
+        iterations[rows] = k
+        for j in rows if reason else ():
+            failures[j] = f"{reason}: residual {float(rn[j])} after {k} iterations"
+        live = np.setdiff1d(index[live], rows, assume_unique=True)
+
+    def take(rows, new, found):  # writes the rows that found a step, returns the others
+        hit = rows[found]
+        u[hit], r[hit], rn[hit] = (a[found] for a in new)
+        return rows[~found]
+
+    if not np.isfinite(rn).all():  # only first residuals can be: no such trial passes the line search
+        stop(np.flatnonzero(~np.isfinite(rn)), "residual is not finite")
     while True:
-        done = m.rn <= tol
+        done = rn[live] <= tol
         if done.any():
-            m.leave(np.flatnonzero(done))
-        if not m.idx.size:
+            stop(index[live][done])
+        if not index[live].size:
             break
-        if m.k >= max_iter:
-            m.leave(np.arange(m.idx.size), "resolvent did not converge")
+        if k >= MAX_ITER:
+            stop(index[live], "resolvent did not converge")
             break
         if forced:
-            m.eta, m.rn_prev = _forcing(m.rn, m.rn_prev, m.eta, tol), m.rn.copy()
-        step = _newton_steps(op, lam, m.u, m.r, m.eta)
-        stuck = m.line_search(step, None)
-        if stuck.size:
-            stuck = m.line_search(-m.r, stuck)  # the damped Picard sweep
-            if stuck.size:
-                m.leave(stuck, "no descent found")
-        m.k += 1
-    return m.out
+            eta[live] = _forcing(rn[live], rn_prev[live], eta[live], tol)
+            rn_prev[live] = rn[live]
+        # step stays referenced until the next one replaces it: freed before
+        # that one is built, it lets glibc trim the heap on every iteration
+        step = _newton_steps(op, lam, u[live], r[live], eta[live])
+        *new, found = _line_search(op, lam, G[live], u[live], rn[live], step)
+        if isinstance(live, slice) and found.all():
+            u, r, rn = new
+        else:
+            stuck = take(index[live], new, found)
+            if stuck.size:  # the damped Picard sweep
+                *new, found = _line_search(op, lam, G[stuck], u[stuck], rn[stuck], -r[stuck])
+                stuck = take(stuck, new, found)
+                if stuck.size:
+                    stop(stuck, "no descent found")
+        k += 1
+    converged = np.array([failure is None for failure in failures], dtype=bool)
+    return ResolventBatchResult(u=u, residual=rn, iterations=iterations, converged=converged, failures=failures)
 
 
-def solve_resolvent(spec, lam, g, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, op=None):
+def solve_resolvent(spec, lam, g, tol=DEFAULT_TOL, op=None):
     """Solve u + lambda A(u) = g for the given spec; returns ResolventResult.
 
     lam must be positive, and lambda * L < 1 when a Lipschitz perturbation
     is present, and g must live on the operator's grid (op, if given, must be
     the operator of spec). Raises NonConvergenceError if the weighted-l2
-    residual is not finite or does not reach tol within max_iter iterations.
+    residual is not finite or does not reach tol within MAX_ITER iterations.
     """
     op = _operator(spec, lam, op)
     if g.space != op.space:
         raise ValueError(f"g lives on {g.space}, but the operator acts on {op.space}")
-    out = _solve(op, lam, g.values[None, :], tol, max_iter)
+    out = _solve(op, lam, g.values[None, :], tol)
     residual, iterations = float(out.residual[0]), int(out.iterations[0])
     if not out.converged[0]:
         raise NonConvergenceError(out.failures[0], residual=residual, iterations=iterations)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .measure import GridFunction, lq_norm, mass
 from .operators import DiscreteOperator
-from .resolvent import DEFAULT_MAX_ITER, NonConvergenceError, solve_resolvent
+from .resolvent import NonConvergenceError, solve_resolvent
 
 EVOLVE_TOL = 1e-12  # per-step residual; keeps cumulative mass drift far below budget
 # column name -> its value at a state. lq_norm and mass are looked up by name at
@@ -113,7 +113,7 @@ class Trajectory:
         return getattr(self, RECORDED_NORMS[q])
 
 
-def evolve(spec, u0, time_grid, tol=EVOLVE_TOL, max_iter=DEFAULT_MAX_ITER, op=None):
+def evolve(spec, u0, time_grid, tol=EVOLVE_TOL, op=None):
     """Advance the implicit Euler scheme across the whole time grid.
 
     Solver failures are re-raised with the failing step and time attached; a
@@ -129,7 +129,7 @@ def evolve(spec, u0, time_grid, tol=EVOLVE_TOL, max_iter=DEFAULT_MAX_ITER, op=No
     table[0] = [column(u) for column in COLUMNS.values()]
     for k, lam in enumerate(time_grid.steps().tolist(), start=1):
         try:
-            u = solve_resolvent(spec, lam, u, tol=tol, max_iter=max_iter, op=op).u
+            u = solve_resolvent(spec, lam, u, tol=tol, op=op).u
         except NonConvergenceError as exc:
             raise NonConvergenceError(
                 f"step {k}/{n_steps} at t = {times[k]:g}: {exc}",

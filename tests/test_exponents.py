@@ -4,8 +4,6 @@ Every numeric pin below was worked out by hand from the defining formulas
 before the implementation existed; the tests freeze those values.
 """
 
-import math
-
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
@@ -41,7 +39,6 @@ def test_base_triple_from_generator_inequality():
     assert base.alpha == pytest.approx(0.5, abs=ABS_TOLERANCE)
     assert base.gamma == pytest.approx(1.0, abs=ABS_TOLERANCE)
     assert base.beta == pytest.approx(2.0, abs=ABS_TOLERANCE)
-    assert base.constant == pytest.approx(math.sqrt(0.5), rel=REL_TOLERANCE)
     with_rho = smoothing_exponents(GNParams(q=2.0, r=4.0, sigma=4.0, rho=2.0))
     assert with_rho.gamma == pytest.approx(1.0, abs=ABS_TOLERANCE)
     assert with_rho.alpha == pytest.approx(0.25, abs=ABS_TOLERANCE)

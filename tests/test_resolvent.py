@@ -149,11 +149,12 @@ def test_solver_is_deterministic():
     assert a.residual == b.residual
 
 
-def test_non_convergence_is_reported():
+def test_non_convergence_is_reported(monkeypatch):
     spec = _spec(3.0, "dirichlet")
     g = GridFunction(spec.space(), np.ones(N_NODES))
+    monkeypatch.setattr(resolvent, "MAX_ITER", 0)
     with pytest.raises(NonConvergenceError) as err:
-        solve_resolvent(spec, 1.0, g, max_iter=0)
+        solve_resolvent(spec, 1.0, g)
     assert err.value.iterations == 0
     assert err.value.residual > 0.0
 
@@ -305,18 +306,43 @@ def test_the_damped_picard_sweep_is_the_line_search_along_minus_r(monkeypatch):
     g = GridFunction(spec.space(), [0.25202664996904467, 5.358591060774065e-263, -1.6038249096607244,
                                     2.225073858507e-311, -4.999999999999999, -0.0, 4.8010693124660015,
                                     4.549408132320763e-225])
-    sweeps = []
-    line_search = resolvent._Members.line_search
+    searches = []
+    line_search = resolvent._line_search
 
-    def recording(m, direction, rows):
-        if rows is not None:
-            sweeps.append((m.k, rows.tolist(), np.array_equal(direction[rows], -m.r[rows])))
-        return line_search(m, direction, rows)
+    def recording(op, lam, G, U, rn, direction):
+        minus_r = np.array_equal(direction, -(U + lam * op.apply_values(U) - G))
+        new_u, new_r, new_rn, found = line_search(op, lam, G, U, rn, direction)
+        # an accepted row passed the Armijo test at some t = 2^-j
+        lengths = [0.5**j for j in range(resolvent.MAX_BACKTRACKS)]
+        armijo = [any(np.array_equal(new_u[i], U[i] + t * direction[i])
+                      and new_rn[i] <= (1.0 - resolvent.ARMIJO_SLOPE * t) * rn[i] for t in lengths)
+                  for i in np.flatnonzero(found)]
+        searches.append((len(U), minus_r, found.tolist(), all(armijo)))
+        return new_u, new_r, new_rn, found
 
-    monkeypatch.setattr(resolvent._Members, "line_search", recording)
+    monkeypatch.setattr(resolvent, "_line_search", recording)
     out = solve_resolvent(spec, 0.01, g, tol=SOLVER_TOL)
     assert out.iterations == 6 and out.residual <= SOLVER_TOL
-    assert sweeps == [(2, [0], True)]
+    # the Newton searches of iterations 0-5, and after the failed one of
+    # iteration 2 the sweep along -R, which found a step
+    newton = (1, False, [True], True)
+    assert searches == [newton] * 2 + [(1, False, [False], True), (1, True, [True], True)] + [newton] * 3
+
+
+def test_batch_bookkeeping_matches_solo_solves(monkeypatch):
+    # members that converge, find no descent or run out of iterations, side by
+    # side; each must come out as it does alone
+    spec = OperatorSpec(grid=Grid(bounds=((-1.0, 1.0),), shape=(64,)), p=1.5, bc=BoundaryCondition.neumann())
+    G = np.random.default_rng(7).standard_normal((40, 64))
+    monkeypatch.setattr(resolvent, "MAX_ITER", 15)
+    out = solve_resolvent_batch(spec, 1.0, G, tol=1e-12)
+    kinds = [f if f is None else f.split(":")[0] for f in out.failures]
+    assert [kinds.count(kind) for kind in (None, "no descent found", "resolvent did not converge")] == [13, 3, 24]
+    for k in range(len(G)):
+        solo = solve_resolvent_batch(spec, 1.0, G[k : k + 1], tol=1e-12)
+        assert np.array_equal(out.u[k], solo.u[0])
+        assert out.residual[k] == solo.residual[0] and out.iterations[k] == solo.iterations[0]
+        assert out.converged[k] == solo.converged[0] and out.failures[k] == solo.failures[0]
 
 
 @pytest.mark.parametrize("perturbed", ["op", "spec"])

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import nlsmooth.resolvent as resolvent
 from nlsmooth.harness import random_smooth_field, smooth_bump
 from nlsmooth.measure import GridFunction, lq_norm, mass
 from nlsmooth.operators import (
@@ -274,8 +275,9 @@ def test_trajectory_csv_roundtrip(tmp_path):
         assert np.array_equal(cells[:, j], getattr(traj, name))
 
 
-def test_evolve_reports_failing_step():
+def test_evolve_reports_failing_step(monkeypatch):
     spec = _spec(p=3.0)
+    monkeypatch.setattr(resolvent, "MAX_ITER", 0)
     with pytest.raises(NonConvergenceError) as err:
-        evolve(spec, _bump(spec), TimeGrid(1.0, 4), max_iter=0)
+        evolve(spec, _bump(spec), TimeGrid(1.0, 4))
     assert "step 1/4" in str(err.value)

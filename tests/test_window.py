@@ -67,25 +67,26 @@ def test_a_windowed_1d_flow_is_bitwise_the_full_grid_flow(case, monkeypatch, new
     assert np.array_equal(on.final.values, off.final.values)
 
 
-def _batch(spec, max_iter):
+def _batch(spec):
     G = np.zeros((4, spec.grid.n_total))
     G[0] = smooth_bump(spec.grid, center=-4.0, width=0.5).values
     G[1] = 2.0 * smooth_bump(spec.grid, center=5.0, width=1.0).values
     G[2, 700] = 1e-310  # a lone subnormal far from the bumps: the box comes from exact zeros
     G[3] = -smooth_bump(spec.grid, center=0.5, width=0.3).values
-    return solve_resolvent_batch(spec, 0.05, G, tol=1e-12, max_iter=max_iter)
+    return solve_resolvent_batch(spec, 0.05, G, tol=1e-12)
 
 
-@pytest.mark.parametrize("max_iter", [resolvent.DEFAULT_MAX_ITER, 3])
+@pytest.mark.parametrize("max_iter", [resolvent.MAX_ITER, 3])
 def test_batch_members_of_different_supports_share_one_window(max_iter, monkeypatch, newton_shapes):
     spec = _spec_1d()
-    on = _batch(spec, max_iter)
+    monkeypatch.setattr(resolvent, "MAX_ITER", max_iter)
+    on = _batch(spec)
     converged = max_iter > 3
     # the union of the supports, grown and rounded; members that fail there are
     # solved again on the whole grid, which reports their failures
     assert newton_shapes == [(544,)] + [spec.grid.shape] * (not converged)
     monkeypatch.setattr(resolvent, "_WINDOW_MARGIN", NO_WINDOW)
-    off = _batch(spec, max_iter)
+    off = _batch(spec)
     assert newton_shapes[-1:] == [spec.grid.shape]
     for field in ("u", "residual", "iterations", "converged", "failures"):
         assert np.array_equal(getattr(on, field), getattr(off, field)), field
