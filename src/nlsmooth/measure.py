@@ -46,7 +46,7 @@ class DiscreteSpace:
         return float(self.weights.sum())
 
     def __eq__(self, other):
-        return isinstance(other, DiscreteSpace) and np.array_equal(
+        return other is self or isinstance(other, DiscreteSpace) and np.array_equal(
             self.weights, other.weights
         )
 
@@ -61,7 +61,7 @@ class GridFunction:
         v = np.asarray(values, dtype=float)
         if v.shape != (space.n,):
             raise ValueError(f"values shape {v.shape} != ({space.n},)")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("values must be finite")
         self.space = space
         self.values = v

@@ -27,6 +27,11 @@ array. Band k holds L[j - offset_k, j] at column j, and 0 where that row is
 off the grid; in one dimension the bands are (sub, diag, super), and these
 zeros keep the blocks of a stack of tridiagonal systems apart.
 
+DiscreteOperator.state(u) is what evaluating A at u computes on the way and
+what linearizing A at u needs again: phi(u), the face gradients g of phi(u) on
+each axis and g^2 + eps^2. apply_values and diffusion_jacobian take it, so
+that a Newton loop evaluates each iterate once.
+
 DiscreteOperator.window gives the operator on a box of the grid's nodes with
 zero (Dirichlet) ghosts at the box's faces, keeping the grid's spacing, cell
 volume and node coordinates. For a state that vanishes outside the box, and
@@ -174,7 +179,7 @@ class PhiSpec:
         s = np.asarray(s, dtype=float)
         if self.kind == "identity":
             return s
-        return np.sign(s) * np.abs(s) ** self.m
+        return np.copysign(np.abs(s) ** self.m, s)  # sign(s) |s|^m, bit for bit
 
     def derivative(self, s, eps):
         s = np.asarray(s, dtype=float)
@@ -240,18 +245,20 @@ class OperatorSpec:
         return self.grid.space()
 
 
-def _flux(g, p, eps):
-    """a(g) = (g^2 + eps^2)^{(p-2)/2} g, with the eps = 0 limit taken nodewise."""
+def _flux(g, p, eps, s=None):
+    """a(g) = (g^2 + eps^2)^{(p-2)/2} g, with the eps = 0 limit taken nodewise;
+    s, if given, is g^2 + eps^2."""
     if eps == 0.0:
         out = np.zeros_like(g)
         nz = g != 0.0
         out[nz] = np.abs(g[nz]) ** (p - 2.0) * g[nz]
         return out
-    return (g * g + eps * eps) ** ((p - 2.0) / 2.0) * g
+    return (g * g + eps * eps if s is None else s) ** ((p - 2.0) / 2.0) * g
 
 
-def _flux_deriv(g, p, eps):
-    """a'(g) = (g^2 + eps^2)^{(p-4)/2} ((p-1) g^2 + eps^2) > 0 for eps > 0."""
+def _flux_deriv(g, p, eps, s=None):
+    """a'(g) = (g^2 + eps^2)^{(p-4)/2} ((p-1) g^2 + eps^2) > 0 for eps > 0;
+    s, if given, is g^2 + eps^2."""
     if eps == 0.0:
         out = np.zeros_like(g)
         nz = g != 0.0
@@ -260,7 +267,7 @@ def _flux_deriv(g, p, eps):
             out[~nz] = 1.0
         return out
     g2 = g * g
-    return (g2 + eps * eps) ** ((p - 4.0) / 2.0) * ((p - 1.0) * g2 + eps * eps)
+    return (g2 + eps * eps if s is None else s) ** ((p - 4.0) / 2.0) * ((p - 1.0) * g2 + eps * eps)
 
 
 class _Axis(NamedTuple):
@@ -271,15 +278,14 @@ class _Axis(NamedTuple):
     """
 
     h: float
-    pos: int  # the axis counted from the end
+    faces: tuple  # the shape of a face array of one grid function
     stride: int  # distance of neighbouring nodes along the axis in the flat array
     lo: tuple  # nodes 0..n-2, or faces 0..n-1
     hi: tuple  # nodes 1..n-1, or faces 1..n
     inner: tuple  # interior faces 1..n-1
-    first: tuple  # node 0, or face 0
-    last: tuple  # node n-1, or face n
     node_ends: tuple  # nodes 0 and n-1
     face_ends: tuple  # faces 0 and n
+    ghost_h: np.ndarray  # h and -h, along the axis: a Dirichlet end face's gradient is the end node over it
 
 
 def _axes(shape, spacing):
@@ -288,10 +294,10 @@ def _axes(shape, spacing):
     for a, (n, h) in enumerate(zip(shape, spacing)):
         at = lambda index: (Ellipsis, index) + (slice(None),) * (d - 1 - a)
         out.append(_Axis(
-            h=h, pos=a - d, stride=math.prod(shape[a + 1:]),
-            lo=at(slice(None, -1)), hi=at(slice(1, None)),
-            inner=at(slice(1, -1)), first=at(0), last=at(-1),
+            h=h, faces=shape[:a] + (n + 1,) + shape[a + 1:], stride=math.prod(shape[a + 1:]),
+            lo=at(slice(None, -1)), hi=at(slice(1, None)), inner=at(slice(1, -1)),
             node_ends=at(slice(None, None, n - 1)), face_ends=at(slice(None, None, n)),
+            ghost_h=np.array([h, -h]).reshape((2,) + (1,) * (d - 1 - a)),
         ))
     return tuple(out)
 
@@ -358,20 +364,33 @@ class DiscreteOperator:
         The two boundary faces of an axis see the ghost value 0 under
         Dirichlet and carry no gradient under Neumann or Robin.
         """
-        out = []
+        lead, out = W.shape[: W.ndim - self.d], []
         for ax in self._axes:
-            shape = list(W.shape)
-            shape[ax.pos] += 1
-            g = np.empty(shape)
-            np.subtract(W[ax.hi], W[ax.lo], out=g[ax.inner])
-            g[ax.inner] /= ax.h
+            g = np.empty(lead + ax.faces)
+            inner = g[ax.inner]
+            np.subtract(W[ax.hi], W[ax.lo], out=inner)
+            inner /= ax.h
             if self._dirichlet:
-                g[ax.first] = W[ax.first] / ax.h
-                g[ax.last] = -W[ax.last] / ax.h
+                np.divide(W[ax.node_ends], ax.ghost_h, out=g[ax.face_ends])  # W_0 / h and -W_n-1 / h, bit for bit
             else:
                 g[ax.face_ends] = 0.0
             out.append(g)
         return out
+
+    def _faces(self, w):
+        """The face data of w: per axis its gradients g (see _gradients), then,
+        unless eps_reg = 0, where the flux is taken nodewise, g^2 + eps^2 per
+        axis."""
+        grads, eps = self._gradients(self._grid_shaped(w)), self.spec.eps_reg
+        return (*grads, *(g * g + eps * eps for g in grads)) if eps != 0.0 else tuple(grads)
+
+    def state(self, u):
+        """The tuple (w, *faces) of w = phi(u) and the face data of w (see
+        _faces): what evaluating A at u computes on the way and what its
+        linearization at u needs again. Every array keeps the leading axes of
+        u, so row j of a stack's state is the state of row j."""
+        w = self.spec.phi.value(u)
+        return (w, *self._faces(w))
 
     def gradient_pnorm(self, v, p, eps=0.0):
         """sum over active edges of vol * |g_e|^p, the discrete ||grad v||_p^p."""
@@ -386,25 +405,29 @@ class DiscreteOperator:
 
     # -- operator evaluation -------------------------------------------------
 
-    def diffusion_values(self, w):
-        """-div(a(grad w)) plus the robin boundary term, on raw values w."""
-        p, eps = self.spec.p, self.spec.eps_reg
-        W = self._grid_shaped(w)
+    def diffusion_values(self, w, faces=None):
+        """-div(a(grad w)) plus the robin boundary term, on raw values w; faces,
+        if given, is self._faces(w)."""
+        p, eps, d = self.spec.p, self.spec.eps_reg, self.d
+        if faces is None:
+            faces = self._faces(w)
         terms = []
-        for ax, g in zip(self._axes, self._gradients(W)):
-            F = _flux(g, p, eps)
+        for a, ax in enumerate(self._axes):
+            F = _flux(faces[a], p, eps, faces[d + a] if eps != 0.0 else None)
             terms.append((F[ax.lo] - F[ax.hi]) / ax.h)
         out = sum(terms[1:], start=terms[0])
         if self._robin:
-            b = self.spec.bc.b
+            b, W = self.spec.bc.b, self._grid_shaped(w)
             # b |w|^{p-2} w acts on the face measure cell_volume / h_a; per unit node weight that is 1 / h_a
             for ax in self._axes:
                 out[ax.node_ends] += b * _flux(W[ax.node_ends], p, 0.0) / ax.h
         return out.reshape(w.shape)
 
-    def apply_values(self, u):
-        w = self.spec.phi.value(u)
-        out = self.diffusion_values(w)
+    def apply_values(self, u, state=None):
+        """A(u); state, if given, is self.state(u), and its values are not
+        computed again."""
+        w, *faces = self.state(u) if state is None else state
+        out = self.diffusion_values(w, faces)
         if self.spec.perturbation is not None:
             out = out + self.spec.perturbation.value(self._nodes, u)
         return out
@@ -414,12 +437,15 @@ class DiscreteOperator:
 
     # -- linearization (for the implicit solver) ----------------------------
 
-    def edge_conductivities(self, w):
-        """a'(g_e) on the faces of each axis; boundary faces carry none unless Dirichlet."""
-        p, eps = self.spec.p, self.spec.eps_reg
+    def edge_conductivities(self, w, faces=None):
+        """a'(g_e) on the faces of each axis; boundary faces carry none unless
+        Dirichlet. faces, if given, is self._faces(w)."""
+        p, eps, d = self.spec.p, self.spec.eps_reg, self.d
+        if faces is None:
+            faces = self._faces(w)
         out = []
-        for ax, g in zip(self._axes, self._gradients(self._grid_shaped(w))):
-            c = _flux_deriv(g, p, eps)
+        for a, ax in enumerate(self._axes):
+            c = _flux_deriv(faces[a], p, eps, faces[d + a] if eps != 0.0 else None)
             if not self._dirichlet:
                 c[ax.face_ends] = 0.0  # boundary edges carry no flux for any w
             out.append(c)
@@ -435,8 +461,9 @@ class DiscreteOperator:
             D[ax.node_ends] += b * _flux_deriv(W[ax.node_ends], p, 0.0) / ax.h
         return D
 
-    def diffusion_jacobian(self, w):
-        """d/dw [-div(a(grad w))] as bands of shape (2d + 1,) + w.shape.
+    def diffusion_jacobian(self, w, faces=None):
+        """d/dw [-div(a(grad w))] as bands of shape (2d + 1,) + w.shape; faces,
+        if given, is self._faces(w).
 
         Band k holds L[j - offset_k, j] at column j and 0 where that row is
         off the grid. Band d is the diagonal; bands a and 2d - a carry
@@ -446,13 +473,14 @@ class DiscreteOperator:
         d = self.d
         bands = np.zeros((2 * d + 1,) + w.shape)
         B = self._grid_shaped(bands)
-        for a, (ax, c) in enumerate(zip(self._axes, self.edge_conductivities(w))):
-            c = c / -(ax.h * ax.h)  # the off-diagonal entries -c_e / h_a^2
-            B[d] -= c[ax.lo]
-            B[d] -= c[ax.hi]
+        diag = B[d]
+        for a, (ax, c) in enumerate(zip(self._axes, self.edge_conductivities(w, faces))):
+            c /= -(ax.h * ax.h)  # the off-diagonal entries -c_e / h_a^2
+            diag -= c[ax.lo]
+            diag -= c[ax.hi]
             B[a][ax.lo] = B[2 * d - a][ax.hi] = c[ax.inner]
         if self._robin:
-            B[d] += self._robin_diag(self._grid_shaped(w))
+            diag += self._robin_diag(self._grid_shaped(w))
         return bands
 
     def jacobian_apply(self, bands, v):

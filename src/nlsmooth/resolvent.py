@@ -13,6 +13,14 @@ residual. With S = sqrt(phi'(u)) it is solved through the SPD system
 never divides by phi'(u), which vanishes where u does for the porous-medium
 phi at eps_reg = 0. For phi = identity S = 1 and delta = y.
 
+Each iterate is evaluated once. The residual evaluation of an iterate also
+returns its state (DiscreteOperator.state): w = phi(u), the face gradients g
+of w and g^2 + eps^2. An accepted iterate carries that state into the next
+Newton step, which builds a'(g) and the Jacobian bands from it without
+evaluating phi or differencing again; a rejected trial never pays for a'(g).
+A line-search row whose direction is not finite, from a failed linear solve,
+has no finite trial at any step length and tries t = 1 only.
+
 solve_resolvent_batch runs one Newton loop over a (B, n) stack of right-hand
 sides that share the operator and lambda. Each member keeps its own row of
 iterate, residual, iteration count, step length and failure reason; a member
@@ -52,7 +60,7 @@ forcing it stalls degenerate porous-medium solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -105,38 +113,39 @@ class ResolventBatchResult:
     failures: list  # (B,) None or a message
 
 
-def _weighted_norms(weights, R):
-    # one dot product per row, so a member's norm does not depend on the batch
-    return np.sqrt(np.vecdot(R * R, weights))
-
-
-def solve_banded(system):
-    """LAPACK gtsv on a copy of one (4, m) system laid out as in
-    _solve_tridiagonal_stack; all NaN when gtsv meets a zero pivot.
-    perfbench traces this name as the 1-D linear solve."""
-    *_, x, info = dgtsv(system[0, :-1], system[1], system[2, 1:], system[3])
+def solve_banded(bands, rhs):
+    """LAPACK gtsv on copies of one (3, m) system laid out as in
+    _solve_tridiagonal_stack and its right-hand side; all NaN when gtsv meets
+    a zero pivot. perfbench traces this name as the 1-D linear solve."""
+    x, info = dgtsv(bands[0, :-1], bands[1], bands[2, 1:], rhs)[3:]
     return x if info == 0 else np.full_like(x, np.nan)
 
 
-def _solve_tridiagonal_stack(system):
+def _finite(x):
+    """Whether every entry of x is finite: a sum of squares is finite only when
+    every term is, and one that overflows is checked entry by entry."""
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+
+
+def _solve_tridiagonal_stack(bands, rhs):
     """Solve k tridiagonal systems as one, returning the (k, n) solutions.
 
-    system is (4, k, n): the sub-, main and superdiagonal bands of each block,
-    zero where a row is off the block, then the right-hand sides. A NaN or inf
-    in one block would leak into its neighbours through the elimination, so
-    when the stack is not finite, LAPACK meets a zero pivot, or its solution
-    is not finite, the blocks are solved one by one instead. Rows whose system
-    is unusable come back as NaN.
+    bands is (3, k, n): the sub-, main and superdiagonal bands of each block,
+    zero where a row is off the block; rhs is (k, n). A NaN or inf in one
+    block would leak into its neighbours through the elimination, so when the
+    bands are not finite, LAPACK meets a zero pivot, or the solution is not
+    finite, as it is for any right-hand side that is not, the blocks are
+    solved one by one instead. Rows whose system is unusable come back as NaN.
     """
-    _, k, n = system.shape
-    if np.isfinite(system).all():
-        steps = solve_banded(system.reshape(4, k * n)).reshape(k, n)
-        if np.isfinite(steps).all():
+    _, k, n = bands.shape
+    if _finite(bands):
+        steps = solve_banded(bands.reshape(3, k * n), rhs.reshape(k * n)).reshape(k, n)
+        if _finite(steps):
             return steps
     steps = np.full((k, n), np.nan)
     for j in range(k) if k > 1 else ():
-        if np.isfinite(system[:, j]).all():
-            steps[j] = solve_banded(system[:, j])
+        if np.isfinite(bands[:, j]).all() and np.isfinite(rhs[j]).all():
+            steps[j] = solve_banded(bands[:, j], rhs[j])
     return steps
 
 
@@ -149,44 +158,44 @@ def _forcing(rn, rn_prev, eta_prev, tol):
     return np.where(np.isnan(rn_prev), FORCING_MAX, eta)
 
 
-def _newton_steps(op, lam, U, R, rtol):
-    """Newton directions for the (k, n) rows of U, whose residuals are R, with
-    CG tolerances rtol (see the module docstring); failed rows come back NaN."""
-    k, n = U.shape
+def _newton_steps(op, lam, U, R, state, rtol):
+    """Newton directions for the (k, n) rows of U, whose residuals are R and
+    whose state is state (DiscreteOperator.state), with CG tolerances rtol (see
+    the module docstring); failed rows come back NaN."""
     d = op.d
-    bands = op.diffusion_jacobian(op.spec.phi.value(U))
+    bands = op.diffusion_jacobian(state[0], state[1:])
     a = 1.0 if op.spec.perturbation is None else 1.0 + lam * op.perturbation_derivative(U)
     scaled = op.spec.phi.kind != "identity"
+    # the bands and right-hand sides of the rows' systems
     if scaled:
         S = np.sqrt(op.phi_derivative(U))
-        sys_bands, rhs = op.jacobian_scaled(bands, S), -S * R
+        system, rhs = op.jacobian_scaled(bands, S), -S * R
     else:
-        sys_bands, rhs = bands, -R
-    # the Jacobian bands of each row's system, then its right-hand side
-    system = np.empty((2 * d + 2, k, n))
-    np.multiply(lam, sys_bands.reshape(2 * d + 1, k, n), out=system[:-1])
+        system, rhs = bands, -R  # the bands are not needed again
+    system *= lam
     system[d] += a
-    system[-1] = rhs
-    y = _solve_tridiagonal_stack(system) if d == 1 else _solve_cg_stack(op, system, rtol)
+    y = _solve_tridiagonal_stack(system, rhs) if d == 1 else _solve_cg_stack(op, system, rhs, rtol)
     if not scaled:
         return y
     step = op.jacobian_apply(bands, S * y)
     step *= -lam
     step -= R
-    step /= a
+    if op.spec.perturbation is not None:  # else a = 1, and x / 1 = x
+        step /= a
     return step
 
 
-def _solve_cg_stack(op, system, rtol):
-    """Solve each member's system of _newton_steps by Jacobi-preconditioned CG
-    to its rtol; rows whose CG did not converge come back as NaN."""
-    _, k, n = system.shape
+def _solve_cg_stack(op, bands, rhs, rtol):
+    """Solve each row's system of _newton_steps, bands and right-hand side, by
+    Jacobi-preconditioned CG to its rtol; rows whose CG did not converge come
+    back as NaN."""
+    _, k, n = bands.shape
     steps = np.full((k, n), np.nan)
     for j in range(k):
-        M = op.jacobian_matrix(np.ascontiguousarray(system[:-1, j]))
-        inv_diag = 1.0 / system[op.d, j]
+        M = op.jacobian_matrix(np.ascontiguousarray(bands[:, j]))
+        inv_diag = 1.0 / bands[op.d, j]
         precond = LinearOperator((n, n), matvec=lambda v: inv_diag * v)
-        z, info = cg(M, system[-1, j], rtol=rtol[j], atol=0.0, maxiter=20 * n, M=precond)
+        z, info = cg(M, rhs[j], rtol=rtol[j], atol=0.0, maxiter=20 * n, M=precond)
         if info == 0:
             steps[j] = z
     return steps
@@ -207,31 +216,56 @@ def _operator(spec, lam, op):
 
 
 def _residual(op, lam, U, G):
-    return U + lam * op.apply_values(U) - G
+    """The iterate of the rows U, whose data are G: the tuple (U, R, rn, *state)
+    of U, its residuals R = U + lambda A(U) - G, their weighted-l2 norms and
+    the state of U that evaluating A computed (DiscreteOperator.state)."""
+    state = op.state(U)
+    R = op.apply_values(U, state)
+    R *= lam
+    R += U
+    R -= G
+    # one dot product per row, so a member's norm does not depend on the batch
+    return (U, R, np.sqrt(np.vecdot(R * R, op.space.weights)), *state)
+
+
+def _rows(it, index):
+    """The rows index of every array of the iterate it (see _residual); w is
+    cut once when it is the array u, as phi = identity makes it."""
+    u = it[0][index]
+    return (u, *(u if x is it[0] else x[index] for x in it[1:]))
+
+
+def _put(it, index, new, rows):
+    """it[j][index] = new[j][rows] for every array of the iterate it, once."""
+    for j, (a, b) in enumerate(zip(it, new)):
+        if j == 0 or a is not it[0]:
+            a[index] = b[rows]
 
 
 def _line_search(op, lam, G, U, rn, direction):
     """Damped updates U + t * direction of the rows of U, whose data are G and
     residual norms rn: each row tries t = 1, 1/2, ... up to MAX_BACKTRACKS
     times and takes the first t whose residual norm passes the Armijo test,
-    which a NaN never passes. Returns the new rows, their residuals and norms,
-    and the mask of the rows that found such a t (the others hold a trial)."""
-    t, rows = 1.0, slice(None)
-    for _ in range(MAX_BACKTRACKS):
-        u_try = U[rows] + t * direction[rows]
-        r_try = _residual(op, lam, u_try, G[rows])
-        trial = (u_try, r_try, _weighted_norms(op.space.weights, r_try))
+    which a NaN never passes. A row whose direction is not finite has no
+    finite trial, and tries t = 1 only. Returns the new rows as an iterate
+    (see _residual) and the positions of the rows that found no such t, which
+    hold a trial."""
+    new = _residual(op, lam, U + direction, G)  # t = 1: U + 1.0 * direction, bit for bit
+    missed = (~(new[2] <= (1.0 - ARMIJO_SLOPE) * rn)).nonzero()[0]
+    rows = missed[np.isfinite(direction[missed]).all(axis=1)] if missed.size else missed
+    if not rows.size:
+        return new, missed
+    found, t = np.ones(len(U), dtype=bool), 1.0
+    found[missed] = False
+    for _ in range(MAX_BACKTRACKS - 1):
+        t *= 0.5
+        trial = _residual(op, lam, U[rows] + t * direction[rows], G[rows])
         passed = trial[2] <= (1.0 - ARMIJO_SLOPE * t) * rn[rows]
-        if t == 1.0:
-            new, found, rows = trial, passed, np.flatnonzero(~passed)
-        else:
-            for a, b in zip(new, trial):
-                a[rows[passed]] = b[passed]
-            found[rows[passed]], rows = True, rows[~passed]
+        _put(new, rows[passed], trial, passed)
+        found[rows[passed]], rows = True, rows[~passed]
         if not rows.size:
             break
-        t *= 0.5
-    return (*new, found)
+    return new, (~found).nonzero()[0]
 
 
 def solve_resolvent_batch(spec, lam, G, tol=DEFAULT_TOL, op=None):
@@ -259,10 +293,10 @@ def _support_box(shape, G):
     nodes where some row of G is nonzero, grown by _WINDOW_MARGIN cells and
     rounded outward to multiples of _WINDOW_ALIGN. None when G is zero or the
     box would touch a face of the grid."""
-    nonzero = (G != 0.0).reshape((len(G),) + shape)
+    G = G.reshape((len(G),) + shape)
     box = []
     for a, n in enumerate(shape):
-        hit = np.flatnonzero(nonzero.any(axis=tuple(b for b in range(nonzero.ndim) if b != a + 1)))
+        hit = np.logical_or.reduce(G, axis=tuple(b for b in range(G.ndim) if b != a + 1)).nonzero()[0]
         if not hit.size:
             return None
         lo = int(hit[0]) - _WINDOW_MARGIN
@@ -280,16 +314,18 @@ def _solve(op, lam, G, tol):
     box = _support_box(op.shape, G)
     if box is None:
         return _newton(op, lam, G, tol)
-    win, at = op.window(box), (slice(None),) + box
-    grid_shaped = lambda X: X.reshape((len(X),) + op.shape)
-    out = _newton(win, lam, grid_shaped(G)[at].reshape(len(G), -1), tol)
-    U = out.u.reshape((len(G),) + win.shape)
-    edge = np.zeros(len(G), dtype=bool)
-    for a in range(1, U.ndim):
-        edge |= (np.take(U, [0, -1], axis=a) != 0.0).reshape(len(G), -1).any(axis=1)
-    out = replace(out, u=np.zeros_like(G))
-    grid_shaped(out.u)[at] = U
-    redo = np.flatnonzero(edge | ~out.converged)
+    B, win, at = len(G), op.window(box), (slice(None),) + box
+    grid_shaped = lambda X: X.reshape((B,) + op.shape)
+    out = _newton(win, lam, grid_shaped(G)[at].reshape(B, -1), tol)
+    U = out.u.reshape((B,) + win.shape)
+    redo = ~out.converged
+    for a in range(1, U.ndim):  # rows nonzero on the first or last layer of the window along an axis
+        redo |= np.logical_or.reduce(U[(slice(None),) * a + (slice(None, None, U.shape[a] - 1),)],
+                                     axis=tuple(range(1, U.ndim)))
+    u = np.zeros_like(G)
+    grid_shaped(u)[at] = U
+    out = ResolventBatchResult(u, out.residual, out.iterations, out.converged, out.failures)
+    redo = redo.nonzero()[0]
     if redo.size:
         full = _newton(op, lam, G[redo], tol)
         out.u[redo], out.residual[redo], out.iterations[redo], out.converged[redo] = (
@@ -302,16 +338,17 @@ def _solve(op, lam, G, tol):
 def _newton(op, lam, G, tol):
     """The damped Newton loop over the rows of G; returns a ResolventBatchResult.
 
-    Row j of every array belongs to G[j]; eta holds the CG tolerances, which
-    _forcing sets from rn_prev and rn. index[live] are the rows still
-    iterating, and live is a plain slice while all of them are. A row records
-    its iteration count and failure when it stops and is not touched again.
+    Row j of every array belongs to G[j]. The iterate it holds the values,
+    residuals, residual norms and state of every row (see _residual); the
+    next Newton step builds its Jacobian from that state. eta holds the CG
+    tolerances, which _forcing sets from rn_prev and rn. running marks the
+    rows still iterating and live indexes them; live is a plain slice while
+    all of them are. A row records its iteration count and failure when it
+    stops and is not touched again.
     """
     B, index, live, k = len(G), np.arange(len(G)), slice(None), 0
-    u = G.copy()
-    r = _residual(op, lam, u, G)
-    rn = _weighted_norms(op.space.weights, r)
-    rn_prev, eta = np.full(B, np.nan), np.full(B, CG_RTOL)
+    it = _residual(op, lam, G.copy(), G)
+    running, rn_prev, eta = np.ones(B, dtype=bool), np.full(B, np.nan), np.full(B, CG_RTOL)
     iterations, failures = np.zeros(B, dtype=int), [None] * B
     forced = op.d > 1 and op.spec.phi.kind == "identity"
 
@@ -319,44 +356,48 @@ def _newton(op, lam, G, tol):
         nonlocal live
         iterations[rows] = k
         for j in rows if reason else ():
-            failures[j] = f"{reason}: residual {float(rn[j])} after {k} iterations"
-        live = np.setdiff1d(index[live], rows, assume_unique=True)
+            failures[j] = f"{reason}: residual {float(it[2][j])} after {k} iterations"
+        running[rows] = False
+        live = running.nonzero()[0]
 
-    def take(rows, new, found):  # writes the rows that found a step, returns the others
-        hit = rows[found]
-        u[hit], r[hit], rn[hit] = (a[found] for a in new)
-        return rows[~found]
+    def take(rows, new, missed):  # writes the rows that found a step, returns the others
+        found = np.ones(len(rows), dtype=bool)
+        found[missed] = False
+        _put(it, rows[found], new, found)
+        return rows[missed]
 
-    if not np.isfinite(rn).all():  # only first residuals can be: no such trial passes the line search
-        stop(np.flatnonzero(~np.isfinite(rn)), "residual is not finite")
+    if not _finite(it[2]):  # only first residuals can be: no such trial passes the line search
+        stop(np.flatnonzero(~np.isfinite(it[2])), "residual is not finite")
     while True:
-        done = rn[live] <= tol
-        if done.any():
+        done = (it[2][live] <= tol).nonzero()[0]
+        if done.size:
             stop(index[live][done])
         if not index[live].size:
             break
         if k >= MAX_ITER:
             stop(index[live], "resolvent did not converge")
             break
+        u, r, rn, *state = it if isinstance(live, slice) else _rows(it, live)
         if forced:
-            eta[live] = _forcing(rn[live], rn_prev[live], eta[live], tol)
-            rn_prev[live] = rn[live]
+            eta[live] = _forcing(rn, rn_prev[live], eta[live], tol)
+            rn_prev[live] = rn
         # step stays referenced until the next one replaces it: freed before
         # that one is built, it lets glibc trim the heap on every iteration
-        step = _newton_steps(op, lam, u[live], r[live], eta[live])
-        *new, found = _line_search(op, lam, G[live], u[live], rn[live], step)
-        if isinstance(live, slice) and found.all():
-            u, r, rn = new
+        step = _newton_steps(op, lam, u, r, state, eta[live])
+        new, missed = _line_search(op, lam, G[live], u, rn, step)
+        if isinstance(live, slice) and not missed.size:
+            it = new
         else:
-            stuck = take(index[live], new, found)
+            stuck = take(index[live], new, missed)
             if stuck.size:  # the damped Picard sweep
-                *new, found = _line_search(op, lam, G[stuck], u[stuck], rn[stuck], -r[stuck])
-                stuck = take(stuck, new, found)
+                new, missed = _line_search(op, lam, G[stuck], it[0][stuck], it[2][stuck], -it[1][stuck])
+                stuck = take(stuck, new, missed)
                 if stuck.size:
                     stop(stuck, "no descent found")
         k += 1
     converged = np.array([failure is None for failure in failures], dtype=bool)
-    return ResolventBatchResult(u=u, residual=rn, iterations=iterations, converged=converged, failures=failures)
+    return ResolventBatchResult(u=it[0], residual=it[2], iterations=iterations, converged=converged,
+                                failures=failures)
 
 
 def solve_resolvent(spec, lam, g, tol=DEFAULT_TOL, op=None):
@@ -375,7 +416,7 @@ def solve_resolvent(spec, lam, g, tol=DEFAULT_TOL, op=None):
     if not out.converged[0]:
         raise NonConvergenceError(out.failures[0], residual=residual, iterations=iterations)
     return ResolventResult(
-        u=GridFunction(g.space, out.u[0]),
+        u=GridFunction(op.space, out.u[0]),
         residual=residual,
         iterations=iterations,
     )

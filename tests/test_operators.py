@@ -496,3 +496,41 @@ def test_barenblatt_validation():
     single = barenblatt_profile(2, 3.0, np.array([0.6, 0.8]), 1.0)
     batch = barenblatt_profile(2, 3.0, np.array([[0.6, 0.8]]), 1.0)
     assert single == pytest.approx(float(batch[0]), rel=1e-14)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("eps", [0.0, 1e-8], ids=["eps0", "eps1e-8"])
+@pytest.mark.parametrize("phi", [PhiSpec.identity(), PhiSpec.power(2.0)], ids=["identity", "power"])
+@pytest.mark.parametrize("bc", ALL_BCS, ids=lambda bc: bc.kind)
+@pytest.mark.parametrize("shape", [(40,), (14, 12)], ids=["1d", "2d"])
+def test_jacobian_from_an_iterates_face_data_is_bitwise_the_fresh_one(shape, bc, phi, eps, p, batch):
+    # the Newton step builds its bands from the state the residual evaluation
+    # returned; they must be the bands of diffusion_jacobian(phi(u)) computed
+    # from scratch, for every row, also after the line search wrote rows of
+    # backtracked trials, and on a window as on the whole grid
+    import nlsmooth.resolvent as resolvent
+
+    grid = Grid(bounds=((-1.0, 1.0),) * len(shape), shape=shape)
+    op = DiscreteOperator(OperatorSpec(grid=grid, p=p, bc=bc, phi=phi, eps_reg=eps))
+    box = tuple(slice(3, n - 3) for n in shape)
+    rng = np.random.default_rng(len(shape) * 100 + batch)
+    for o in (op, op.window(box)):
+        n = o.space.n
+        G = rng.standard_normal((batch, n))
+        G[:, ::3] = 0.0  # zero gradients take the nodewise branches at eps = 0
+        lam = 0.05
+        first = resolvent._residual(o, lam, G.copy(), G)
+        # a direction too long for t = 1 on some rows makes the line search write backtracked rows
+        direction = 6.0 * rng.standard_normal((batch, n))
+        new, _ = resolvent._line_search(o, lam, G, first[0], first[2], direction)
+        for U, _, _, *state in (first, new):
+            assert _bits(state[0]).tolist() == _bits(o.spec.phi.value(U)).tolist()
+            bands = o.diffusion_jacobian(state[0], state[1:])
+            assert np.array_equal(_bits(bands), _bits(o.diffusion_jacobian(o.spec.phi.value(U))))
+            for j in range(batch):
+                assert np.array_equal(_bits(bands[:, j]), _bits(o.diffusion_jacobian(o.spec.phi.value(U[j]))))

@@ -311,14 +311,15 @@ def test_the_damped_picard_sweep_is_the_line_search_along_minus_r(monkeypatch):
 
     def recording(op, lam, G, U, rn, direction):
         minus_r = np.array_equal(direction, -(U + lam * op.apply_values(U) - G))
-        new_u, new_r, new_rn, found = line_search(op, lam, G, U, rn, direction)
+        new, missed = line_search(op, lam, G, U, rn, direction)
+        new_u, new_rn, found = new[0], new[2], ~np.isin(np.arange(len(U)), missed)
         # an accepted row passed the Armijo test at some t = 2^-j
         lengths = [0.5**j for j in range(resolvent.MAX_BACKTRACKS)]
         armijo = [any(np.array_equal(new_u[i], U[i] + t * direction[i])
                       and new_rn[i] <= (1.0 - resolvent.ARMIJO_SLOPE * t) * rn[i] for t in lengths)
                   for i in np.flatnonzero(found)]
         searches.append((len(U), minus_r, found.tolist(), all(armijo)))
-        return new_u, new_r, new_rn, found
+        return new, missed
 
     monkeypatch.setattr(resolvent, "_line_search", recording)
     out = solve_resolvent(spec, 0.01, g, tol=SOLVER_TOL)
@@ -363,6 +364,11 @@ def test_an_operator_of_another_spec_is_refused(entry, perturbed):
         calls[entry]()
 
 
+def _split(system):
+    """The bands and right-hand sides of a (4, k, n) stack."""
+    return system[:3], system[3]
+
+
 def test_stacked_tridiagonal_solve_isolates_bad_blocks():
     rng = np.random.default_rng(13)
     k, n = 4, 6
@@ -371,14 +377,14 @@ def test_stacked_tridiagonal_solve_isolates_bad_blocks():
     system[1] = 3.0
     system[2, :, 1:] = rng.uniform(-1.0, 0.0, (k, n - 1))
     system[3] = rng.standard_normal((k, n))
-    alone = [_solve_tridiagonal_stack(system[:, j : j + 1].copy())[0] for j in range(k)]
-    assert np.array_equal(_solve_tridiagonal_stack(system.copy()), np.array(alone))
+    alone = [_solve_tridiagonal_stack(*_split(system[:, j : j + 1].copy()))[0] for j in range(k)]
+    assert np.array_equal(_solve_tridiagonal_stack(*_split(system.copy())), np.array(alone))
     system[:3, 3] = 0.0  # a singular block makes LAPACK refuse the whole stack
-    steps = _solve_tridiagonal_stack(system.copy())
+    steps = _solve_tridiagonal_stack(*_split(system.copy()))
     assert np.array_equal(steps[:3], np.array(alone)[:3])
     assert np.isnan(steps[3]).all()
     system[3, 1, 2] = np.nan  # would leak into every block through the elimination
-    steps = _solve_tridiagonal_stack(system)
+    steps = _solve_tridiagonal_stack(*_split(system))
     assert np.array_equal(steps[[0, 2]], np.array(alone)[[0, 2]])
     assert np.isnan(steps[[1, 3]]).all()
 
@@ -392,10 +398,29 @@ def test_stacked_tridiagonal_solve_equals_scipy_solve_banded(k, n):
     system[1] = rng.uniform(0.5, 2.5, (k, n))  # not dominant, so gtsv pivots within blocks
     system[2, :, 1:] = -rng.uniform(0.0, 1.0, (k, n - 1))
     system[3] = rng.standard_normal((k, n))
-    steps = _solve_tridiagonal_stack(system.copy())
+    steps = _solve_tridiagonal_stack(*_split(system.copy()))
     for j in range(k):
         # scipy's banded layout puts the superdiagonal first
         assert np.array_equal(steps[j], solve_banded((1, 1), system[2::-1, j], system[3, j]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_right_hand_side_that_is_not_finite_gives_a_nan_row(bad):
+    # only the bands are checked before the stacked solve: a right-hand side
+    # that is not finite spoils the solution, which sends the stack to the
+    # one-by-one solves, as for a lone block
+    rng = np.random.default_rng(16)
+    k, n = 3, 9
+    system = np.zeros((4, k, n))  # sub-, main and superdiagonal bands, then the right-hand sides
+    system[0, :, :-1] = -rng.uniform(0.0, 1.0, (k, n - 1))
+    system[1] = 3.0
+    system[2, :, 1:] = -rng.uniform(0.0, 1.0, (k, n - 1))
+    system[3] = rng.standard_normal((k, n))
+    alone = np.array([_solve_tridiagonal_stack(*_split(system[:, j : j + 1].copy()))[0] for j in range(k)])
+    system[3, 1, 4] = bad
+    steps = _solve_tridiagonal_stack(*_split(system.copy()))
+    assert np.isnan(steps[1]).all() and np.array_equal(steps[[0, 2]], alone[[0, 2]])
+    assert np.isnan(_solve_tridiagonal_stack(*_split(system[:, 1:2].copy()))).all()
 
 
 def test_a_lone_zero_pivot_block_comes_back_nan():
@@ -405,7 +430,7 @@ def test_a_lone_zero_pivot_block_comes_back_nan():
     system[3] = 1.0
     with pytest.raises(np.linalg.LinAlgError):
         solve_banded((1, 1), system[2::-1, 0], system[3, 0])
-    assert np.isnan(_solve_tridiagonal_stack(system)).all()
+    assert np.isnan(_solve_tridiagonal_stack(*_split(system))).all()
 
 
 def test_batch_input_validation():
@@ -427,3 +452,70 @@ def test_solve_resolvent_refuses_a_grid_function_from_another_grid(n):
     message = re.escape(f"g lives on {bump.space}, but the operator acts on {spec.space()}")
     with pytest.raises(ValueError, match=message):
         solve_resolvent(spec, 0.1, bump)
+
+
+@pytest.mark.parametrize("scale", [1.0, 8.0], ids=["full-step", "backtracking"])
+def test_a_row_whose_direction_is_not_finite_tries_t_1_only(monkeypatch, scale):
+    # a failed gtsv or CG hands the line search a NaN direction; such a row has
+    # no finite trial at any t, so it must cost no residual after the t = 1 trial
+    spec = _spec(3.0, "dirichlet")
+    op, lam = DiscreteOperator(spec), 0.1
+    G = np.random.default_rng(15).standard_normal((2, N_NODES))
+    U, R, rn, *state = resolvent._residual(op, lam, G.copy(), G)
+    direction = scale * resolvent._newton_steps(op, lam, U, R, state, np.full(2, CG_RTOL))
+    direction[1] = np.nan
+    calls = []
+    residual = resolvent._residual
+
+    def counting(op, lam, U, G):
+        calls.append(len(U))
+        return residual(op, lam, U, G)
+
+    monkeypatch.setattr(resolvent, "_residual", counting)
+    new, missed = resolvent._line_search(op, lam, G, U, rn, direction)
+    both = list(calls)
+    calls.clear()
+    alone, alone_missed = resolvent._line_search(op, lam, G[:1], U[:1], rn[:1], direction[:1])
+    assert missed.tolist() == [1] and alone_missed.tolist() == []
+    # the NaN row rides along in the t = 1 trial only
+    assert both == [2] + [1] * (len(calls) - 1)
+    assert (len(calls) > 1) == (scale > 1.0)
+    for a, b in zip(new, alone):
+        assert np.array_equal(a[:1], b)
+
+
+@pytest.mark.parametrize("flow", ["p3", "porous-medium"])
+def test_face_gradients_are_computed_once_per_residual_and_never_for_a_jacobian(monkeypatch, flow):
+    # the Newton step builds its Jacobian from the state that the residual
+    # evaluation of its iterate returned, instead of differencing phi(u) again
+    grid = Grid(bounds=((-20.0, 20.0),), shape=(801,))
+    spec = (OperatorSpec(grid=grid, p=3.0) if flow == "p3"
+            else OperatorSpec(grid=grid, p=2.0, phi=PhiSpec.power(2.0)))
+    counts = dict(gradients=0, residuals=0, jacobians=0, gradients_in_jacobians=0)
+    in_jacobian = []
+    gradients, jacobian, residual = (DiscreteOperator._gradients, DiscreteOperator.diffusion_jacobian,
+                                     resolvent._residual)
+
+    def counting_gradients(self, W):
+        counts["gradients"] += 1
+        counts["gradients_in_jacobians"] += bool(in_jacobian)
+        return gradients(self, W)
+
+    def counting_jacobian(self, *args):
+        counts["jacobians"] += 1
+        in_jacobian.append(True)
+        try:
+            return jacobian(self, *args)
+        finally:
+            in_jacobian.pop()
+
+    def counting_residual(*args):
+        counts["residuals"] += 1
+        return residual(*args)
+
+    monkeypatch.setattr(DiscreteOperator, "_gradients", counting_gradients)
+    monkeypatch.setattr(DiscreteOperator, "diffusion_jacobian", counting_jacobian)
+    monkeypatch.setattr(resolvent, "_residual", counting_residual)
+    evolve(spec, smooth_bump(grid, width=0.5), TimeGrid(t_end=1.0, n_steps=20, t_first=1e-3))
+    assert counts["jacobians"] >= 20 and counts["gradients_in_jacobians"] == 0
+    assert counts["gradients"] == counts["residuals"] > counts["jacobians"]
