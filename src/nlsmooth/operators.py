@@ -253,7 +253,11 @@ def _flux(g, p, eps, s=None):
         nz = g != 0.0
         out[nz] = np.abs(g[nz]) ** (p - 2.0) * g[nz]
         return out
-    return (g * g + eps * eps if s is None else s) ** ((p - 2.0) / 2.0) * g
+    if p == 2.0:
+        return g  # (g^2 + eps^2)^0 g = 1 g, bit for bit
+    out = (g * g + eps * eps if s is None else s) ** ((p - 2.0) / 2.0)
+    out *= g
+    return out
 
 
 def _flux_deriv(g, p, eps, s=None):
@@ -267,7 +271,11 @@ def _flux_deriv(g, p, eps, s=None):
             out[~nz] = 1.0
         return out
     g2 = g * g
-    return (g2 + eps * eps if s is None else s) ** ((p - 4.0) / 2.0) * ((p - 1.0) * g2 + eps * eps)
+    out = (g2 + eps * eps if s is None else s) ** ((p - 4.0) / 2.0)
+    g2 *= p - 1.0
+    g2 += eps * eps
+    out *= g2
+    return out
 
 
 class _Axis(NamedTuple):
@@ -382,7 +390,10 @@ class DiscreteOperator:
         unless eps_reg = 0, where the flux is taken nodewise, g^2 + eps^2 per
         axis."""
         grads, eps = self._gradients(self._grid_shaped(w)), self.spec.eps_reg
-        return (*grads, *(g * g + eps * eps for g in grads)) if eps != 0.0 else tuple(grads)
+        squares = [g * g for g in grads] if eps != 0.0 else []
+        for s in squares:
+            s += eps * eps
+        return (*grads, *squares)
 
     def state(self, u):
         """The tuple (w, *faces) of w = phi(u) and the face data of w (see
@@ -497,9 +508,13 @@ class DiscreteOperator:
         d, S = self.d, self._grid_shaped(s)
         out = bands.copy()  # with the zeros of the rows off the grid
         O = self._grid_shaped(out)
-        O[d] = O[d] * S * S
+        O[d] *= S
+        O[d] *= S
         for a, ax in enumerate(self._axes):
-            O[a][ax.lo] = O[2 * d - a][ax.hi] = O[a][ax.lo] * S[ax.lo] * S[ax.hi]
+            lower = O[a][ax.lo]
+            lower *= S[ax.lo]
+            lower *= S[ax.hi]
+            O[2 * d - a][ax.hi] = lower
         return out
 
     def jacobian_matrix(self, bands):

@@ -113,11 +113,11 @@ class ResolventBatchResult:
     failures: list  # (B,) None or a message
 
 
-def solve_banded(bands, rhs):
-    """LAPACK gtsv on copies of one (3, m) system laid out as in
-    _solve_tridiagonal_stack and its right-hand side; all NaN when gtsv meets
-    a zero pivot. perfbench traces this name as the 1-D linear solve."""
-    x, info = dgtsv(bands[0, :-1], bands[1], bands[2, 1:], rhs)[3:]
+def solve_banded(bands, rhs, overwrite=False):
+    """LAPACK gtsv on one (3, m) system laid out as in _solve_tridiagonal_stack
+    and its right-hand side, on copies unless overwrite; all NaN when gtsv
+    meets a zero pivot. perfbench traces this name as the 1-D linear solve."""
+    x, info = dgtsv(bands[0, :-1], bands[1], bands[2, 1:], rhs, overwrite, overwrite, overwrite, overwrite)[3:]
     return x if info == 0 else np.full_like(x, np.nan)
 
 
@@ -134,13 +134,15 @@ def _solve_tridiagonal_stack(bands, rhs):
     zero where a row is off the block; rhs is (k, n). A NaN or inf in one
     block would leak into its neighbours through the elimination, so when the
     bands are not finite, LAPACK meets a zero pivot, or the solution is not
-    finite, as it is for any right-hand side that is not, the blocks are
-    solved one by one instead. Rows whose system is unusable come back as NaN.
+    finite, as it is for any right-hand side that is not, the blocks of a
+    stack are solved one by one instead. Rows whose system is unusable come
+    back as NaN. A lone block has no neighbour to spoil: it is solved in
+    place, overwriting bands and rhs, and comes back as LAPACK solved it.
     """
     _, k, n = bands.shape
     if _finite(bands):
-        steps = solve_banded(bands.reshape(3, k * n), rhs.reshape(k * n)).reshape(k, n)
-        if _finite(steps):
+        steps = solve_banded(bands.reshape(3, k * n), rhs.reshape(k * n), overwrite=k == 1).reshape(k, n)
+        if k == 1 or _finite(steps):
             return steps
     steps = np.full((k, n), np.nan)
     for j in range(k) if k > 1 else ():
@@ -161,7 +163,7 @@ def _forcing(rn, rn_prev, eta_prev, tol):
 def _newton_steps(op, lam, U, R, state, rtol):
     """Newton directions for the (k, n) rows of U, whose residuals are R and
     whose state is state (DiscreteOperator.state), with CG tolerances rtol (see
-    the module docstring); failed rows come back NaN."""
+    the module docstring); failed rows come back not finite."""
     d = op.d
     bands = op.diffusion_jacobian(state[0], state[1:])
     a = 1.0 if op.spec.perturbation is None else 1.0 + lam * op.perturbation_derivative(U)

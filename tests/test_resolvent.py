@@ -405,10 +405,10 @@ def test_stacked_tridiagonal_solve_equals_scipy_solve_banded(k, n):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_a_right_hand_side_that_is_not_finite_gives_a_nan_row(bad):
+def test_a_right_hand_side_that_is_not_finite_gives_a_row_that_is_not(bad):
     # only the bands are checked before the stacked solve: a right-hand side
     # that is not finite spoils the solution, which sends the stack to the
-    # one-by-one solves, as for a lone block
+    # one-by-one solves; a lone block comes back as LAPACK solved it
     rng = np.random.default_rng(16)
     k, n = 3, 9
     system = np.zeros((4, k, n))  # sub-, main and superdiagonal bands, then the right-hand sides
@@ -420,7 +420,7 @@ def test_a_right_hand_side_that_is_not_finite_gives_a_nan_row(bad):
     system[3, 1, 4] = bad
     steps = _solve_tridiagonal_stack(*_split(system.copy()))
     assert np.isnan(steps[1]).all() and np.array_equal(steps[[0, 2]], alone[[0, 2]])
-    assert np.isnan(_solve_tridiagonal_stack(*_split(system[:, 1:2].copy()))).all()
+    assert not np.isfinite(_solve_tridiagonal_stack(*_split(system[:, 1:2].copy()))).all()
 
 
 def test_a_lone_zero_pivot_block_comes_back_nan():
