@@ -179,7 +179,7 @@ class PhiSpec:
         s = np.asarray(s, dtype=float)
         if self.kind == "identity":
             return s
-        return np.copysign(np.abs(s) ** self.m, s)  # sign(s) |s|^m, bit for bit
+        return np.sign(s) * np.abs(s) ** self.m
 
     def derivative(self, s, eps):
         s = np.asarray(s, dtype=float)
@@ -245,9 +245,9 @@ class OperatorSpec:
         return self.grid.space()
 
 
-def _flux(g, p, eps, s=None):
+def _flux(g, p, eps, s):
     """a(g) = (g^2 + eps^2)^{(p-2)/2} g, with the eps = 0 limit taken nodewise;
-    s, if given, is g^2 + eps^2."""
+    s is g^2 + eps^2, and is not read when eps = 0."""
     if eps == 0.0:
         out = np.zeros_like(g)
         nz = g != 0.0
@@ -255,14 +255,14 @@ def _flux(g, p, eps, s=None):
         return out
     if p == 2.0:
         return g  # (g^2 + eps^2)^0 g = 1 g, bit for bit
-    out = (g * g + eps * eps if s is None else s) ** ((p - 2.0) / 2.0)
+    out = s ** ((p - 2.0) / 2.0)
     out *= g
     return out
 
 
-def _flux_deriv(g, p, eps, s=None):
+def _flux_deriv(g, p, eps, s):
     """a'(g) = (g^2 + eps^2)^{(p-4)/2} ((p-1) g^2 + eps^2) > 0 for eps > 0;
-    s, if given, is g^2 + eps^2."""
+    s is g^2 + eps^2, and is not read when eps = 0."""
     if eps == 0.0:
         out = np.zeros_like(g)
         nz = g != 0.0
@@ -270,8 +270,8 @@ def _flux_deriv(g, p, eps, s=None):
         if p == 2.0:
             out[~nz] = 1.0
         return out
+    out = s ** ((p - 4.0) / 2.0)
     g2 = g * g
-    out = (g2 + eps * eps if s is None else s) ** ((p - 4.0) / 2.0)
     g2 *= p - 1.0
     g2 += eps * eps
     out *= g2
@@ -431,7 +431,7 @@ class DiscreteOperator:
             b, W = self.spec.bc.b, self._grid_shaped(w)
             # b |w|^{p-2} w acts on the face measure cell_volume / h_a; per unit node weight that is 1 / h_a
             for ax in self._axes:
-                out[ax.node_ends] += b * _flux(W[ax.node_ends], p, 0.0) / ax.h
+                out[ax.node_ends] += b * _flux(W[ax.node_ends], p, 0.0, None) / ax.h
         return out.reshape(w.shape)
 
     def apply_values(self, u, state=None):
@@ -469,7 +469,7 @@ class DiscreteOperator:
         D = np.zeros_like(W)
         for ax in self._axes:
             # the derivative of |w|^{p-2} w, zeroed at w = 0 for p < 2 to keep it finite
-            D[ax.node_ends] += b * _flux_deriv(W[ax.node_ends], p, 0.0) / ax.h
+            D[ax.node_ends] += b * _flux_deriv(W[ax.node_ends], p, 0.0, None) / ax.h
         return D
 
     def diffusion_jacobian(self, w, faces=None):

@@ -121,12 +121,6 @@ def solve_banded(bands, rhs, overwrite=False):
     return x if info == 0 else np.full_like(x, np.nan)
 
 
-def _finite(x):
-    """Whether every entry of x is finite: a sum of squares is finite only when
-    every term is, and one that overflows is checked entry by entry."""
-    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
-
-
 def _solve_tridiagonal_stack(bands, rhs):
     """Solve k tridiagonal systems as one, returning the (k, n) solutions.
 
@@ -140,9 +134,9 @@ def _solve_tridiagonal_stack(bands, rhs):
     place, overwriting bands and rhs, and comes back as LAPACK solved it.
     """
     _, k, n = bands.shape
-    if _finite(bands):
+    if np.isfinite(bands).all():
         steps = solve_banded(bands.reshape(3, k * n), rhs.reshape(k * n), overwrite=k == 1).reshape(k, n)
-        if k == 1 or _finite(steps):
+        if k == 1 or np.isfinite(steps).all():
             return steps
     steps = np.full((k, n), np.nan)
     for j in range(k) if k > 1 else ():
@@ -231,17 +225,14 @@ def _residual(op, lam, U, G):
 
 
 def _rows(it, index):
-    """The rows index of every array of the iterate it (see _residual); w is
-    cut once when it is the array u, as phi = identity makes it."""
-    u = it[0][index]
-    return (u, *(u if x is it[0] else x[index] for x in it[1:]))
+    """The rows index of every array of the iterate it (see _residual)."""
+    return tuple(x[index] for x in it)
 
 
 def _put(it, index, new, rows):
-    """it[j][index] = new[j][rows] for every array of the iterate it, once."""
-    for j, (a, b) in enumerate(zip(it, new)):
-        if j == 0 or a is not it[0]:
-            a[index] = b[rows]
+    """it[j][index] = new[j][rows] for every array of the iterate it."""
+    for a, b in zip(it, new):
+        a[index] = b[rows]
 
 
 def _line_search(op, lam, G, U, rn, direction):
@@ -368,7 +359,7 @@ def _newton(op, lam, G, tol):
         _put(it, rows[found], new, found)
         return rows[missed]
 
-    if not _finite(it[2]):  # only first residuals can be: no such trial passes the line search
+    if not np.isfinite(it[2]).all():  # only first residuals can be: no such trial passes the line search
         stop(np.flatnonzero(~np.isfinite(it[2])), "residual is not finite")
     while True:
         done = (it[2][live] <= tol).nonzero()[0]
