@@ -28,9 +28,6 @@ from .harness import (
     contraction_suite,
     conservation_suite,
     convergence_study,
-    default_barenblatt_config,
-    default_decay_config,
-    default_pme_config,
     exponents_from_query,
     fit_power_law,
     gn_suite,

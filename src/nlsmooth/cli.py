@@ -9,8 +9,9 @@ starts; 'verify all' gives each suite the inputs it reads.
 
 All results go to stdout as JSON with sorted keys, so identical invocations
 produce byte-identical output; diagnostics go to stderr. Exit codes:
-0 success, 1 verification failure, 2 usage or invalid parameters. Infinite
-values are encoded as the strings "inf" / "-inf" in both configs and output.
+0 success, 1 verification failure or a solver that did not converge (an
+error line on stderr), 2 usage or invalid parameters. Infinite values are
+encoded as the strings "inf" / "-inf" in both configs and output.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from pathlib import Path
 from . import harness
 from .exponents import ConditionError, iteration_sequence, moser_q_sequence
 from .harness import exponents_from_query
+from .resolvent import NonConvergenceError
 from .semigroup import RECORDED_NORMS, evolve, trajectory_to_csv
 
 
@@ -44,27 +46,10 @@ _SEQUENCE_FLAGS = tuple(dict.fromkeys(flag for _, flags in _SEQUENCES.values() f
 _FLAG_KWARGS = {"d": {"type": int}, "n": {"type": int, "required": True}}
 
 
-def _decode(obj):
-    if isinstance(obj, dict):
-        return {k: _decode(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_decode(v) for v in obj]
-    if obj == "inf":
-        return float("inf")
-    if obj == "-inf":
-        return float("-inf")
-    return obj
-
-
 def _emit(obj):
     line = json.dumps(harness._jsonable(obj), sort_keys=True) + "\n"
     sys.stdout.write(line)
     return line
-
-
-def _load_config(path):
-    with open(path) as f:
-        return _decode(json.load(f))
 
 
 def _check_out(path):
@@ -141,7 +126,7 @@ def _cmd_simulate(args):
         print("error: simulate needs --config and --out", file=sys.stderr)
         return 2
     _check_out(args.out)
-    config = _load_config(args.config)
+    config = harness.load_config(args.config)
     spec, tg, u0, exp, _, _ = harness.decay_setup(config, seed=args.seed)
     if args.seed is not None and exp["initial"].get("kind") != "random":
         raise ValueError("simulate --seed needs a random experiment.initial; this one draws no random numbers")
@@ -164,7 +149,7 @@ def _cmd_verify(args):
         raise ValueError(f"unknown suite {args.suite!r}; choose from {list(harness.SUITES) + ['all']}")
     if args.out:
         _check_out(args.out)
-    given = {"config": _load_config(args.config) if args.config else None, "seed": args.seed, "tol": args.tol}
+    given = {"config": harness.load_config(args.config) if args.config else None, "seed": args.seed, "tol": args.tol}
     plan = {args.suite: given}
     if args.suite == "all":  # each suite gets the inputs it reads; one that no suite reads is refused
         routed = {name: harness.suite_inputs(name, **given) for name in harness.SUITES}
@@ -216,7 +201,7 @@ def build_parser():
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", type=str, help=f"one of {list(harness.SUITES) + ['all']}")
-    pv.add_argument("--config", help="JSON config file for decay, pme or barenblatt")
+    pv.add_argument("--config", help="JSON config file for decay, pme or barenblatt (default: the suite's shipped one)")
     pv.add_argument("--out", help="also write the report to this path")
     pv.add_argument("--seed", type=int, help="seed of the property suites")
     pv.add_argument("--tol", type=float, help="decay tolerance of decay and pme")
@@ -233,6 +218,9 @@ def main(argv=None):
     except (OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NonConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

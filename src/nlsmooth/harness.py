@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
@@ -45,6 +46,7 @@ DEFAULT_R2_MIN = 0.98
 FIT_SAMPLES = 33
 MIN_FIT_POINTS = 8
 CONTRACTION_SLACK = 1e-6  # relative slack of the contraction checks, for roundoff in the solves
+CONFIGS = Path(__file__).with_name("configs")  # the shipped configs, one file per claim
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +85,25 @@ def _jsonable(obj):
         if math.isnan(obj):
             return "nan"
     return obj
+
+
+def decode(obj):
+    """obj with the strings "inf" and "-inf" read back as floats, at any depth."""
+    if isinstance(obj, dict):
+        return {k: decode(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [decode(v) for v in obj]
+    if obj == "inf":
+        return float("inf")
+    if obj == "-inf":
+        return float("-inf")
+    return obj
+
+
+def load_config(path):
+    """The config dict of a JSON file, decoded."""
+    with open(path) as f:
+        return decode(json.load(f))
 
 
 def config_hash(config):
@@ -166,22 +187,42 @@ def _perturbation_from_config(config):
     return (linear_perturbation if kind == "linear" else tanh_perturbation)(cfg["coeff"])
 
 
+# the config key of each value the constructors refuse, by the start of their message
+_REFUSED_KEYS = {
+    "need at least 3 nodes": "grid.shape",
+    "invalid axis bounds": "grid.bounds",
+    "p must satisfy": "operator.p",
+    "eps_reg must be": "operator.eps_reg",
+    "unknown boundary condition": "operator.bc",
+    "robin coupling": "operator.robin_b",
+    "power exponent": "phi.m",
+    "lipschitz bound": "perturbation.coeff",
+}
+
+
 def spec_from_config(config):
-    """Build an OperatorSpec from the flat config sections."""
-    grid = _grid_from_config(config)
-    op = _section(config, "operator", ("p",), ("bc", "eps_reg", "robin_b"), reals=("p", "eps_reg", "robin_b"))
-    kind = op.get("bc", "dirichlet")
-    if kind == "robin" and "robin_b" not in op:
-        raise ValueError("config lacks operator.robin_b, which bc 'robin' needs")
-    bc = BoundaryCondition.robin(op["robin_b"]) if kind == "robin" else BoundaryCondition(kind)
-    return OperatorSpec(
-        grid=grid,
-        p=float(op["p"]),
-        bc=bc,
-        phi=_phi_from_config(config),
-        perturbation=_perturbation_from_config(config),
-        eps_reg=float(op.get("eps_reg", 1e-8)),
-    )
+    """Build an OperatorSpec from the flat config sections. A ValueError
+    names the key of a value the constructors refuse (_REFUSED_KEYS)."""
+    try:
+        grid = _grid_from_config(config)
+        op = _section(config, "operator", ("p",), ("bc", "eps_reg", "robin_b"), reals=("p", "eps_reg", "robin_b"))
+        kind = op.get("bc", "dirichlet")
+        if kind == "robin" and "robin_b" not in op:
+            raise ValueError("config lacks operator.robin_b, which bc 'robin' needs")
+        bc = BoundaryCondition.robin(op["robin_b"]) if kind == "robin" else BoundaryCondition(kind)
+        return OperatorSpec(
+            grid=grid,
+            p=float(op["p"]),
+            bc=bc,
+            phi=_phi_from_config(config),
+            perturbation=_perturbation_from_config(config),
+            eps_reg=float(op.get("eps_reg", 1e-8)),
+        )
+    except ValueError as exc:
+        key = next((key for start, key in _REFUSED_KEYS.items() if str(exc).startswith(start)), None)
+        if key is None:
+            raise
+        raise ValueError(f"config {key}: {exc}") from None
 
 
 def time_grid_from_config(config):
@@ -425,47 +466,6 @@ _DECAY_KEYS = (("initial", "window", "predicted"), ("name", "tolerance", "r2_min
 _BARENBLATT_KEYS = (("t0", "t1", "rel_l1_max", "refinement_min_ratio"), ("name",))
 
 
-def default_decay_config(p=3.0, name=None):
-    """Unit-mass bump released on [-20, 20], fitted on the window [0.5, 50]."""
-    return {
-        "grid": {"bounds": [[-20.0, 20.0]], "shape": [2001]},
-        "operator": {"p": p, "bc": "dirichlet", "eps_reg": 1e-8},
-        "phi": {"kind": "identity"},
-        "perturbation": {"kind": "none"},
-        "time": {"t_end": 50.0, "n_steps": 250, "t_first": 1e-3},
-        "experiment": {
-            "name": name or f"decay-p{p:g}",
-            # narrow release so the flow is close to self-similar by t = 0.5
-            "initial": {"kind": "bump", "center": 0.0, "width": 0.5, "normalize": "l1"},
-            "window": [0.5, 50.0],
-            "predicted": {"theorem": "plaplace", "d": 1, "p": p, "s": 1.0},
-            "tolerance": DEFAULT_TOLERANCE,
-            "r2_min": DEFAULT_R2_MIN,
-            "norm": "inf",
-        },
-    }
-
-
-def default_pme_config():
-    """Porous-medium decay (phi = power 2) against the doubly nonlinear rate."""
-    return {
-        "grid": {"bounds": [[-20.0, 20.0]], "shape": [1501]},
-        "operator": {"p": 2.0, "bc": "dirichlet", "eps_reg": 1e-8},
-        "phi": {"kind": "power", "m": 2.0},
-        "perturbation": {"kind": "none"},
-        "time": {"t_end": 50.0, "n_steps": 250, "t_first": 1e-3},
-        "experiment": {
-            "name": "decay-pme-m2",
-            "initial": {"kind": "bump", "center": 0.0, "width": 0.5, "normalize": "l1"},
-            "window": [0.5, 50.0],
-            "predicted": {"theorem": "doubly-nonlinear", "d": 1, "p": 2.0, "m": 2.0, "s": 1.0},
-            "tolerance": 0.20,
-            "r2_min": DEFAULT_R2_MIN,
-            "norm": "inf",
-        },
-    }
-
-
 def _recorded_norm(norm):
     """The q of an experiment.norm value: 1, 2 or "inf", the norms a Trajectory records."""
     q = math.inf if norm == "inf" else norm
@@ -532,23 +532,6 @@ def run_decay_experiment(config, tol=None):
     return Report(exp.get("name", "decay"), passed, metrics, config_hash(config))
 
 
-def default_barenblatt_config():
-    return {
-        "grid": {"bounds": [[-6.0, 6.0]], "shape": [1001]},
-        "operator": {"p": 3.0, "bc": "dirichlet", "eps_reg": 1e-8},
-        "phi": {"kind": "identity"},
-        "perturbation": {"kind": "none"},
-        "time": {"t_end": 1.0, "n_steps": 400},
-        "experiment": {
-            "name": "barenblatt-tracking",
-            "t0": 1.0,
-            "t1": 2.0,
-            "rel_l1_max": 0.05,
-            "refinement_min_ratio": 1.3,
-        },
-    }
-
-
 def _check_barenblatt_spec(config, spec, t1):
     """Refuse, naming the config key, a spec whose flow cannot be compared with
     the source solution at t1, the compactly supported 1-D p-Laplace profile."""
@@ -579,14 +562,13 @@ def _barenblatt_error(spec, tg, t0, t1):
     return lq_norm(traj.final - exact, 1) / lq_norm(exact, 1)
 
 
-def barenblatt_comparison(config=None):
+def barenblatt_comparison(config):
     """Track the source solution from t0 to t1 and compare in relative L^1.
 
     Passes when the error at the configured resolution is below rel_l1_max
     and halving both resolutions inflates the error by at least
     refinement_min_ratio. time.t_end must equal t1 - t0.
     """
-    config = config or default_barenblatt_config()
     exp = _section(config, "experiment", *_BARENBLATT_KEYS, reals=("t0", "t1", "rel_l1_max", "refinement_min_ratio"))
     spec = spec_from_config(config)
     tg = time_grid_from_config(config)
@@ -883,21 +865,18 @@ def convergence_study(seed=4):
 # ---------------------------------------------------------------------------
 
 
-def _decay(default_config):
-    return lambda config=None, tol=None: run_decay_experiment(config or default_config(), tol=tol)
-
-
-# name -> (suite, the (required, optional) experiment keys of a config for it);
-# a suite reads config, seed or tol only if its signature names it
+# name -> (suite, the (required, optional) experiment keys of a config for it,
+# the shipped config it runs when given none); a suite reads config, seed or
+# tol only if its signature names it
 _SUITE_REGISTRY = {
-    "decay": (_decay(default_decay_config), _DECAY_KEYS),
-    "pme": (_decay(default_pme_config), _DECAY_KEYS),
-    "barenblatt": (barenblatt_comparison, _BARENBLATT_KEYS),
-    "contraction": (contraction_suite, ()),
-    "order": (order_suite, ()),
-    "gn": (gn_suite, ()),
-    "conservation": (conservation_suite, ()),
-    "convergence": (convergence_study, ()),
+    "decay": (run_decay_experiment, _DECAY_KEYS, CONFIGS / "p3_d1.json"),
+    "pme": (run_decay_experiment, _DECAY_KEYS, CONFIGS / "pme_m2.json"),
+    "barenblatt": (barenblatt_comparison, _BARENBLATT_KEYS, CONFIGS / "barenblatt.json"),
+    "contraction": (contraction_suite, (), None),
+    "order": (order_suite, (), None),
+    "gn": (gn_suite, (), None),
+    "conservation": (conservation_suite, (), None),
+    "convergence": (convergence_study, (), None),
 }
 SUITES = tuple(_SUITE_REGISTRY)
 
@@ -909,7 +888,7 @@ def suite_inputs(name, config=None, seed=None, tol=None):
     None means not given. A config is refused unless its experiment section
     has every required key of the suite and no key the suite does not read.
     """
-    suite, keys = _SUITE_REGISTRY[name]
+    suite, keys, _ = _SUITE_REGISTRY[name]
     named = inspect.signature(suite).parameters
     inputs, refusals = {}, {}
     for key, value in (("config", config), ("seed", seed), ("tol", tol)):
@@ -932,11 +911,15 @@ def run_suite(name, config=None, seed=None, tol=None):
     """Run one named verification suite and return its Report.
 
     A ValueError refuses, before any work starts, every given input the
-    suite does not read (see suite_inputs).
+    suite does not read (see suite_inputs). A suite that reads a config runs
+    its shipped one when given none.
     """
     if name not in _SUITE_REGISTRY:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     inputs, refusals = suite_inputs(name, config=config, seed=seed, tol=tol)
     if refusals:
         raise ValueError("; ".join(refusals.values()))
-    return _SUITE_REGISTRY[name][0](**inputs)
+    suite, _, shipped = _SUITE_REGISTRY[name]
+    if shipped is not None and "config" not in inputs:
+        inputs["config"] = load_config(shipped)
+    return suite(**inputs)

@@ -128,8 +128,8 @@ class BoundaryCondition:
         object.__setattr__(self, "kind", kind)
         if kind not in ("dirichlet", "neumann", "robin"):
             raise ValueError(f"unknown boundary condition {self.kind!r}")
-        if kind == "robin" and not (self.b > 0.0):
-            raise ValueError(f"robin coupling needs b > 0, got {self.b}")
+        if kind == "robin" and not (0.0 < self.b < math.inf):
+            raise ValueError(f"robin coupling needs b > 0 and finite, got {self.b}")
         if kind != "robin" and self.b != 0.0:
             raise ValueError(f"b only applies to robin, got b={self.b} for {kind}")
 
@@ -164,7 +164,7 @@ class PhiSpec:
         if kind not in ("identity", "power"):
             raise ValueError(f"unknown phi kind {self.kind!r}")
         if kind == "power" and not (self.m > 0.0 and math.isfinite(self.m)):
-            raise ValueError(f"power exponent must be positive, got {self.m}")
+            raise ValueError(f"power exponent must be positive and finite, got {self.m}")
 
     @classmethod
     def identity(cls):
@@ -238,8 +238,8 @@ class OperatorSpec:
     def __post_init__(self):
         if not (self.p > 1.0 and math.isfinite(self.p)):
             raise ValueError(f"p must satisfy 1 < p < inf, got {self.p}")
-        if not (self.eps_reg >= 0.0):
-            raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg}")
+        if not (0.0 <= self.eps_reg < math.inf):
+            raise ValueError(f"eps_reg must be >= 0 and finite, got {self.eps_reg}")
 
     def space(self):
         return self.grid.space()

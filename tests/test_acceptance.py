@@ -176,7 +176,7 @@ def test_acceptance_06_plaplace_sup_decay():
     """d=1, p=3 release: fitted sup-norm decay exponent within 15% of 1/4
     with a tight log-log fit."""
     t0 = time.perf_counter()
-    rep = harness.run_decay_experiment(harness.default_decay_config())
+    rep = harness.run_decay_experiment(harness.load_config(harness.CONFIGS / "p3_d1.json"))
     elapsed = time.perf_counter() - t0
     m = rep.metrics
     ok = rep.passed and m["rel_err"] <= 0.15 and m["r2"] >= 0.98 and elapsed < 600.0
@@ -194,7 +194,7 @@ def test_acceptance_07_source_solution_tracking():
     """Evolving the explicit self-similar profile from t=1 to t=2 stays
     within 5% relative L^1, improving under refinement (ratio >= 1.3)."""
     t0 = time.perf_counter()
-    rep = harness.barenblatt_comparison(harness.default_barenblatt_config())
+    rep = harness.barenblatt_comparison(harness.load_config(harness.CONFIGS / "barenblatt.json"))
     elapsed = time.perf_counter() - t0
     m = rep.metrics
     ok = (
@@ -261,7 +261,7 @@ def test_acceptance_10_porous_medium_decay():
     """Porous-medium-type flow (power nonlinearity m=2 inside the
     divergence): fitted decay within 20% of the predicted 1/3."""
     t0 = time.perf_counter()
-    rep = harness.run_decay_experiment(harness.default_pme_config())
+    rep = harness.run_decay_experiment(harness.load_config(harness.CONFIGS / "pme_m2.json"))
     elapsed = time.perf_counter() - t0
     m = rep.metrics
     ok = (

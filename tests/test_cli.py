@@ -2,6 +2,7 @@
 
 import functools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -11,8 +12,8 @@ import pytest
 from pathlib import Path
 
 from nlsmooth import harness
-from nlsmooth.cli import _decode, _load_config, main
-from nlsmooth.harness import _jsonable
+from nlsmooth.cli import main
+from nlsmooth.harness import _jsonable, decode, load_config
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -137,7 +138,7 @@ def test_encode_decode_round_trip():
     assert enc["a"] == "inf"
     assert enc["b"][0] == "-inf"
     json.dumps(enc)
-    assert _decode(enc) == obj
+    assert decode(enc) == obj
 
 
 def _smoke_config():
@@ -185,8 +186,8 @@ def _misspell(section, old, new):
 @pytest.mark.parametrize(
     "edit, extra, message",
     [
-        (lambda cfg: _load_config(CONFIG_DIR / "barenblatt.json"), [], "config lacks experiment.initial"),
-        (lambda cfg: _load_config(CONFIG_DIR / "p3_d1.json"), ["--seed", "5"], "--seed needs a random experiment.initial"),
+        (lambda cfg: load_config(CONFIG_DIR / "barenblatt.json"), [], "config lacks experiment.initial"),
+        (lambda cfg: load_config(CONFIG_DIR / "p3_d1.json"), ["--seed", "5"], "--seed needs a random experiment.initial"),
         (lambda cfg: _misspell(cfg["experiment"], "initial", "intial"), [], "config has unknown key experiment.intial"),
         (lambda cfg: _misspell(cfg["experiment"]["initial"], "width", "widht"), [],
          "config has unknown key experiment.initial.widht"),
@@ -327,7 +328,7 @@ def test_verify_all_routes_a_config_to_the_suites_it_describes(monkeypatch, caps
     monkeypatch.setattr(harness, "run_suite", fake_run_suite)
     code, out, _ = run_cli(capsys, ["verify", "all", "--config", str(CONFIG_DIR / "p3_d1.json")])
     assert code == 0 and json.loads(out)["pass"] is True
-    decay_config = _load_config(CONFIG_DIR / "p3_d1.json")
+    decay_config = load_config(CONFIG_DIR / "p3_d1.json")
     assert received["decay"] == received["pme"] == decay_config
     assert received["barenblatt"] is None  # the config has no experiment.t0 / t1
     assert len(received) == len(harness.SUITES)
@@ -339,7 +340,7 @@ def test_verify_refuses_a_config_for_a_suite_that_takes_none(monkeypatch, capsys
     def no_work(*args, **kwargs):
         raise AssertionError("the suite ran")
 
-    monkeypatch.setitem(harness._SUITE_REGISTRY, suite, (no_work, ()))
+    monkeypatch.setitem(harness._SUITE_REGISTRY, suite, (no_work, (), None))
     code, out, err = run_cli(capsys, ["verify", suite, "--config", str(CONFIG_DIR / "barenblatt.json")])
     assert code == 2 and out == ""
     assert f"suite {suite!r} takes no config" in err and "Traceback" not in err
@@ -367,12 +368,12 @@ def run_cli_or_usage_error(capsys, argv):
 
 def _suites_must_not_run(monkeypatch):
     # each suite keeps its signature, which decides what it reads, but fails if it runs
-    for name, (suite, keys) in list(harness._SUITE_REGISTRY.items()):
+    for name, (suite, keys, shipped) in list(harness._SUITE_REGISTRY.items()):
         @functools.wraps(suite)
         def no_work(*args, **kwargs):
             raise AssertionError("the suite ran")
 
-        monkeypatch.setitem(harness._SUITE_REGISTRY, name, (no_work, keys))
+        monkeypatch.setitem(harness._SUITE_REGISTRY, name, (no_work, keys, shipped))
 
 
 _ITERATION = ["sequence", "--kind", "iteration", "--kappa", "2", "--r", "1", "--gamma", "1", "--m0", "1", "--n", "5"]
@@ -432,7 +433,7 @@ def test_verify_all_gives_each_flag_only_to_the_suites_that_read_it(monkeypatch,
     ],
 )
 def test_a_bad_experiment_key_exits_2_naming_it(tmp_path, monkeypatch, capsys, suite, edit, message):
-    cfg = _smoke_config() if suite == "decay" else _load_config(CONFIG_DIR / "barenblatt.json")
+    cfg = _smoke_config() if suite == "decay" else load_config(CONFIG_DIR / "barenblatt.json")
     edit(cfg["experiment"])
     with pytest.raises(ValueError, match=message):
         (harness.run_decay_experiment if suite == "decay" else harness.barenblatt_comparison)(cfg)
@@ -474,6 +475,19 @@ def test_a_bad_experiment_key_exits_2_naming_it(tmp_path, monkeypatch, capsys, s
         (lambda cfg: cfg.update(perturbation={"kind": "linear"}), "config lacks perturbation.coeff"),
         (lambda cfg: cfg.update(perturbation={"kind": "tanh"}), "config lacks perturbation.coeff"),
         (lambda cfg: cfg["perturbation"].update(coef=0.3), "config has unknown key perturbation.coef"),
+        # a value the constructors refuse is named by its key
+        (lambda cfg: cfg["grid"].update(shape=[2]), "config grid.shape: need at least 3 nodes per axis, got 2"),
+        (lambda cfg: cfg["grid"].update(bounds=[[8.0, -8.0]]), "config grid.bounds: invalid axis bounds (8.0, -8.0)"),
+        (lambda cfg: cfg["operator"].update(p=1.0), "config operator.p: p must satisfy 1 < p < inf, got 1.0"),
+        (lambda cfg: cfg["operator"].update(eps_reg="inf"),
+         "config operator.eps_reg: eps_reg must be >= 0 and finite, got inf"),
+        (lambda cfg: cfg["operator"].update(bc="periodic"), "config operator.bc: unknown boundary condition 'periodic'"),
+        (lambda cfg: cfg["operator"].update(bc="robin", robin_b="inf"),
+         "config operator.robin_b: robin coupling needs b > 0 and finite, got inf"),
+        (lambda cfg: cfg.update(phi={"kind": "power", "m": "inf"}),
+         "config phi.m: power exponent must be positive and finite, got inf"),
+        (lambda cfg: cfg.update(perturbation={"kind": "linear", "coeff": "inf"}),
+         "config perturbation.coeff: lipschitz bound must be finite and >= 0, got inf"),
     ],
 )
 def test_a_bad_config_section_exits_2_naming_the_key(tmp_path, monkeypatch, capsys, argv, edit, message):
@@ -527,6 +541,17 @@ def test_a_bad_initial_value_exits_2_naming_the_key(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "unused.csv").exists()
 
 
+def test_a_solver_that_does_not_converge_exits_1_without_a_traceback(tmp_path, capsys):
+    # finite and admitted, but the residual of the first step overflows to nan
+    cfg = _smoke_config()
+    cfg["operator"]["eps_reg"] = 1e300
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_jsonable(cfg)))
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")])
+    assert code == 1 and out == ""
+    assert err.startswith("error: step 1/") and "Traceback" not in err
+
+
 def test_verify_convergence_writes_report(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, err = run_cli(capsys, ["verify", "convergence", "--out", str(out_path)])
@@ -553,20 +578,30 @@ def test_verify_decay_exit_codes_and_tol_override(tmp_path, capsys):
     assert json.loads(out2)["pass"] is True
 
 
-def test_shipped_configs_match_defaults():
-    pairs = [
-        ("p3_d1.json", harness.default_decay_config()),
-        ("pme_m2.json", harness.default_pme_config()),
-        ("barenblatt.json", harness.default_barenblatt_config()),
-    ]
-    for fname, default in pairs:
-        loaded = _load_config(CONFIG_DIR / fname)
-        assert harness.config_hash(loaded) == harness.config_hash(default), fname
+def test_each_registered_config_is_the_shipped_file():
+    shipped = {name: path for name, (_, _, path) in harness._SUITE_REGISTRY.items() if path is not None}
+    assert set(shipped) == {"decay", "pme", "barenblatt"}
+    for path in shipped.values():
+        assert os.path.samefile(path, CONFIG_DIR / path.name)
+
+
+@pytest.mark.parametrize("suite", ["decay", "pme", "barenblatt"])
+def test_a_suite_given_no_config_runs_its_shipped_file(monkeypatch, suite):
+    received = []
+
+    def runner(config, tol=None):
+        received.append(config)
+        return harness.Report(name=suite, passed=True, metrics={}, config_hash="")
+
+    _, keys, shipped = harness._SUITE_REGISTRY[suite]
+    monkeypatch.setitem(harness._SUITE_REGISTRY, suite, (runner, keys, shipped))
+    assert harness.run_suite(suite).passed
+    assert received == [load_config(shipped)]
 
 
 @pytest.mark.parametrize("fname, rel_err_max", [("p3_d1.json", 1e-3), ("pme_m2.json", 5e-3)])
 def test_shipped_decay_configs_fit_from_at_most_250_graded_steps(fname, rel_err_max):
-    cfg = _load_config(CONFIG_DIR / fname)
+    cfg = load_config(CONFIG_DIR / fname)
     assert cfg["time"]["n_steps"] <= 250 and "t_first" in cfg["time"]
     rep = harness.run_decay_experiment(cfg)
     m = rep.metrics

@@ -521,7 +521,7 @@ def test_barenblatt_comparison_rejects_small_domain():
 
 def test_barenblatt_comparison_reads_t_end(monkeypatch):
     monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
-    cfg = harness.default_barenblatt_config()
+    cfg = harness.load_config(harness.CONFIGS / "barenblatt.json")
     cfg["time"]["t_end"] = 7.0  # t1 - t0 is 1
     with pytest.raises(ValueError, match=r"time\.t_end = 7 must equal experiment\.t1 - experiment\.t0 = 1"):
         harness.barenblatt_comparison(cfg)
@@ -535,7 +535,7 @@ def test_barenblatt_comparison_runs_on_the_configured_time_grid(monkeypatch):
         return Trajectory(times=np.zeros(1), table=np.zeros((1, len(COLUMNS))), final=u0)
 
     monkeypatch.setattr(harness, "evolve", record)
-    cfg = harness.default_barenblatt_config()
+    cfg = harness.load_config(harness.CONFIGS / "barenblatt.json")
     cfg["time"]["t_first"] = 1e-3
     harness.barenblatt_comparison(cfg)
     assert grids == [semigroup.TimeGrid(1.0, 400, t_first=1e-3), semigroup.TimeGrid(1.0, 200, t_first=1e-3)]
@@ -555,7 +555,7 @@ def test_barenblatt_comparison_runs_on_the_configured_time_grid(monkeypatch):
 )
 def test_barenblatt_comparison_refuses_what_it_cannot_compare(monkeypatch, path, value, key):
     monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
-    cfg = harness.default_barenblatt_config()
+    cfg = harness.load_config(harness.CONFIGS / "barenblatt.json")
     section, _, name = path.partition(".")
     if name:
         cfg[section][name] = value
@@ -616,9 +616,10 @@ def test_suite_registry():
 
 
 def test_default_configs_hash_stably():
-    assert config_hash(harness.default_decay_config()) == config_hash(harness.default_decay_config())
-    assert config_hash(harness.default_decay_config()) != config_hash(harness.default_pme_config())
-    # the default prediction sources are well-formed queries
-    for cfg in (harness.default_decay_config(), harness.default_pme_config()):
+    decay, pme = (harness.load_config(harness.CONFIGS / name) for name in ("p3_d1.json", "pme_m2.json"))
+    assert config_hash(decay) == config_hash(harness.load_config(harness.CONFIGS / "p3_d1.json"))
+    assert config_hash(decay) != config_hash(pme)
+    # the shipped prediction sources are well-formed queries
+    for cfg in (decay, pme):
         alpha = predicted_alpha(cfg["experiment"]["predicted"])
         assert 0.0 < alpha < 1.0

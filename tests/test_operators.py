@@ -409,6 +409,8 @@ def test_phi_spec_power():
     assert ident.value(s) is s  # read-only callers: no copy per operator application
     with pytest.raises(ValueError):
         PhiSpec("power", m=0.0)
+    with pytest.raises(ValueError, match="power exponent must be positive and finite, got inf"):
+        PhiSpec.power(float("inf"))
     with pytest.raises(ValueError):
         PhiSpec("cubic")
     with pytest.raises(ValueError):
@@ -422,6 +424,8 @@ def test_boundary_condition_validation():
         BoundaryCondition("dirichlet", b=1.0)
     with pytest.raises(ValueError):
         BoundaryCondition("periodic")
+    with pytest.raises(ValueError, match="robin coupling needs b > 0 and finite, got inf"):
+        BoundaryCondition.robin(float("inf"))
     assert BoundaryCondition.robin(2.0).b == 2.0
 
 
@@ -431,6 +435,8 @@ def test_operator_spec_validation():
         OperatorSpec(grid=grid, p=1.0)
     with pytest.raises(ValueError):
         OperatorSpec(grid=grid, p=2.0, eps_reg=-1e-3)
+    with pytest.raises(ValueError, match="eps_reg must be >= 0 and finite, got inf"):
+        OperatorSpec(grid=grid, p=2.0, eps_reg=float("inf"))
     assert OperatorSpec(grid=grid, p=2.0).eps_reg == DEFAULT_EPS_REG
     with pytest.raises(ValueError):
         LipschitzF(func=lambda x, u: u, lipschitz=-1.0, deriv=lambda x, u: np.ones_like(u))
