@@ -5,7 +5,9 @@ Lebesgue-scale iterations), simulate (evolve a configured flow, write the
 trajectory CSV) and verify <suite> (run one verification suite or 'all').
 Each registers only the flags it reads, and a theorem, sequence kind or
 suite refuses the inputs it does not read, naming them, before any work
-starts; 'verify all' gives each suite the inputs it reads.
+starts; 'verify all' gives each suite the inputs it reads. A config suite
+given no --config runs every file of harness.CONFIGS whose experiment
+section it reads, so a new claim is one more JSON file there.
 
 All results go to stdout as JSON with sorted keys, so identical invocations
 produce byte-identical output; diagnostics go to stderr. Exit codes:
@@ -150,27 +152,35 @@ def _cmd_verify(args):
     if args.out:
         _check_out(args.out)
     given = {"config": harness.load_config(args.config) if args.config else None, "seed": args.seed, "tol": args.tol}
-    plan = {args.suite: given}
-    if args.suite == "all":  # each suite gets the inputs it reads; one that no suite reads is refused
-        routed = {name: harness.suite_inputs(name, **given) for name in harness.SUITES}
-        for key in (k for k, v in given.items() if v is not None):
-            if not any(key in inputs for inputs, _ in routed.values()):
-                reasons = "; ".join(refusals[key] for _, refusals in routed.values())
-                raise ValueError(f"no suite reads the {key}: {reasons}")
-        plan = {name: inputs for name, (inputs, _) in routed.items()}
+    routed = {name: harness.suite_inputs(name, **given) for name in harness.SUITES if args.suite in ("all", name)}
+    for key in (k for k, v in given.items() if v is not None):  # an input that no suite reads is refused
+        if not any(key in inputs for inputs, _ in routed.values()):
+            reasons = "; ".join(refusals[key] for _, refusals in routed.values())
+            raise ValueError(f"no suite reads the {key}: {reasons}")
+    # a config suite handed no config runs each shipped file that it reads, in file-name order
+    unset = [name for name in routed if harness._SUITE_REGISTRY[name][1] and "config" not in routed[name][0]]
+    shipped = {name: [] for name in harness.SUITES}
+    for path in sorted(harness.CONFIGS.glob("*.json")) if unset else ():
+        config = harness.load_config(path)
+        routes = {name: harness.suite_inputs(name, config=config) for name in harness.SUITES}
+        name = next((name for name, (inputs, _) in routes.items() if inputs), None)
+        if name is None:
+            reasons = "; ".join(refusals["config"] for _, refusals in routes.values())
+            raise ValueError(f"no suite reads {path}: {reasons}")
+        shipped[name].append(config)
+    for name in (name for name in unset if not shipped[name]):
+        raise ValueError(f"{harness.CONFIGS} holds no config for suite {name!r}")
     reports = []
-    for name, inputs in plan.items():
-        print(f"running suite: {name}", file=sys.stderr)
-        reports.append(harness.run_suite(name, **inputs))
+    for name, (inputs, _) in routed.items():
+        for run in [dict(inputs, config=config) for config in shipped[name]] if name in unset else [inputs]:
+            print(f"running suite: {name}", file=sys.stderr)
+            reports.append(harness.run_suite(name, **run))
     all_pass = all(r.passed for r in reports)
-    payload = reports[0].to_jsonable() if len(reports) == 1 else {
-        "pass": all_pass,
-        "suites": [r.to_jsonable() for r in reports],
-    }
+    suites = [r.to_jsonable() for r in reports]
+    payload = suites[0] if len(suites) == 1 else {"pass": all_pass, "suites": suites}
     line = _emit(payload)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(line)
+        Path(args.out).write_text(line)
     return 0 if all_pass else 1
 
 
@@ -201,10 +211,10 @@ def build_parser():
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", type=str, help=f"one of {list(harness.SUITES) + ['all']}")
-    pv.add_argument("--config", help="JSON config file for decay, pme or barenblatt (default: the suite's shipped one)")
+    pv.add_argument("--config", help="JSON config file for decay or barenblatt (default: every shipped one it reads)")
     pv.add_argument("--out", help="also write the report to this path")
     pv.add_argument("--seed", type=int, help="seed of the property suites")
-    pv.add_argument("--tol", type=float, help="decay tolerance of decay and pme")
+    pv.add_argument("--tol", type=float, help="decay tolerance of the decay suite")
     pv.set_defaults(func=_cmd_verify)
 
     return parser

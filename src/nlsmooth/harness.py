@@ -101,9 +101,12 @@ def decode(obj):
 
 
 def load_config(path):
-    """The config dict of a JSON file, decoded."""
+    """The config dict of a JSON file, decoded; a ValueError names a file that is not JSON."""
     with open(path) as f:
-        return decode(json.load(f))
+        try:
+            return decode(json.load(f))
+        except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"config {path} is not JSON: {exc}") from None
 
 
 def config_hash(config):
@@ -209,6 +212,8 @@ def spec_from_config(config):
         kind = op.get("bc", "dirichlet")
         if kind == "robin" and "robin_b" not in op:
             raise ValueError("config lacks operator.robin_b, which bc 'robin' needs")
+        if kind != "robin" and "robin_b" in op:
+            raise ValueError(f"config operator.robin_b is read only with bc 'robin', not with bc {kind!r}")
         bc = BoundaryCondition.robin(op["robin_b"]) if kind == "robin" else BoundaryCondition(kind)
         return OperatorSpec(
             grid=grid,
@@ -865,18 +870,16 @@ def convergence_study(seed=4):
 # ---------------------------------------------------------------------------
 
 
-# name -> (suite, the (required, optional) experiment keys of a config for it,
-# the shipped config it runs when given none); a suite reads config, seed or
-# tol only if its signature names it
+# name -> (suite, the (required, optional) experiment keys of a config for it);
+# a suite reads config, seed or tol only if its signature names it
 _SUITE_REGISTRY = {
-    "decay": (run_decay_experiment, _DECAY_KEYS, CONFIGS / "p3_d1.json"),
-    "pme": (run_decay_experiment, _DECAY_KEYS, CONFIGS / "pme_m2.json"),
-    "barenblatt": (barenblatt_comparison, _BARENBLATT_KEYS, CONFIGS / "barenblatt.json"),
-    "contraction": (contraction_suite, (), None),
-    "order": (order_suite, (), None),
-    "gn": (gn_suite, (), None),
-    "conservation": (conservation_suite, (), None),
-    "convergence": (convergence_study, (), None),
+    "decay": (run_decay_experiment, _DECAY_KEYS),
+    "barenblatt": (barenblatt_comparison, _BARENBLATT_KEYS),
+    "contraction": (contraction_suite, ()),
+    "order": (order_suite, ()),
+    "gn": (gn_suite, ()),
+    "conservation": (conservation_suite, ()),
+    "convergence": (convergence_study, ()),
 }
 SUITES = tuple(_SUITE_REGISTRY)
 
@@ -888,7 +891,7 @@ def suite_inputs(name, config=None, seed=None, tol=None):
     None means not given. A config is refused unless its experiment section
     has every required key of the suite and no key the suite does not read.
     """
-    suite, keys, _ = _SUITE_REGISTRY[name]
+    suite, keys = _SUITE_REGISTRY[name]
     named = inspect.signature(suite).parameters
     inputs, refusals = {}, {}
     for key, value in (("config", config), ("seed", seed), ("tol", tol)):
@@ -908,18 +911,12 @@ def suite_inputs(name, config=None, seed=None, tol=None):
 
 
 def run_suite(name, config=None, seed=None, tol=None):
-    """Run one named verification suite and return its Report.
-
-    A ValueError refuses, before any work starts, every given input the
-    suite does not read (see suite_inputs). A suite that reads a config runs
-    its shipped one when given none.
-    """
+    """Run one named verification suite and return its Report. A ValueError
+    refuses, before any work starts, every given input the suite does not
+    read (see suite_inputs)."""
     if name not in _SUITE_REGISTRY:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     inputs, refusals = suite_inputs(name, config=config, seed=seed, tol=tol)
     if refusals:
         raise ValueError("; ".join(refusals.values()))
-    suite, _, shipped = _SUITE_REGISTRY[name]
-    if shipped is not None and "config" not in inputs:
-        inputs["config"] = load_config(shipped)
-    return suite(**inputs)
+    return _SUITE_REGISTRY[name][0](**inputs)

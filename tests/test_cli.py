@@ -2,7 +2,6 @@
 
 import functools
 import json
-import os
 import re
 import subprocess
 import sys
@@ -243,15 +242,14 @@ def test_simulate_seed_draws_a_random_initial_state(tmp_path, capsys):
          "config experiment.seed is read only by a random experiment.initial; this one is 'bump'"),
     ],
 )
-@pytest.mark.parametrize("suite", ["decay", "pme"])
-def test_verify_decay_refuses_a_bad_value_before_any_step(tmp_path, monkeypatch, capsys, suite, edit, message):
+def test_verify_decay_refuses_a_bad_value_before_any_step(tmp_path, monkeypatch, capsys, edit, message):
     # values, unlike keys, are read by the suite itself, so the flow is what must not run
     monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
     cfg = _smoke_config()
     edit(cfg)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(_jsonable(cfg)))
-    code, out, err = run_cli(capsys, ["verify", suite, "--config", str(cfg_path)])
+    code, out, err = run_cli(capsys, ["verify", "decay", "--config", str(cfg_path)])
     assert code == 2 and out == ""
     assert message in err and "Traceback" not in err
 
@@ -313,26 +311,33 @@ def test_missing_config_file(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    code, _, err = run_cli(capsys, ["verify", "spectral"])
-    assert code == 2
-    assert "unknown suite" in err
+    for suite in ("spectral", "pme"):  # pme_m2.json is a decay config, run by verify decay
+        code, _, err = run_cli(capsys, ["verify", suite])
+        assert code == 2
+        assert f"unknown suite {suite!r}" in err
 
 
-def test_verify_all_routes_a_config_to_the_suites_it_describes(monkeypatch, capsys):
-    received = {}
+def _record_runs(monkeypatch):
+    """The (suite, inputs) of each run_suite call, in order; every run passes."""
+    received = []
 
-    def fake_run_suite(name, config=None, seed=None, tol=None):
-        received[name] = config
+    def fake_run_suite(name, **inputs):
+        received.append((name, inputs))
         return harness.Report(name=name, passed=True, metrics={}, config_hash="")
 
     monkeypatch.setattr(harness, "run_suite", fake_run_suite)
+    return received
+
+
+def test_verify_all_routes_a_config_to_the_suite_it_describes(monkeypatch, capsys):
+    received = _record_runs(monkeypatch)
     code, out, _ = run_cli(capsys, ["verify", "all", "--config", str(CONFIG_DIR / "p3_d1.json")])
     assert code == 0 and json.loads(out)["pass"] is True
-    decay_config = load_config(CONFIG_DIR / "p3_d1.json")
-    assert received["decay"] == received["pme"] == decay_config
-    assert received["barenblatt"] is None  # the config has no experiment.t0 / t1
-    assert len(received) == len(harness.SUITES)
-    assert all(received[name] is None for name in ("contraction", "order", "gn", "conservation", "convergence"))
+    # the config runs once, in place of the shipped decay files; the other suites run as without it
+    assert received == [
+        ("decay", {"config": load_config(CONFIG_DIR / "p3_d1.json")}),
+        ("barenblatt", {"config": load_config(CONFIG_DIR / "barenblatt.json")}),
+    ] + [(name, {}) for name in ("contraction", "order", "gn", "conservation", "convergence")]
 
 
 @pytest.mark.parametrize("suite", ["contraction", "order", "gn", "conservation", "convergence"])
@@ -340,7 +345,7 @@ def test_verify_refuses_a_config_for_a_suite_that_takes_none(monkeypatch, capsys
     def no_work(*args, **kwargs):
         raise AssertionError("the suite ran")
 
-    monkeypatch.setitem(harness._SUITE_REGISTRY, suite, (no_work, (), None))
+    monkeypatch.setitem(harness._SUITE_REGISTRY, suite, (no_work, ()))
     code, out, err = run_cli(capsys, ["verify", suite, "--config", str(CONFIG_DIR / "barenblatt.json")])
     assert code == 2 and out == ""
     assert f"suite {suite!r} takes no config" in err and "Traceback" not in err
@@ -368,12 +373,12 @@ def run_cli_or_usage_error(capsys, argv):
 
 def _suites_must_not_run(monkeypatch):
     # each suite keeps its signature, which decides what it reads, but fails if it runs
-    for name, (suite, keys, shipped) in list(harness._SUITE_REGISTRY.items()):
+    for name, (suite, keys) in list(harness._SUITE_REGISTRY.items()):
         @functools.wraps(suite)
         def no_work(*args, **kwargs):
             raise AssertionError("the suite ran")
 
-        monkeypatch.setitem(harness._SUITE_REGISTRY, name, (no_work, keys, shipped))
+        monkeypatch.setitem(harness._SUITE_REGISTRY, name, (no_work, keys))
 
 
 _ITERATION = ["sequence", "--kind", "iteration", "--kappa", "2", "--r", "1", "--gamma", "1", "--m0", "1", "--n", "5"]
@@ -411,18 +416,15 @@ def test_a_flag_the_subcommand_does_not_read_exits_2_naming_it(tmp_path, monkeyp
 
 
 def test_verify_all_gives_each_flag_only_to_the_suites_that_read_it(monkeypatch, capsys):
-    received = {}
-
-    def fake_run_suite(name, **inputs):
-        received[name] = inputs
-        return harness.Report(name=name, passed=True, metrics={}, config_hash="")
-
-    monkeypatch.setattr(harness, "run_suite", fake_run_suite)
+    received = _record_runs(monkeypatch)
     code, _, _ = run_cli(capsys, ["verify", "all", "--tol", "0.5", "--seed", "3"])
     assert code == 0
-    assert received["decay"] == received["pme"] == {"tol": 0.5}  # --tol is the decay tolerance only
-    assert received["barenblatt"] == {}
-    assert all(received[name] == {"seed": 3} for name in ("contraction", "order", "gn", "conservation", "convergence"))
+    shipped = {name: load_config(CONFIG_DIR / name) for name in ("p3_d1.json", "pme_m2.json", "barenblatt.json")}
+    assert received == [
+        ("decay", {"config": shipped["p3_d1.json"], "tol": 0.5}),  # --tol is the decay tolerance only
+        ("decay", {"config": shipped["pme_m2.json"], "tol": 0.5}),
+        ("barenblatt", {"config": shipped["barenblatt.json"]}),
+    ] + [(name, {"seed": 3}) for name in ("contraction", "order", "gn", "conservation", "convergence")]
 
 
 @pytest.mark.parametrize(
@@ -452,6 +454,8 @@ def test_a_bad_experiment_key_exits_2_naming_it(tmp_path, monkeypatch, capsys, s
     [
         (lambda cfg: cfg["operator"].pop("p"), "config lacks operator.p"),
         (lambda cfg: cfg["operator"].update(bc="robin"), "config lacks operator.robin_b"),
+        (lambda cfg: cfg["operator"].update(robin_b=0.5),
+         "config operator.robin_b is read only with bc 'robin', not with bc 'dirichlet'"),
         (lambda cfg: cfg.pop("time"), "config lacks section time"),
         (lambda cfg: cfg["operator"].update(pp=cfg["operator"].pop("p")), "config has unknown key operator.pp"),
         (lambda cfg: cfg["grid"].update(spacing=0.08), "config has unknown key grid.spacing"),
@@ -578,25 +582,52 @@ def test_verify_decay_exit_codes_and_tol_override(tmp_path, capsys):
     assert json.loads(out2)["pass"] is True
 
 
-def test_each_registered_config_is_the_shipped_file():
-    shipped = {name: path for name, (_, _, path) in harness._SUITE_REGISTRY.items() if path is not None}
-    assert set(shipped) == {"decay", "pme", "barenblatt"}
-    for path in shipped.values():
-        assert os.path.samefile(path, CONFIG_DIR / path.name)
+@pytest.mark.parametrize("suite", ["decay", "barenblatt"])
+def test_a_suite_given_no_config_runs_its_shipped_files(monkeypatch, capsys, suite):
+    received = _record_runs(monkeypatch)
+    code, _, _ = run_cli(capsys, ["verify", suite])
+    assert code == 0
+    files = ["p3_d1.json", "pme_m2.json"] if suite == "decay" else ["barenblatt.json"]
+    assert received == [(suite, {"config": load_config(CONFIG_DIR / name)}) for name in files]
 
 
-@pytest.mark.parametrize("suite", ["decay", "pme", "barenblatt"])
-def test_a_suite_given_no_config_runs_its_shipped_file(monkeypatch, suite):
-    received = []
+def test_a_decay_config_dropped_into_the_configs_runs_with_no_code_edit(tmp_path, monkeypatch, capsys):
+    # one file is one claim: a copy of pme_m2.json under a new name runs under all and decay
+    for path in CONFIG_DIR.glob("*.json"):
+        (tmp_path / path.name).write_text(path.read_text())
+    copy = load_config(CONFIG_DIR / "pme_m2.json")
+    copy["experiment"]["name"] = "decay-pme-copy"
+    (tmp_path / "a_pme_copy.json").write_text(json.dumps(_jsonable(copy)))
+    monkeypatch.setattr(harness, "CONFIGS", tmp_path)
+    decay = [load_config(tmp_path / name) for name in ("a_pme_copy.json", "p3_d1.json", "pme_m2.json")]
+    for argv in (["verify", "all"], ["verify", "decay"]):
+        received = _record_runs(monkeypatch)
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert [inputs["config"] for name, inputs in received if name == "decay"] == decay
+    assert decay[0] == copy
 
-    def runner(config, tol=None):
-        received.append(config)
-        return harness.Report(name=suite, passed=True, metrics={}, config_hash="")
 
-    _, keys, shipped = harness._SUITE_REGISTRY[suite]
-    monkeypatch.setitem(harness._SUITE_REGISTRY, suite, (runner, keys, shipped))
-    assert harness.run_suite(suite).passed
-    assert received == [load_config(shipped)]
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        (None, None, "holds no config for suite 'decay'"),
+        ("broken.json", '{"grid": ', "is not JSON"),
+        ("stray.json", json.dumps({"experiment": {"t0": 1.0}}), "no suite reads"),
+    ],
+    ids=["no-json", "not-json", "no-suite"],
+)
+def test_verify_all_refuses_a_configs_directory_it_cannot_run_whole(tmp_path, monkeypatch, capsys, name, text, message):
+    # no vacuous pass: verify all exits 2 naming the directory or the file, before any suite runs
+    for path in CONFIG_DIR.glob("*.json") if name else ():
+        (tmp_path / path.name).write_text(path.read_text())
+    if name:
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(harness, "CONFIGS", tmp_path)
+    _suites_must_not_run(monkeypatch)
+    code, out, err = run_cli(capsys, ["verify", "all"])
+    assert code == 2 and out == ""
+    assert str(tmp_path / (name or "")) in err and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("fname, rel_err_max", [("p3_d1.json", 1e-3), ("pme_m2.json", 5e-3)])

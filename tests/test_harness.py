@@ -601,16 +601,8 @@ def test_convergence_study_solves_each_state_once(monkeypatch):
 
 
 def test_suite_registry():
-    assert set(harness.SUITES) == {
-        "decay",
-        "pme",
-        "barenblatt",
-        "contraction",
-        "order",
-        "gn",
-        "conservation",
-        "convergence",
-    }
+    # one suite per experiment, then the property suites; verify all runs them in this order
+    assert harness.SUITES == ("decay", "barenblatt", "contraction", "order", "gn", "conservation", "convergence")
     with pytest.raises(ValueError, match="unknown suite"):
         harness.run_suite("spectral")
 
