@@ -2,6 +2,7 @@
 
 import functools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -242,10 +243,12 @@ def test_simulate_seed_draws_a_random_initial_state(tmp_path, capsys):
          "config experiment.seed is read only by a random experiment.initial; this one is 'bump'"),
     ],
 )
-def test_verify_decay_refuses_a_bad_value_before_any_step(tmp_path, monkeypatch, capsys, edit, message):
-    # values, unlike keys, are read by the suite itself, so the flow is what must not run
+@pytest.mark.parametrize("shipped", ["p3_d1.json", "pme_m2.json"])
+def test_verify_decay_refuses_a_bad_value_before_any_step(tmp_path, monkeypatch, capsys, shipped, edit, message):
+    # values, unlike keys, are read by the suite itself, so the flow is what must not run;
+    # both shipped decay claims (identity and power phi) are checked the same way
     monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
-    cfg = _smoke_config()
+    cfg = load_config(CONFIG_DIR / shipped)
     edit(cfg)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(_jsonable(cfg)))
@@ -580,6 +583,15 @@ def test_verify_decay_exit_codes_and_tol_override(tmp_path, capsys):
     code2, out2, _ = run_cli(capsys, ["verify", "decay", "--config", str(cfg_path), "--tol", "0.9"])
     assert code2 == 0
     assert json.loads(out2)["pass"] is True
+
+
+def test_the_package_configs_are_the_shipped_files():
+    # harness.CONFIGS is what verify runs with no --config; it must be the repo's configs/, file for file
+    package = sorted(path.name for path in harness.CONFIGS.glob("*.json"))
+    assert package == sorted(path.name for path in CONFIG_DIR.glob("*.json"))
+    assert {"p3_d1.json", "pme_m2.json", "barenblatt.json"} <= set(package)
+    for name in package:
+        assert os.path.samefile(harness.CONFIGS / name, CONFIG_DIR / name)
 
 
 @pytest.mark.parametrize("suite", ["decay", "barenblatt"])
