@@ -146,6 +146,19 @@ def _cmd_simulate(args):
     return 0
 
 
+def _check_config(suite, config, path):
+    """Apply the value checks of a decay config (decay_setup) or of another
+    suite's config (its operator and time grid); a refusal names the file."""
+    try:
+        if suite == "decay":
+            harness.decay_setup(config)
+        else:
+            harness.spec_from_config(config)
+            harness.time_grid_from_config(config)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _cmd_verify(args):
     if args.suite != "all" and args.suite not in harness.SUITES:
         raise ValueError(f"unknown suite {args.suite!r}; choose from {list(harness.SUITES) + ['all']}")
@@ -167,14 +180,22 @@ def _cmd_verify(args):
         if name is None:
             reasons = "; ".join(refusals["config"] for _, refusals in routes.values())
             raise ValueError(f"no suite reads {path}: {reasons}")
-        shipped[name].append(config)
+        shipped[name].append((path, config))
     for name in (name for name in unset if not shipped[name]):
         raise ValueError(f"{harness.CONFIGS} holds no config for suite {name!r}")
-    reports = []
+    runs = []  # (suite, its inputs, the file of its config)
     for name, (inputs, _) in routed.items():
-        for run in [dict(inputs, config=config) for config in shipped[name]] if name in unset else [inputs]:
-            print(f"running suite: {name}", file=sys.stderr)
-            reports.append(harness.run_suite(name, **run))
+        if name in unset:
+            runs += [(name, dict(inputs, config=config), path) for path, config in shipped[name]]
+        else:
+            runs.append((name, inputs, args.config))
+    for name, run, path in runs:  # every config passes its own value checks before the first run
+        if "config" in run:
+            _check_config(name, run["config"], path)
+    reports = []
+    for name, run, _ in runs:
+        print(f"running suite: {name}", file=sys.stderr)
+        reports.append(harness.run_suite(name, **run))
     all_pass = all(r.passed for r in reports)
     suites = [r.to_jsonable() for r in reports]
     payload = suites[0] if len(suites) == 1 else {"pass": all_pass, "suites": suites}

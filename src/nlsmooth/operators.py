@@ -49,7 +49,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy import sparse
 
 from .measure import DiscreteSpace, GridFunction
 
@@ -240,6 +239,8 @@ class OperatorSpec:
             raise ValueError(f"p must satisfy 1 < p < inf, got {self.p}")
         if not (0.0 <= self.eps_reg < math.inf):
             raise ValueError(f"eps_reg must be >= 0 and finite, got {self.eps_reg}")
+        if not math.isfinite(self.eps_reg * self.eps_reg):  # the flux evaluates g^2 + eps^2
+            raise ValueError(f"eps_reg must be >= 0 with a finite square, got {self.eps_reg}")
 
     def space(self):
         return self.grid.space()
@@ -519,7 +520,9 @@ class DiscreteOperator:
 
     def jacobian_matrix(self, bands):
         """Sparse DIA matrix of one grid function's (2d + 1, n) bands; a matvec adds
-        each row's terms in ascending column order, exactly as CSR does."""
+        each row's terms in ascending column order, exactly as CSR does. Only
+        here is scipy.sparse loaded, so that 1-D runs never load it."""
+        from scipy import sparse
         n = bands.shape[-1]
         return sparse.dia_array((bands, self._offsets), shape=(n, n))
 

@@ -34,7 +34,8 @@ solved by one direct LAPACK gtsv call (the checks of scipy.linalg.solve_banded
 take a third of each solve at n = 2001): gtsv never pivots across a zero
 coupling, so each block gets the solution it would get alone. In more
 dimensions each member's system is solved by Jacobi-preconditioned conjugate
-gradients on a DIA matrix.
+gradients (cg, the library's own loop) on a DIA matrix, so that scipy.sparse
+is loaded only where such a matrix is built.
 
 Where the data vanish outside a box, the same Newton loop runs on the window
 of that box (DiscreteOperator.window): the nodes where some member's data are
@@ -64,7 +65,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .measure import GridFunction
 from .operators import DiscreteOperator
@@ -181,6 +181,38 @@ def _newton_steps(op, lam, U, R, state, rtol):
     return step
 
 
+def cg(A, b, rtol, maxiter, inv_diag, callback=None):
+    """Jacobi-preconditioned CG for A x = b from x = 0, in the step order of
+    scipy.sparse.linalg.cg with preconditioner inv_diag * r, so the iterates
+    are scipy's bit for bit. Returns (x, 0) once |r| < rtol |b| (at once for
+    b = 0), and (x, maxiter) after maxiter iterations or at a breakdown, where
+    r.z or p.Ap is not positive and finite. callback(x) follows each iteration;
+    perfbench counts CG iterations through it."""
+    x, bnorm = np.zeros_like(b), np.linalg.norm(b)
+    if bnorm == 0.0:
+        return x, 0
+    r, z, p, scratch = b.copy(), np.empty_like(b), np.empty_like(b), np.empty_like(b)
+    for k in range(maxiter):
+        if np.linalg.norm(r) < rtol * bnorm:
+            return x, 0
+        rho = np.dot(r, np.multiply(inv_diag, r, out=z))
+        if k:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p[:] = z
+        q = A @ p
+        pq = np.dot(p, q)
+        if not (0.0 < rho < math.inf and 0.0 < pq < math.inf):
+            break
+        x += np.multiply(rho / pq, p, out=scratch)
+        r -= np.multiply(rho / pq, q, out=scratch)
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
+
+
 def _solve_cg_stack(op, bands, rhs, rtol):
     """Solve each row's system of _newton_steps, bands and right-hand side, by
     Jacobi-preconditioned CG to its rtol; rows whose CG did not converge come
@@ -189,9 +221,7 @@ def _solve_cg_stack(op, bands, rhs, rtol):
     steps = np.full((k, n), np.nan)
     for j in range(k):
         M = op.jacobian_matrix(np.ascontiguousarray(bands[:, j]))
-        inv_diag = 1.0 / bands[op.d, j]
-        precond = LinearOperator((n, n), matvec=lambda v: inv_diag * v)
-        z, info = cg(M, rhs[j], rtol=rtol[j], atol=0.0, maxiter=20 * n, M=precond)
+        z, info = cg(M, rhs[j], rtol[j], 20 * n, 1.0 / bands[op.d, j])
         if info == 0:
             steps[j] = z
     return steps

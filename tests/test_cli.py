@@ -488,6 +488,9 @@ def test_a_bad_experiment_key_exits_2_naming_it(tmp_path, monkeypatch, capsys, s
         (lambda cfg: cfg["operator"].update(p=1.0), "config operator.p: p must satisfy 1 < p < inf, got 1.0"),
         (lambda cfg: cfg["operator"].update(eps_reg="inf"),
          "config operator.eps_reg: eps_reg must be >= 0 and finite, got inf"),
+        # finite, but g^2 + eps^2 would overflow in the first residual
+        (lambda cfg: cfg["operator"].update(eps_reg=1e300),
+         "config operator.eps_reg: eps_reg must be >= 0 with a finite square, got 1e+300"),
         (lambda cfg: cfg["operator"].update(bc="periodic"), "config operator.bc: unknown boundary condition 'periodic'"),
         (lambda cfg: cfg["operator"].update(bc="robin", robin_b="inf"),
          "config operator.robin_b: robin coupling needs b > 0 and finite, got inf"),
@@ -549,9 +552,13 @@ def test_a_bad_initial_value_exits_2_naming_the_key(tmp_path, monkeypatch, capsy
 
 
 def test_a_solver_that_does_not_converge_exits_1_without_a_traceback(tmp_path, capsys):
-    # finite and admitted, but the residual of the first step overflows to nan
+    # admitted, but Newton stalls in the one step of the degenerate porous-medium flow on 2001 nodes
+    # (the strict xfail test_degenerate_porous_medium_resolvent_converges_on_a_fine_1d_grid)
     cfg = _smoke_config()
-    cfg["operator"]["eps_reg"] = 1e300
+    cfg.update(grid={"bounds": [[-5.0, 5.0]], "shape": [2001]}, phi={"kind": "power", "m": 2.0})
+    cfg["operator"].update(p=2.0, eps_reg=0.0)
+    cfg["time"].update(t_end=0.5, n_steps=1)
+    cfg["experiment"]["initial"] = {"kind": "bump", "center": 0.0, "width": 2.0}
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(_jsonable(cfg)))
     code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")])
@@ -640,6 +647,21 @@ def test_verify_all_refuses_a_configs_directory_it_cannot_run_whole(tmp_path, mo
     code, out, err = run_cli(capsys, ["verify", "all"])
     assert code == 2 and out == ""
     assert str(tmp_path / (name or "")) in err and message in err and "Traceback" not in err
+
+
+def test_verify_all_checks_every_shipped_config_before_the_first_run(tmp_path, monkeypatch, capsys):
+    # a bad value in the last file is refused, naming the file and the key, before any suite runs
+    for path in CONFIG_DIR.glob("*.json"):
+        (tmp_path / path.name).write_text(path.read_text())
+    bad = load_config(CONFIG_DIR / "pme_m2.json")
+    bad["grid"]["shape"] = [2]
+    (tmp_path / "zz_bad.json").write_text(json.dumps(_jsonable(bad)))
+    monkeypatch.setattr(harness, "CONFIGS", tmp_path)
+    _suites_must_not_run(monkeypatch)
+    code, out, err = run_cli(capsys, ["verify", "all"])
+    assert code == 2 and out == ""
+    assert "zz_bad.json" in err and "grid.shape" in err
+    assert "running suite:" not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("fname, rel_err_max", [("p3_d1.json", 1e-3), ("pme_m2.json", 5e-3)])

@@ -1,6 +1,10 @@
 """Implicit Euler step: contraction, order preservation, resolvent identity."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +244,75 @@ def test_forcing_saves_cg_iterations(monkeypatch):
     exact = solve_resolvent(spec, 0.5, g, tol=1e-12)
     assert count[0] - forced >= 2 * forced
     assert lq_norm(out.u - exact.u, 2) <= 1e-10
+
+
+def _newton_system_64x64():
+    """The first Newton system of a 64^2 p = 3 resolvent: its DIA matrix, right-hand side and 1 / diagonal."""
+    grid = Grid(bounds=((-5.0, 5.0),) * 2, shape=(64, 64))
+    op = DiscreteOperator(OperatorSpec(grid=grid, p=3.0))
+    G = random_smooth_field(grid, 3).values[None, :]
+    _, R, _, *state = resolvent._residual(op, 0.5, G.copy(), G)
+    bands = 0.5 * op.diffusion_jacobian(state[0], state[1:])[:, 0]
+    bands[op.d] += 1.0
+    return op.jacobian_matrix(bands), -R[0], 1.0 / bands[op.d]
+
+
+def _counted(solver, *args, **kwargs):
+    """solver's (x, info) and how many times it called its callback."""
+    calls = []
+    x, info = solver(*args, callback=calls.append, **kwargs)
+    return x, info, len(calls)
+
+
+@pytest.mark.parametrize("rtol, maxiter", [(CG_RTOL, 20 * 4096), (0.1, 20 * 4096), (CG_RTOL, 7)],
+                         ids=["cg-rtol", "forcing-max", "maxiter"])
+def test_cg_iterates_are_scipy_cg_bit_for_bit(rtol, maxiter):
+    from scipy.sparse.linalg import LinearOperator, cg
+
+    A, b, inv_diag = _newton_system_64x64()
+    ours = _counted(resolvent.cg, A, b, rtol, maxiter, inv_diag)
+    jacobi = LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
+    theirs = _counted(cg, A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=jacobi)
+    assert np.array_equal(ours[0], theirs[0]) and ours[1:] == theirs[1:]
+    assert ours[1] == (7 if maxiter == 7 else 0) and ours[2] > 1
+
+
+def test_cg_edge_cases_return_at_once():
+    A, b, inv_diag = _newton_system_64x64()
+    x, info, calls = _counted(resolvent.cg, A, np.zeros_like(b), CG_RTOL, 100, inv_diag)
+    assert info == 0 and calls == 0 and np.array_equal(x, np.zeros_like(b))
+    # a NaN right-hand side breaks down at the first step instead of using all maxiter iterations
+    b[17] = np.nan
+    x, info, calls = _counted(resolvent.cg, A, b, CG_RTOL, 100, inv_diag)
+    assert info != 0 and calls == 0
+    # so does a preconditioner that is not positive
+    _, b, _ = _newton_system_64x64()
+    x, info, calls = _counted(resolvent.cg, A, b, CG_RTOL, 100, -inv_diag)
+    assert info != 0 and calls == 0
+
+
+def test_only_a_solve_in_more_dimensions_loads_scipy_sparse():
+    # in a fresh interpreter: scipy.linalg, which the 1-D solver calls, may bring scipy.sparse
+    # modules of its own; importing nlsmooth and solving in 1-D add none, solving in 2-D adds some
+    script = """
+import sys
+def sparse():
+    return {m for m in sys.modules if m.split(".")[:2] == ["scipy", "sparse"]}
+import scipy.linalg
+base = sparse()
+from nlsmooth.harness import smooth_bump
+from nlsmooth.operators import Grid, OperatorSpec
+from nlsmooth.resolvent import solve_resolvent
+for shape in ((201,), (24, 24)):
+    grid = Grid(bounds=((-4.0, 4.0),) * len(shape), shape=shape)
+    solve_resolvent(OperatorSpec(grid=grid, p=3.0), 0.1, smooth_bump(grid))
+    print(len(sparse() - base))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(resolvent.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
+    added_1d, added_2d = map(int, out.stdout.split())
+    assert added_1d == 0 and added_2d > 0
 
 
 def _assert_matches_solo(spec, lam, G, out, rows, tol=SOLVER_TOL):
