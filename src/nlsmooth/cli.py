@@ -7,7 +7,9 @@ Each registers only the flags it reads, and a theorem, sequence kind or
 suite refuses the inputs it does not read, naming them, before any work
 starts; 'verify all' gives each suite the inputs it reads. A config suite
 given no --config runs every file of harness.CONFIGS whose experiment
-section it reads, so a new claim is one more JSON file there.
+section it reads, so a new claim is one more JSON file there. Every
+planned config passes its suite's complete check (harness.suite_inputs)
+before the first flow runs, and a refusal names the file.
 
 All results go to stdout as JSON with sorted keys, so identical invocations
 produce byte-identical output; diagnostics go to stderr. Exit codes:
@@ -129,9 +131,7 @@ def _cmd_simulate(args):
         return 2
     _check_out(args.out)
     config = harness.load_config(args.config)
-    spec, tg, u0, exp, _, _ = harness.decay_setup(config, seed=args.seed)
-    if args.seed is not None and exp["initial"].get("kind") != "random":
-        raise ValueError("simulate --seed needs a random experiment.initial; this one draws no random numbers")
+    spec, tg, u0, _, _, _ = harness.decay_setup(config, seed=args.seed)
     traj = evolve(spec, u0, tg)
     trajectory_to_csv(traj, args.out)
     _emit(
@@ -146,15 +146,11 @@ def _cmd_simulate(args):
     return 0
 
 
-def _check_config(suite, config, path):
-    """Apply the value checks of a decay config (decay_setup) or of another
-    suite's config (its operator and time grid); a refusal names the file."""
+def _routes(names, path, **given):
+    """{suite: harness.suite_inputs(suite, **given)} for each suite in names; a
+    config value that a suite refuses is refused naming the file at path."""
     try:
-        if suite == "decay":
-            harness.decay_setup(config)
-        else:
-            harness.spec_from_config(config)
-            harness.time_grid_from_config(config)
+        return {name: harness.suite_inputs(name, **given) for name in names}
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -165,35 +161,27 @@ def _cmd_verify(args):
     if args.out:
         _check_out(args.out)
     given = {"config": harness.load_config(args.config) if args.config else None, "seed": args.seed, "tol": args.tol}
-    routed = {name: harness.suite_inputs(name, **given) for name in harness.SUITES if args.suite in ("all", name)}
+    routed = _routes([name for name in harness.SUITES if args.suite in ("all", name)], args.config, **given)
     for key in (k for k, v in given.items() if v is not None):  # an input that no suite reads is refused
         if not any(key in inputs for inputs, _ in routed.values()):
             reasons = "; ".join(refusals[key] for _, refusals in routed.values())
             raise ValueError(f"no suite reads the {key}: {reasons}")
     # a config suite handed no config runs each shipped file that it reads, in file-name order
-    unset = [name for name in routed if harness._SUITE_REGISTRY[name][1] and "config" not in routed[name][0]]
-    shipped = {name: [] for name in harness.SUITES}
+    unset = [name for name in routed if name in harness.CONFIG_SUITES and "config" not in routed[name][0]]
+    runs = {name: [] if name in unset else [inputs] for name, (inputs, _) in routed.items()}  # the inputs of each run
     for path in sorted(harness.CONFIGS.glob("*.json")) if unset else ():
         config = harness.load_config(path)
-        routes = {name: harness.suite_inputs(name, config=config) for name in harness.SUITES}
+        routes = _routes(harness.SUITES, path, config=config)
         name = next((name for name, (inputs, _) in routes.items() if inputs), None)
         if name is None:
             reasons = "; ".join(refusals["config"] for _, refusals in routes.values())
             raise ValueError(f"no suite reads {path}: {reasons}")
-        shipped[name].append((path, config))
-    for name in (name for name in unset if not shipped[name]):
-        raise ValueError(f"{harness.CONFIGS} holds no config for suite {name!r}")
-    runs = []  # (suite, its inputs, the file of its config)
-    for name, (inputs, _) in routed.items():
         if name in unset:
-            runs += [(name, dict(inputs, config=config), path) for path, config in shipped[name]]
-        else:
-            runs.append((name, inputs, args.config))
-    for name, run, path in runs:  # every config passes its own value checks before the first run
-        if "config" in run:
-            _check_config(name, run["config"], path)
+            runs[name].append(dict(routed[name][0], config=config))
+    for name in (name for name in unset if not runs[name]):
+        raise ValueError(f"{harness.CONFIGS} holds no config for suite {name!r}")
     reports = []
-    for name, run, _ in runs:
+    for name, run in ((name, run) for name, each in runs.items() for run in each):  # every config is checked
         print(f"running suite: {name}", file=sys.stderr)
         reports.append(harness.run_suite(name, **run))
     all_pass = all(r.passed for r in reports)

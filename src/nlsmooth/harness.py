@@ -29,6 +29,7 @@ from .operators import (
     DiscreteOperator,
     Grid,
     OperatorSpec,
+    DEFAULT_EPS_REG,
     PhiSpec,
     barenblatt_on_grid,
     barenblatt_support_radius,
@@ -221,7 +222,7 @@ def spec_from_config(config):
             bc=bc,
             phi=_phi_from_config(config),
             perturbation=_perturbation_from_config(config),
-            eps_reg=float(op.get("eps_reg", 1e-8)),
+            eps_reg=float(op.get("eps_reg", DEFAULT_EPS_REG)),
         )
     except ValueError as exc:
         key = next((key for start, key in _REFUSED_KEYS.items() if str(exc).startswith(start)), None)
@@ -484,8 +485,8 @@ def decay_setup(config, seed=None):
 
     Returns (spec, time grid, u0, experiment section, predicted alpha, the q
     of the fitted norm). A ValueError names the bad key before any step runs.
-    seed overrides experiment.seed; experiment.seed is refused unless the
-    experiment.initial recipe is random, the only one that reads it.
+    seed overrides experiment.seed; either is refused unless the
+    experiment.initial recipe is random, the only one that reads a seed.
     """
     spec = spec_from_config(config)
     tg = time_grid_from_config(config)
@@ -497,10 +498,20 @@ def decay_setup(config, seed=None):
             and 0.0 < window[0] < window[1] < math.inf):
         raise ValueError(f"config experiment.window must be two numbers 0 < lo < hi, got {window!r}")
     u0 = initial_condition(exp["initial"], spec.grid, seed=exp.get("seed", 0) if seed is None else seed)
-    if "seed" in exp and exp["initial"].get("kind") != "random":
-        raise ValueError("config experiment.seed is read only by a random experiment.initial; "
-                         f"this one is {exp['initial'].get('kind', 'bump')!r}")
+    kind = exp["initial"].get("kind", "bump")
+    if kind != "random" and ("seed" in exp or seed is not None):
+        what = "config experiment.seed is read only by" if "seed" in exp else "--seed needs"
+        raise ValueError(f"{what} a random experiment.initial; this one is {kind!r}")
     return spec, tg, u0, exp, alpha_pred, norm_q
+
+
+def _decay_check(config):
+    """decay_setup, and f = 0: the predicted exponents assume it, and the window
+    guard reads a change of mass as mass leaving through the boundary."""
+    setup = decay_setup(config)
+    if setup[0].perturbation is not None:
+        raise ValueError("config perturbation.kind must be 'none' in a decay experiment")
+    return setup
 
 
 def run_decay_experiment(config, tol=None):
@@ -508,12 +519,9 @@ def run_decay_experiment(config, tol=None):
 
     Passes when the fitted exponent is within the configured relative
     tolerance of the prediction and the log-log fit is tight (r2 >= r2_min).
-    The flow must have f = 0: the predicted exponents assume it, and the
-    window guard reads a change of mass as mass leaving through the boundary.
+    The config must pass _decay_check, so the flow has f = 0.
     """
-    spec, tg, u0, exp, alpha_pred, norm_q = decay_setup(config)
-    if spec.perturbation is not None:
-        raise ValueError("config perturbation.kind must be 'none' in a decay experiment")
+    spec, tg, u0, exp, alpha_pred, norm_q = _decay_check(config)
     traj = evolve(spec, u0, tg)
     lo, hi, info = usable_window(traj, exp["window"])
     fit = fit_power_law(traj.times, traj.norm_series(norm_q), (lo, hi))
@@ -537,9 +545,16 @@ def run_decay_experiment(config, tol=None):
     return Report(exp.get("name", "decay"), passed, metrics, config_hash(config))
 
 
-def _check_barenblatt_spec(config, spec, t1):
-    """Refuse, naming the config key, a spec whose flow cannot be compared with
-    the source solution at t1, the compactly supported 1-D p-Laplace profile."""
+def _barenblatt_setup(config):
+    """(experiment section, (spec, time grid) of the configured run, the same
+    at half both resolutions); a ValueError names the key of a value that the
+    source solution, the compactly supported 1-D p-Laplace profile, refuses."""
+    exp = _section(config, "experiment", *_BARENBLATT_KEYS, reals=("t0", "t1", "rel_l1_max", "refinement_min_ratio"))
+    spec = spec_from_config(config)
+    tg = time_grid_from_config(config)
+    t0, t1 = float(exp["t0"]), float(exp["t1"])
+    if not abs(tg.t_end - (t1 - t0)) <= 1e-12 * abs(t1 - t0):
+        raise ValueError(f"config time.t_end = {tg.t_end:g} must equal experiment.t1 - experiment.t0 = {t1 - t0:g}")
     refusals = (
         ("operator.p", spec.p, spec.p <= 2.0, "compact support needs p > 2"),
         ("phi.kind", spec.phi.kind, spec.phi.kind != "identity", "it solves the p-Laplace flow, phi identity"),
@@ -551,20 +566,20 @@ def _check_barenblatt_spec(config, spec, t1):
     for key, value, refused, why in refusals:
         if refused:
             raise ValueError(f"config {key} = {value!r} cannot be compared with the source solution: {why}")
+    # halving both resolutions must give a run the config could describe
+    coarse_shape = tuple(max(3, (s + 1) // 2) for s in spec.grid.shape)
+    coarse = replace(spec, grid=Grid(bounds=spec.grid.bounds, shape=coarse_shape))
+    try:
+        coarse_tg = replace(tg, n_steps=max(1, tg.n_steps // 2))
+    except ValueError:
+        raise ValueError(f"config time.n_steps = {tg.n_steps} halves to {tg.n_steps // 2} steps for the refinement "
+                         "run, fewer than the 2 a time grid graded from time.t_first needs") from None
+    # the support at t1 must stay BOUNDARY_GUARD_CELLS cells inside the box, counted in the wider coarse cells
     half_width = 0.5 * min(hi - lo for lo, hi in spec.grid.bounds)
     radius = barenblatt_support_radius(spec.grid.d, spec.p, t1)
-    h_max = max(spec.grid.h)
-    if radius >= half_width - BOUNDARY_GUARD_CELLS * h_max:
+    if radius >= half_width - BOUNDARY_GUARD_CELLS * max(coarse.grid.h):
         raise ValueError(f"support radius {radius:g} at t1 = {t1} does not fit the domain (half width {half_width:g})")
-
-
-def _barenblatt_error(spec, tg, t0, t1):
-    """Relative L^1 error at t1 of the flow started from the source solution at t0."""
-    p = spec.p
-    u0 = barenblatt_on_grid(spec.grid, p, t0)
-    traj = evolve(spec, u0, tg)
-    exact = barenblatt_on_grid(spec.grid, p, t1)
-    return lq_norm(traj.final - exact, 1) / lq_norm(exact, 1)
+    return exp, (spec, tg), (coarse, coarse_tg)
 
 
 def barenblatt_comparison(config):
@@ -572,34 +587,24 @@ def barenblatt_comparison(config):
 
     Passes when the error at the configured resolution is below rel_l1_max
     and halving both resolutions inflates the error by at least
-    refinement_min_ratio. time.t_end must equal t1 - t0.
+    refinement_min_ratio. The config must pass _barenblatt_setup.
     """
-    exp = _section(config, "experiment", *_BARENBLATT_KEYS, reals=("t0", "t1", "rel_l1_max", "refinement_min_ratio"))
-    spec = spec_from_config(config)
-    tg = time_grid_from_config(config)
+    exp, (spec, tg), coarse = _barenblatt_setup(config)
     t0, t1 = float(exp["t0"]), float(exp["t1"])
-    if not abs(tg.t_end - (t1 - t0)) <= 1e-12 * abs(t1 - t0):
-        raise ValueError(f"config time.t_end = {tg.t_end:g} must equal experiment.t1 - experiment.t0 = {t1 - t0:g}")
-    shape, n_steps = spec.grid.shape, tg.n_steps
-    _check_barenblatt_spec(config, spec, t1)
-    # halving both resolutions must give a run the config could describe
-    coarse = replace(spec, grid=Grid(bounds=spec.grid.bounds, shape=tuple(max(3, (s + 1) // 2) for s in shape)))
-    try:
-        coarse_tg = replace(tg, n_steps=max(1, n_steps // 2))
-    except ValueError:
-        raise ValueError(f"config time.n_steps = {n_steps} halves to {n_steps // 2} steps for the refinement "
-                         "run, fewer than the 2 a time grid graded from time.t_first needs") from None
-    _check_barenblatt_spec(config, coarse, t1)
-    err_fine = _barenblatt_error(spec, tg, t0, t1)
-    err_coarse = _barenblatt_error(coarse, coarse_tg, t0, t1)
+    errors = []  # the relative L^1 error at t1 of each run started from the source solution at t0
+    for run, run_tg in ((spec, tg), coarse):
+        exact = barenblatt_on_grid(run.grid, run.p, t1)
+        final = evolve(run, barenblatt_on_grid(run.grid, run.p, t0), run_tg).final
+        errors.append(lq_norm(final - exact, 1) / lq_norm(exact, 1))
+    err_fine, err_coarse = errors
     ratio = err_coarse / err_fine if err_fine > 0 else float("inf")
     metrics = {
         "rel_l1_error": err_fine,
         "rel_l1_max": exp["rel_l1_max"],
         "t0": exp["t0"],
         "t1": exp["t1"],
-        "shape": list(shape),
-        "n_steps": n_steps,
+        "shape": list(spec.grid.shape),
+        "n_steps": tg.n_steps,
         "rel_l1_error_coarse": err_coarse,
         "refinement_ratio": ratio,
         "refinement_min_ratio": exp["refinement_min_ratio"],
@@ -870,18 +875,19 @@ def convergence_study(seed=4):
 # ---------------------------------------------------------------------------
 
 
-# name -> (suite, the (required, optional) experiment keys of a config for it);
-# a suite reads config, seed or tol only if its signature names it
+# name -> (suite, the (required, optional) experiment keys of a config for it, the
+# check of such a config's values); a suite reads config, seed or tol only if its signature names it
 _SUITE_REGISTRY = {
-    "decay": (run_decay_experiment, _DECAY_KEYS),
-    "barenblatt": (barenblatt_comparison, _BARENBLATT_KEYS),
-    "contraction": (contraction_suite, ()),
-    "order": (order_suite, ()),
-    "gn": (gn_suite, ()),
-    "conservation": (conservation_suite, ()),
-    "convergence": (convergence_study, ()),
+    "decay": (run_decay_experiment, _DECAY_KEYS, _decay_check),
+    "barenblatt": (barenblatt_comparison, _BARENBLATT_KEYS, _barenblatt_setup),
+    "contraction": (contraction_suite, (), None),
+    "order": (order_suite, (), None),
+    "gn": (gn_suite, (), None),
+    "conservation": (conservation_suite, (), None),
+    "convergence": (convergence_study, (), None),
 }
 SUITES = tuple(_SUITE_REGISTRY)
+CONFIG_SUITES = tuple(name for name, (_, keys, _) in _SUITE_REGISTRY.items() if keys)  # the suites that read a config
 
 
 def suite_inputs(name, config=None, seed=None, tol=None):
@@ -890,8 +896,9 @@ def suite_inputs(name, config=None, seed=None, tol=None):
 
     None means not given. A config is refused unless its experiment section
     has every required key of the suite and no key the suite does not read.
+    A config the suite reads must pass its check: a ValueError names a bad value.
     """
-    suite, keys = _SUITE_REGISTRY[name]
+    suite, keys, check = _SUITE_REGISTRY[name]
     named = inspect.signature(suite).parameters
     inputs, refusals = {}, {}
     for key, value in (("config", config), ("seed", seed), ("tol", tol)):
@@ -906,6 +913,7 @@ def suite_inputs(name, config=None, seed=None, tol=None):
             except ValueError as exc:
                 refusals[key] = f"suite {name!r}: {exc}"
                 continue
+            check(value)
         inputs[key] = value
     return inputs, refusals
 
@@ -913,7 +921,7 @@ def suite_inputs(name, config=None, seed=None, tol=None):
 def run_suite(name, config=None, seed=None, tol=None):
     """Run one named verification suite and return its Report. A ValueError
     refuses, before any work starts, every given input the suite does not
-    read (see suite_inputs)."""
+    read and a config value its check refuses (see suite_inputs)."""
     if name not in _SUITE_REGISTRY:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     inputs, refusals = suite_inputs(name, config=config, seed=seed, tol=tol)

@@ -227,6 +227,23 @@ def test_simulate_seed_draws_a_random_initial_state(tmp_path, capsys):
     assert norms[0] == norms[1] != norms[2]
 
 
+def test_simulate_evolves_a_perturbed_flow_that_verify_decay_refuses(tmp_path, capsys):
+    # simulate reads a perturbation f; the decay claim assumes f = 0
+    cfg = _smoke_config()
+    cfg["perturbation"] = {"kind": "tanh", "coeff": 0.3}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_jsonable(cfg)))
+    csv_path = tmp_path / "trajectory.csv"
+    code, out, _ = run_cli(capsys, ["simulate", "--config", str(cfg_path), "--out", str(csv_path)])
+    assert code == 0 and json.loads(out)["config_hash"] == harness.config_hash(cfg)
+    lines = csv_path.read_text().strip().splitlines()
+    assert lines[0] == "t,norm_l1,norm_l2,norm_linf,mass"
+    assert len(lines) == 1 + 1 + cfg["time"]["n_steps"]  # header + initial state + one row per step
+    code, out, err = run_cli(capsys, ["verify", "decay", "--config", str(cfg_path)])
+    assert code == 2 and out == ""
+    assert "perturbation.kind" in err and "running suite:" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -348,7 +365,7 @@ def test_verify_refuses_a_config_for_a_suite_that_takes_none(monkeypatch, capsys
     def no_work(*args, **kwargs):
         raise AssertionError("the suite ran")
 
-    monkeypatch.setitem(harness._SUITE_REGISTRY, suite, (no_work, ()))
+    monkeypatch.setitem(harness._SUITE_REGISTRY, suite, (no_work, (), None))
     code, out, err = run_cli(capsys, ["verify", suite, "--config", str(CONFIG_DIR / "barenblatt.json")])
     assert code == 2 and out == ""
     assert f"suite {suite!r} takes no config" in err and "Traceback" not in err
@@ -375,13 +392,13 @@ def run_cli_or_usage_error(capsys, argv):
 
 
 def _suites_must_not_run(monkeypatch):
-    # each suite keeps its signature, which decides what it reads, but fails if it runs
-    for name, (suite, keys) in list(harness._SUITE_REGISTRY.items()):
+    # each suite keeps its signature, which decides what it reads, and its config check, but fails if it runs
+    for name, (suite, keys, check) in list(harness._SUITE_REGISTRY.items()):
         @functools.wraps(suite)
         def no_work(*args, **kwargs):
             raise AssertionError("the suite ran")
 
-        monkeypatch.setitem(harness._SUITE_REGISTRY, name, (no_work, keys))
+        monkeypatch.setitem(harness._SUITE_REGISTRY, name, (no_work, keys, check))
 
 
 _ITERATION = ["sequence", "--kind", "iteration", "--kappa", "2", "--r", "1", "--gamma", "1", "--m0", "1", "--n", "5"]
@@ -649,18 +666,43 @@ def test_verify_all_refuses_a_configs_directory_it_cannot_run_whole(tmp_path, mo
     assert str(tmp_path / (name or "")) in err and message in err and "Traceback" not in err
 
 
-def test_verify_all_checks_every_shipped_config_before_the_first_run(tmp_path, monkeypatch, capsys):
+# (shipped file, an edit that makes it a bad config of the same suite, the key it names)
+_BAD_SHIPPED = [
+    ("pme_m2.json", lambda cfg: cfg["grid"].update(shape=[2]), "grid.shape"),
+    ("barenblatt.json", lambda cfg: cfg["operator"].update(p=2.0), "operator.p"),
+    ("barenblatt.json", lambda cfg: cfg["time"].update(t_end=2.0), "time.t_end"),
+    ("pme_m2.json", lambda cfg: cfg.update(perturbation={"kind": "tanh", "coeff": 0.3}), "perturbation.kind"),
+]
+_BAD_SHIPPED_IDS = ["decay-grid-shape", "barenblatt-p2", "barenblatt-t-end", "decay-perturbed"]
+
+
+@pytest.mark.parametrize("shipped, edit, key", _BAD_SHIPPED, ids=_BAD_SHIPPED_IDS)
+def test_verify_all_checks_every_shipped_config_before_the_first_run(tmp_path, monkeypatch, capsys, shipped, edit, key):
     # a bad value in the last file is refused, naming the file and the key, before any suite runs
     for path in CONFIG_DIR.glob("*.json"):
         (tmp_path / path.name).write_text(path.read_text())
-    bad = load_config(CONFIG_DIR / "pme_m2.json")
-    bad["grid"]["shape"] = [2]
+    bad = load_config(CONFIG_DIR / shipped)
+    edit(bad)
     (tmp_path / "zz_bad.json").write_text(json.dumps(_jsonable(bad)))
     monkeypatch.setattr(harness, "CONFIGS", tmp_path)
     _suites_must_not_run(monkeypatch)
     code, out, err = run_cli(capsys, ["verify", "all"])
     assert code == 2 and out == ""
-    assert "zz_bad.json" in err and "grid.shape" in err
+    assert "zz_bad.json" in err and key in err
+    assert "running suite:" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("shipped, edit, key", _BAD_SHIPPED, ids=_BAD_SHIPPED_IDS)
+def test_verify_one_suite_checks_its_config_before_the_first_run(tmp_path, monkeypatch, capsys, shipped, edit, key):
+    bad = load_config(CONFIG_DIR / shipped)
+    edit(bad)
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(_jsonable(bad)))
+    _suites_must_not_run(monkeypatch)
+    suite = "barenblatt" if shipped == "barenblatt.json" else "decay"
+    code, out, err = run_cli(capsys, ["verify", suite, "--config", str(bad_path)])
+    assert code == 2 and out == ""
+    assert str(bad_path) in err and key in err
     assert "running suite:" not in err and "Traceback" not in err
 
 
