@@ -116,24 +116,60 @@ def config_hash(config):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-# config keys whose value may be a list of numbers, nested for boxes: grid axes and points
-_LIST_KEYS = ("bounds", "shape", "center")
-
-
-def _is_number(value, integer=False, listed=False):
-    """value is a real number (an integer if integer is set) or, if listed is
-    set, a list of them, nested for boxes."""
+def _of_type(value, kind):
+    """value has config type kind: "number", "integer", "string", or "numbers" or "integers",
+    a number or a list of them, nested for boxes."""
     if isinstance(value, list):
-        return listed and all(_is_number(v, integer, listed) for v in value)
-    return _is_real(value) and (not integer or isinstance(value, numbers.Integral))
+        return kind.endswith("s") and all(_of_type(v, kind) for v in value)
+    return isinstance(value, str) if kind == "string" else _is_real(value) and (
+        kind.startswith("number") or isinstance(value, numbers.Integral))
 
 
-def _section(config, name, required, optional=(), reals=(), integers=()):
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
+_ONE_PER_AXIS = "a list of [lo, hi] pairs, one per axis"
+
+# key path -> (type or None, then, where the harness checks a range, the rule its value must pass
+# and what the rule asks): every value rule of a config key that the harness owns. The constructors
+# (Grid, OperatorSpec, TimeGrid, ...) check their own ranges, and the rules that read more than one
+# key, or the grid's d, sit where they are applied.
+_SCHEMA = {
+    **dict.fromkeys(("operator.p", "operator.eps_reg", "operator.robin_b", "phi.m", "perturbation.coeff",
+                     "experiment.initial.p", "experiment.predicted.value", "experiment.tolerance", "experiment.r2_min",
+                     "experiment.t0", "experiment.t1", "experiment.rel_l1_max", "experiment.refinement_min_ratio"),
+                    ("number",)),
+    "grid.bounds": ("numbers", lambda b: isinstance(b, list) and all(
+        isinstance(a, list) and len(a) == 2 and all(map(_is_real, a)) for a in b), _ONE_PER_AXIS),
+    "grid.shape": ("integers", lambda s: isinstance(s, list) and s and all(map(_is_real, s)),
+                   "a list of integers, one per axis"),
+    "experiment.initial.center": ("numbers",),
+    "experiment.initial.width": ("number", *_POSITIVE),
+    "experiment.initial.amplitude": ("number", lambda a: a != 0.0, "nonzero"),
+    "experiment.initial.t0": ("number", *_POSITIVE),
+    "experiment.initial.n_modes": ("integer", lambda n: n >= 1, "at least 1"),
+    "experiment.initial.normalize": (None, lambda v: v == "l1", "'l1'"),
+    "experiment.seed": ("integer",),
+    "experiment.norm": (None, lambda q: q == "inf" or _is_real(q) and q in RECORDED_NORMS, "1, 2 or 'inf'"),
+    "experiment.window": (None, lambda w: isinstance(w, list) and len(w) == 2 and all(map(_is_real, w))
+                          and 0.0 < w[0] < w[1] < math.inf, "two numbers 0 < lo < hi"),
+}
+_ARTICLED = {"number": "a number", "integer": "an integer", "string": "a string"}
+
+
+def _check(path, value, label=None):
+    """A ValueError says what label (default: config path) must be if value lacks the
+    type or fails the rule that _SCHEMA gives path."""
+    kind, *rule = _SCHEMA.get(path, (None,))
+    if kind and not _of_type(value, kind):  # a list of the wrong leaves is "numbers", any other value "a number"
+        rule = (None, kind if isinstance(value, list) and kind.endswith("s") else _ARTICLED[kind.rstrip("s")])
+    elif not rule or rule[0](value):
+        return
+    raise ValueError(f"{label or 'config ' + path} must be {rule[1]}, got {value!r}")
+
+
+def _section(config, name, required, optional=(), walk=True):
     """config[name]; a ValueError names the key path if it is missing, and names
     every unknown key (first: it may be a misspelt one) and every missing required key.
-    Then the value of each present key in reals must be a number, and in integers an
-    integer, or for a key of _LIST_KEYS a list of them; a ValueError names the first
-    key that is not."""
+    Then, if walk is set, each value must pass _check under its key path."""
     sec = config.get(name) if isinstance(config, dict) else None
     if not isinstance(sec, dict):
         raise ValueError(f"config lacks section {name}")
@@ -142,31 +178,14 @@ def _section(config, name, required, optional=(), reals=(), integers=()):
                                       ("lacks", [k for k in required if k not in sec])) if keys]
     if problems:
         raise ValueError("; ".join(problems))
-    for keys, integer in ((reals, False), (integers, True)):
-        for k in keys:
-            listed = k in _LIST_KEYS
-            if k in sec and not _is_number(sec[k], integer, listed):
-                what = ("integers" if integer else "numbers") if listed and isinstance(sec[k], list) else (
-                    "an integer" if integer else "a number")
-                raise ValueError(f"config {name}.{k} must be {what}, got {sec[k]!r}")
+    for key in sec if walk else ():
+        _check(f"{name}.{key}", sec[key])
     return sec
 
 
-def _grid_from_config(config):
-    cfg = _section(config, "grid", ("bounds", "shape"), reals=("bounds",), integers=("shape",))
-    shape, bounds = cfg["shape"], cfg["bounds"]
-    if not (isinstance(shape, list) and shape and all(map(_is_real, shape))):
-        raise ValueError(f"config grid.shape must be a list of integers, one per axis, got {shape!r}")
-    if not (isinstance(bounds, list) and len(bounds) == len(shape)
-            and all(isinstance(b, list) and len(b) == 2 and all(map(_is_real, b)) for b in bounds)):
-        raise ValueError(f"config grid.bounds must be a list of [lo, hi] pairs, one per axis, got {bounds!r}")
-    return Grid(bounds=tuple(map(tuple, bounds)), shape=tuple(shape))
-
-
-def _kind_section(config, name, kinds, reals=(), integers=()):
+def _kind_section(config, name, kinds):
     """(kind, config[name]) for a section that may be absent; kinds maps each
-    kind to its (required, optional) keys, and the first kind is the default.
-    reals and integers are checked as by _section."""
+    kind to its (required, optional) keys, and the first kind is the default."""
     kind = next(iter(kinds))
     if config.get(name) is None:
         return kind, {}
@@ -175,17 +194,17 @@ def _kind_section(config, name, kinds, reals=(), integers=()):
     if kind not in kinds:
         raise ValueError(f"config cannot describe {name} kind {kind!r}")
     required, optional = kinds[kind]
-    return kind, _section(config, name, required, ("kind",) + optional, reals, integers)
+    return kind, _section(config, name, required, ("kind",) + optional)
 
 
 def _phi_from_config(config):
-    kind, cfg = _kind_section(config, "phi", {"identity": ((), ()), "power": (("m",), ())}, reals=("m",))
+    kind, cfg = _kind_section(config, "phi", {"identity": ((), ()), "power": (("m",), ())})
     return PhiSpec.power(cfg["m"]) if kind == "power" else PhiSpec.identity()
 
 
 def _perturbation_from_config(config):
     kinds = {"none": ((), ()), "linear": (("coeff",), ()), "tanh": (("coeff",), ())}
-    kind, cfg = _kind_section(config, "perturbation", kinds, reals=("coeff",))
+    kind, cfg = _kind_section(config, "perturbation", kinds)
     if kind == "none":
         return None
     return (linear_perturbation if kind == "linear" else tanh_perturbation)(cfg["coeff"])
@@ -208,8 +227,11 @@ def spec_from_config(config):
     """Build an OperatorSpec from the flat config sections. A ValueError
     names the key of a value the constructors refuse (_REFUSED_KEYS)."""
     try:
-        grid = _grid_from_config(config)
-        op = _section(config, "operator", ("p",), ("bc", "eps_reg", "robin_b"), reals=("p", "eps_reg", "robin_b"))
+        g = _section(config, "grid", ("bounds", "shape"))
+        if len(g["bounds"]) != len(g["shape"]):
+            raise ValueError(f"config grid.bounds must be {_ONE_PER_AXIS}, got {g['bounds']!r}")
+        grid = Grid(bounds=tuple(map(tuple, g["bounds"])), shape=tuple(g["shape"]))
+        op = _section(config, "operator", ("p",), ("bc", "eps_reg", "robin_b"))
         kind = op.get("bc", "dirichlet")
         if kind == "robin" and "robin_b" not in op:
             raise ValueError("config lacks operator.robin_b, which bc 'robin' needs")
@@ -298,28 +320,18 @@ def initial_condition(recipe, grid, seed=0):
     that is 0 at every node.
     """
     # wrapped under its key path, so that an error names experiment.initial.<key>
-    kind, recipe = _kind_section({"experiment.initial": recipe}, "experiment.initial", _INITIAL_KINDS,
-                                 reals=("center", "width", "amplitude", "p", "t0"), integers=("n_modes",))
-    if recipe.get("normalize", "l1") != "l1":
-        raise ValueError(f"config experiment.initial.normalize must be 'l1', got {recipe['normalize']!r}")
-    d, p_min = grid.d, 2.0 * grid.d / (grid.d + 1.0)
-    admissible = {  # key -> (admits the value, what it must be)
-        "center": (lambda c: not isinstance(c, list) or (len(c) == d and all(map(_is_real, c))),
-                   f"a number or a list of d = {d} numbers"),
-        "width": (lambda w: 0.0 < w < math.inf, "positive and finite"),
-        "amplitude": (lambda a: a != 0.0, "nonzero"),
-        # the source profile needs lambda = d(p-2)+p > 0, and p = 2 has none
-        "p": (lambda p: p > p_min and p != 2.0, f"> {p_min:g} and not 2"),
-        "t0": (lambda t: 0.0 < t < math.inf, "positive and finite"),
-        "n_modes": (lambda n: n >= 1, "at least 1"),
-    }
-    for key, (admits, what) in admissible.items():
-        if key in recipe and not admits(recipe[key]):
-            raise ValueError(f"config experiment.initial.{key} must be {what}, got {recipe[key]!r}")
+    kind, recipe = _kind_section({"experiment.initial": recipe}, "experiment.initial", _INITIAL_KINDS)
+    d, center = grid.d, recipe.get("center")  # the rules that depend on d
+    if isinstance(center, list) and not (len(center) == d and all(map(_is_real, center))):
+        raise ValueError(f"config experiment.initial.center must be a number or a list of d = {d} numbers, "
+                         f"got {center!r}")
+    p_min = 2.0 * d / (d + 1.0)  # the source profile needs lambda = d(p-2)+p > 0, and p = 2 has none
+    if "p" in recipe and not (recipe["p"] > p_min and recipe["p"] != 2.0):
+        raise ValueError(f"config experiment.initial.p must be > {p_min:g} and not 2, got {recipe['p']!r}")
     if kind == "bump":
         u = smooth_bump(
             grid,
-            center=recipe.get("center"),
+            center=center,
             width=recipe.get("width"),
             amplitude=recipe.get("amplitude", 1.0),
         )
@@ -386,7 +398,7 @@ def predicted_alpha(predicted):
         raise ValueError(f"config experiment.predicted must be {{'value': x}} or an exponent query, got {predicted!r}")
     if "value" in predicted:
         name = "experiment.predicted"  # {"value": x} takes no other key
-        return float(_section({name: predicted}, name, ("value",), reals=("value",))["value"])
+        return float(_section({name: predicted}, name, ("value",))["value"])
     out = exponents_from_query(predicted, path="experiment.predicted")
     if isinstance(out, float):
         return out
@@ -472,14 +484,6 @@ _DECAY_KEYS = (("initial", "window", "predicted"), ("name", "tolerance", "r2_min
 _BARENBLATT_KEYS = (("t0", "t1", "rel_l1_max", "refinement_min_ratio"), ("name",))
 
 
-def _recorded_norm(norm):
-    """The q of an experiment.norm value: 1, 2 or "inf", the norms a Trajectory records."""
-    q = math.inf if norm == "inf" else norm
-    if not _is_real(q) or q not in RECORDED_NORMS:
-        raise ValueError(f"config experiment.norm must be 1, 2 or 'inf', got {norm!r}")
-    return float(q)
-
-
 def decay_setup(config, seed=None):
     """Check every value of a decay config and build the state its flow starts from.
 
@@ -490,19 +494,14 @@ def decay_setup(config, seed=None):
     """
     spec = spec_from_config(config)
     tg = time_grid_from_config(config)
-    exp = _section(config, "experiment", *_DECAY_KEYS, reals=("tolerance", "r2_min"), integers=("seed",))
+    exp = _section(config, "experiment", *_DECAY_KEYS)
     alpha_pred = predicted_alpha(exp["predicted"])
-    norm_q = _recorded_norm(exp.get("norm", "inf"))
-    window = exp["window"]
-    if not (isinstance(window, list) and len(window) == 2 and all(map(_is_real, window))
-            and 0.0 < window[0] < window[1] < math.inf):
-        raise ValueError(f"config experiment.window must be two numbers 0 < lo < hi, got {window!r}")
     u0 = initial_condition(exp["initial"], spec.grid, seed=exp.get("seed", 0) if seed is None else seed)
     kind = exp["initial"].get("kind", "bump")
     if kind != "random" and ("seed" in exp or seed is not None):
         what = "config experiment.seed is read only by" if "seed" in exp else "--seed needs"
         raise ValueError(f"{what} a random experiment.initial; this one is {kind!r}")
-    return spec, tg, u0, exp, alpha_pred, norm_q
+    return spec, tg, u0, exp, alpha_pred, float(exp.get("norm", math.inf))
 
 
 def _decay_check(config):
@@ -549,7 +548,7 @@ def _barenblatt_setup(config):
     """(experiment section, (spec, time grid) of the configured run, the same
     at half both resolutions); a ValueError names the key of a value that the
     source solution, the compactly supported 1-D p-Laplace profile, refuses."""
-    exp = _section(config, "experiment", *_BARENBLATT_KEYS, reals=("t0", "t1", "rel_l1_max", "refinement_min_ratio"))
+    exp = _section(config, "experiment", *_BARENBLATT_KEYS)
     spec = spec_from_config(config)
     tg = time_grid_from_config(config)
     t0, t1 = float(exp["t0"]), float(exp["t1"])
@@ -909,7 +908,7 @@ def suite_inputs(name, config=None, seed=None, tol=None):
             continue
         if key == "config":
             try:
-                _section(value, "experiment", *keys)
+                _section(value, "experiment", *keys, walk=False)
             except ValueError as exc:
                 refusals[key] = f"suite {name!r}: {exc}"
                 continue

@@ -460,7 +460,11 @@ def test_decay_experiment_reads_only_a_recorded_norm(monkeypatch):
         cfg["experiment"]["norm"] = norm
         with pytest.raises(ValueError, match=re.escape(f"config experiment.norm must be 1, 2 or 'inf', got {norm!r}")):
             harness.run_decay_experiment(cfg)
-    assert [harness._recorded_norm(q) for q in (1, 2.0, "inf")] == [1.0, 2.0, INF]
+    q = []
+    for norm in (1, 2.0, "inf"):
+        cfg["experiment"]["norm"] = norm
+        q.append(harness.decay_setup(cfg)[5])
+    assert q == [1.0, 2.0, INF]
 
 
 def test_decay_setup_reads_experiment_seed_only_for_a_random_recipe(monkeypatch):
