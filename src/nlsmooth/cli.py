@@ -160,6 +160,8 @@ def _cmd_verify(args):
         raise ValueError(f"unknown suite {args.suite!r}; choose from {list(harness.SUITES) + ['all']}")
     if args.out:
         _check_out(args.out)
+    if args.tol is not None:  # it stands for experiment.tolerance, so it passes the same rule
+        harness._check("experiment.tolerance", args.tol, "--tol")
     given = {"config": harness.load_config(args.config) if args.config else None, "seed": args.seed, "tol": args.tol}
     routed = _routes([name for name in harness.SUITES if args.suite in ("all", name)], args.config, **given)
     for key in (k for k, v in given.items() if v is not None):  # an input that no suite reads is refused

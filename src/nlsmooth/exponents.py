@@ -573,7 +573,7 @@ def barenblatt_exponent(d, p):
 
 
 def _check_dim(d):
-    if int(d) != d or int(d) < 1:
+    if not (abs(d) < math.inf and int(d) == d >= 1):
         raise ValueError(f"d must be a positive integer, got {d}")
     return int(d)
 

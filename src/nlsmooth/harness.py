@@ -125,7 +125,6 @@ def _of_type(value, kind):
         kind.startswith("number") or isinstance(value, numbers.Integral))
 
 
-_POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
 _ONE_PER_AXIS = "a list of [lo, hi] pairs, one per axis"
 
 # key path -> (type or None, then, where the harness checks a range, the rule its value must pass
@@ -134,20 +133,22 @@ _ONE_PER_AXIS = "a list of [lo, hi] pairs, one per axis"
 # key, or the grid's d, sit where they are applied.
 _SCHEMA = {
     **dict.fromkeys(("operator.p", "operator.eps_reg", "operator.robin_b", "phi.m", "perturbation.coeff",
-                     "experiment.initial.p", "experiment.predicted.value", "experiment.tolerance", "experiment.r2_min",
-                     "experiment.t0", "experiment.t1", "experiment.rel_l1_max", "experiment.refinement_min_ratio"),
-                    ("number",)),
+                     "experiment.initial.p", "experiment.predicted.value"), ("number",)),
+    **dict.fromkeys(("experiment.initial.width", "experiment.initial.t0", "experiment.tolerance", "experiment.t0",
+                     "experiment.t1", "experiment.rel_l1_max", "experiment.refinement_min_ratio"),
+                    ("number", lambda v: 0.0 < v < math.inf, "positive and finite")),
+    **dict.fromkeys(("phi.kind", "perturbation.kind", "experiment.initial.kind", "experiment.predicted.theorem",
+                     "experiment.name"), ("string",)),
     "grid.bounds": ("numbers", lambda b: isinstance(b, list) and all(
         isinstance(a, list) and len(a) == 2 and all(map(_is_real, a)) for a in b), _ONE_PER_AXIS),
     "grid.shape": ("integers", lambda s: isinstance(s, list) and s and all(map(_is_real, s)),
                    "a list of integers, one per axis"),
     "experiment.initial.center": ("numbers",),
-    "experiment.initial.width": ("number", *_POSITIVE),
     "experiment.initial.amplitude": ("number", lambda a: a != 0.0, "nonzero"),
-    "experiment.initial.t0": ("number", *_POSITIVE),
     "experiment.initial.n_modes": ("integer", lambda n: n >= 1, "at least 1"),
     "experiment.initial.normalize": (None, lambda v: v == "l1", "'l1'"),
-    "experiment.seed": ("integer",),
+    "experiment.seed": ("integer", lambda n: n >= 0, "at least 0"),
+    "experiment.r2_min": ("number", lambda r: r <= 1.0, "at most 1"),  # and so not NaN, which no fit passes
     "experiment.norm": (None, lambda q: q == "inf" or _is_real(q) and q in RECORDED_NORMS, "1, 2 or 'inf'"),
     "experiment.window": (None, lambda w: isinstance(w, list) and len(w) == 2 and all(map(_is_real, w))
                           and 0.0 < w[0] < w[1] < math.inf, "two numbers 0 < lo < hi"),
@@ -160,10 +161,12 @@ def _check(path, value, label=None):
     type or fails the rule that _SCHEMA gives path."""
     kind, *rule = _SCHEMA.get(path, (None,))
     if kind and not _of_type(value, kind):  # a list of the wrong leaves is "numbers", any other value "a number"
-        rule = (None, kind if isinstance(value, list) and kind.endswith("s") else _ARTICLED[kind.rstrip("s")])
-    elif not rule or rule[0](value):
+        what = kind if isinstance(value, list) and kind.endswith("s") else _ARTICLED[kind.rstrip("s")]
+    elif rule and not rule[0](value):
+        what = rule[1]
+    else:
         return
-    raise ValueError(f"{label or 'config ' + path} must be {rule[1]}, got {value!r}")
+    raise ValueError(f"{label or 'config ' + path} must be {what}, got {value!r}")
 
 
 def _section(config, name, required, optional=(), walk=True):
@@ -191,8 +194,9 @@ def _kind_section(config, name, kinds):
         return kind, {}
     if isinstance(config[name], dict):
         kind = config[name].get("kind", kind)
+        _check(f"{name}.kind", kind)
     if kind not in kinds:
-        raise ValueError(f"config cannot describe {name} kind {kind!r}")
+        raise ValueError(f"config {name}.kind must be one of {list(kinds)}, got {kind!r}")
     required, optional = kinds[kind]
     return kind, _section(config, name, required, ("kind",) + optional)
 
@@ -277,8 +281,7 @@ def smooth_bump(grid, center=None, width=None, amplitude=1.0):
     if center is None:
         center = [0.5 * (lo + hi) for lo, hi in grid.bounds]
     w = 0.25 * min(hi - lo for lo, hi in grid.bounds) if width is None else float(width)
-    center = np.broadcast_to(np.asarray(center, dtype=float), (grid.d,))
-    r = np.sqrt(sum((x - c) ** 2 for x, c in zip(grid.coordinates(), center))) / w
+    r = grid.distance(center) / w
     vals = np.zeros(grid.n_total)
     inside = r < 1.0
     vals[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - r[inside] ** 2))
@@ -396,10 +399,11 @@ def predicted_alpha(predicted):
     """Resolve a predicted-decay source: {"value": x} or an exponent query."""
     if not isinstance(predicted, dict):
         raise ValueError(f"config experiment.predicted must be {{'value': x}} or an exponent query, got {predicted!r}")
-    if "value" in predicted:
-        name = "experiment.predicted"  # {"value": x} takes no other key
+    name = "experiment.predicted"
+    if "value" in predicted:  # {"value": x} takes no other key
         return float(_section({name: predicted}, name, ("value",))["value"])
-    out = exponents_from_query(predicted, path="experiment.predicted")
+    # a query takes the keys of its theorem, which exponents_from_query checks
+    out = exponents_from_query(_section({name: predicted}, name, (), tuple(predicted)), path=name)
     if isinstance(out, float):
         return out
     return out.alpha_s
@@ -420,7 +424,7 @@ def exponents_from_query(query, path=None):
 
     A ValueError names every key the theorem does not take, or every argument
     it needs that the query lacks, or the first value that is not a number, as
-    path.key when the query sits at path.
+    path.key when the query sits at path; there the theorem's own refusal starts with path.
     """
     where = lambda k: k if path is None else f"{path}.{k}"
     q = {k: v for k, v in query.items() if v is not None}
@@ -435,7 +439,10 @@ def exponents_from_query(query, path=None):
     for k, v in q.items():
         if not _is_real(v):
             raise ValueError(f"{where(k)} must be a number, got {v!r}")
-    return _THEOREMS[theorem](**q)
+    try:
+        return _THEOREMS[theorem](**q)
+    except ValueError as exc:  # a ConditionError too, whose conditions the exponents command reads
+        raise exc if path is None else ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +504,7 @@ def decay_setup(config, seed=None):
     exp = _section(config, "experiment", *_DECAY_KEYS)
     alpha_pred = predicted_alpha(exp["predicted"])
     u0 = initial_condition(exp["initial"], spec.grid, seed=exp.get("seed", 0) if seed is None else seed)
-    kind = exp["initial"].get("kind", "bump")
+    kind = (exp["initial"] or {}).get("kind", "bump")  # a null recipe is the default bump
     if kind != "random" and ("seed" in exp or seed is not None):
         what = "config experiment.seed is read only by" if "seed" in exp else "--seed needs"
         raise ValueError(f"{what} a random experiment.initial; this one is {kind!r}")
@@ -573,11 +580,16 @@ def _barenblatt_setup(config):
     except ValueError:
         raise ValueError(f"config time.n_steps = {tg.n_steps} halves to {tg.n_steps // 2} steps for the refinement "
                          "run, fewer than the 2 a time grid graded from time.t_first needs") from None
-    # the support at t1 must stay BOUNDARY_GUARD_CELLS cells inside the box, counted in the wider coarse cells
-    half_width = 0.5 * min(hi - lo for lo, hi in spec.grid.bounds)
+    # the relative errors divide by the profile at t1, whose support holds that at t0
+    if not all(barenblatt_on_grid(run.grid, run.p, t0).values.any() for run in (spec, coarse)):
+        raise ValueError(f"config grid.bounds / grid.shape: the source solution at t0 = {t0:g} is 0 at every node "
+                         "of the grid or of the grid at half its resolution")
+    # the support about the origin must stay BOUNDARY_GUARD_CELLS coarse cells inside the box at t1
+    room = min(min(-lo, hi) for lo, hi in spec.grid.bounds)  # from the origin to the nearest face
     radius = barenblatt_support_radius(spec.grid.d, spec.p, t1)
-    if radius >= half_width - BOUNDARY_GUARD_CELLS * max(coarse.grid.h):
-        raise ValueError(f"support radius {radius:g} at t1 = {t1} does not fit the domain (half width {half_width:g})")
+    if radius >= room - BOUNDARY_GUARD_CELLS * max(coarse.grid.h):
+        raise ValueError(f"config experiment.t1 / grid.bounds: the support at t1, radius {radius:g} about the origin, "
+                         f"does not fit the domain {list(map(list, spec.grid.bounds))}")
     return exp, (spec, tg), (coarse, coarse_tg)
 
 

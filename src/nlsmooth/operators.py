@@ -45,7 +45,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -112,6 +112,11 @@ class Grid:
         """Node coordinates as a tuple of d flat arrays, one per axis."""
         mesh = np.meshgrid(*(self.axis_nodes(a) for a in range(self.d)), indexing="ij")
         return tuple(x.ravel() for x in mesh)
+
+    def distance(self, center=0.0):
+        """|x - center| at every node, center a number or a point; hypot cannot overflow, and is exact in 1-d."""
+        center = np.broadcast_to(np.asarray(center, dtype=float), (self.d,))
+        return reduce(np.hypot, (x - c for x, c in zip(self.coordinates(), center)), 0.0)
 
     def space(self):
         return DiscreteSpace(np.full(self.n_total, self.cell_volume))
@@ -617,7 +622,8 @@ def _barenblatt_radial(d, p, radius, t):
         raise ValueError(f"t must be positive, got {t}")
     lam, cp = barenblatt_constants(d, p)
     xi = radius * t ** (-1.0 / lam)
-    base = 1.0 + cp * xi ** (p / (p - 1.0))
+    with np.errstate(over="ignore"):  # the power is inf only far out, where the profile is 0 or underflows
+        base = 1.0 + cp * xi ** (p / (p - 1.0))
     core = np.maximum(base, 0.0) ** ((p - 1.0) / (p - 2.0))
     return t ** (-d / lam) * core
 
@@ -632,5 +638,4 @@ def barenblatt_support_radius(d, p, t):
 
 def barenblatt_on_grid(grid, p, t):
     """Profile sampled at the grid nodes as a GridFunction."""
-    radius = np.sqrt(sum(x * x for x in grid.coordinates()))
-    return GridFunction(grid.space(), _barenblatt_radial(grid.d, p, radius, t))
+    return GridFunction(grid.space(), _barenblatt_radial(grid.d, p, grid.distance(), t))

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import os
 import re
 import subprocess
@@ -666,16 +667,56 @@ def test_verify_all_refuses_a_configs_directory_it_cannot_run_whole(tmp_path, mo
     assert str(tmp_path / (name or "")) in err and message in err and "Traceback" not in err
 
 
+def _put(path, value):
+    """An edit of a config that sets the key at the dotted path to value."""
+    *sections, key = path.split(".")
+    return lambda cfg: functools.reduce(dict.__getitem__, sections, cfg).__setitem__(key, value)
+
+
 # (shipped file, an edit that makes it a bad config of the same suite, the key it names)
 _BAD_SHIPPED = [
     ("pme_m2.json", lambda cfg: cfg["grid"].update(shape=[2]), "grid.shape"),
     ("barenblatt.json", lambda cfg: cfg["operator"].update(p=2.0), "operator.p"),
     ("barenblatt.json", lambda cfg: cfg["time"].update(t_end=2.0), "time.t_end"),
     ("pme_m2.json", lambda cfg: cfg.update(perturbation={"kind": "tanh", "coeff": 0.3}), "perturbation.kind"),
+    # values that ended in a TypeError, an OverflowError or a numpy overflow warning
+    ("p3_d1.json", _put("phi.kind", ["identity"]), "config phi.kind must be a string"),
+    ("pme_m2.json", _put("perturbation.kind", {}), "config perturbation.kind must be a string"),
+    ("p3_d1.json", _put("experiment.initial.kind", ["bump"]), "config experiment.initial.kind must be a string"),
+    ("pme_m2.json", _put("experiment.predicted.theorem", ["doubly-nonlinear"]),
+     "config experiment.predicted.theorem must be a string"),
+    ("p3_d1.json", _put("experiment.predicted.d", math.inf), "experiment.predicted: d must be a positive integer"),
+    ("p3_d1.json", _put("experiment.predicted.d", 0), "experiment.predicted: d must be a positive integer"),
+    ("p3_d1.json", _put("experiment.initial.center", 1e300), "experiment.initial.center: the bump is 0"),
+    ("pme_m2.json", _put("grid.bounds", [[-20.0, 1e300]]), "experiment.initial.center: the bump is 0"),
+    # thresholds that a claim can never meet, or always meets
+    ("p3_d1.json", _put("experiment.tolerance", math.nan), "config experiment.tolerance must be positive and finite"),
+    ("pme_m2.json", _put("experiment.tolerance", math.inf), "config experiment.tolerance must be positive and finite"),
+    ("p3_d1.json", _put("experiment.r2_min", math.nan), "config experiment.r2_min must be at most 1"),
+    ("pme_m2.json", _put("experiment.r2_min", math.inf), "config experiment.r2_min must be at most 1"),
+    ("barenblatt.json", _put("experiment.rel_l1_max", math.nan), "config experiment.rel_l1_max must be positive"),
+    ("barenblatt.json", _put("experiment.rel_l1_max", math.inf), "config experiment.rel_l1_max must be positive"),
+    ("barenblatt.json", _put("experiment.refinement_min_ratio", math.nan),
+     "config experiment.refinement_min_ratio must be positive"),
+    ("barenblatt.json", _put("experiment.refinement_min_ratio", math.inf),
+     "config experiment.refinement_min_ratio must be positive"),
+    ("barenblatt.json", _put("experiment.t0", math.inf), "config experiment.t0 must be positive and finite"),
+    # values a report or a random draw cannot take
+    ("p3_d1.json", _put("experiment.name", 3), "config experiment.name must be a string"),
+    ("p3_d1.json", lambda cfg: cfg["experiment"].update(initial={"kind": "random"}, seed=-1),
+     "config experiment.seed must be at least 0"),
+    # a source solution that is 0 at every node, or whose support leaves the box
+    ("barenblatt.json", _put("grid.bounds", [[-6.0, 1e8]]), "config grid.bounds / grid.shape: the source solution"),
+    ("barenblatt.json", _put("grid.bounds", [[-6.0, 3.0]]), "config experiment.t1 / grid.bounds: the support"),
 ]
-_BAD_SHIPPED_IDS = ["decay-grid-shape", "barenblatt-p2", "barenblatt-t-end", "decay-perturbed"]
+_BAD_SHIPPED_IDS = ["decay-grid-shape", "barenblatt-p2", "barenblatt-t-end", "decay-perturbed", "phi-kind-list",
+                    "perturbation-kind-dict", "initial-kind-list", "theorem-list", "predicted-d-inf", "predicted-d-0",
+                    "center-far", "bounds-far", "tolerance-nan", "tolerance-inf", "r2-min-nan", "r2-min-inf",
+                    "rel-l1-max-nan", "rel-l1-max-inf", "refinement-nan", "refinement-inf", "t0-inf", "name-number",
+                    "seed-negative", "barenblatt-no-node", "barenblatt-off-centre"]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("shipped, edit, key", _BAD_SHIPPED, ids=_BAD_SHIPPED_IDS)
 def test_verify_all_checks_every_shipped_config_before_the_first_run(tmp_path, monkeypatch, capsys, shipped, edit, key):
     # a bad value in the last file is refused, naming the file and the key, before any suite runs
@@ -683,7 +724,7 @@ def test_verify_all_checks_every_shipped_config_before_the_first_run(tmp_path, m
         (tmp_path / path.name).write_text(path.read_text())
     bad = load_config(CONFIG_DIR / shipped)
     edit(bad)
-    (tmp_path / "zz_bad.json").write_text(json.dumps(_jsonable(bad)))
+    (tmp_path / "zz_bad.json").write_text(json.dumps(bad))  # NaN and Infinity as JSON reads them
     monkeypatch.setattr(harness, "CONFIGS", tmp_path)
     _suites_must_not_run(monkeypatch)
     code, out, err = run_cli(capsys, ["verify", "all"])
@@ -692,17 +733,29 @@ def test_verify_all_checks_every_shipped_config_before_the_first_run(tmp_path, m
     assert "running suite:" not in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("shipped, edit, key", _BAD_SHIPPED, ids=_BAD_SHIPPED_IDS)
 def test_verify_one_suite_checks_its_config_before_the_first_run(tmp_path, monkeypatch, capsys, shipped, edit, key):
     bad = load_config(CONFIG_DIR / shipped)
     edit(bad)
     bad_path = tmp_path / "bad.json"
-    bad_path.write_text(json.dumps(_jsonable(bad)))
+    bad_path.write_text(json.dumps(bad))
     _suites_must_not_run(monkeypatch)
     suite = "barenblatt" if shipped == "barenblatt.json" else "decay"
     code, out, err = run_cli(capsys, ["verify", suite, "--config", str(bad_path)])
     assert code == 2 and out == ""
     assert str(bad_path) in err and key in err
+    assert "running suite:" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("suite", ["decay", "all"])
+def test_a_tolerance_that_no_fit_can_meet_or_miss_exits_2_naming_the_flag(monkeypatch, capsys, suite, tol):
+    # --tol stands for experiment.tolerance, and passes its rule before any suite runs
+    _suites_must_not_run(monkeypatch)
+    code, out, err = run_cli(capsys, ["verify", suite, "--tol", tol])
+    assert code == 2 and out == ""
+    assert "--tol must be positive and finite" in err
     assert "running suite:" not in err and "Traceback" not in err
 
 

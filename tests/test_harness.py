@@ -257,6 +257,43 @@ def test_spec_from_config_rejects_unknown_kinds():
         spec_from_config(bad_pert)
 
 
+# every leaf of a shipped config is replaced by each of these in turn
+_FUZZ_VALUES = [0, -1, 1e-300, 1e300, math.nan, math.inf, 0.5, 1, 2, 3, 1e-8, 1e8, True, "x", None, [], {}, [1.0],
+                [[0, 1]]]
+
+
+def _leaves(obj, path=()):
+    """The path (keys and list indices) of every leaf of a config."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else None
+    if items is None:
+        yield path
+    for key, value in items or ():
+        yield from _leaves(value, path + (key,))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shipped", ["p3_d1.json", "pme_m2.json", "barenblatt.json"])
+def test_every_value_of_a_shipped_config_is_admitted_or_refused_naming_a_key(shipped):
+    # a bad value ends in a ValueError that names a key path of the config: never another
+    # exception, a warning or a message that says nothing of where the value sits
+    base = harness.load_config(harness.CONFIGS / shipped)
+    suite = "barenblatt" if "t1" in base["experiment"] else "decay"
+    paths = {".".join(map(str, path[:n])) for path in _leaves(base) for n in range(2, len(path) + 1)}
+    for path in _leaves(base):
+        for value in _FUZZ_VALUES:
+            cfg = json.loads(json.dumps(base))
+            parent = cfg
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = json.loads(json.dumps(value))
+            try:
+                inputs, refusals = harness.suite_inputs(suite, config=cfg)
+            except ValueError as exc:
+                assert any(p in str(exc) for p in paths), (path, value, str(exc))
+            else:
+                assert inputs == {"config": cfg} and not refusals, (path, value)
+
+
 # ---------------------------------------------------------------------------
 # initial conditions
 # ---------------------------------------------------------------------------
@@ -369,6 +406,15 @@ def test_exponents_query_strips_none_values():
     assert exponents_from_query(full) == exponents_from_query(lean)
 
 
+def test_a_theorem_refusal_names_the_query_path_only_when_given_one():
+    for d in (0, math.inf, math.nan):  # the last two used to escape as OverflowError and a bare int() error
+        with pytest.raises(ValueError, match=re.escape(f"d must be a positive integer, got {d}")) as bare:
+            exponents_from_query({"theorem": "plaplace", "d": d, "p": 3.0})
+        assert not str(bare.value).startswith("experiment")
+        with pytest.raises(ValueError, match=re.escape(f"experiment.predicted: d must be a positive integer, got {d}")):
+            predicted_alpha({"theorem": "plaplace", "d": d, "p": 3.0})
+
+
 def test_predicted_alpha_sources():
     assert predicted_alpha({"value": 0.3}) == 0.3
     assert predicted_alpha({"theorem": "plaplace", "d": 1, "p": 3.0, "s": 1.0}) == pytest.approx(0.25)
@@ -465,6 +511,14 @@ def test_decay_experiment_reads_only_a_recorded_norm(monkeypatch):
         cfg["experiment"]["norm"] = norm
         q.append(harness.decay_setup(cfg)[5])
     assert q == [1.0, 2.0, INF]
+
+
+def test_a_null_initial_recipe_is_the_default_bump():
+    # as for an absent phi or perturbation section, null reads as the default kind
+    cfg = _smoke_decay_config()
+    cfg["experiment"]["initial"] = None
+    u0 = harness.decay_setup(cfg)[2]
+    assert np.array_equal(u0.values, initial_condition({}, spec_from_config(cfg).grid).values)
 
 
 def test_decay_setup_reads_experiment_seed_only_for_a_random_recipe(monkeypatch):

@@ -491,6 +491,21 @@ def test_barenblatt_on_grid_samples_the_profile_in_any_dimension():
         np.testing.assert_allclose(barenblatt_on_grid(grid, 3.0, 1.5).values, expected, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_grid_distance_is_the_1d_distance_bit_for_bit_and_does_not_overflow():
+    # in 1-d the shipped initial states keep their bits; near the float range no square overflows
+    for grid, center in ((Grid(bounds=((-20.0, 20.0),), shape=(2001,)), 0.0),
+                         (Grid(bounds=((-6.0, 6.0),), shape=(1001,)), 0.3)):
+        x = grid.coordinates()[0]
+        assert np.array_equal(grid.distance(center), np.sqrt((x - center) ** 2))
+    far = Grid(bounds=((-1e300, 1e300), (-1e300, 1e300)), shape=(5, 5))
+    x, y = far.coordinates()
+    np.testing.assert_allclose(far.distance([1e300, 0.0]), np.hypot(x - 1e300, y), rtol=0.0, atol=0.0)
+    wide = Grid(bounds=((-1e300, 1e300),), shape=(5,))
+    # at t = 1 the profile is 1 at the origin, and every other node lies far outside its support
+    assert np.array_equal(barenblatt_on_grid(wide, 3.0, 1.0).values, [0.0, 0.0, 1.0, 0.0, 0.0])
+
+
 def test_barenblatt_validation():
     with pytest.raises(ValueError):
         barenblatt_profile(1, 2.0, 0.0, 1.0)
