@@ -65,6 +65,12 @@ def _check_out(path):
         raise ValueError(f"--out {path!r}: directory {str(out.parent)!r} does not exist")
 
 
+def _check_seed(seed):
+    """Refuse a --seed that no random draw takes, before any work starts."""
+    if seed is not None:  # it stands for experiment.seed, so it passes the same rule
+        harness._check("experiment.seed", seed, "--seed")
+
+
 def _star_jsonable(star):
     return None if star is None else {k: v for k, v in dataclasses.asdict(star).items() if k != "conditions"}
 
@@ -130,6 +136,7 @@ def _cmd_simulate(args):
         print("error: simulate needs --config and --out", file=sys.stderr)
         return 2
     _check_out(args.out)
+    _check_seed(args.seed)
     config = harness.load_config(args.config)
     spec, tg, u0, _, _, _ = harness.decay_setup(config, seed=args.seed)
     traj = evolve(spec, u0, tg)
@@ -138,7 +145,7 @@ def _cmd_simulate(args):
         {
             "config_hash": harness.config_hash(config),
             "t_end": tg.t_end,
-            "n_steps": tg.n_steps,
+            "n_steps": len(traj.times) - 1,
             "out": str(args.out),
             "final_norms": {name.removeprefix("norm_"): getattr(traj, name)[-1] for name in RECORDED_NORMS.values()},
         }
@@ -162,6 +169,7 @@ def _cmd_verify(args):
         _check_out(args.out)
     if args.tol is not None:  # it stands for experiment.tolerance, so it passes the same rule
         harness._check("experiment.tolerance", args.tol, "--tol")
+    _check_seed(args.seed)
     given = {"config": harness.load_config(args.config) if args.config else None, "seed": args.seed, "tol": args.tol}
     routed = _routes([name for name in harness.SUITES if args.suite in ("all", name)], args.config, **given)
     for key in (k for k, v in given.items() if v is not None):  # an input that no suite reads is refused

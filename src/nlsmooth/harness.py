@@ -38,7 +38,7 @@ from .operators import (
     tanh_perturbation,
 )
 from .resolvent import solve_resolvent_batch
-from .semigroup import RECORDED_NORMS, TimeGrid, _is_real, evolve
+from .semigroup import RECORDED_NORMS, TimeGrid, _is_real, evolve, gradient_flow
 
 BOUNDARY_GUARD_CELLS = 5
 MASS_GUARD = 1e-6  # share of ||u0||_1 that may leave through the boundary inside a fit window
@@ -144,7 +144,7 @@ _SCHEMA = {
     "grid.shape": ("integers", lambda s: isinstance(s, list) and s and all(map(_is_real, s)),
                    "a list of integers, one per axis"),
     "experiment.initial.center": ("numbers",),
-    "experiment.initial.amplitude": ("number", lambda a: a != 0.0, "nonzero"),
+    "experiment.initial.amplitude": ("number", lambda a: a != 0.0 and math.isfinite(a), "nonzero and finite"),
     "experiment.initial.n_modes": ("integer", lambda n: n >= 1, "at least 1"),
     "experiment.initial.normalize": (None, lambda v: v == "l1", "'l1'"),
     "experiment.seed": ("integer", lambda n: n >= 0, "at least 0"),
@@ -258,9 +258,10 @@ def spec_from_config(config):
 
 
 def time_grid_from_config(config):
-    """The TimeGrid of the time section: t_end, n_steps and the optional
-    geometric first step t_first. A ValueError names the bad key."""
-    t = _section(config, "time", ("t_end", "n_steps"), ("t_first",))
+    """The TimeGrid of the time section: t_end and either n_steps uniform
+    steps or the step controller's tol and first step t_first. A ValueError
+    names the bad key."""
+    t = _section(config, "time", ("t_end",), ("n_steps", "t_first", "tol"))
     try:
         return TimeGrid(**t)
     except ValueError as exc:  # TimeGrid names the field
@@ -495,12 +496,18 @@ def decay_setup(config, seed=None):
     """Check every value of a decay config and build the state its flow starts from.
 
     Returns (spec, time grid, u0, experiment section, predicted alpha, the q
-    of the fitted norm). A ValueError names the bad key before any step runs.
+    of the fitted norm). A ValueError names the bad key before any step runs,
+    time.tol too where the flow is none whose time error the controller bounds.
     seed overrides experiment.seed; either is refused unless the
     experiment.initial recipe is random, the only one that reads a seed.
     """
     spec = spec_from_config(config)
     tg = time_grid_from_config(config)
+    if tg.tol is not None:
+        try:
+            gradient_flow(spec, None)
+        except ValueError as exc:
+            raise ValueError(f"config time.tol: the step controller {exc}") from None
     exp = _section(config, "experiment", *_DECAY_KEYS)
     alpha_pred = predicted_alpha(exp["predicted"])
     u0 = initial_condition(exp["initial"], spec.grid, seed=exp.get("seed", 0) if seed is None else seed)
@@ -525,7 +532,9 @@ def run_decay_experiment(config, tol=None):
 
     Passes when the fitted exponent is within the configured relative
     tolerance of the prediction and the log-log fit is tight (r2 >= r2_min).
-    The config must pass _decay_check, so the flow has f = 0.
+    The config must pass _decay_check, so the flow has f = 0. The report
+    carries the certified time-error bound of the Euler chain, None where the
+    flow has no estimator (see semigroup.gradient_flow).
     """
     spec, tg, u0, exp, alpha_pred, norm_q = _decay_check(config)
     traj = evolve(spec, u0, tg)
@@ -546,6 +555,9 @@ def run_decay_experiment(config, tol=None):
         "tolerance": tolerance,
         "mass_initial": float(traj.mass[0]),
         "mass_final": float(traj.mass[-1]),
+        "n_steps": len(traj.times) - 1,
+        "steps_rejected": traj.rejected,
+        "time_error_bound": traj.time_error_bound,
         **info,
     }
     return Report(exp.get("name", "decay"), passed, metrics, config_hash(config))
@@ -568,6 +580,7 @@ def _barenblatt_setup(config):
          "it solves the unperturbed flow, perturbation none"),
         ("grid.shape", list(spec.grid.shape), spec.grid.d > 1,
          "in d >= 2 the operator is orthotropic and the error does not converge; use one axis"),
+        ("time.tol", tg.tol, tg.tol is not None, "its refinement run halves time.n_steps, which tol leaves unread"),
     )
     for key, value, refused, why in refusals:
         if refused:
@@ -575,11 +588,7 @@ def _barenblatt_setup(config):
     # halving both resolutions must give a run the config could describe
     coarse_shape = tuple(max(3, (s + 1) // 2) for s in spec.grid.shape)
     coarse = replace(spec, grid=Grid(bounds=spec.grid.bounds, shape=coarse_shape))
-    try:
-        coarse_tg = replace(tg, n_steps=max(1, tg.n_steps // 2))
-    except ValueError:
-        raise ValueError(f"config time.n_steps = {tg.n_steps} halves to {tg.n_steps // 2} steps for the refinement "
-                         "run, fewer than the 2 a time grid graded from time.t_first needs") from None
+    coarse_tg = replace(tg, n_steps=max(1, tg.n_steps // 2))
     # the relative errors divide by the profile at t1, whose support holds that at t0
     if not all(barenblatt_on_grid(run.grid, run.p, t0).values.any() for run in (spec, coarse)):
         raise ValueError(f"config grid.bounds / grid.shape: the source solution at t0 = {t0:g} is 0 at every node "

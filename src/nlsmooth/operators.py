@@ -79,6 +79,8 @@ class Grid:
                 raise ValueError(f"invalid axis bounds ({lo}, {hi})")
             if n < 3:
                 raise ValueError(f"need at least 3 nodes per axis, got {n}")
+        if not 0.0 < self.cell_volume < math.inf:  # a product of spacings can overflow or underflow
+            raise ValueError(f"invalid axis bounds {list(map(list, bounds))}: the cell volume is {self.cell_volume!r}")
 
     @property
     def d(self):
@@ -544,15 +546,17 @@ class DiscreteOperator:
         return self.spec.perturbation.derivative(self._nodes, u)
 
 
-def energy(spec, u):
+def energy(spec, u, op=None):
     """Convex energy of the diffusion part at the raw argument u.
 
     (1/p) sum_e vol (g_e^2 + eps^2)^{p/2} over active edges, plus the robin
     term (b/p) sum over boundary nodes of |u|^{p-2} u * u weighted by the
     boundary measure. phi is not applied: for doubly nonlinear operators
-    this is the energy of the diffusion in its own variable.
+    this is the energy of the diffusion in its own variable. op, if given,
+    is the operator of spec, which is otherwise built for the call.
     """
-    op = DiscreteOperator(spec)
+    if op is None:
+        op = DiscreteOperator(spec)
     v = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
     p, eps = spec.p, spec.eps_reg
     total = op.gradient_pnorm(v, p, eps) / p

@@ -180,6 +180,11 @@ def test_simulate_writes_csv_and_summary(tmp_path, capsys):
     assert payload["final_norms"]["l1"] <= 1.0 + 1e-9  # contraction from unit mass
 
 
+def _controlled(cfg, **time):
+    """cfg on the step controller from t_first = 1e-3 at tol = 1e-3, over its t_end; time overrides."""
+    cfg["time"] = {"t_end": cfg["time"]["t_end"], "t_first": 1e-3, "tol": 1e-3, **time}
+
+
 def _misspell(section, old, new):
     section[new] = section.pop(old)
 
@@ -485,16 +490,18 @@ def test_a_bad_experiment_key_exits_2_naming_it(tmp_path, monkeypatch, capsys, s
         (lambda cfg: cfg["time"].update(n_steps=True), "config time.n_steps must be an integer >= 1, got True"),
         (lambda cfg: cfg["time"].update(t_end="50"), "config time.t_end must be a positive finite number, got '50'"),
         (lambda cfg: cfg["time"].update(t_end=True), "config time.t_end must be a positive finite number, got True"),
-        (lambda cfg: cfg["time"].update(t_first=60),
+        (lambda cfg: _controlled(cfg, t_first=60),
          "config time.t_first must be a finite number with 0 < t_first < t_end = 4, got 60"),
-        (lambda cfg: cfg["time"].update(t_first=0),
+        (lambda cfg: _controlled(cfg, t_first=0),
          "config time.t_first must be a finite number with 0 < t_first < t_end = 4, got 0"),
-        (lambda cfg: cfg["time"].update(t_first="inf"),
+        (lambda cfg: _controlled(cfg, t_first="inf"),
          "config time.t_first must be a finite number with 0 < t_first < t_end = 4, got inf"),
-        (lambda cfg: cfg["time"].update(t_first="1e-3"),
+        (lambda cfg: _controlled(cfg, t_first="1e-3"),
          "config time.t_first must be a finite number with 0 < t_first < t_end = 4, got '1e-3'"),
-        (lambda cfg: cfg["time"].update(t_first=1e-3, n_steps=1),
-         "config time.n_steps must be >= 2 on a grid graded from t_first, got 1"),
+        (lambda cfg: cfg["time"].update(t_first=1e-3),
+         "config time.t_first is read only with tol, the step controller's tolerance"),
+        (lambda cfg: cfg["time"].update(t_first=1e-3, tol=1e-3),
+         "config time.n_steps is not read with tol, whose controller picks the steps, got 160"),
         (lambda cfg: cfg.update(phi={"kind": "power"}), "config lacks phi.m"),
         (lambda cfg: cfg.update(phi={"kind": "identity", "m": 2.0}), "config has unknown key phi.m"),
         (lambda cfg: cfg.update(perturbation={"kind": "linear"}), "config lacks perturbation.coeff"),
@@ -503,6 +510,9 @@ def test_a_bad_experiment_key_exits_2_naming_it(tmp_path, monkeypatch, capsys, s
         # a value the constructors refuse is named by its key
         (lambda cfg: cfg["grid"].update(shape=[2]), "config grid.shape: need at least 3 nodes per axis, got 2"),
         (lambda cfg: cfg["grid"].update(bounds=[[8.0, -8.0]]), "config grid.bounds: invalid axis bounds (8.0, -8.0)"),
+        # finite bounds whose cell volume overflows
+        (lambda cfg: cfg["grid"].update(bounds=[[-1e200, 1e200], [-1e200, 1e200]], shape=[5, 5]),
+         "config grid.bounds: invalid axis bounds [[-1e+200, 1e+200], [-1e+200, 1e+200]]: the cell volume is inf"),
         (lambda cfg: cfg["operator"].update(p=1.0), "config operator.p: p must satisfy 1 < p < inf, got 1.0"),
         (lambda cfg: cfg["operator"].update(eps_reg="inf"),
          "config operator.eps_reg: eps_reg must be >= 0 and finite, got inf"),
@@ -519,6 +529,8 @@ def test_a_bad_experiment_key_exits_2_naming_it(tmp_path, monkeypatch, capsys, s
     ],
 )
 def test_a_bad_config_section_exits_2_naming_the_key(tmp_path, monkeypatch, capsys, argv, edit, message):
+    for module in ("nlsmooth.cli", "nlsmooth.harness"):
+        monkeypatch.setattr(f"{module}.evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
     monkeypatch.chdir(tmp_path)
     cfg = _smoke_config()
     edit(cfg)
@@ -539,7 +551,9 @@ def test_a_bad_config_section_exits_2_naming_the_key(tmp_path, monkeypatch, caps
         ({"width": "inf"}, "config experiment.initial.width must be positive and finite, got inf"),
         ({"center": [0.0, 0.0]},
          "config experiment.initial.center must be a number or a list of d = 1 numbers, got [0.0, 0.0]"),
-        ({"amplitude": 0.0}, "config experiment.initial.amplitude must be nonzero, got 0.0"),
+        ({"amplitude": 0.0}, "config experiment.initial.amplitude must be nonzero and finite, got 0.0"),
+        ({"amplitude": "inf"}, "config experiment.initial.amplitude must be nonzero and finite, got inf"),
+        ({"amplitude": "-inf"}, "config experiment.initial.amplitude must be nonzero and finite, got -inf"),
         ({"kind": "barenblatt", "p": 3.0, "t0": 0.0}, "config experiment.initial.t0 must be positive and finite, got 0.0"),
         ({"kind": "barenblatt", "p": 3.0, "t0": -1.0}, "config experiment.initial.t0 must be positive and finite, got -1.0"),
         ({"kind": "barenblatt", "p": 2.0}, "config experiment.initial.p must be > 1 and not 2, got 2.0"),
@@ -549,7 +563,8 @@ def test_a_bad_config_section_exits_2_naming_the_key(tmp_path, monkeypatch, caps
         ({"center": 100}, "config experiment.initial.width / experiment.initial.center: the bump is 0"),
         ({"kind": "bump", "center": 100}, "config experiment.initial.width / experiment.initial.center: the bump is 0"),
     ],
-    ids=["width-negative", "width-zero", "width-inf", "center-2d", "amplitude-zero", "t0-zero", "t0-negative", "p2",
+    ids=["width-negative", "width-zero", "width-inf", "center-2d", "amplitude-zero", "amplitude-inf",
+         "amplitude-minus-inf", "t0-zero", "t0-negative", "p2",
          "no-modes", "between-nodes", "off-grid", "off-grid-unnormalized"],
 )
 def test_a_bad_initial_value_exits_2_naming_the_key(tmp_path, monkeypatch, capsys, argv, initial, message):
@@ -708,12 +723,20 @@ _BAD_SHIPPED = [
     # a source solution that is 0 at every node, or whose support leaves the box
     ("barenblatt.json", _put("grid.bounds", [[-6.0, 1e8]]), "config grid.bounds / grid.shape: the source solution"),
     ("barenblatt.json", _put("grid.bounds", [[-6.0, 3.0]]), "config experiment.t1 / grid.bounds: the support"),
+    # a bump of no finite height, and a controller tolerance that no indicator can be held to
+    ("p3_d1.json", _put("experiment.initial.amplitude", math.nan),
+     "config experiment.initial.amplitude must be nonzero and finite, got nan"),
+    ("pme_m2.json", _put("experiment.initial.amplitude", math.inf),
+     "config experiment.initial.amplitude must be nonzero and finite, got inf"),
+    ("p3_d1.json", _put("time.tol", math.nan), "config time.tol must be a number with 0 < tol < 1, got nan"),
+    ("pme_m2.json", _put("time.tol", 1.0), "config time.tol must be a number with 0 < tol < 1, got 1.0"),
 ]
 _BAD_SHIPPED_IDS = ["decay-grid-shape", "barenblatt-p2", "barenblatt-t-end", "decay-perturbed", "phi-kind-list",
                     "perturbation-kind-dict", "initial-kind-list", "theorem-list", "predicted-d-inf", "predicted-d-0",
                     "center-far", "bounds-far", "tolerance-nan", "tolerance-inf", "r2-min-nan", "r2-min-inf",
                     "rel-l1-max-nan", "rel-l1-max-inf", "refinement-nan", "refinement-inf", "t0-inf", "name-number",
-                    "seed-negative", "barenblatt-no-node", "barenblatt-off-centre"]
+                    "seed-negative", "barenblatt-no-node", "barenblatt-off-centre", "amplitude-nan", "amplitude-inf",
+                    "tol-nan", "tol-one"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -759,14 +782,75 @@ def test_a_tolerance_that_no_fit_can_meet_or_miss_exits_2_naming_the_flag(monkey
     assert "running suite:" not in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("fname, rel_err_max", [("p3_d1.json", 1e-3), ("pme_m2.json", 5e-3)])
-def test_shipped_decay_configs_fit_from_at_most_250_graded_steps(fname, rel_err_max):
+@pytest.mark.parametrize("fname, max_steps, rel_err_max", [("p3_d1.json", 130, 8.3e-4), ("pme_m2.json", 100, 3.3e-3)])
+def test_shipped_decay_configs_fit_from_few_controlled_steps(fname, max_steps, rel_err_max):
     cfg = load_config(CONFIG_DIR / fname)
-    assert cfg["time"]["n_steps"] <= 250 and "t_first" in cfg["time"]
+    assert "n_steps" not in cfg["time"] and {"t_first", "tol"} <= set(cfg["time"])
     rep = harness.run_decay_experiment(cfg)
     m = rep.metrics
-    assert rep.passed and m["rel_err"] <= rel_err_max and m["r2"] >= 0.99999
+    assert rep.passed and m["n_steps"] <= max_steps and m["rel_err"] <= rel_err_max and m["r2"] >= 0.99999
     assert m["window_used"] == m["window_requested"] == [0.5, 50.0]
+    assert 0.0 < m["time_error_bound"] < math.inf
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda cfg: _controlled(cfg, tol=0), "config time.tol must be a number with 0 < tol < 1, got 0"),
+        (lambda cfg: _controlled(cfg, tol=1), "config time.tol must be a number with 0 < tol < 1, got 1"),
+        (lambda cfg: _controlled(cfg, tol="1e-3"), "config time.tol must be a number with 0 < tol < 1, got '1e-3'"),
+        (lambda cfg: cfg.update(time={"t_end": 4.0, "tol": 1e-3}),
+         "config time.tol needs t_first, the end of the controller's first step"),
+        (lambda cfg: (_controlled(cfg), cfg.update(perturbation={"kind": "tanh", "coeff": 0.3})),
+         "config time.tol: the step controller needs perturbation.kind 'none'"),
+        (lambda cfg: (_controlled(cfg), cfg.update(phi={"kind": "power", "m": 2.0})),
+         "config time.tol: the step controller needs operator.p = 2, operator.bc 'dirichlet' and one grid axis "
+         "with a power phi, which is a gradient flow in H^-1 only then; got p = 3, bc 'dirichlet', d = 1"),
+        (lambda cfg: (_controlled(cfg), cfg.update(phi={"kind": "power", "m": 2.0}),
+                      cfg["operator"].update(p=2.0, bc="neumann")),
+         "config time.tol: the step controller needs operator.p = 2, operator.bc 'dirichlet' and one grid axis "
+         "with a power phi, which is a gradient flow in H^-1 only then; got p = 2, bc 'neumann', d = 1"),
+        (lambda cfg: (_controlled(cfg), cfg.update(phi={"kind": "power", "m": 2.0}), cfg["operator"].update(p=2.0),
+                      cfg["grid"].update(bounds=[[-8.0, 8.0], [-8.0, 8.0]], shape=[9, 9]),
+                      cfg["experiment"]["predicted"].update(d=2)),
+         "config time.tol: the step controller needs operator.p = 2, operator.bc 'dirichlet' and one grid axis "
+         "with a power phi, which is a gradient flow in H^-1 only then; got p = 2, bc 'dirichlet', d = 2"),
+    ],
+    ids=["tol-zero", "tol-one", "tol-string", "no-t-first", "perturbed", "power-p3", "power-neumann",
+         "power-2d"],
+)
+@pytest.mark.parametrize("argv", [["simulate", "--out", "unused.csv"], ["verify", "decay"]])
+def test_a_controller_that_cannot_certify_its_flow_exits_2_naming_time_tol(tmp_path, monkeypatch, capsys, argv,
+                                                                           edit, message):
+    # a controller whose estimator would bound nothing is refused before any flow runs
+    monkeypatch.chdir(tmp_path)
+    for module in ("nlsmooth.cli", "nlsmooth.harness"):
+        monkeypatch.setattr(f"{module}.evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
+    cfg = _smoke_config()
+    edit(cfg)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_jsonable(cfg)))
+    code, out, err = run_cli(capsys, argv + ["--config", str(cfg_path)])
+    assert code == 2 and out == ""
+    assert message in err and "running suite:" not in err and "Traceback" not in err
+    assert not (tmp_path / "unused.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["verify", "order"], ["verify", "all"], ["simulate", "--out", "unused.csv"]])
+def test_a_negative_seed_exits_2_naming_the_flag_before_any_run(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    _suites_must_not_run(monkeypatch)
+    monkeypatch.setattr("nlsmooth.cli.evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
+    if argv[0] == "simulate":  # a random recipe, the only one that reads a seed
+        cfg = _smoke_config()
+        cfg["experiment"]["initial"] = {"kind": "random", "n_modes": 2}
+        (tmp_path / "random.json").write_text(json.dumps(_jsonable(cfg)))
+        argv = argv + ["--config", "random.json"]
+    code, out, err = run_cli(capsys, argv + ["--seed", "-1"])
+    assert code == 2 and out == ""
+    assert "--seed must be at least 0, got -1" in err
+    assert "running suite:" not in err and "Traceback" not in err
+    assert not (tmp_path / "unused.csv").exists()
 
 
 def test_cli_stdout_is_byte_identical_across_runs():

@@ -594,9 +594,8 @@ def test_barenblatt_comparison_runs_on_the_configured_time_grid(monkeypatch):
 
     monkeypatch.setattr(harness, "evolve", record)
     cfg = harness.load_config(harness.CONFIGS / "barenblatt.json")
-    cfg["time"]["t_first"] = 1e-3
     harness.barenblatt_comparison(cfg)
-    assert grids == [semigroup.TimeGrid(1.0, 400, t_first=1e-3), semigroup.TimeGrid(1.0, 200, t_first=1e-3)]
+    assert grids == [semigroup.TimeGrid(1.0, 400), semigroup.TimeGrid(1.0, 200)]
 
 
 @pytest.mark.parametrize(
@@ -607,9 +606,9 @@ def test_barenblatt_comparison_runs_on_the_configured_time_grid(monkeypatch):
         ("phi", {"kind": "power", "m": 2.0}, r"phi\.kind = 'power'"),
         ("perturbation", {"kind": "tanh", "coeff": 0.1}, r"perturbation\.kind = 'tanh'"),
         ("grid", {"bounds": [[-6.0, 6.0], [-6.0, 6.0]], "shape": [41, 41]}, r"grid\.shape = \[41, 41\]"),
-        ("time", {"t_end": 1.0, "n_steps": 3, "t_first": 1e-3}, r"time\.n_steps = 3 halves to 1"),
+        ("time", {"t_end": 1.0, "t_first": 1e-3, "tol": 1e-3}, r"time\.tol = 0\.001"),
     ],
-    ids=["p2", "p1.5", "phi", "perturbation", "2d", "coarse-steps"],
+    ids=["p2", "p1.5", "phi", "perturbation", "2d", "controller"],
 )
 def test_barenblatt_comparison_refuses_what_it_cannot_compare(monkeypatch, path, value, key):
     monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))

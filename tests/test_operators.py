@@ -498,7 +498,7 @@ def test_grid_distance_is_the_1d_distance_bit_for_bit_and_does_not_overflow():
                          (Grid(bounds=((-6.0, 6.0),), shape=(1001,)), 0.3)):
         x = grid.coordinates()[0]
         assert np.array_equal(grid.distance(center), np.sqrt((x - center) ** 2))
-    far = Grid(bounds=((-1e300, 1e300), (-1e300, 1e300)), shape=(5, 5))
+    far = Grid(bounds=((-1e300, 1e300), (-1.0, 1.0)), shape=(5, 5))  # a finite cell volume
     x, y = far.coordinates()
     np.testing.assert_allclose(far.distance([1e300, 0.0]), np.hypot(x - 1e300, y), rtol=0.0, atol=0.0)
     wide = Grid(bounds=((-1e300, 1e300),), shape=(5,))

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_banded
 
 import nlsmooth.resolvent as resolvent
+import nlsmooth.semigroup as semigroup
 from nlsmooth.harness import random_smooth_field, smooth_bump
 from nlsmooth.measure import GridFunction, lq_norm, lq_norm_rows
 from nlsmooth.operators import (
@@ -560,14 +561,15 @@ def test_a_row_whose_direction_is_not_finite_tries_t_1_only(monkeypatch, scale):
 @pytest.mark.parametrize("flow", ["p3", "porous-medium"])
 def test_face_gradients_are_computed_once_per_residual_and_never_for_a_jacobian(monkeypatch, flow):
     # the Newton step builds its Jacobian from the state that the residual
-    # evaluation of its iterate returned, instead of differencing phi(u) again
+    # evaluation of its iterate returned, instead of differencing phi(u) again;
+    # outside the solves, the time-error estimator differences each state once, for its energy
     grid = Grid(bounds=((-20.0, 20.0),), shape=(801,))
     spec = (OperatorSpec(grid=grid, p=3.0) if flow == "p3"
             else OperatorSpec(grid=grid, p=2.0, phi=PhiSpec.power(2.0)))
-    counts = dict(gradients=0, residuals=0, jacobians=0, gradients_in_jacobians=0)
+    counts = dict(gradients=0, residuals=0, jacobians=0, gradients_in_jacobians=0, energies=0)
     in_jacobian = []
-    gradients, jacobian, residual = (DiscreteOperator._gradients, DiscreteOperator.diffusion_jacobian,
-                                     resolvent._residual)
+    gradients, jacobian, residual, energy = (DiscreteOperator._gradients, DiscreteOperator.diffusion_jacobian,
+                                             resolvent._residual, semigroup.energy)
 
     def counting_gradients(self, W):
         counts["gradients"] += 1
@@ -586,9 +588,15 @@ def test_face_gradients_are_computed_once_per_residual_and_never_for_a_jacobian(
         counts["residuals"] += 1
         return residual(*args)
 
+    def counting_energy(*args):
+        counts["energies"] += 1
+        return energy(*args)
+
     monkeypatch.setattr(DiscreteOperator, "_gradients", counting_gradients)
     monkeypatch.setattr(DiscreteOperator, "diffusion_jacobian", counting_jacobian)
     monkeypatch.setattr(resolvent, "_residual", counting_residual)
-    evolve(spec, smooth_bump(grid, width=0.5), TimeGrid(t_end=1.0, n_steps=20, t_first=1e-3))
+    monkeypatch.setattr(semigroup, "energy", counting_energy)
+    evolve(spec, smooth_bump(grid, width=0.5), TimeGrid(t_end=1.0, n_steps=20))
     assert counts["jacobians"] >= 20 and counts["gradients_in_jacobians"] == 0
-    assert counts["gradients"] == counts["residuals"] > counts["jacobians"]
+    assert counts["energies"] == (21 if flow == "p3" else 0)  # u0 and the state of each step
+    assert counts["gradients"] == counts["residuals"] + counts["energies"] > counts["jacobians"]

@@ -21,11 +21,13 @@ from nlsmooth.operators import (
     tanh_perturbation,
 )
 from nlsmooth.resolvent import NonConvergenceError, solve_resolvent
+import nlsmooth.semigroup as semigroup
 from nlsmooth.semigroup import (
     COLUMNS,
     EVOLVE_TOL,
     TimeGrid,
     evolve,
+    gradient_flow,
     trajectory_to_csv,
 )
 
@@ -61,26 +63,22 @@ def test_uniform_steps_are_bitwise_the_one_step(t_end, n_steps):
     assert math.fsum(steps) == pytest.approx(t_end, rel=1e-14)
 
 
-@pytest.mark.parametrize("t_end, n_steps, t_first",
-                         [(50.0, 250, 1e-3), (50.0, 125, 1e-3), (1.0, 3, 0.3), (7.3, 40, 1e-6)])
-def test_graded_time_grid(t_end, n_steps, t_first):
-    tg = TimeGrid(t_end, n_steps, t_first=t_first)
-    t = tg.times()
-    assert t.shape == (n_steps + 1,)
-    assert t[0] == 0.0 and t[1] == t_first and t[-1] == t_end
+@pytest.mark.parametrize("phi, p", [(PhiSpec.identity(), 3.0), (PhiSpec.power(2.0), 2.0)], ids=["l2", "h-1"])
+@pytest.mark.parametrize("t_end", [0.3, 1.0 / 3.0, 7.3])
+def test_the_last_controlled_step_ends_exactly_at_t_end(phi, p, t_end):
+    spec = _spec(p=p, phi=phi)
+    tg = TimeGrid(t_end, t_first=1e-3, tol=1e-3)
+    traj = evolve(spec, _bump(spec), tg)
+    t = traj.times
+    assert t[0] == 0.0 and t[1] <= 1e-3 and t[-1] == t_end
     assert np.all(np.diff(t) > 0.0)
-    steps = tg.steps()
-    assert np.array_equal(steps, np.diff(t))
-    ratios = steps[2:] / steps[1:-1]  # geometric after the first step
-    assert np.allclose(ratios, (t_end / t_first) ** (1.0 / (n_steps - 1)), rtol=1e-9)
-    # each time after t_first is at most twice the one before, so every difference of
-    # times is exact (Sterbenz) and the steps sum to t_end without roundoff
-    assert ratios[0] <= 2.0 and math.fsum(steps) == t_end
-    with pytest.raises(ValueError, match="no single step size"):
-        tg.dt
+    assert traj.eta.shape == (t.size - 1,) and traj.table.shape == (t.size, len(COLUMNS))
+    with pytest.raises(ValueError, match="the controller picks the steps"):
+        tg.times()
 
 
 _BAD_T_FIRST = "t_first must be a finite number with 0 < t_first < t_end = 1, got "
+_BAD_TOL = "tol must be a number with 0 < tol < 1, got "
 
 
 @pytest.mark.parametrize(
@@ -93,11 +91,20 @@ _BAD_T_FIRST = "t_first must be a finite number with 0 < t_first < t_end = 1, go
         (dict(t_end=1.0, n_steps=0), "n_steps must be an integer >= 1, got 0"),
         (dict(t_end=1.0, n_steps=400.7), "n_steps must be an integer >= 1, got 400.7"),
         (dict(t_end=1.0, n_steps=True), "n_steps must be an integer >= 1, got True"),
-        (dict(t_end=1.0, n_steps=4, t_first=1.0), _BAD_T_FIRST + "1.0"),
-        (dict(t_end=1.0, n_steps=4, t_first=0.0), _BAD_T_FIRST + "0.0"),
-        (dict(t_end=1.0, n_steps=4, t_first=math.nan), _BAD_T_FIRST + "nan"),
-        (dict(t_end=1.0, n_steps=4, t_first="0.1"), _BAD_T_FIRST + "'0.1'"),
-        (dict(t_end=1.0, n_steps=1, t_first=0.1), "n_steps must be >= 2 on a grid graded from t_first, got 1"),
+        (dict(t_end=1.0), "n_steps must be an integer >= 1, got None"),
+        (dict(t_end=1.0, n_steps=4, t_first=0.1), "t_first is read only with tol, the step controller's tolerance"),
+        (dict(t_end=1.0, t_first=1.0, tol=1e-3), _BAD_T_FIRST + "1.0"),
+        (dict(t_end=1.0, t_first=0.0, tol=1e-3), _BAD_T_FIRST + "0.0"),
+        (dict(t_end=1.0, t_first=math.nan, tol=1e-3), _BAD_T_FIRST + "nan"),
+        (dict(t_end=1.0, t_first="0.1", tol=1e-3), _BAD_T_FIRST + "'0.1'"),
+        (dict(t_end=1.0, tol=1e-3), "tol needs t_first, the end of the controller's first step"),
+        (dict(t_end=1.0, n_steps=4, t_first=0.1, tol=1e-3),
+         "n_steps is not read with tol, whose controller picks the steps, got 4"),
+        (dict(t_end=1.0, t_first=0.1, tol=0.0), _BAD_TOL + "0.0"),
+        (dict(t_end=1.0, t_first=0.1, tol=1.0), _BAD_TOL + "1.0"),
+        (dict(t_end=1.0, t_first=0.1, tol=math.nan), _BAD_TOL + "nan"),
+        (dict(t_end=1.0, t_first=0.1, tol="0.1"), _BAD_TOL + "'0.1'"),
+        (dict(t_end=1.0, t_first=0.1, tol=True), _BAD_TOL + "True"),
     ],
 )
 def test_time_grid_names_a_bad_field(kwargs, message):
@@ -241,20 +248,22 @@ def test_trajectory_series_access():
     assert np.array_equal(traj.final.values, u.values)
 
 
-@pytest.mark.parametrize("tg", [TimeGrid(0.3, 3), TimeGrid(0.5, 6, t_first=1e-3)], ids=["uniform", "graded"])
+@pytest.mark.parametrize("tg", [TimeGrid(0.3, 3), TimeGrid(0.5, t_first=1e-3, tol=1e-3)], ids=["uniform", "controlled"])
 def test_evolve_is_the_chained_resolvent(tg):
     # uniform: (I + (t/n) A)^{-n} g of the exponential formula, t = 0.3, n = 3; the
-    # grid's step 0.3 / 3 is one ulp below 0.1, so the chain takes the grid's steps
+    # grid's step 0.3 / 3 is one ulp below 0.1, so the chain takes the grid's steps;
+    # controlled: each accepted step is the difference of its times
     spec = _spec(p=3.0)
     g = GridFunction(spec.space(), np.random.default_rng(10).standard_normal(N_NODES))
+    traj = evolve(spec, g, tg, tol=SOLVER_TOL)
     manual, linf = g, [lq_norm(g, "inf")]
-    for lam in tg.steps():
+    for lam in tg.steps() if tg.tol is None else np.diff(traj.times):
         manual = solve_resolvent(spec, float(lam), manual, tol=SOLVER_TOL).u
         linf.append(lq_norm(manual, "inf"))
-    traj = evolve(spec, g, tg, tol=SOLVER_TOL)
     assert np.array_equal(traj.final.values, manual.values)
     assert np.array_equal(traj.norm_linf, linf)
-    assert np.array_equal(traj.times, tg.times())
+    if tg.tol is None:
+        assert np.array_equal(traj.times, tg.times())
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
@@ -281,3 +290,72 @@ def test_evolve_reports_failing_step(monkeypatch):
     with pytest.raises(NonConvergenceError) as err:
         evolve(spec, _bump(spec), TimeGrid(1.0, 4))
     assert "step 1/4" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the time-error estimator and the step controller
+# ---------------------------------------------------------------------------
+
+
+def _legs(spec, u0, n_steps, legs=4, t_end=1.0):
+    """The states at the ends of `legs` equal legs of [0, t_end], n_steps uniform steps in
+    all, and every eta of the chain."""
+    states, etas, u = [], [], u0
+    for _ in range(legs):
+        traj = evolve(spec, u, TimeGrid(t_end / legs, n_steps // legs), tol=SOLVER_TOL)
+        u = traj.final
+        states.append(u.values)
+        etas.extend(traj.eta)
+    return states, np.array(etas)
+
+
+@pytest.mark.parametrize("p, phi", [(3.0, PhiSpec.identity()), (2.0, PhiSpec.power(2.0))], ids=["l2", "h-1"])
+def test_the_estimator_bounds_the_time_error_against_a_fine_reference(p, phi):
+    # (sum eta_n)^(1/2) >= max_n ||u(t_n) - U^n||, in l^2 for phi identity and in H^-1 for
+    # phi = u^2; the reference takes 32 times as many steps on the same grid
+    grid = Grid(bounds=((-3.0, 3.0),), shape=(101,))
+    spec = OperatorSpec(grid=grid, p=p, phi=phi)
+    u0 = smooth_bump(grid, width=1.0)
+    _, sq = gradient_flow(spec, DiscreteOperator(spec))
+    reference, _ = _legs(spec, u0, 1600)
+    ratios = []
+    for n_steps in (24, 48):
+        states, etas = _legs(spec, u0, n_steps)
+        assert etas.shape == (n_steps,) and np.all(etas >= 0.0)
+        error = max(math.sqrt(sq(a - b)) for a, b in zip(states, reference))
+        ratios.append(math.sqrt(math.fsum(etas)) / error)
+    # the bound holds, and stays within a fixed factor of the error: 9.4-11.2 in l^2, 4.3-4.4 in H^-1
+    assert min(ratios) >= 1.0 and max(ratios) <= 20.0, ratios
+
+
+def test_the_h_minus_1_norm_is_that_of_the_dirichlet_laplacian():
+    spec = _spec(p=2.0, phi=PhiSpec.power(2.0))
+    op = DiscreteOperator(spec)
+    L = op.diffusion_jacobian_matrix(np.zeros(N_NODES)).toarray()  # the p = 2 Laplacian
+    _, sq = gradient_flow(spec, op)
+    for v in np.random.default_rng(7).standard_normal((3, N_NODES)):
+        assert sq(v) == pytest.approx(spec.grid.cell_volume * v @ np.linalg.solve(L, v), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        _spec(p=3.0, perturbation=tanh_perturbation(0.3)),
+        _spec(p=3.0, phi=PhiSpec.power(2.0)),
+        _spec(p=2.0, bc_kind="neumann", phi=PhiSpec.power(2.0)),
+        OperatorSpec(grid=Grid(bounds=((-1.0, 1.0), (-1.0, 1.0)), shape=(8, 8)), p=2.0, phi=PhiSpec.power(2.0)),
+    ],
+    ids=["perturbed", "power-p3", "power-neumann", "power-2d"],
+)
+def test_the_controller_refuses_a_flow_it_cannot_certify(spec):
+    u0 = smooth_bump(spec.grid, width=0.5)
+    with pytest.raises(ValueError, match="^the step controller of tol 0.001 needs "):
+        evolve(spec, u0, TimeGrid(0.1, t_first=1e-3, tol=1e-3))
+    assert evolve(spec, u0, TimeGrid(0.1, 2)).eta is None  # a uniform grid runs, with no bound
+
+
+def test_a_rejection_below_the_step_floor_raises(monkeypatch):
+    monkeypatch.setattr(semigroup, "STEP_FLOOR", 0.3)
+    spec = _spec(p=3.0)
+    with pytest.raises(NonConvergenceError, match=r"^step 1 at t = 0\.5: the time-error indicator .* exceeds 2 tol"):
+        evolve(spec, _bump(spec), TimeGrid(1.0, t_first=0.5, tol=1e-9))

@@ -52,7 +52,7 @@ FLOWS = {
 
 def _evolve(spec, center):
     u0 = smooth_bump(spec.grid, center=center, width=0.5)
-    return evolve(spec, u0, TimeGrid(t_end=1.0, n_steps=20, t_first=1e-3))
+    return evolve(spec, u0, TimeGrid(t_end=1.0, n_steps=20))
 
 
 @pytest.mark.parametrize("case", sorted(FLOWS))
@@ -119,7 +119,7 @@ def test_two_evolves_on_one_operator_agree(newton_shapes):
     spec = FLOWS["p3-dirichlet"]["spec"]
     op = DiscreteOperator(spec)
     u0 = smooth_bump(spec.grid, width=0.5)
-    tg = TimeGrid(t_end=1.0, n_steps=20, t_first=1e-3)
+    tg = TimeGrid(t_end=1.0, n_steps=20)
     first, second, fresh = (evolve(spec, u0, tg, op=o) for o in (op, op, None))
     assert spec.grid.shape not in newton_shapes
     for other in (second, fresh):
