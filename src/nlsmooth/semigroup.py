@@ -108,9 +108,10 @@ def _is_real(x):
 
 
 def _h_minus_1(v, h):
-    """||v||^2 = <v, L^-1 v>_w in H^-1 on one axis: L = (-1, 2, -1) / h^2 is the Dirichlet
-    Laplacian and the node weight is h. It is h sum_f s_f^2 over the face fluxes s with
-    (s_f - s_f+1) / h = v_f, the only ones of sum 0, so no system is solved."""
+    """||v||^2 = <v, L^-1 v>_w in H^-1 on one axis, L = (-1, 2, -1) / h^2 the Dirichlet
+    Laplacian and h the node weight, with no system solved: it is h sum_f s_f^2 over the
+    face fluxes s of sum 0 with (s_f - s_f+1) / h = v_f, which are h (mean(S) - S_f) for
+    the cumulative sums S_f = v_0 + ... + v_f-1, S_0 = 0."""
     s = np.concatenate(([0.0], np.cumsum(v)))
     s -= s.mean()
     return h * h * h * float(s @ s)
