@@ -21,11 +21,12 @@ the two boundary faces of each axis carry.
 
 The Jacobian L of the diffusion has one form, 2d + 1 bands in the layout of a
 scipy DIA matrix, which both linear solvers of the resolvent take as it is.
-The offsets ascend, -stride_1, ..., -stride_d, 0, stride_d, ..., stride_1,
-where stride_a is the distance of neighbouring nodes along axis a in the flat
-array. Band k holds L[j - offset_k, j] at column j, and 0 where that row is
-off the grid; in one dimension the bands are (sub, diag, super), and these
-zeros keep the blocks of a stack of tridiagonal systems apart.
+The offsets, DiscreteOperator.offsets, ascend, -stride_1, ..., -stride_d, 0,
+stride_d, ..., stride_1, where stride_a is the distance of neighbouring nodes
+along axis a in the flat array. Band k holds L[j - offset_k, j] at column j,
+and 0 where that row is off the grid; in one dimension the bands are (sub,
+diag, super), and these zeros keep the blocks of a stack of tridiagonal
+systems apart.
 
 DiscreteOperator.state(u) is what evaluating A at u computes on the way and
 what linearizing A at u needs again: phi(u), the face gradients g of phi(u) on
@@ -347,8 +348,9 @@ class DiscreteOperator:
         self._space = DiscreteSpace(np.full(math.prod(shape), self._cell_volume))
         self._nodes = nodes
         self._axes = _axes(shape, spacing)
-        # band offsets of the Jacobian, ascending (see the module docstring)
-        self._offsets = [-ax.stride for ax in self._axes] + [0] + [ax.stride for ax in reversed(self._axes)]
+        # band offsets of the Jacobian, ascending (see the module docstring), as int32 for scipy's DIA kernel
+        self.offsets = np.array([-ax.stride for ax in self._axes] + [0] + [ax.stride for ax in reversed(self._axes)],
+                                dtype=np.int32)
         self._dirichlet = bc_kind == "dirichlet"
         self._robin = bc_kind == "robin"
 
@@ -525,17 +527,12 @@ class DiscreteOperator:
             O[2 * d - a][ax.hi] = lower
         return out
 
-    def jacobian_matrix(self, bands):
-        """Sparse DIA matrix of one grid function's (2d + 1, n) bands; a matvec adds
-        each row's terms in ascending column order, exactly as CSR does. Only
-        here is scipy.sparse loaded, so that 1-D runs never load it."""
-        from scipy import sparse
-        n = bands.shape[-1]
-        return sparse.dia_array((bands, self._offsets), shape=(n, n))
-
     def diffusion_jacobian_matrix(self, w):
-        """Sparse SPD matrix of d/dw [-div(a(grad w))] (any dimension)."""
-        return self.jacobian_matrix(self.diffusion_jacobian(w))
+        """d/dw [-div(a(grad w))] as a scipy DIA matrix (any dimension), SPD.
+        scipy.sparse is imported here, which no solve calls."""
+        from scipy import sparse
+        n = w.shape[-1]
+        return sparse.dia_array((self.diffusion_jacobian(w), self.offsets), shape=(n, n))
 
     def phi_derivative(self, u):
         return self.spec.phi.derivative(u, self.spec.eps_reg)

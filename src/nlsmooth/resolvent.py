@@ -34,8 +34,15 @@ solved by one direct LAPACK gtsv call (the checks of scipy.linalg.solve_banded
 take a third of each solve at n = 2001): gtsv never pivots across a zero
 coupling, so each block gets the solution it would get alone. In more
 dimensions each member's system is solved by Jacobi-preconditioned conjugate
-gradients (cg, the library's own loop) on a DIA matrix, so that scipy.sparse
-is loaded only where such a matrix is built.
+gradients (cg, the library's own loop), whose product with the bands is the
+kernel of scipy's DIA matvec called on them directly (_band_matvec).
+
+Those two kernels are all that a solve uses of scipy. _scipy_extension loads
+them from the files of the compiled modules scipy.linalg._flapack (dgtsv) and
+scipy.sparse._sparsetools (dia_matvec) after importing the top-level scipy
+package only: the package set-up of scipy.linalg and scipy.sparse, which no
+solve needs, took about half of the time and a third of the memory of a
+fresh interpreter's import of nlsmooth.
 
 Where the data vanish outside a box, the same Newton loop runs on the window
 of that box (DiscreteOperator.window): the nodes where some member's data are
@@ -60,11 +67,15 @@ forcing it stalls degenerate porous-medium solves.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+import scipy
 
 from .measure import GridFunction
 from .operators import DiscreteOperator
@@ -78,6 +89,31 @@ FORCING_GAMMA = 0.9
 FORCING_MAX = 0.1
 _WINDOW_MARGIN = 64  # cells around the data; a first step from compact data grows an eps_reg tail about 40 long
 _WINDOW_ALIGN = 32
+
+
+def _scipy_extension(name):
+    """The compiled module scipy.<name>, loaded from its file in the scipy
+    package without running the __init__ of the subpackage that holds it. The
+    module enters itself in sys.modules as it loads, though its parent package
+    was never imported; that entry is removed unless it was there before, so
+    that a later import of the parent binds the module as its attribute. A
+    missing file raises ImportError naming it."""
+    full = f"scipy.{name}"
+    stem = os.path.join(scipy.__path__[0], *name.split("."))
+    path = next((stem + suffix for suffix in EXTENSION_SUFFIXES if os.path.isfile(stem + suffix)), None)
+    if path is None:
+        raise ImportError(f"scipy has no compiled module {stem}{{{', '.join(EXTENSION_SUFFIXES)}}}", name=full)
+    registered = full in sys.modules
+    loader = ExtensionFileLoader(full, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(full, path, loader=loader))
+    loader.exec_module(module)
+    if not registered:
+        sys.modules.pop(full, None)
+    return module
+
+
+dgtsv = _scipy_extension("linalg._flapack").dgtsv
+dia_matvec = _scipy_extension("sparse._sparsetools").dia_matvec
 
 
 class PreconditionError(ValueError):
@@ -181,13 +217,14 @@ def _newton_steps(op, lam, U, R, state, rtol):
     return step
 
 
-def cg(A, b, rtol, maxiter, inv_diag, callback=None):
-    """Jacobi-preconditioned CG for A x = b from x = 0, in the step order of
-    scipy.sparse.linalg.cg with preconditioner inv_diag * r, so the iterates
-    are scipy's bit for bit. Returns (x, 0) once |r| < rtol |b| (at once for
-    b = 0), and (x, maxiter) after maxiter iterations or at a breakdown, where
-    r.z or p.Ap is not positive and finite. callback(x) follows each iteration;
-    perfbench counts CG iterations through it."""
+def cg(matvec, b, rtol, maxiter, inv_diag, callback=None):
+    """Jacobi-preconditioned CG for A x = b from x = 0, where matvec(p) is
+    A p (read before the next call, so it may reuse one buffer), in the step
+    order of scipy.sparse.linalg.cg with preconditioner inv_diag * r, so the
+    iterates are scipy's bit for bit. Returns (x, 0) once |r| < rtol |b| (at
+    once for b = 0), and (x, maxiter) after maxiter iterations or at a
+    breakdown, where r.z or p.Ap is not positive and finite. callback(x)
+    follows each iteration; perfbench counts CG iterations through it."""
     x, bnorm = np.zeros_like(b), np.linalg.norm(b)
     if bnorm == 0.0:
         return x, 0
@@ -201,7 +238,7 @@ def cg(A, b, rtol, maxiter, inv_diag, callback=None):
             p += z
         else:
             p[:] = z
-        q = A @ p
+        q = matvec(p)
         pq = np.dot(p, q)
         if not (0.0 < rho < math.inf and 0.0 < pq < math.inf):
             break
@@ -213,6 +250,23 @@ def cg(A, b, rtol, maxiter, inv_diag, callback=None):
     return x, maxiter
 
 
+def _band_matvec(offsets, bands):
+    """x -> M x for the (n_bands, n) bands of a matrix M with the int32
+    offsets of DiscreteOperator.offsets: dia_matvec, the kernel of a scipy
+    DIA matrix's product, adds each row's terms in ascending column order,
+    as a CSR matvec does. Every call writes into one buffer, which it zeroes
+    first, and returns it."""
+    n_bands, n = bands.shape
+    out = np.empty(n)
+
+    def matvec(x):
+        out.fill(0.0)
+        dia_matvec(n, n, n_bands, n, offsets, bands, x, out)
+        return out
+
+    return matvec
+
+
 def _solve_cg_stack(op, bands, rhs, rtol):
     """Solve each row's system of _newton_steps, bands and right-hand side, by
     Jacobi-preconditioned CG to its rtol; rows whose CG did not converge come
@@ -220,8 +274,8 @@ def _solve_cg_stack(op, bands, rhs, rtol):
     _, k, n = bands.shape
     steps = np.full((k, n), np.nan)
     for j in range(k):
-        M = op.jacobian_matrix(np.ascontiguousarray(bands[:, j]))
-        z, info = cg(M, rhs[j], rtol[j], 20 * n, 1.0 / bands[op.d, j])
+        row = np.ascontiguousarray(bands[:, j])
+        z, info = cg(_band_matvec(op.offsets, row), rhs[j], rtol[j], 20 * n, 1.0 / row[op.d])
         if info == 0:
             steps[j] = z
     return steps

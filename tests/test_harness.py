@@ -536,8 +536,8 @@ def test_decay_setup_reads_experiment_seed_only_for_a_random_recipe(monkeypatch)
     assert np.array_equal(harness.decay_setup(cfg, seed=5)[2].values, u5.values)  # seed overrides experiment.seed
 
 
-def test_barenblatt_comparison_smoke():
-    cfg = {
+def _barenblatt_smoke_config():
+    return {
         "grid": {"bounds": [[-6.0, 6.0]], "shape": [301]},
         "operator": {"p": 3.0, "bc": "dirichlet", "eps_reg": 1e-8},
         "phi": {"kind": "identity"},
@@ -551,11 +551,24 @@ def test_barenblatt_comparison_smoke():
             "refinement_min_ratio": 1.3,
         },
     }
-    rep = harness.barenblatt_comparison(cfg)
+
+
+def test_barenblatt_comparison_smoke():
+    rep = harness.barenblatt_comparison(_barenblatt_smoke_config())
     assert rep.passed
     assert rep.metrics["rel_l1_error"] <= 0.05
     assert rep.metrics["refinement_ratio"] >= rep.metrics["refinement_min_ratio"] == 1.3
     assert 0.0 < rep.metrics["rel_l1_error"] < rep.metrics["rel_l1_error_coarse"]
+
+
+def test_barenblatt_report_carries_the_time_error_bound_of_its_configured_run():
+    # the configured run is a p-Laplace gradient flow on uniform steps, whose estimator evolve computes
+    cfg = _barenblatt_smoke_config()
+    bound = harness.barenblatt_comparison(cfg).metrics["time_error_bound"]
+    spec = harness.spec_from_config(cfg)
+    fine = semigroup.evolve(spec, barenblatt_on_grid(spec.grid, 3.0, 1.0), harness.time_grid_from_config(cfg))
+    assert math.isfinite(bound) and bound > 0.0
+    assert bound == fine.time_error_bound
 
 
 def test_barenblatt_comparison_rejects_small_domain():

@@ -30,6 +30,7 @@ from nlsmooth.operators import (
     linear_perturbation,
     tanh_perturbation,
 )
+from nlsmooth.resolvent import _band_matvec
 
 RNG_SEED = 42
 ABS_TOLERANCE = 1e-10
@@ -281,6 +282,12 @@ def test_jacobian_bands_match_matrix():
     assert sub[-1] == sup[0] == 0.0
 
 
+def _dense(op, bands):
+    """The dense matrix of (2d + 1, n) bands in the operator's DIA layout."""
+    n = bands.shape[-1]
+    return sparse.dia_array((bands, op.offsets), shape=(n, n)).toarray()
+
+
 def test_jacobian_bands_apply_and_scale_like_the_matrix():
     rng = np.random.default_rng(RNG_SEED + 10)
     for spec in (_spec_1d(3.0, BoundaryCondition.neumann()), _spec_2d(3.0, BoundaryCondition.dirichlet()),
@@ -289,10 +296,10 @@ def test_jacobian_bands_apply_and_scale_like_the_matrix():
         n = spec.grid.n_total
         w, v, s = rng.standard_normal(n), rng.standard_normal(n), rng.uniform(0.0, 2.0, n)
         bands = op.diffusion_jacobian(w)
-        dense = op.jacobian_matrix(bands).toarray()
+        dense = _dense(op, bands)
         assert np.allclose(dense, dense.T, atol=0.0)
         np.testing.assert_allclose(op.jacobian_apply(bands, v), dense @ v, rtol=1e-12, atol=1e-12)
-        scaled = op.jacobian_matrix(op.jacobian_scaled(bands, s)).toarray()
+        scaled = _dense(op, op.jacobian_scaled(bands, s))
         np.testing.assert_allclose(scaled, s[:, None] * dense * s[None, :], rtol=1e-14, atol=1e-12)
 
 
@@ -333,7 +340,9 @@ def test_jacobian_band_layout(make, bc):
 @pytest.mark.parametrize("make", [_spec_1d, _spec_2d, _spec_3d], ids=["1d", "2d", "3d"])
 def test_jacobian_matrix_is_dia_and_multiplies_bitwise_as_csr(make, bc):
     # ascending offsets make the DIA matvec add each row's terms in ascending
-    # column order, the order of a CSR matvec, so the products agree bitwise
+    # column order, the order of a CSR matvec, so the products agree bitwise;
+    # so does the resolvent's direct call of the DIA kernel on the bands,
+    # twice on its one buffer
     rng = np.random.default_rng(RNG_SEED + 11)
     spec = make(3.0, bc)
     op = DiscreteOperator(spec)
@@ -342,7 +351,10 @@ def test_jacobian_matrix_is_dia_and_multiplies_bitwise_as_csr(make, bc):
     matrix = op.diffusion_jacobian_matrix(w)
     assert matrix.format == "dia"
     assert np.all(np.diff(matrix.offsets) > 0)
-    assert np.array_equal(matrix @ v, sparse.csr_array(matrix.toarray()) @ v)
+    csr = sparse.csr_array(matrix.toarray()) @ v
+    assert np.array_equal(matrix @ v, csr)
+    matvec = _band_matvec(op.offsets, op.diffusion_jacobian(w))
+    assert np.array_equal(matvec(v), csr) and np.array_equal(matvec(v), csr)
 
 
 def test_energy_gradient_consistency():

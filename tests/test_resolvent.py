@@ -248,14 +248,15 @@ def test_forcing_saves_cg_iterations(monkeypatch):
 
 
 def _newton_system_64x64():
-    """The first Newton system of a 64^2 p = 3 resolvent: its DIA matrix, right-hand side and 1 / diagonal."""
+    """The first Newton system of a 64^2 p = 3 resolvent: its bands, the operator's offsets, right-hand side and
+    1 / diagonal."""
     grid = Grid(bounds=((-5.0, 5.0),) * 2, shape=(64, 64))
     op = DiscreteOperator(OperatorSpec(grid=grid, p=3.0))
     G = random_smooth_field(grid, 3).values[None, :]
     _, R, _, *state = resolvent._residual(op, 0.5, G.copy(), G)
     bands = 0.5 * op.diffusion_jacobian(state[0], state[1:])[:, 0]
     bands[op.d] += 1.0
-    return op.jacobian_matrix(bands), -R[0], 1.0 / bands[op.d]
+    return bands, op.offsets, -R[0], 1.0 / bands[op.d]
 
 
 def _counted(solver, *args, **kwargs):
@@ -268,10 +269,13 @@ def _counted(solver, *args, **kwargs):
 @pytest.mark.parametrize("rtol, maxiter", [(CG_RTOL, 20 * 4096), (0.1, 20 * 4096), (CG_RTOL, 7)],
                          ids=["cg-rtol", "forcing-max", "maxiter"])
 def test_cg_iterates_are_scipy_cg_bit_for_bit(rtol, maxiter):
+    # ours calls scipy's DIA kernel on the bands, scipy's cg multiplies by the DIA matrix of the same bands
+    from scipy.sparse import dia_array
     from scipy.sparse.linalg import LinearOperator, cg
 
-    A, b, inv_diag = _newton_system_64x64()
-    ours = _counted(resolvent.cg, A, b, rtol, maxiter, inv_diag)
+    bands, offsets, b, inv_diag = _newton_system_64x64()
+    ours = _counted(resolvent.cg, resolvent._band_matvec(offsets, bands), b, rtol, maxiter, inv_diag)
+    A = dia_array((bands, offsets), shape=(b.size, b.size))
     jacobi = LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
     theirs = _counted(cg, A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=jacobi)
     assert np.array_equal(ours[0], theirs[0]) and ours[1:] == theirs[1:]
@@ -279,7 +283,8 @@ def test_cg_iterates_are_scipy_cg_bit_for_bit(rtol, maxiter):
 
 
 def test_cg_edge_cases_return_at_once():
-    A, b, inv_diag = _newton_system_64x64()
+    bands, offsets, b, inv_diag = _newton_system_64x64()
+    A = resolvent._band_matvec(offsets, bands)
     x, info, calls = _counted(resolvent.cg, A, np.zeros_like(b), CG_RTOL, 100, inv_diag)
     assert info == 0 and calls == 0 and np.array_equal(x, np.zeros_like(b))
     # a NaN right-hand side breaks down at the first step instead of using all maxiter iterations
@@ -287,33 +292,73 @@ def test_cg_edge_cases_return_at_once():
     x, info, calls = _counted(resolvent.cg, A, b, CG_RTOL, 100, inv_diag)
     assert info != 0 and calls == 0
     # so does a preconditioner that is not positive
-    _, b, _ = _newton_system_64x64()
+    _, _, b, _ = _newton_system_64x64()
     x, info, calls = _counted(resolvent.cg, A, b, CG_RTOL, 100, -inv_diag)
     assert info != 0 and calls == 0
 
 
-def test_only_a_solve_in_more_dimensions_loads_scipy_sparse():
-    # in a fresh interpreter: scipy.linalg, which the 1-D solver calls, may bring scipy.sparse
-    # modules of its own; importing nlsmooth and solving in 1-D add none, solving in 2-D adds some
-    script = """
-import sys
-def sparse():
-    return {m for m in sys.modules if m.split(".")[:2] == ["scipy", "sparse"]}
-import scipy.linalg
-base = sparse()
+def _in_a_fresh_interpreter(script):
+    """The stdout of script run by a new python that imports nlsmooth from this source tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(resolvent.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env).stdout
+
+
+_SOLVE_1D_AND_2D = """
 from nlsmooth.harness import smooth_bump
-from nlsmooth.operators import Grid, OperatorSpec
+from nlsmooth.operators import DiscreteOperator, Grid, OperatorSpec
 from nlsmooth.resolvent import solve_resolvent
 for shape in ((201,), (24, 24)):
     grid = Grid(bounds=((-4.0, 4.0),) * len(shape), shape=shape)
     solve_resolvent(OperatorSpec(grid=grid, p=3.0), 0.1, smooth_bump(grid))
-    print(len(sparse() - base))
 """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(resolvent.__file__).parents[1]),
-                                                       os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
-    added_1d, added_2d = map(int, out.stdout.split())
-    assert added_1d == 0 and added_2d > 0
+
+
+def test_importing_and_solving_loads_only_two_scipy_extensions():
+    # nothing under scipy.linalg or scipy.sparse but the two compiled modules of the solvers' kernels,
+    # neither the packages themselves, whose set-up loads numpy.testing among others
+    script = "import sys\nimport nlsmooth\n" + _SOLVE_1D_AND_2D + """
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "linalg"], ["scipy", "sparse"]))))
+"""
+    loaded = set(_in_a_fresh_interpreter(script).split())
+    assert loaded <= {"scipy.linalg._flapack", "scipy.sparse._sparsetools"}
+
+
+def test_scipy_imports_and_agrees_bit_for_bit_after_nlsmooth():
+    # the extensions that nlsmooth loads from their files leave no entry in sys.modules that would
+    # keep a later import of their packages from binding them as attributes
+    script = "import numpy as np\nimport nlsmooth\nfrom nlsmooth import resolvent\n" + _SOLVE_1D_AND_2D + """
+import scipy.linalg, scipy.sparse.linalg
+assert scipy.linalg._flapack.dgtsv is scipy.linalg.lapack.dgtsv
+assert callable(scipy.sparse._sparsetools.dia_matvec)
+rng = np.random.default_rng(0)
+# a diagonally dominant tridiagonal system in the (sub, diag, super) layout of solve_banded
+n = 257
+bands = rng.uniform(-1.0, 1.0, (3, n))
+bands[1] += 3.0
+bands[0, -1] = bands[2, 0] = 0.0
+rhs = rng.standard_normal(n)
+dl, d, du, x, info = scipy.linalg.lapack.dgtsv(bands[0, :-1], bands[1], bands[2, 1:], rhs)
+assert info == 0 and np.array_equal(x, resolvent.solve_banded(bands, rhs))
+# an SPD 2-D Newton matrix, as _newton_steps builds it
+grid = Grid(bounds=((-4.0, 4.0),) * 2, shape=(24, 24))
+op = DiscreteOperator(OperatorSpec(grid=grid, p=3.0))
+bands = 0.1 * op.diffusion_jacobian(rng.standard_normal(grid.n_total))
+bands[op.d] += 1.0
+b, inv_diag = rng.standard_normal(grid.n_total), 1.0 / bands[op.d]
+ours, info = resolvent.cg(resolvent._band_matvec(op.offsets, bands), b, 1e-12, 1000, inv_diag)
+A = scipy.sparse.dia_array((bands, op.offsets), shape=(b.size, b.size))
+jacobi = scipy.sparse.linalg.LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
+theirs, their_info = scipy.sparse.linalg.cg(A, b, rtol=1e-12, atol=0.0, maxiter=1000, M=jacobi)
+assert info == their_info == 0 and np.array_equal(ours, theirs)
+print("ok")
+"""
+    assert _in_a_fresh_interpreter(script).split() == ["ok"]
+
+
+def test_a_missing_scipy_extension_is_named():
+    with pytest.raises(ImportError, match=re.escape(os.path.join("linalg", "_nothing") + "{")):
+        resolvent._scipy_extension("linalg._nothing")
 
 
 def _assert_matches_solo(spec, lam, G, out, rows, tol=SOLVER_TOL):
