@@ -67,6 +67,7 @@ forcing it stalls degenerate porous-medium solves.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import os
@@ -75,7 +76,6 @@ from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-import scipy
 
 from .measure import GridFunction
 from .operators import DiscreteOperator
@@ -91,29 +91,29 @@ _WINDOW_MARGIN = 64  # cells around the data; a first step from compact data gro
 _WINDOW_ALIGN = 32
 
 
+@functools.cache
 def _scipy_extension(name):
-    """The compiled module scipy.<name>, loaded from its file in the scipy
-    package without running the __init__ of the subpackage that holds it. The
-    module enters itself in sys.modules as it loads, though its parent package
-    was never imported; that entry is removed unless it was there before, so
-    that a later import of the parent binds the module as its attribute. A
-    missing file raises ImportError naming it."""
+    """The compiled module scipy.<name>, loaded at its first call from its file
+    in the scipy package without running the __init__ of the subpackage that
+    holds it; a module that an import of that subpackage has already put in
+    sys.modules is returned as it is. A loaded module enters itself in
+    sys.modules, though its parent package was never imported; that entry is
+    removed, so that a later import of the parent binds the module as its
+    attribute. A missing file raises ImportError naming it."""
+    import scipy
+
     full = f"scipy.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
     stem = os.path.join(scipy.__path__[0], *name.split("."))
     path = next((stem + suffix for suffix in EXTENSION_SUFFIXES if os.path.isfile(stem + suffix)), None)
     if path is None:
         raise ImportError(f"scipy has no compiled module {stem}{{{', '.join(EXTENSION_SUFFIXES)}}}", name=full)
-    registered = full in sys.modules
     loader = ExtensionFileLoader(full, path)
     module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(full, path, loader=loader))
     loader.exec_module(module)
-    if not registered:
-        sys.modules.pop(full, None)
+    sys.modules.pop(full, None)
     return module
-
-
-dgtsv = _scipy_extension("linalg._flapack").dgtsv
-dia_matvec = _scipy_extension("sparse._sparsetools").dia_matvec
 
 
 class PreconditionError(ValueError):
@@ -153,6 +153,7 @@ def solve_banded(bands, rhs, overwrite=False):
     """LAPACK gtsv on one (3, m) system laid out as in _solve_tridiagonal_stack
     and its right-hand side, on copies unless overwrite; all NaN when gtsv
     meets a zero pivot. perfbench traces this name as the 1-D linear solve."""
+    dgtsv = _scipy_extension("linalg._flapack").dgtsv
     x, info = dgtsv(bands[0, :-1], bands[1], bands[2, 1:], rhs, overwrite, overwrite, overwrite, overwrite)[3:]
     return x if info == 0 else np.full_like(x, np.nan)
 
@@ -197,12 +198,15 @@ def _newton_steps(op, lam, U, R, state, rtol):
     d = op.d
     bands = op.diffusion_jacobian(state[0], state[1:])
     a = 1.0 if op.spec.perturbation is None else 1.0 + lam * op.perturbation_derivative(U)
-    scaled = op.spec.phi.kind != "identity"
+    power = op.spec.phi.kind != "identity"
+    scaled = power and d > 1
     # the bands and right-hand sides of the rows' systems
     if scaled:
         S = np.sqrt(op.phi_derivative(U))
         system, rhs = op.jacobian_scaled(bands, S), -S * R
     else:
+        if power:  # L diag(phi'(U)): band k is indexed by column
+            bands *= op.phi_derivative(U)
         system, rhs = bands, -R  # the bands are not needed again
     system *= lam
     system[d] += a
@@ -257,7 +261,7 @@ def _band_matvec(offsets, bands):
     as a CSR matvec does. Every call writes into one buffer, which it zeroes
     first, and returns it."""
     n_bands, n = bands.shape
-    out = np.empty(n)
+    out, dia_matvec = np.empty(n), _scipy_extension("sparse._sparsetools").dia_matvec
 
     def matvec(x):
         out.fill(0.0)

@@ -4,7 +4,11 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +28,15 @@ from nlsmooth.harness import (
     usable_window,
 )
 from nlsmooth.measure import lq_norm
-from nlsmooth.operators import Grid, LipschitzF, PhiSpec, barenblatt_on_grid
+from nlsmooth.operators import (
+    BoundaryCondition,
+    DiscreteOperator,
+    Grid,
+    LipschitzF,
+    OperatorSpec,
+    PhiSpec,
+    barenblatt_on_grid,
+)
 from nlsmooth.semigroup import COLUMNS, Trajectory
 
 FIT_TOLERANCE = 1e-10
@@ -668,6 +680,35 @@ def test_convergence_study_solves_each_state_once(monkeypatch):
     rep = harness.convergence_study()
     assert rep.passed
     assert count[0] == 120
+
+
+def test_convergence_study_errors_are_those_against_scipy_expm():
+    # the exact flow V exp(-t Lambda) V^T u0 from eigh is expm(-t L) u0 to rounding, so the Euler errors
+    # against it are the same within 1e-10 relative
+    from scipy.linalg import expm
+
+    rep = harness.convergence_study()
+    grid = Grid(bounds=((0.0, 1.0),), shape=(64,))
+    spec = OperatorSpec(grid=grid, p=2.0, bc=BoundaryCondition.dirichlet(), eps_reg=0.0)
+    u0 = harness.random_smooth_field(grid, seed=4)
+    L = DiscreteOperator(spec).diffusion_jacobian_matrix(np.zeros(grid.n_total)).toarray()
+    exact = expm(-rep.metrics["t"] * L) @ u0.values
+    errors = [np.max(np.abs(semigroup.evolve(spec, u0, semigroup.TimeGrid(rep.metrics["t"], n), tol=1e-13)
+                            .final.values - exact)) for n in rep.metrics["n_list"]]
+    assert np.allclose(rep.metrics["euler_errors_linf"], errors, rtol=1e-10, atol=0.0)
+
+
+def test_verify_convergence_imports_nothing_from_scipy_linalg_or_scipy_sparse():
+    script = """import contextlib, io, sys
+from nlsmooth import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "convergence"]) == 0
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "linalg"], ["scipy", "sparse"]))))
+"""
+    src = str(Path(harness.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split() == []
 
 
 def test_suite_registry():

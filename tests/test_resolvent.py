@@ -224,6 +224,36 @@ def test_scaled_porous_medium_resolvent_keeps_converging_on_64x64():
     assert out.residual <= 1e-12 and out.iterations <= 11
 
 
+@pytest.mark.parametrize("perturbation", [None, linear_perturbation(-0.5)], ids=["plain", "linear"])
+@pytest.mark.parametrize("eps_reg", [0.0, 1e-8])
+@pytest.mark.parametrize("bc_kind", ["dirichlet", "neumann", "robin"])
+def test_1d_power_phi_newton_step_is_the_sqrt_phi_prime_scaled_step(bc_kind, eps_reg, perturbation):
+    # in 1-D gtsv solves (diag(a) + lambda L diag(phi')) delta = -R itself; the step of the SPD system
+    # (diag(a) + lambda S L S) y = -S R with S = sqrt(phi'), delta = (-R - lambda L (S y)) / a, is the same
+    bc = BoundaryCondition(bc_kind, b=0.7 if bc_kind == "robin" else 0.0)
+    grid = Grid(bounds=((-5.0, 5.0),), shape=(201,))
+    op = DiscreteOperator(OperatorSpec(grid=grid, p=2.0, bc=bc, phi=PhiSpec.power(2), eps_reg=eps_reg,
+                                       perturbation=perturbation))
+    lam, G = 0.3, smooth_bump(grid, width=2.0).values
+    # the cold start u = g, and an iterate that is negative in places, nonzero at the left face, where the
+    # boundary condition acts, and zero from x = 3 to the right face
+    x = grid.coordinates()[0]
+    U = np.stack([G, G - 0.2 * smooth_bump(grid, center=1.0, width=1.5).values + 0.05 * (x < -1.0)])
+    assert U[1, 0] != 0.0 and np.count_nonzero(U == 0.0) > grid.n_total // 2
+    _, R, _, *state = resolvent._residual(op, lam, U, np.stack([G, G]))
+    step = resolvent._newton_steps(op, lam, U, R, state, np.full(2, CG_RTOL))
+
+    bands = op.diffusion_jacobian(state[0], state[1:])
+    a = 1.0 + lam * op.perturbation_derivative(U)
+    S = np.sqrt(op.phi_derivative(U))
+    system = lam * op.jacobian_scaled(bands, S)
+    system[1] += a
+    y = _solve_tridiagonal_stack(system, -S * R)
+    scaled = (-R - lam * op.jacobian_apply(bands, S * y)) / a
+    assert np.isfinite(step).all()
+    assert np.abs(step - scaled).max() <= 1e-12 * np.abs(scaled).max()
+
+
 def test_forcing_saves_cg_iterations(monkeypatch):
     grid = Grid(bounds=((-5.0, 5.0),) * 2, shape=(64, 64))
     spec = OperatorSpec(grid=grid, p=3.0, bc=BoundaryCondition.dirichlet())
@@ -304,24 +334,67 @@ def _in_a_fresh_interpreter(script):
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env).stdout
 
 
-_SOLVE_1D_AND_2D = """
+_SOLVE = """
 from nlsmooth.harness import smooth_bump
 from nlsmooth.operators import DiscreteOperator, Grid, OperatorSpec
 from nlsmooth.resolvent import solve_resolvent
-for shape in ((201,), (24, 24)):
+solutions = []
+for shape in SHAPES:
     grid = Grid(bounds=((-4.0, 4.0),) * len(shape), shape=shape)
-    solve_resolvent(OperatorSpec(grid=grid, p=3.0), 0.1, smooth_bump(grid))
+    solutions.append(solve_resolvent(OperatorSpec(grid=grid, p=3.0), 0.1, smooth_bump(grid)).u.values)
+"""
+_SOLVE_1D_AND_2D = "SHAPES = ((201,), (24, 24))\n" + _SOLVE
+_PRINT_SOLUTIONS = "\nfor u in solutions:\n    print(u.tobytes().hex())\n"
+
+# what a process has loaded of scipy: the modules scipy and _hashlib (OpenSSL), every module under
+# scipy.linalg or scipy.sparse, and which of the solvers' two compiled kernel modules it has mapped
+_LOADED = """
+import os
+mapped = {os.path.basename(line.split()[-1]).split(".")[0] for line in open("/proc/self/maps")}
+print(" ".join(sorted({m for m in ("scipy", "_hashlib") if m in sys.modules}
+                      | {m for m in sys.modules if m.split(".")[:2] in (["scipy", "linalg"], ["scipy", "sparse"])}
+                      | {m for m in ("_flapack", "_sparsetools") if m in mapped})))
 """
 
 
-def test_importing_and_solving_loads_only_two_scipy_extensions():
-    # nothing under scipy.linalg or scipy.sparse but the two compiled modules of the solvers' kernels,
-    # neither the packages themselves, whose set-up loads numpy.testing among others
-    script = "import sys\nimport nlsmooth\n" + _SOLVE_1D_AND_2D + """
-print(" ".join(sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "linalg"], ["scipy", "sparse"]))))
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads the mapped files from /proc/self/maps")
+@pytest.mark.parametrize("shapes, expected", [
+    ((), set()),
+    (((201,),), {"scipy", "_flapack"}),
+    (((24, 24),), {"scipy", "_sparsetools"}),
+    (((201,), (24, 24)), {"scipy", "_flapack", "_sparsetools"}),
+], ids=["import", "1d", "2d", "1d-and-2d"])
+def test_importing_and_solving_loads_only_two_scipy_extensions(shapes, expected):
+    # importing nlsmooth loads neither scipy nor OpenSSL (no random numbers are drawn here: numpy.random
+    # loads _hashlib itself); the first solve in 1-D loads LAPACK's _flapack, the first in more dimensions
+    # _sparsetools; nothing else under scipy.linalg or scipy.sparse, neither the packages themselves, whose
+    # set-up loads numpy.testing among others, nor a sys.modules entry for either extension
+    script = f"import sys\nimport nlsmooth\nSHAPES = {shapes!r}\n" + _SOLVE + _LOADED
+    assert set(_in_a_fresh_interpreter(script).split()) == expected
+
+
+def test_solves_after_importing_scipy_use_its_extensions_and_agree_bit_for_bit():
+    # the extensions of packages imported before the first solve are taken from sys.modules: no file is
+    # loaded a second time, and the solutions are bitwise those of a process that never imported them
+    script = """import importlib.machinery
+import scipy.linalg, scipy.sparse
+
+
+class LoadedAgain(importlib.machinery.ExtensionFileLoader):
+    def create_module(self, spec):
+        raise ImportError(f"{spec.name} is loaded a second time")
+
+
+importlib.machinery.ExtensionFileLoader = LoadedAgain
+import nlsmooth
+from nlsmooth import resolvent
+""" + _SOLVE_1D_AND_2D + _PRINT_SOLUTIONS + """
+assert resolvent._scipy_extension("linalg._flapack") is scipy.linalg._flapack
+assert resolvent._scipy_extension("sparse._sparsetools") is scipy.sparse._sparsetools
 """
-    loaded = set(_in_a_fresh_interpreter(script).split())
-    assert loaded <= {"scipy.linalg._flapack", "scipy.sparse._sparsetools"}
+    solutions = _in_a_fresh_interpreter(script).split()
+    assert len(solutions) == 2
+    assert solutions == _in_a_fresh_interpreter("import nlsmooth\n" + _SOLVE_1D_AND_2D + _PRINT_SOLUTIONS).split()
 
 
 def test_scipy_imports_and_agrees_bit_for_bit_after_nlsmooth():
