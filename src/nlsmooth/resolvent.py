@@ -8,10 +8,12 @@ same Armijo line search along -R.
 
 The Newton system is (diag(a) + lambda L diag(phi'(u))) delta = -R, with
 a = 1 + lambda f'(u), L the Jacobian of the diffusion at phi(u) and R the
-residual. With S = sqrt(phi'(u)) it is solved through the SPD system
-(diag(a) + lambda S L S) y = -S R, and delta = (-R - lambda L(S y)) / a. This
-never divides by phi'(u), which vanishes where u does for the porous-medium
-phi at eps_reg = 0. For phi = identity S = 1 and delta = y.
+residual. In one dimension gtsv, which pivots, solves it as it stands: the
+Jacobian bands times phi'(u), since band k is indexed by column. In more
+dimensions CG needs an SPD system: with S = sqrt(phi'(u)) it solves
+(diag(a) + lambda S L S) y = -S R, and delta = (-R - lambda L(S y)) / a. Neither
+divides by phi'(u), which vanishes where u does for the porous-medium phi at
+eps_reg = 0. For phi = identity S = 1 and delta = y.
 
 Each iterate is evaluated once. The residual evaluation of an iterate also
 returns its state (DiscreteOperator.state): w = phi(u), the face gradients g
@@ -42,7 +44,9 @@ them from the files of the compiled modules scipy.linalg._flapack (dgtsv) and
 scipy.sparse._sparsetools (dia_matvec) after importing the top-level scipy
 package only: the package set-up of scipy.linalg and scipy.sparse, which no
 solve needs, took about half of the time and a third of the memory of a
-fresh interpreter's import of nlsmooth.
+fresh interpreter's import of nlsmooth. Importing this module loads no scipy
+at all: scipy comes with the first solve, _flapack with the first solve in
+one dimension and _sparsetools with the first in more, each once per process.
 
 Where the data vanish outside a box, the same Newton loop runs on the window
 of that box (DiscreteOperator.window): the nodes where some member's data are
