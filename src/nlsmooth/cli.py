@@ -138,7 +138,7 @@ def _cmd_simulate(args):
     _check_out(args.out)
     _check_seed(args.seed)
     config = harness.load_config(args.config)
-    spec, tg, u0, _, _, _ = harness.decay_setup(config, seed=args.seed)
+    spec, tg, u0, _, _ = harness.decay_setup(config, seed=args.seed)
     traj = evolve(spec, u0, tg)
     trajectory_to_csv(traj, args.out)
     _emit(

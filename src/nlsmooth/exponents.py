@@ -1,6 +1,6 @@
 """Closed-form smoothing exponents for nonlinear semigroup estimates.
 
-Everything in this module is exact arithmetic on the parameters of
+Everything in this module is closed-form arithmetic on the parameters of
 regularization estimates of the form
 
     ||T_t u - T_t v||_r  <=  C t^{-alpha} e^{omega beta t} ||u - v||_q^{gamma}.
@@ -17,7 +17,11 @@ the inequality with its pinned seed, and the direct (alpha, gamma). Doubly
 nonlinear diffusions take the Moser route instead.
 
 All functions are pure: same inputs give bit-identical outputs. Validity
-conditions are reported by name, and violations raise ConditionError.
+conditions are reported by name, and violations raise ConditionError. Every
+admissibility decision (each named condition, the regime of x against d, a
+default seed) is the sign of a sum of terms under one rule, _sign: a sum
+within a relative 1e-12 of the terms' magnitudes is zero, so roundoff cannot
+decide a critical or borderline case.
 """
 
 from __future__ import annotations
@@ -42,9 +46,13 @@ class ConditionError(ValueError):
         self.conditions = dict(conditions or {})
 
 
-def _positive(*terms):
-    """sum(terms) > 0 beyond roundoff, which must not decide a critical case."""
-    return sum(terms) > 1e-12 * sum(abs(t) for t in terms)
+def _sign(*terms):
+    """-1, 0 or 1 for the sign of sum(terms); 0 when the sum is within a
+    relative 1e-12 of the terms' magnitudes. A NaN sum is -1, so it is refused."""
+    total = sum(terms)
+    if abs(total) <= 1e-12 * sum(abs(t) for t in terms):
+        return 0
+    return 1 if total > 0 else -1
 
 
 def _require(conditions, name, ok, message):
@@ -99,7 +107,6 @@ class StarExponents:
     gamma_star: float | None
     m0: float | None
     pivot: float | None
-    valid: bool
     conditions: dict = field(default_factory=dict)
 
 
@@ -162,15 +169,13 @@ def extrapolate_to_infinity(q, r, gamma, alpha, beta, m0):
     _require(
         conditions,
         "gamma_r_gt_q",
-        _positive(gamma * r, -q),
+        _sign(gamma * r, -q) > 0,
         f"need gamma*r > q strictly, got gamma*r = {gamma * r} vs q = {q}",
     )
-    # multiplicative form with a roundoff slack: the boundary m0 = q/gamma is
-    # admissible and is hit exactly (in real arithmetic) by the default seeds
     _require(
         conditions,
         "m0_ge_q_over_gamma",
-        m0 * gamma >= q * (1.0 - 1e-12),
+        _sign(m0 * gamma, -q) >= 0,
         f"need m0 >= q/gamma = {q / gamma}, got m0 = {m0}",
     )
     kappa_ratio = gamma * r / q
@@ -178,24 +183,14 @@ def extrapolate_to_infinity(q, r, gamma, alpha, beta, m0):
     _require(
         conditions,
         "denominator_positive",
-        _positive((kappa_ratio - 1.0) * m0, q * (1.0 / gamma - 1.0)),
+        _sign((kappa_ratio - 1.0) * m0, q * (1.0 / gamma - 1.0)) > 0,
         f"need (gamma*r/q - 1)*m0 + q*(1/gamma - 1) > 0, got {D}",
     )
 
     alpha_star = alpha * q / (gamma * D)
     gamma_star = (kappa_ratio - 1.0) * m0 / D
     beta_star = ((beta - 1.0) * kappa_ratio + gamma - beta) / D + 1.0
-    # when beta = gamma + 1 an equivalent published form exists; evaluate both
-    # and fail loudly on drift rather than silently trusting one transcription
-    if abs(beta - (gamma + 1.0)) < 1e-12 * max(1.0, abs(beta)):
-        beta_star_alt = (gamma * gamma * r / q - 1.0) / D + 1.0
-        if abs(beta_star_alt - beta_star) > 1e-9 * max(1.0, abs(beta_star)):
-            raise ArithmeticError(
-                f"internal formula drift: beta* variants disagree "
-                f"({beta_star} vs {beta_star_alt})"
-            )
-    pivot = kappa_ratio * m0
-    return StarExponents(alpha_star, beta_star, gamma_star, m0, pivot, True, conditions)
+    return StarExponents(alpha_star, beta_star, gamma_star, m0, kappa_ratio * m0, conditions)
 
 
 def _reduce_star_to_s(star, s, case, conditions=None):
@@ -210,7 +205,7 @@ def _reduce_star_to_s(star, s, case, conditions=None):
     _require(
         conditions,
         "s_in_range",
-        1.0 <= s <= star.pivot,
+        min(_sign(s, -1.0), _sign(star.pivot, -s)) >= 0,
         f"need 1 <= s <= {star.pivot}, got s = {s}",
     )
     theta, gamma = s / star.pivot, star.gamma_star
@@ -218,7 +213,7 @@ def _reduce_star_to_s(star, s, case, conditions=None):
     _require(
         conditions,
         "gamma_star_condition",
-        _positive(1.0, -gamma * (1.0 - theta)),
+        _sign(1.0, -gamma * (1.0 - theta)) > 0,
         f"need gamma_star*(1 - s/pivot) < 1, got {gamma * (1.0 - theta)}",
     )
     return SExponents(
@@ -260,7 +255,7 @@ def _affine_orbit(kappa, c, x0, n):
     return IterationResult(
         values=tuple(values),
         closed_form=tuple(coeff * kappa**j - offset for j in range(n + 1)),
-        increasing=seed > 0.0,
+        increasing=_sign((kappa - 1.0) * x0, c) > 0,
         growth_limit=coeff,
     )
 
@@ -282,19 +277,22 @@ def moser_q_sequence(kappa, m, p, q0, n):
     return _affine_orbit(kappa, p - 1.0 - 1.0 / m, q0, n)
 
 
-def _moser_beta_series(kappa, m, p, q0, rel_tol=1e-12, max_terms=20000):
+def _moser_beta_series(kappa, m, p, q0, rel_tol=1e-12):
     """Numeric value of S = sum_{v>=0} 2^{-v} (kappa q_v / q_{v+1} + 1) kappa^{-v} q_{v+1}.
 
     Evaluated in the scaled variables z_v = kappa^{-v} q_v, which stay
     bounded, so no overflow for any kappa > 1. The term ratio tends to 1/2,
-    hence the truncation error is comparable to the last term.
+    hence the truncation error is comparable to the last term. Under the seed
+    condition every z_v lies between q0 and D/(kappa - 1) > 0, so the terms
+    fall like 2^{-v} and the sum ends within about forty of them.
     """
     c = p - 1.0 - 1.0 / m
     z = float(q0)  # z_0
     total = 0.0
     scale = 1.0  # kappa^{-v}
     half = 1.0  # 2^{-v}
-    for v in range(max_terms):
+    v = 0
+    while True:
         z_next = z + c * scale / kappa  # z_{v+1} = z_v + c kappa^{-(v+1)}
         # kappa q_v / q_{v+1} = z_v / z_{v+1};  kappa^{-v} q_{v+1} = kappa z_{v+1}
         term = half * (z / z_next + 1.0) * kappa * z_next
@@ -304,7 +302,7 @@ def _moser_beta_series(kappa, m, p, q0, rel_tol=1e-12, max_terms=20000):
         z = z_next
         scale /= kappa
         half /= 2.0
-    raise ArithmeticError("beta* series did not converge")
+        v += 1
 
 
 def moser_exponents(kappa, m, p, q0, s=1.0):
@@ -332,21 +330,21 @@ def moser_exponents(kappa, m, p, q0, s=1.0):
     _require(
         conditions,
         "pivot_ge_one",
-        pivot >= 1.0,
+        _sign(pivot, -1.0) >= 0,
         f"need kappa*m*q0 >= 1, got {pivot}",
     )
     D = (kappa - 1.0) * q0 + p - 1.0 - 1.0 / m
     _require(
         conditions,
         "seed_condition",
-        _positive((kappa - 1.0) * q0, p, -1.0, -1.0 / m),
+        _sign((kappa - 1.0) * q0, p, -1.0, -1.0 / m) > 0,
         f"need (kappa-1)*q0 + p - 1 - 1/m > 0, got {D}",
     )
     alpha_star = 1.0 / (m * D)
     gamma_star = (kappa - 1.0) * q0 / D
     S = _moser_beta_series(kappa, m, p, q0)
     beta_star = (kappa - 1.0) / D * S / (2.0 * kappa)
-    star = StarExponents(alpha_star, beta_star, gamma_star, q0, pivot, True, conditions)
+    star = StarExponents(alpha_star, beta_star, gamma_star, q0, pivot, conditions)
     return _reduce_star_to_s(star, s, case="moser", conditions=conditions)
 
 
@@ -358,7 +356,7 @@ def _default_m0(p, threshold, given, what):
     """Seed defaulting: m0 = p is admissible iff p > threshold."""
     if given is not None:
         return float(given)
-    if p > threshold:
+    if _sign(p, -threshold) > 0:
         return float(p)
     raise ConditionError(
         "m0_required",
@@ -369,15 +367,7 @@ def _default_m0(p, threshold, given, what):
 
 def _direct_star(alpha, gamma, pivot):
     """Star record for inequalities that reach r = inf without iteration."""
-    return StarExponents(
-        alpha_star=alpha,
-        beta_star=gamma + 1.0,
-        gamma_star=gamma,
-        m0=None,
-        pivot=pivot,
-        valid=True,
-        conditions={},
-    )
+    return StarExponents(alpha_star=alpha, beta_star=gamma + 1.0, gamma_star=gamma, m0=None, pivot=pivot)
 
 
 def _plaplace_direct(d, p):
@@ -424,11 +414,9 @@ _FAMILIES = {
 
 
 def _regime(x, d):
-    """'<', '=' or '>' for x against d; x within a relative 1e-12 of d is the
-    critical '=', so roundoff in x = sfrac*p cannot pick the regime."""
-    if math.isclose(x, d, rel_tol=1e-12):
-        return "="
-    return "<" if x < d else ">"
+    """'<', '=' or '>' for x against d by _sign, so roundoff in x = sfrac*p
+    cannot pick the regime."""
+    return "<=>"[_sign(x, -d) + 1]
 
 
 def _gn_exponents(family, d, p, s, m0, theta, sfrac=1.0):
@@ -448,12 +436,13 @@ def _gn_exponents(family, d, p, s, m0, theta, sfrac=1.0):
     conditions = {}
     if regime == "<":
         m0 = _default_m0(p, row.m0_threshold(d, sfrac), m0, f"{family}_exponents with {row.x} < d")
-        _require(conditions, "m0_ge_p", m0 >= p, f"need m0 >= p = {p}, got m0 = {m0}")
+        _require(conditions, "m0_ge_p", _sign(m0, -p) >= 0, f"need m0 >= p = {p}, got m0 = {m0}")
         gn = GNParams(q=2.0, r=row.sub_r(d, p, x), sigma=p)
     else:
         lo, default = row.theta(p)
         theta = default if theta is None else float(theta)
-        _require(conditions, "theta_in_range", lo < theta < 1.0, f"need theta in ({lo}, 1), got {theta}")
+        _require(conditions, "theta_in_range", min(_sign(theta, -lo), _sign(1.0, -theta)) > 0,
+                 f"need theta in ({lo}, 1), got {theta}")
         gn = row.critical(p, theta)
     base = smoothing_exponents(gn)
     if regime == "=":
@@ -545,10 +534,11 @@ def doubly_nonlinear_exponents(d, p, m, s=1.0, q0=None, theta=None):
         kappa = d / (d - p)
     else:
         theta = 0.5 if theta is None else float(theta)
-        _require(conditions, "theta_in_range", 0.0 < theta < 1.0, f"need theta in (0, 1), got {theta}")
+        _require(conditions, "theta_in_range", min(_sign(theta), _sign(1.0, -theta)) > 0,
+                 f"need theta in (0, 1), got {theta}")
         q0 = float(p) if q0 is None else q0
         kappa = 1.0 / (1.0 - theta)
-    _require(conditions, "q0_ge_p", q0 >= p, f"need q0 >= p = {p}, got q0 = {q0}")
+    _require(conditions, "q0_ge_p", _sign(q0, -p) >= 0, f"need q0 >= p = {p}, got q0 = {q0}")
     out = moser_exponents(kappa=kappa, m=m, p=p, q0=q0, s=s)
     conditions.update(out.conditions)
     return replace(out, case=f"doubly-nonlinear:p{regime}d", conditions=conditions)
@@ -566,7 +556,7 @@ def barenblatt_exponent(d, p):
     _require(
         conditions,
         "lambda_positive",
-        _positive(d * (p - 2.0), p),
+        _sign(d * (p - 2.0), p) > 0,
         f"need d(p-2)+p > 0, i.e. p > {2.0 * d / (d + 1.0)}, got p = {p}",
     )
     return d / lam

@@ -150,7 +150,6 @@ _SCHEMA = {
     "experiment.initial.normalize": (None, lambda v: v == "l1", "'l1'"),
     "experiment.seed": ("integer", lambda n: n >= 0, "at least 0"),
     "experiment.r2_min": ("number", lambda r: r <= 1.0, "at most 1"),  # and so not NaN, which no fit passes
-    "experiment.norm": (None, lambda q: q == "inf" or _is_real(q) and q in RECORDED_NORMS, "1, 2 or 'inf'"),
     "experiment.window": (None, lambda w: isinstance(w, list) and len(w) == 2 and all(map(_is_real, w))
                           and 0.0 < w[0] < w[1] < math.inf, "two numbers 0 < lo < hi"),
 }
@@ -489,16 +488,16 @@ def usable_window(traj, window):
 # ---------------------------------------------------------------------------
 
 # the (required, optional) experiment keys of each experiment config
-_DECAY_KEYS = (("initial", "window", "predicted"), ("name", "tolerance", "r2_min", "norm", "seed"))
+_DECAY_KEYS = (("initial", "window", "predicted"), ("name", "tolerance", "r2_min", "seed"))
 _BARENBLATT_KEYS = (("t0", "t1", "rel_l1_max", "refinement_min_ratio"), ("name",))
 
 
 def decay_setup(config, seed=None):
     """Check every value of a decay config and build the state its flow starts from.
 
-    Returns (spec, time grid, u0, experiment section, predicted alpha, the q
-    of the fitted norm). A ValueError names the bad key before any step runs,
-    time.tol too where the flow is none whose time error the controller bounds.
+    Returns (spec, time grid, u0, experiment section, predicted alpha). A
+    ValueError names the bad key before any step runs, time.tol too where the
+    flow is none whose time error the controller bounds.
     seed overrides experiment.seed; either is refused unless the
     experiment.initial recipe is random, the only one that reads a seed.
     """
@@ -516,7 +515,7 @@ def decay_setup(config, seed=None):
     if kind != "random" and ("seed" in exp or seed is not None):
         what = "config experiment.seed is read only by" if "seed" in exp else "--seed needs"
         raise ValueError(f"{what} a random experiment.initial; this one is {kind!r}")
-    return spec, tg, u0, exp, alpha_pred, float(exp.get("norm", math.inf))
+    return spec, tg, u0, exp, alpha_pred
 
 
 def _decay_check(config):
@@ -537,10 +536,10 @@ def run_decay_experiment(config, tol=None):
     carries the certified time-error bound of the Euler chain, None where the
     flow has no estimator (see semigroup.gradient_flow).
     """
-    spec, tg, u0, exp, alpha_pred, norm_q = _decay_check(config)
+    spec, tg, u0, exp, alpha_pred = _decay_check(config)
     traj = evolve(spec, u0, tg)
     lo, hi, info = usable_window(traj, exp["window"])
-    fit = fit_power_law(traj.times, traj.norm_series(norm_q), (lo, hi))
+    fit = fit_power_law(traj.times, traj.norm_linf, (lo, hi))
     rel_err = abs(fit.alpha_hat - alpha_pred) / abs(alpha_pred) if alpha_pred != 0.0 else abs(fit.alpha_hat)
     tolerance = float(tol if tol is not None else exp.get("tolerance", DEFAULT_TOLERANCE))
     r2_min = float(exp.get("r2_min", DEFAULT_R2_MIN))

@@ -48,7 +48,6 @@ def test_extrapolation_to_infinity_worked_example():
     # q=2, r=6, gamma=1, alpha=1/2, beta=2, m0=2:
     # D = (6/2-1)*2 = 4, alpha* = 1/4, gamma* = 1, beta* = 3/2, pivot = 6
     star = extrapolate_to_infinity(2.0, 6.0, 1.0, 0.5, 2.0, 2.0)
-    assert star.valid
     assert star.alpha_star == pytest.approx(0.25, abs=ABS_TOLERANCE)
     assert star.gamma_star == pytest.approx(1.0, abs=ABS_TOLERANCE)
     assert star.beta_star == pytest.approx(1.5, abs=ABS_TOLERANCE)
@@ -465,6 +464,49 @@ def test_doubly_nonlinear_regime_is_not_decided_by_roundoff(rel):
     assert near.case == exact.case == "doubly-nonlinear:p=d"
     for name in ("alpha_s", "beta_s", "gamma_s", "theta_s"):
         assert getattr(near, name) == pytest.approx(getattr(exact, name), rel=1e-12)
+
+
+@pytest.mark.parametrize("fn, args, s", [
+    (plaplace_exponents, (2, 1.2), 3.0),
+    (doubly_nonlinear_exponents, (2, 1.25, 0.6), 2.0),
+    (doubly_nonlinear_exponents, (3, 1.2, 2.0), 4.0),
+    (doubly_nonlinear_exponents, (4, 2.5, 0.3), 2.0),
+])
+def test_s_equal_to_the_pivot_is_admitted_when_the_pivot_rounds_low(fn, args, s):
+    # the pivot is s in real arithmetic, but its float lands one ulp below s
+    out = fn(*args, s=s)
+    assert out.star.pivot < s and out.conditions["s_in_range"] is True
+    assert out.alpha_s == pytest.approx(out.star.alpha_star, rel=1e-12)
+    assert out.gamma_s == pytest.approx(out.star.gamma_star, rel=1e-12)
+    with pytest.raises(ConditionError) as err:
+        fn(*args, s=out.star.pivot * (1.0 + 1e-9))
+    assert err.value.condition == "s_in_range"
+
+
+@pytest.mark.parametrize("call, refused", [
+    (lambda: plaplace_exponents(3, 2.5, m0=2.5 * (1.0 - 1e-15)), None),  # m0 = p
+    (lambda: doubly_nonlinear_exponents(3, 2.0, 1.0, q0=2.0 * (1.0 - 1e-15)), None),  # q0 = p
+    (lambda: moser_exponents(7.0, 0.9, 3.0, 1.0 / 6.3), None),  # kappa*m*q0 = 1
+    (lambda: dtn_exponents(3, 3.0, theta=(2.0 / 3.0) * (1.0 + 1e-15)), "theta_in_range"),  # theta at its lower end
+    (lambda: dtn_exponents(3, 3.0, theta=1.0 - 2.0**-53), "theta_in_range"),  # theta at 1
+    (lambda: doubly_nonlinear_exponents(2, 2.0, 2.0, theta=1.0 - 2.0**-53), "theta_in_range"),
+    (lambda: plaplace_exponents(3, 1.2 * (1.0 + 1e-15)), "m0_required"),  # p at the default-seed threshold 2d/(d+2)
+    (lambda: doubly_nonlinear_exponents(3, 1.2 * (1.0 + 1e-15), 1.0), "m0_required"),
+])
+def test_a_boundary_within_roundoff_is_decided_by_its_own_condition(call, refused):
+    # a closed end within roundoff is met, an open end is not, and the refusal
+    # names the borderline condition rather than a later one
+    if refused is None:
+        assert all(call().conditions.values())
+    else:
+        with pytest.raises(ConditionError) as err:
+            call()
+        assert err.value.condition == refused
+
+
+def test_an_orbit_constant_up_to_roundoff_is_not_increasing():
+    # (kappa - 1) q0 + p - 1 - 1/m = 0.1 * 3 - 0.3 vanishes in real arithmetic
+    assert moser_q_sequence(1.1, 1.0, 1.7, 3.0, 3).increasing is False
 
 
 @seed(24)

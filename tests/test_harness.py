@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from nlsmooth import harness, resolvent, semigroup
-from nlsmooth.exponents import INF, plaplace_exponents
+from nlsmooth.exponents import plaplace_exponents
 from nlsmooth.harness import (
     Report,
     config_hash,
@@ -449,7 +449,6 @@ def _smoke_decay_config():
             "name": "decay-smoke",
             "initial": {"kind": "bump", "center": 0.0, "width": 0.5, "normalize": "l1"},
             "window": [0.25, 4.0],
-            "norm": "inf",
             "predicted": {"theorem": "plaplace", "d": 1, "p": 3.0, "s": 1.0},
             "tolerance": 0.5,
             "r2_min": 0.5,
@@ -509,20 +508,6 @@ def test_a_predicted_query_with_a_boundary_condition_is_refused(monkeypatch):
     cfg["experiment"]["predicted"]["bc"] = "neumann"
     with pytest.raises(ValueError, match=re.escape("does not take argument 'experiment.predicted.bc'")):
         harness.run_decay_experiment(cfg)
-
-
-def test_decay_experiment_reads_only_a_recorded_norm(monkeypatch):
-    monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: pytest.fail("the flow ran"))
-    cfg = _smoke_decay_config()
-    for norm in (1.5, "2", True, None):  # 3 and "L2" are refused through the CLI in test_cli.py
-        cfg["experiment"]["norm"] = norm
-        with pytest.raises(ValueError, match=re.escape(f"config experiment.norm must be 1, 2 or 'inf', got {norm!r}")):
-            harness.run_decay_experiment(cfg)
-    q = []
-    for norm in (1, 2.0, "inf"):
-        cfg["experiment"]["norm"] = norm
-        q.append(harness.decay_setup(cfg)[5])
-    assert q == [1.0, 2.0, INF]
 
 
 def test_a_null_initial_recipe_is_the_default_bump():
