@@ -57,7 +57,6 @@ from .operators import (
     barenblatt_on_grid,
     barenblatt_profile,
     barenblatt_support_radius,
-    energy,
     gn_check,
     linear_perturbation,
     tanh_perturbation,

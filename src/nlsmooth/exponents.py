@@ -199,7 +199,8 @@ def _reduce_star_to_s(star, s, case, conditions=None):
     Interpolation against the L^s contraction with theta_s = s/pivot needs
     den = 1 - gamma*(1 - theta_s) > 0, and gives alpha_s = alpha*/den,
     beta_s = (beta*/2 + gamma* theta_s)/den and gamma_s = gamma* theta_s/den.
-    s = pivot returns the star exponents unchanged.
+    s = pivot gives theta_s = den = 1: alpha_s = alpha* and gamma_s = gamma*,
+    but beta_s = beta*/2 + gamma*, not beta*.
     """
     conditions = dict(conditions or {})
     _require(
@@ -277,7 +278,7 @@ def moser_q_sequence(kappa, m, p, q0, n):
     return _affine_orbit(kappa, p - 1.0 - 1.0 / m, q0, n)
 
 
-def _moser_beta_series(kappa, m, p, q0, rel_tol=1e-12):
+def _moser_beta_series(kappa, m, p, q0):
     """Numeric value of S = sum_{v>=0} 2^{-v} (kappa q_v / q_{v+1} + 1) kappa^{-v} q_{v+1}.
 
     Evaluated in the scaled variables z_v = kappa^{-v} q_v, which stay
@@ -297,7 +298,7 @@ def _moser_beta_series(kappa, m, p, q0, rel_tol=1e-12):
         # kappa q_v / q_{v+1} = z_v / z_{v+1};  kappa^{-v} q_{v+1} = kappa z_{v+1}
         term = half * (z / z_next + 1.0) * kappa * z_next
         total += term
-        if v >= 8 and term <= rel_tol * abs(total):
+        if v >= 8 and term <= 1e-12 * abs(total):  # the last term bounds the relative truncation error
             return total
         z = z_next
         scale /= kappa
@@ -534,8 +535,9 @@ def doubly_nonlinear_exponents(d, p, m, s=1.0, q0=None, theta=None):
         kappa = d / (d - p)
     else:
         theta = 0.5 if theta is None else float(theta)
-        _require(conditions, "theta_in_range", min(_sign(theta), _sign(1.0, -theta)) > 0,
-                 f"need theta in (0, 1), got {theta}")
+        # a theta so small that 1 - theta rounds to 1 would leave kappa = 1/(1 - theta) at 1
+        _require(conditions, "theta_in_range", min(_sign(theta), _sign(1.0, -theta)) > 0 and 1.0 - theta < 1.0,
+                 f"need theta in (0, 1) with 1 - theta < 1 in floating point, got {theta}")
         q0 = float(p) if q0 is None else q0
         kappa = 1.0 / (1.0 - theta)
     _require(conditions, "q0_ge_p", _sign(q0, -p) >= 0, f"need q0 >= p = {p}, got q0 = {q0}")

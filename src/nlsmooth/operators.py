@@ -5,8 +5,10 @@ interior nodes in any dimension d, with Dirichlet (zero ghost values),
 Neumann (zero boundary flux) or Robin (b |w|^{p-2} w boundary flux) coupling.
 The flux a(g) = (g^2 + eps^2)^{(p-2)/2} g acts on scalar edge gradients
 obtained by forward differences; the divergence is its exact adjoint, so the
-diffusion part is the gradient of a convex separable energy and monotonicity
-holds at the discrete level, not just in the limit.
+diffusion part is the gradient of a convex separable energy,
+DiscreteOperator.energy, and monotonicity holds at the discrete level, not
+just in the limit. The same energy is the E of the time-error certificate of
+a gradient flow (semigroup.gradient_flow).
 
 Because the flux acts on each axis's edge gradient alone, in d >= 2 the
 diffusion is the orthotropic p-Laplacian sum_a d_a(|d_a u|^{p-2} d_a u),
@@ -413,16 +415,23 @@ class DiscreteOperator:
         w = self.spec.phi.value(u)
         return (w, *self._faces(w))
 
-    def gradient_pnorm(self, v, p, eps=0.0):
-        """sum over active edges of vol * |g_e|^p, the discrete ||grad v||_p^p."""
-        if eps == 0.0:
-            mag = lambda g: np.abs(g) ** p
-        else:
-            mag = lambda g: (g * g + eps * eps) ** (p / 2.0)
-        total = 0.0
-        for ax, g in zip(self._axes, self._gradients(self._grid_shaped(v))):
+    def energy(self, v):
+        """The convex energy of the diffusion at the values v, whose gradient in
+        the node weights is diffusion_values: (1/p) sum_e vol (g_e^2 + eps^2)^{p/2}
+        over the faces that carry a gradient (see _gradients; the interior ones
+        unless Dirichlet), plus, under Robin, (b/p) |v|^p at each boundary node
+        on the face measure vol / h_a. phi is not applied: for doubly nonlinear
+        operators this is the energy of the diffusion in its own variable."""
+        p, eps, vol = self.spec.p, self.spec.eps_reg, self._cell_volume
+        mag = (lambda g: np.abs(g) ** p) if eps == 0.0 else (lambda g: (g * g + eps * eps) ** (p / 2.0))
+        V, total = self._grid_shaped(v), 0.0
+        for ax, g in zip(self._axes, self._gradients(V)):
             total += np.sum(mag(g if self._dirichlet else g[ax.inner]))
-        return float(self._cell_volume * total)
+        total = float(vol * total) / p
+        if self._robin:
+            for ax in self._axes:
+                total += self.spec.bc.b / p * (vol / ax.h) * float(np.sum(np.abs(V[ax.node_ends]) ** p))
+        return total
 
     # -- operator evaluation -------------------------------------------------
 
@@ -458,50 +467,36 @@ class DiscreteOperator:
 
     # -- linearization (for the implicit solver) ----------------------------
 
-    def edge_conductivities(self, w, faces=None):
-        """a'(g_e) on the faces of each axis; boundary faces carry none unless
-        Dirichlet. faces, if given, is self._faces(w)."""
-        p, eps, d = self.spec.p, self.spec.eps_reg, self.d
-        if faces is None:
-            faces = self._faces(w)
-        out = []
-        for a, ax in enumerate(self._axes):
-            c = _flux_deriv(faces[a], p, eps, faces[d + a] if eps != 0.0 else None)
-            if not self._dirichlet:
-                c[ax.face_ends] = 0.0  # boundary edges carry no flux for any w
-            out.append(c)
-        return out
-
-    def _robin_diag(self, W):
-        """Diagonal of the derivative of the robin boundary term wrt the grid-shaped W."""
-        p = self.spec.p
-        b = self.spec.bc.b
-        D = np.zeros_like(W)
-        for ax in self._axes:
-            # the derivative of |w|^{p-2} w, zeroed at w = 0 for p < 2 to keep it finite
-            D[ax.node_ends] += b * _flux_deriv(W[ax.node_ends], p, 0.0, None) / ax.h
-        return D
-
     def diffusion_jacobian(self, w, faces=None):
-        """d/dw [-div(a(grad w))] as bands of shape (2d + 1,) + w.shape; faces,
-        if given, is self._faces(w).
+        """d/dw [-div(a(grad w))] plus the robin boundary term, as bands of shape
+        (2d + 1,) + w.shape; faces, if given, is self._faces(w).
 
         Band k holds L[j - offset_k, j] at column j and 0 where that row is
         off the grid. Band d is the diagonal; bands a and 2d - a carry
         -c_e / h_a^2 for each interior edge e of axis a, at its lower and at
-        its upper node. A (B, n) stack gives (2d + 1, B, n).
+        its upper node, with the conductivity c_e = a'(g_e); boundary faces
+        carry none unless Dirichlet. A (B, n) stack gives (2d + 1, B, n).
         """
-        d = self.d
+        p, eps, d = self.spec.p, self.spec.eps_reg, self.d
+        if faces is None:
+            faces = self._faces(w)
         bands = np.zeros((2 * d + 1,) + w.shape)
         B = self._grid_shaped(bands)
         diag = B[d]
-        for a, (ax, c) in enumerate(zip(self._axes, self.edge_conductivities(w, faces))):
+        for a, ax in enumerate(self._axes):
+            c = _flux_deriv(faces[a], p, eps, faces[d + a] if eps != 0.0 else None)
+            if not self._dirichlet:
+                c[ax.face_ends] = 0.0  # boundary edges carry no flux for any w
             c /= -(ax.h * ax.h)  # the off-diagonal entries -c_e / h_a^2
             diag -= c[ax.lo]
             diag -= c[ax.hi]
             B[a][ax.lo] = B[2 * d - a][ax.hi] = c[ax.inner]
         if self._robin:
-            diag += self._robin_diag(self._grid_shaped(w))
+            # b (|w|^{p-2} w)' / h_a, zeroed at w = 0 for p < 2 to keep it finite, joins the diagonal once
+            W, robin = self._grid_shaped(w), np.zeros_like(diag)
+            for ax in self._axes:
+                robin[ax.node_ends] += self.spec.bc.b * _flux_deriv(W[ax.node_ends], p, 0.0, None) / ax.h
+            diag += robin
         return bands
 
     def jacobian_apply(self, bands, v):
@@ -541,28 +536,6 @@ class DiscreteOperator:
         if self.spec.perturbation is None:
             return np.zeros_like(u)
         return self.spec.perturbation.derivative(self._nodes, u)
-
-
-def energy(spec, u, op=None):
-    """Convex energy of the diffusion part at the raw argument u.
-
-    (1/p) sum_e vol (g_e^2 + eps^2)^{p/2} over active edges, plus the robin
-    term (b/p) sum over boundary nodes of |u|^{p-2} u * u weighted by the
-    boundary measure. phi is not applied: for doubly nonlinear operators
-    this is the energy of the diffusion in its own variable. op, if given,
-    is the operator of spec, which is otherwise built for the call.
-    """
-    if op is None:
-        op = DiscreteOperator(spec)
-    v = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
-    p, eps = spec.p, spec.eps_reg
-    total = op.gradient_pnorm(v, p, eps) / p
-    if spec.bc.kind == "robin":
-        V = op._grid_shaped(v)
-        for ax in op._axes:
-            face = spec.grid.cell_volume / ax.h
-            total += spec.bc.b / p * face * float(np.sum(np.abs(V[ax.node_ends]) ** p))
-    return float(total)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import GridFunction, lq_norm, mass
-from .operators import DiscreteOperator, energy
+from .operators import DiscreteOperator
 from .resolvent import NonConvergenceError, solve_resolvent
 
 EVOLVE_TOL = 1e-12  # per-step residual; keeps cumulative mass drift far below budget
@@ -98,10 +98,6 @@ class TimeGrid:
         self.dt  # refuses a grid with tol
         return np.linspace(0.0, self.t_end, self.n_steps + 1)
 
-    def steps(self):
-        """The n_steps step sizes of a uniform grid; each is exactly t_end / n_steps."""
-        return np.full(self.n_steps, self.dt)
-
 
 def _is_real(x):
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
@@ -120,8 +116,10 @@ def _h_minus_1(v, h):
 def gradient_flow(spec, op):
     """(E, sq): the energy and the squared norm, as functions of the values of
     a state, of the flow of spec as a gradient flow, in which eta_n bounds the
-    time error (see the module docstring). For phi identity they are the
-    p-Dirichlet energy of op, the operator of spec, and the weighted l^2 norm;
+    time error (see the module docstring). For phi identity they are
+    op.energy, the p-Dirichlet energy of op, the operator of spec (read at each
+    call, so a caller that only asks whether the flow is one may pass None),
+    and the weighted l^2 norm;
     for phi = |u|^{m-1} u with p = 2 they are sum_i w_i |u_i|^{m+1} / (m + 1)
     and the H^-1 norm of the Dirichlet Laplacian, which is solved in one
     dimension only. A ValueError says why the flow is none of these."""
@@ -129,7 +127,7 @@ def gradient_flow(spec, op):
     if spec.perturbation is not None:
         raise ValueError("needs perturbation.kind 'none': a perturbation f makes the flow no gradient flow")
     if spec.phi.kind == "identity":
-        return (lambda v: energy(spec, v, op)), (lambda v: vol * float(v @ v))
+        return (lambda v: op.energy(v)), (lambda v: vol * float(v @ v))
     if spec.p != 2.0 or spec.bc.kind != "dirichlet" or spec.grid.d != 1:
         raise ValueError(f"needs operator.p = 2, operator.bc 'dirichlet' and one grid axis with a power phi, "
                          f"which is a gradient flow in H^-1 only then; got p = {spec.p:g}, bc {spec.bc.kind!r}, "

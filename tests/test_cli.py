@@ -81,6 +81,16 @@ def test_exponents_invalid_regime_reports_conditions(capsys):
     assert json.loads(out2)["valid"] is False
 
 
+def test_exponents_refuses_a_theta_whose_kappa_rounds_to_one(capsys):
+    code, out, err = run_cli(capsys, ["exponents", "--theorem", "doubly-nonlinear", "--d", "2", "--p", "2",
+                                      "--m", "2", "--theta", "1e-300"])
+    assert code == 2 and err == ""
+    payload = json.loads(out)
+    assert payload["valid"] is False
+    assert payload["conditions"] == {"theta_in_range": False}
+    assert "theta" in payload["error"] and "kappa" not in payload["error"]
+
+
 def test_exponents_argparse_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["exponents"])  # --theorem is required

@@ -450,7 +450,9 @@ def test_doubly_nonlinear_validation():
         doubly_nonlinear_exponents(3, 2.0, 1.0, q0=1.0)  # q0 < p
     assert err.value.condition == "q0_ge_p"
     assert doubly_nonlinear_exponents(2, 2.0, 2.0).conditions["theta_in_range"] is True
-    for theta in (0.0, 1.0):
+    assert doubly_nonlinear_exponents(2, 2.0, 2.0, theta=2.0**-52).conditions["theta_in_range"] is True
+    # at the last two, 1 - theta rounds to 1: a kappa = 1/(1 - theta) of 1 is refused as theta, not as kappa
+    for theta in (0.0, 1.0, 1e-300, 2.0**-54):
         with pytest.raises(ConditionError) as err:
             doubly_nonlinear_exponents(2, 2.0, 2.0, theta=theta)
         assert err.value.condition == "theta_in_range"

@@ -25,7 +25,6 @@ from nlsmooth.operators import (
     barenblatt_on_grid,
     barenblatt_profile,
     barenblatt_support_radius,
-    energy,
     gn_check,
     linear_perturbation,
     tanh_perturbation,
@@ -101,10 +100,7 @@ def test_evaluation_is_row_wise_on_a_stack():
     for spec in specs:
         op = DiscreteOperator(spec)
         W = rng.standard_normal((3, spec.grid.n_total))
-        # per-axis arrays keep the grid shape; flatten them behind the batch axis
-        flat = lambda parts: [x.reshape(x.shape[: x.ndim - spec.grid.d] + (-1,)) for x in parts]
         methods = [op.apply_values, op.diffusion_values, op.phi_derivative, op.perturbation_derivative,
-                   lambda w: np.concatenate(flat(op.edge_conductivities(w)), axis=-1),
                    # the bands lead, so put the batch axis first
                    lambda w: np.moveaxis(op.diffusion_jacobian(w), 0, -2)]
         for method in methods:
@@ -245,7 +241,7 @@ def test_strong_monotonicity_factor():
             du = u - v
             da = op.apply(u) - op.apply(v)
             inner = mass(du.with_values(du.values * da.values))
-            lower = 2.0 ** (2.0 - p) * op.gradient_pnorm(du.values, p, eps=0.0)
+            lower = 2.0 ** (2.0 - p) * p * op.energy(du.values)  # p E(v) = ||grad v||_p^p at eps = 0
             assert inner >= lower * (1.0 - 1e-10)
 
 
@@ -360,14 +356,16 @@ def test_jacobian_matrix_is_dia_and_multiplies_bitwise_as_csr(make, bc):
 def test_energy_gradient_consistency():
     rng = np.random.default_rng(RNG_SEED + 6)
     step = 1e-6
+    # Neumann sums the interior faces only, Dirichlet every face and Robin adds its boundary term
     for spec in (_spec_1d(3.0, BoundaryCondition.dirichlet()), _spec_1d(3.0, BoundaryCondition.robin(0.7)),
+                 _spec_1d(3.0, BoundaryCondition.neumann(), eps=1e-8), _spec_2d(3.0, BoundaryCondition.dirichlet()),
                  _spec_3d(3.0, BoundaryCondition.robin(0.7))):
-        space = spec.space()
+        space, op = spec.space(), DiscreteOperator(spec)
         u = GridFunction(space, rng.standard_normal(space.n))
         v = GridFunction(space, rng.standard_normal(space.n))
-        au = DiscreteOperator(spec).apply(u)
+        au = op.apply(u)
         inner = mass(u.with_values(au.values * v.values))
-        quotient = (energy(spec, u + step * v) - energy(spec, u - step * v)) / (2 * step)
+        quotient = (op.energy((u + step * v).values) - op.energy((u - step * v).values)) / (2 * step)
         assert inner == pytest.approx(quotient, rel=1e-6, abs=1e-8)
 
 
