@@ -439,14 +439,17 @@ def _gn_exponents(family, d, p, s, m0, theta, sfrac=1.0):
         m0 = _default_m0(p, row.m0_threshold(d, sfrac), m0, f"{family}_exponents with {row.x} < d")
         _require(conditions, "m0_ge_p", _sign(m0, -p) >= 0, f"need m0 >= p = {p}, got m0 = {m0}")
         gn = GNParams(q=2.0, r=row.sub_r(d, p, x), sigma=p)
+        base = smoothing_exponents(gn)
     else:
         lo, default = row.theta(p)
         theta = default if theta is None else float(theta)
-        _require(conditions, "theta_in_range", min(_sign(theta, -lo), _sign(1.0, -theta)) > 0,
-                 f"need theta in ({lo}, 1), got {theta}")
-        gn = row.critical(p, theta)
-    base = smoothing_exponents(gn)
-    if regime == "=":
+        in_range = min(_sign(theta, -lo), _sign(1.0, -theta)) > 0
+        if in_range:
+            # every theta in (lo, 1) has gamma*r > q: one within roundoff of lo = 0 fails it, and is refused here
+            gn = row.critical(p, theta)
+            base = smoothing_exponents(gn)
+            in_range = _sign(base.gamma * gn.r, -gn.q) > 0
+        _require(conditions, "theta_in_range", in_range, f"need theta in ({lo}, 1), got {theta}")
         m0 = row.pinned(p, base)
     star = extrapolate_to_infinity(gn.q, gn.r, base.gamma, base.alpha, base.beta, m0)
     conditions.update(star.conditions)

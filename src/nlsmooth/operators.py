@@ -22,7 +22,8 @@ grid-shaped array (..., n_1, ..., n_d): the boundary condition decides what
 the two boundary faces of each axis carry.
 
 The Jacobian L of the diffusion has one form, 2d + 1 bands in the layout of a
-scipy DIA matrix, which both linear solvers of the resolvent take as it is.
+scipy DIA matrix, from which both linear solvers of the resolvent build their
+systems.
 The offsets, DiscreteOperator.offsets, ascend, -stride_1, ..., -stride_d, 0,
 stride_d, ..., stride_1, where stride_a is the distance of neighbouring nodes
 along axis a in the flat array. Band k holds L[j - offset_k, j] at column j,
@@ -508,10 +509,10 @@ class DiscreteOperator:
             out[ax.hi] += B[2 * d - a][ax.hi] * V[ax.lo]
         return out.reshape(v.shape)
 
-    def jacobian_scaled(self, bands, s):
-        """The bands of diag(s) L diag(s)."""
+    def jacobian_scaled(self, bands, s, overwrite=False):
+        """The bands of diag(s) L diag(s), written over bands if overwrite."""
         d, S = self.d, self._grid_shaped(s)
-        out = bands.copy()  # with the zeros of the rows off the grid
+        out = bands if overwrite else bands.copy()  # with the zeros of the rows off the grid
         O = self._grid_shaped(out)
         O[d] *= S
         O[d] *= S
@@ -523,7 +524,10 @@ class DiscreteOperator:
         return out
 
     def diffusion_jacobian_matrix(self, w):
-        """d/dw [-div(a(grad w))] as a scipy DIA matrix (any dimension), SPD.
+        """d/dw [-div(a(grad w))] as a scipy DIA matrix (any dimension):
+        symmetric positive semi-definite, singular under Neumann (the constants
+        are in its kernel) and zero at w = 0 for eps_reg = 0 and p > 2. The
+        Newton matrix diag(a) + lambda S L S of the resolvent, a > 0, is SPD.
         scipy.sparse is imported here, which no solve calls."""
         from scipy import sparse
         n = w.shape[-1]

@@ -10,10 +10,14 @@ The Newton system is (diag(a) + lambda L diag(phi'(u))) delta = -R, with
 a = 1 + lambda f'(u), L the Jacobian of the diffusion at phi(u) and R the
 residual. In one dimension gtsv, which pivots, solves it as it stands: the
 Jacobian bands times phi'(u), since band k is indexed by column. In more
-dimensions CG needs an SPD system: with S = sqrt(phi'(u)) it solves
-(diag(a) + lambda S L S) y = -S R, and delta = (-R - lambda L(S y)) / a. Neither
-divides by phi'(u), which vanishes where u does for the porous-medium phi at
-eps_reg = 0. For phi = identity S = 1 and delta = y.
+dimensions CG solves it scaled once to an SPD system with unit diagonal: with
+S = sqrt(phi'(u)), or 1 for phi = identity, W = S / sqrt(a + lambda S^2 diag(L))
+and L' the bands of L off its diagonal, (I + lambda W L' W) y = -W R; then
+z = W y is delta for the identity, and delta = (-R - lambda L z) / a for a
+power phi. This is Jacobi-preconditioned CG on the SPD diag(a) + lambda S L S
+in exact arithmetic, without the preconditioner's pass. W is finite and
+nonnegative, since a + lambda S^2 diag(L) >= a > 0, and nothing divides by
+phi'(u), which vanishes where u does for the porous-medium phi at eps_reg = 0.
 
 Each iterate is evaluated once. The residual evaluation of an iterate also
 returns its state (DiscreteOperator.state): w = phi(u), the face gradients g
@@ -35,9 +39,9 @@ one tridiagonal system of size B*n whose zero band ends decouple the blocks,
 solved by one direct LAPACK gtsv call (the checks of scipy.linalg.solve_banded
 take a third of each solve at n = 2001): gtsv never pivots across a zero
 coupling, so each block gets the solution it would get alone. In more
-dimensions each member's system is solved by Jacobi-preconditioned conjugate
-gradients (cg, the library's own loop), whose product with the bands is the
-kernel of scipy's DIA matvec called on them directly (_band_matvec).
+dimensions each member's scaled system is solved by conjugate gradients (cg,
+the library's own loop), whose product adds the bands off the diagonal to x
+by the kernel of scipy's DIA matvec called on them directly (_band_matvec).
 
 Those two kernels are all that a solve uses of scipy. _scipy_extension loads
 them from the files of the compiled modules scipy.linalg._flapack (dgtsv) and
@@ -64,9 +68,9 @@ dot products over the shorter vectors may round differently.
 For phi = identity in d >= 2, CG stops at each member's Eisenstat-Walker
 (1996) choice-2 forcing term: eta_0 = 0.1, eta_k = 0.9 (|R_k| / |R_k-1|)^2,
 at least 0.9 eta_k-1^2 when that exceeds 0.1 and 0.5 tol / |R_k| (no
-oversolving), within [CG_RTOL, 0.1]. The sqrt(phi')-scaled system keeps
-CG_RTOL: its CG residual does not bound the unscaled Newton residual, and
-forcing it stalls degenerate porous-medium solves.
+oversolving), within [CG_RTOL, 0.1], on the residual of the scaled system.
+A power phi keeps CG_RTOL: its CG residual does not bound the unscaled
+Newton residual, and forcing it stalls degenerate porous-medium solves.
 """
 
 from __future__ import annotations
@@ -203,21 +207,27 @@ def _newton_steps(op, lam, U, R, state, rtol):
     bands = op.diffusion_jacobian(state[0], state[1:])
     a = 1.0 if op.spec.perturbation is None else 1.0 + lam * op.perturbation_derivative(U)
     power = op.spec.phi.kind != "identity"
-    scaled = power and d > 1
-    # the bands and right-hand sides of the rows' systems
-    if scaled:
-        S = np.sqrt(op.phi_derivative(U))
-        system, rhs = op.jacobian_scaled(bands, S), -S * R
-    else:
-        if power:  # L diag(phi'(U)): band k is indexed by column
+    if d == 1:  # L diag(phi'(U)): band k is indexed by column; the bands are not needed again
+        if power:
             bands *= op.phi_derivative(U)
-        system, rhs = bands, -R  # the bands are not needed again
+        bands *= lam
+        bands[1] += a
+        return _solve_tridiagonal_stack(bands, -R)
+    # W = S / sqrt(a + lambda S^2 diag(L)), S^2 = phi'(U) or 1, and -W R built in place: a fresh
+    # 128^2 row, glibc's 128 KiB mmap threshold, faults in all of its pages
+    phi1 = op.phi_derivative(U) if power else 1.0
+    W = lam * phi1 * bands[d]
+    W += a
+    np.sqrt(np.divide(phi1, W, out=W), out=W)
+    system = op.jacobian_scaled(bands, W, overwrite=not power)  # only a power phi reads L again
     system *= lam
-    system[d] += a
-    y = _solve_tridiagonal_stack(system, rhs) if d == 1 else _solve_cg_stack(op, system, rhs, rtol)
-    if not scaled:
-        return y
-    step = op.jacobian_apply(bands, S * y)
+    rhs = W * R
+    rhs *= -1.0
+    step = _solve_cg_stack(op, system, rhs, rtol)
+    step *= W
+    if not power:
+        return step
+    step = op.jacobian_apply(bands, step)
     step *= -lam
     step -= R
     if op.spec.perturbation is not None:  # else a = 1, and x / 1 = x
@@ -225,27 +235,28 @@ def _newton_steps(op, lam, U, R, state, rtol):
     return step
 
 
-def cg(matvec, b, rtol, maxiter, inv_diag, callback=None):
-    """Jacobi-preconditioned CG for A x = b from x = 0, where matvec(p) is
-    A p (read before the next call, so it may reuse one buffer), in the step
-    order of scipy.sparse.linalg.cg with preconditioner inv_diag * r, so the
-    iterates are scipy's bit for bit. Returns (x, 0) once |r| < rtol |b| (at
-    once for b = 0), and (x, maxiter) after maxiter iterations or at a
-    breakdown, where r.z or p.Ap is not positive and finite. callback(x)
-    follows each iteration; perfbench counts CG iterations through it."""
+def cg(matvec, b, rtol, maxiter, callback=None):
+    """CG for A x = b from x = 0, where matvec(p) is A p (read before the next
+    call, so it may reuse one buffer), in the step order of
+    scipy.sparse.linalg.cg without a preconditioner, so the iterates are
+    scipy's bit for bit: |r| is sqrt(r.r), as numpy's norm takes it, and r.r is
+    the step's rho. Returns (x, 0) once |r| < rtol |b| (at once for b = 0), and
+    (x, maxiter) after maxiter iterations or at a breakdown, where r.r or p.Ap
+    is not positive and finite. callback(x) follows each iteration; perfbench
+    counts CG iterations through it."""
     x, bnorm = np.zeros_like(b), np.linalg.norm(b)
     if bnorm == 0.0:
         return x, 0
-    r, z, p, scratch = b.copy(), np.empty_like(b), np.empty_like(b), np.empty_like(b)
+    r, p, scratch = b.copy(), np.empty_like(b), np.empty_like(b)
     for k in range(maxiter):
-        if np.linalg.norm(r) < rtol * bnorm:
+        rho = np.dot(r, r)
+        if math.sqrt(rho) < rtol * bnorm:
             return x, 0
-        rho = np.dot(r, np.multiply(inv_diag, r, out=z))
         if k:
             p *= rho / rho_prev
-            p += z
+            p += r
         else:
-            p[:] = z
+            p[:] = r
         q = matvec(p)
         pq = np.dot(p, q)
         if not (0.0 < rho < math.inf and 0.0 < pq < math.inf):
@@ -259,31 +270,34 @@ def cg(matvec, b, rtol, maxiter, inv_diag, callback=None):
 
 
 def _band_matvec(offsets, bands):
-    """x -> M x for the (n_bands, n) bands of a matrix M with the int32
-    offsets of DiscreteOperator.offsets: dia_matvec, the kernel of a scipy
-    DIA matrix's product, adds each row's terms in ascending column order,
-    as a CSR matvec does. Every call writes into one buffer, which it zeroes
-    first, and returns it."""
+    """x -> M x for the (2d + 1, n) bands of a matrix M with unit diagonal and
+    the int32 offsets of DiscreteOperator.offsets; band d is not read. Each
+    row starts from x, and dia_matvec, the kernel of a scipy DIA matrix's
+    product, adds its terms below and then above the diagonal in ascending
+    column order, as a DIA matrix with the diagonal listed first does. Every
+    call writes into one buffer and returns it."""
     n_bands, n = bands.shape
+    d = n_bands // 2
+    below, above = (offsets[:d], bands[:d]), (offsets[d + 1:], bands[d + 1:])
     out, dia_matvec = np.empty(n), _scipy_extension("sparse._sparsetools").dia_matvec
 
     def matvec(x):
-        out.fill(0.0)
-        dia_matvec(n, n, n_bands, n, offsets, bands, x, out)
+        np.copyto(out, x)
+        for offs, part in (below, above):
+            dia_matvec(n, n, d, n, offs, part, x, out)
         return out
 
     return matvec
 
 
 def _solve_cg_stack(op, bands, rhs, rtol):
-    """Solve each row's system of _newton_steps, bands and right-hand side, by
-    Jacobi-preconditioned CG to its rtol; rows whose CG did not converge come
+    """Solve each row's unit-diagonal system of _newton_steps, bands and
+    right-hand side, by CG to its rtol; rows whose CG did not converge come
     back as NaN."""
     _, k, n = bands.shape
     steps = np.full((k, n), np.nan)
     for j in range(k):
-        row = np.ascontiguousarray(bands[:, j])
-        z, info = cg(_band_matvec(op.offsets, row), rhs[j], rtol[j], 20 * n, 1.0 / row[op.d])
+        z, info = cg(_band_matvec(op.offsets, np.ascontiguousarray(bands[:, j])), rhs[j], rtol[j], 20 * n)
         if info == 0:
             steps[j] = z
     return steps

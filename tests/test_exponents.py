@@ -506,6 +506,20 @@ def test_a_boundary_within_roundoff_is_decided_by_its_own_condition(call, refuse
         assert err.value.condition == refused
 
 
+@pytest.mark.parametrize("theta", [1e-300, 2.0**-54, 1e-13])
+@pytest.mark.parametrize("family", [lambda theta: plaplace_exponents(2, 2.0, theta=theta),
+                                    lambda theta: fractional_exponents(2, 4.0, 0.5, theta=theta)],
+                         ids=["plaplace", "fractional"])
+def test_a_gn_theta_within_roundoff_of_zero_is_out_of_range(family, theta):
+    # gamma*r - q = 2 theta / (1 - theta) in both, over terms of about 2: a theta this close to the open end 0
+    # fails gamma_r_gt_q by _sign's rule, and is refused before it as theta_in_range
+    with pytest.raises(ConditionError) as err:
+        family(theta)
+    assert err.value.condition == "theta_in_range"
+    assert err.value.conditions == {"theta_in_range": False}
+    assert all(family(1e-10).conditions.values())
+
+
 def test_an_orbit_constant_up_to_roundoff_is_not_increasing():
     # (kappa - 1) q0 + p - 1 - 1/m = 0.1 * 3 - 0.3 vanishes in real arithmetic
     assert moser_q_sequence(1.1, 1.0, 1.7, 3.0, 3).increasing is False

@@ -299,6 +299,26 @@ def test_jacobian_bands_apply_and_scale_like_the_matrix():
         np.testing.assert_allclose(scaled, s[:, None] * dense * s[None, :], rtol=1e-14, atol=1e-12)
 
 
+@pytest.mark.parametrize("make", [_spec_1d, _spec_2d, _spec_3d], ids=["1d", "2d", "3d"])
+def test_jacobian_is_only_semi_definite(make):
+    # L is symmetric positive semi-definite: under Neumann the constants are in its kernel, while the Dirichlet
+    # L is definite; at w = 0 with eps_reg = 0 and p > 2 every conductivity vanishes, and L is zero
+    rng = np.random.default_rng(RNG_SEED + 13)
+    for bc in ALL_BCS:
+        op = DiscreteOperator(make(3.0, bc))
+        n = op.space.n
+        dense = op.diffusion_jacobian_matrix(rng.standard_normal(n)).toarray()
+        eigenvalues, scale = np.linalg.eigvalsh(dense), np.abs(dense).max()
+        assert eigenvalues[0] >= -1e-12 * scale
+        if bc.kind == "neumann":
+            assert np.abs(dense @ np.ones(n)).max() <= 1e-12 * scale
+        else:
+            assert eigenvalues[0] > 1e-6 * scale
+    spec = make(3.0, BoundaryCondition.robin(0.7))
+    spec = OperatorSpec(grid=spec.grid, p=3.0, bc=spec.bc, eps_reg=0.0)
+    assert not DiscreteOperator(spec).diffusion_jacobian(np.zeros(spec.grid.n_total)).any()
+
+
 @pytest.mark.parametrize("bc", ALL_BCS, ids=lambda bc: bc.kind)
 @pytest.mark.parametrize("make", [_spec_1d, _spec_2d, _spec_3d], ids=["1d", "2d", "3d"])
 def test_jacobian_band_layout(make, bc):
@@ -336,21 +356,29 @@ def test_jacobian_band_layout(make, bc):
 @pytest.mark.parametrize("make", [_spec_1d, _spec_2d, _spec_3d], ids=["1d", "2d", "3d"])
 def test_jacobian_matrix_is_dia_and_multiplies_bitwise_as_csr(make, bc):
     # ascending offsets make the DIA matvec add each row's terms in ascending
-    # column order, the order of a CSR matvec, so the products agree bitwise;
-    # so does the resolvent's direct call of the DIA kernel on the bands,
-    # twice on its one buffer
+    # column order, the order of a CSR matvec, so the products agree bitwise.
+    # The resolvent's product of a unit-diagonal system, I plus the bands off
+    # the diagonal, is bitwise a DIA matrix's with the unit diagonal listed
+    # first, twice on its one buffer, and does not read the diagonal band
     rng = np.random.default_rng(RNG_SEED + 11)
     spec = make(3.0, bc)
     op = DiscreteOperator(spec)
-    n = spec.grid.n_total
+    n, d = spec.grid.n_total, spec.grid.d
     w, v = rng.standard_normal(n), rng.standard_normal(n)
     matrix = op.diffusion_jacobian_matrix(w)
     assert matrix.format == "dia"
     assert np.all(np.diff(matrix.offsets) > 0)
     csr = sparse.csr_array(matrix.toarray()) @ v
     assert np.array_equal(matrix @ v, csr)
-    matvec = _band_matvec(op.offsets, op.diffusion_jacobian(w))
-    assert np.array_equal(matvec(v), csr) and np.array_equal(matvec(v), csr)
+    bands = op.diffusion_jacobian(w)
+    first = np.r_[d, :d, d + 1:2 * d + 1]
+    unit = bands[first]
+    unit[0] = 1.0
+    expected = sparse.dia_array((unit, op.offsets[first]), shape=(n, n)) @ v
+    bands[d] = np.nan
+    matvec = _band_matvec(op.offsets, bands)
+    assert np.array_equal(matvec(v), expected) and np.array_equal(matvec(v), expected)
+    np.testing.assert_allclose(expected, csr + (1.0 - matrix.diagonal()) * v, rtol=1e-12, atol=1e-12)
 
 
 def test_energy_gradient_consistency():

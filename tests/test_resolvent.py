@@ -253,6 +253,54 @@ def test_1d_power_phi_newton_step_is_the_sqrt_phi_prime_scaled_step(bc_kind, eps
     assert np.abs(step - scaled).max() <= 1e-12 * np.abs(scaled).max()
 
 
+def _newton_iterates_24x24(bc_kind, phi, perturbation, lam):
+    """A 2-D operator at eps_reg = 0 and the rows U, residuals R and state of two iterates: the cold start
+    u = g and an iterate that is negative in places and nonzero at the left face, both zero on most nodes."""
+    bc = BoundaryCondition(bc_kind, b=0.7 if bc_kind == "robin" else 0.0)
+    grid = Grid(bounds=((-5.0, 5.0),) * 2, shape=(24, 24))
+    op = DiscreteOperator(OperatorSpec(grid=grid, p=3.0, bc=bc, phi=phi, eps_reg=0.0, perturbation=perturbation))
+    G = smooth_bump(grid, width=2.0).values
+    x = grid.coordinates()[0]
+    U = np.stack([G, G - 0.2 * smooth_bump(grid, center=1.0, width=1.5).values + 0.05 * (x < -1.0)])
+    assert U[1, 0] != 0.0 and np.count_nonzero(U == 0.0) > grid.n_total // 2
+    _, R, _, *state = resolvent._residual(op, lam, U, np.stack([G, G]))
+    return op, U, R, state
+
+
+@pytest.mark.parametrize("perturbation", [None, linear_perturbation(-0.5)], ids=["plain", "linear"])
+@pytest.mark.parametrize("phi", [PhiSpec.identity(), PhiSpec.power(2)], ids=["identity", "power"])
+@pytest.mark.parametrize("bc_kind", ["dirichlet", "neumann", "robin"])
+def test_2d_newton_step_is_the_dense_solve_of_the_unscaled_system(bc_kind, phi, perturbation):
+    # CG at CG_RTOL on the Jacobi-scaled unit-diagonal system gives the step of
+    # (diag(a) + lambda L diag(phi')) delta = -R, also where phi' = 0 (wherever u = 0 at eps_reg = 0)
+    lam = 0.3
+    op, U, R, state = _newton_iterates_24x24(bc_kind, phi, perturbation, lam)
+    step = resolvent._newton_steps(op, lam, U, R, state, np.full(2, CG_RTOL))
+    for j in range(2):
+        a = 1.0 + lam * op.perturbation_derivative(U[j])
+        L = op.diffusion_jacobian_matrix(state[0][j]).toarray()
+        dense = np.linalg.solve(np.diag(a) + lam * L * op.phi_derivative(U[j]), -R[j])
+        assert np.abs(step[j] - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("phi", [PhiSpec.identity(), PhiSpec.power(2)], ids=["identity", "power"])
+@pytest.mark.parametrize("bc_kind", ["dirichlet", "neumann", "robin"])
+def test_2d_newton_scaling_is_finite_and_nonnegative_on_every_row(monkeypatch, bc_kind, phi):
+    # W = S / sqrt(a + lambda S^2 diag(L)) has a + lambda S^2 diag(L) >= a > 0 on every row; where
+    # S = sqrt(phi') = 0, at the zeros of the degenerate porous medium, W = 0
+    lam = 0.3
+    op, U, R, state = _newton_iterates_24x24(bc_kind, phi, linear_perturbation(-0.5), lam)
+    scalings, scaled = [], op.jacobian_scaled
+    monkeypatch.setattr(op, "jacobian_scaled", lambda bands, s, **kw: scalings.append(s) or scaled(bands, s, **kw))
+    resolvent._newton_steps(op, lam, U, R, state, np.full(2, CG_RTOL))
+    [W] = scalings
+    assert W.shape == U.shape and np.isfinite(W).all() and (W >= 0.0).all()
+    if phi.kind == "power":
+        assert np.array_equal(W == 0.0, U == 0.0)
+    else:
+        assert (W > 0.0).all()
+
+
 def test_forcing_saves_cg_iterations(monkeypatch):
     grid = Grid(bounds=((-5.0, 5.0),) * 2, shape=(64, 64))
     spec = OperatorSpec(grid=grid, p=3.0, bc=BoundaryCondition.dirichlet())
@@ -269,7 +317,7 @@ def test_forcing_saves_cg_iterations(monkeypatch):
     out = solve_resolvent(spec, 0.5, g, tol=1e-12)
     assert out.residual <= 1e-12 and out.iterations <= 10
     forced = count[0]
-    assert forced <= 787 // 2  # 787 with every CG solve at CG_RTOL
+    assert forced <= 393  # under half of the 791 with every CG solve at CG_RTOL
     monkeypatch.setattr(resolvent, "_forcing", lambda rn, *_: np.full_like(rn, CG_RTOL))
     exact = solve_resolvent(spec, 0.5, g, tol=1e-12)
     assert count[0] - forced >= 2 * forced
@@ -277,15 +325,17 @@ def test_forcing_saves_cg_iterations(monkeypatch):
 
 
 def _newton_system_64x64():
-    """The first Newton system of a 64^2 p = 3 resolvent: its bands, the operator's offsets, right-hand side and
-    1 / diagonal."""
+    """The first scaled Newton system of a 64^2 p = 3 resolvent, as _newton_steps gives it to CG: the operator,
+    the bands 0.5 W L W with W = 1 / sqrt(1 + 0.5 diag(L)) and unit diagonal, and the right-hand side -W R."""
     grid = Grid(bounds=((-5.0, 5.0),) * 2, shape=(64, 64))
     op = DiscreteOperator(OperatorSpec(grid=grid, p=3.0))
     G = random_smooth_field(grid, 3).values[None, :]
     _, R, _, *state = resolvent._residual(op, 0.5, G.copy(), G)
-    bands = 0.5 * op.diffusion_jacobian(state[0], state[1:])[:, 0]
-    bands[op.d] += 1.0
-    return bands, op.offsets, -R[0], 1.0 / bands[op.d]
+    bands = op.diffusion_jacobian(state[0][0])
+    W = 1.0 / np.sqrt(1.0 + 0.5 * bands[op.d])
+    bands = 0.5 * op.jacobian_scaled(bands, W)
+    bands[op.d] = 1.0
+    return op, bands, -W * R[0]
 
 
 def _counted(solver, *args, **kwargs):
@@ -298,31 +348,32 @@ def _counted(solver, *args, **kwargs):
 @pytest.mark.parametrize("rtol, maxiter", [(CG_RTOL, 20 * 4096), (0.1, 20 * 4096), (CG_RTOL, 7)],
                          ids=["cg-rtol", "forcing-max", "maxiter"])
 def test_cg_iterates_are_scipy_cg_bit_for_bit(rtol, maxiter):
-    # ours calls scipy's DIA kernel on the bands, scipy's cg multiplies by the DIA matrix of the same bands
+    # ours starts each product from x and calls scipy's DIA kernel on the bands off the diagonal; scipy's
+    # cg, without a preconditioner, multiplies by the DIA matrix of the same bands with the unit diagonal first
     from scipy.sparse import dia_array
-    from scipy.sparse.linalg import LinearOperator, cg
+    from scipy.sparse.linalg import cg
 
-    bands, offsets, b, inv_diag = _newton_system_64x64()
-    ours = _counted(resolvent.cg, resolvent._band_matvec(offsets, bands), b, rtol, maxiter, inv_diag)
-    A = dia_array((bands, offsets), shape=(b.size, b.size))
-    jacobi = LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
-    theirs = _counted(cg, A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=jacobi)
+    op, bands, b = _newton_system_64x64()
+    ours = _counted(resolvent.cg, resolvent._band_matvec(op.offsets, bands), b, rtol, maxiter)
+    first = np.r_[op.d, :op.d, op.d + 1:2 * op.d + 1]
+    A = dia_array((bands[first], op.offsets[first]), shape=(b.size, b.size))
+    theirs = _counted(cg, A, b, rtol=rtol, atol=0.0, maxiter=maxiter)
     assert np.array_equal(ours[0], theirs[0]) and ours[1:] == theirs[1:]
     assert ours[1] == (7 if maxiter == 7 else 0) and ours[2] > 1
 
 
 def test_cg_edge_cases_return_at_once():
-    bands, offsets, b, inv_diag = _newton_system_64x64()
-    A = resolvent._band_matvec(offsets, bands)
-    x, info, calls = _counted(resolvent.cg, A, np.zeros_like(b), CG_RTOL, 100, inv_diag)
+    op, bands, b = _newton_system_64x64()
+    A = resolvent._band_matvec(op.offsets, bands)
+    x, info, calls = _counted(resolvent.cg, A, np.zeros_like(b), CG_RTOL, 100)
     assert info == 0 and calls == 0 and np.array_equal(x, np.zeros_like(b))
-    # a NaN right-hand side breaks down at the first step instead of using all maxiter iterations
-    b[17] = np.nan
-    x, info, calls = _counted(resolvent.cg, A, b, CG_RTOL, 100, inv_diag)
+    # a matrix that is not positive definite, here -A, breaks down at the first step instead of using all
+    # maxiter iterations
+    x, info, calls = _counted(resolvent.cg, lambda v: -A(v), b, CG_RTOL, 100)
     assert info != 0 and calls == 0
-    # so does a preconditioner that is not positive
-    _, _, b, _ = _newton_system_64x64()
-    x, info, calls = _counted(resolvent.cg, A, b, CG_RTOL, 100, -inv_diag)
+    # so does a NaN right-hand side
+    b[17] = np.nan
+    x, info, calls = _counted(resolvent.cg, A, b, CG_RTOL, 100)
     assert info != 0 and calls == 0
 
 
@@ -412,16 +463,19 @@ bands[0, -1] = bands[2, 0] = 0.0
 rhs = rng.standard_normal(n)
 dl, d, du, x, info = scipy.linalg.lapack.dgtsv(bands[0, :-1], bands[1], bands[2, 1:], rhs)
 assert info == 0 and np.array_equal(x, resolvent.solve_banded(bands, rhs))
-# an SPD 2-D Newton matrix, as _newton_steps builds it
+# a scaled SPD 2-D Newton matrix, as _newton_steps builds it, and scipy's DIA matrix of it with the unit
+# diagonal listed first
 grid = Grid(bounds=((-4.0, 4.0),) * 2, shape=(24, 24))
 op = DiscreteOperator(OperatorSpec(grid=grid, p=3.0))
-bands = 0.1 * op.diffusion_jacobian(rng.standard_normal(grid.n_total))
-bands[op.d] += 1.0
-b, inv_diag = rng.standard_normal(grid.n_total), 1.0 / bands[op.d]
-ours, info = resolvent.cg(resolvent._band_matvec(op.offsets, bands), b, 1e-12, 1000, inv_diag)
-A = scipy.sparse.dia_array((bands, op.offsets), shape=(b.size, b.size))
-jacobi = scipy.sparse.linalg.LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
-theirs, their_info = scipy.sparse.linalg.cg(A, b, rtol=1e-12, atol=0.0, maxiter=1000, M=jacobi)
+bands = op.diffusion_jacobian(rng.standard_normal(grid.n_total))
+W = 1.0 / np.sqrt(1.0 + 0.1 * bands[op.d])
+bands = 0.1 * op.jacobian_scaled(bands, W)
+bands[op.d] = 1.0
+b = rng.standard_normal(grid.n_total)
+ours, info = resolvent.cg(resolvent._band_matvec(op.offsets, bands), b, 1e-12, 1000)
+first = np.r_[op.d, :op.d, op.d + 1:2 * op.d + 1]
+A = scipy.sparse.dia_array((bands[first], op.offsets[first]), shape=(b.size, b.size))
+theirs, their_info = scipy.sparse.linalg.cg(A, b, rtol=1e-12, atol=0.0, maxiter=1000)
 assert info == their_info == 0 and np.array_equal(ours, theirs)
 print("ok")
 """

@@ -190,12 +190,22 @@ def test_2d_flow_is_bitwise_the_same_with_a_csr_newton_matrix(monkeypatch):
     dia = evolve(spec, u0, tg)
     calls = []
 
-    def csr_matvec(offsets, bands):  # CG's product with the Newton matrix, as CSR instead of the DIA kernel
+    def csr_matvec(offsets, bands):
+        # CG's product with the scaled Newton matrix, as CSR instead of the DIA kernel: each row stores its
+        # unit diagonal first, then its terms below and above the diagonal in ascending column order, the
+        # order in which the resolvent's product adds them; the diagonal band is not read
         from scipy import sparse
 
         calls.append(1)
-        n = bands.shape[1]
-        return sparse.dia_array((bands, offsets), shape=(n, n)).tocsr().__matmul__
+        n_bands, n = bands.shape
+        d = n_bands // 2
+        order = np.r_[d, :d, d + 1:n_bands]
+        columns = np.arange(n)[:, None] + offsets[order]  # M[i, i + offset_k] is band k at column i + offset_k
+        on = (columns >= 0) & (columns < n)
+        values = bands[order][np.arange(n_bands), np.clip(columns, 0, n - 1)]
+        values[:, 0] = 1.0
+        indptr = np.concatenate([[0], np.cumsum(on.sum(axis=1))])
+        return sparse.csr_array((values[on], columns[on], indptr), shape=(n, n)).__matmul__
 
     monkeypatch.setattr(resolvent, "_band_matvec", csr_matvec)
     csr = evolve(spec, u0, tg)
@@ -203,6 +213,9 @@ def test_2d_flow_is_bitwise_the_same_with_a_csr_newton_matrix(monkeypatch):
     assert np.ptp(dia.norm_linf) > 0.0
     for series in ("norm_l1", "norm_l2", "norm_linf"):
         assert np.array_equal(getattr(dia, series), getattr(csr, series))
+    # the norms alone can agree where the iterates do not: a CSR product in ascending column order, the
+    # diagonal among them, gives other CG iterates and another final state, but these same norms
+    assert np.array_equal(dia.final.values, csr.final.values)
 
 
 def test_the_2d_operator_is_orthotropic():
