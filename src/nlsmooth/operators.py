@@ -31,6 +31,16 @@ and 0 where that row is off the grid; in one dimension the bands are (sub,
 diag, super), and these zeros keep the blocks of a stack of tridiagonal
 systems apart.
 
+Node i is red where the sum of its indices is even and black where it is odd,
+so every edge joins a red and a black node. DiscreteOperator.red_black is the
+plan of that colouring (RedBlack): each colour's nodes in ascending flat order,
+and the couplings of the black rows with the red columns, L_br, as the DIA
+bands of a (black, red) matrix. An edge from a black node at position i of
+its colour to a red one at position j lies on the band of offset j - i; the
+offsets differ only by the row's parity along the axes, so there are a few of
+them (4 or 5 in 2-D, at most 9 in 3-D for 3 to 8 nodes per axis). The plan is
+built at its first call and dropped when the operator moves to other nodes.
+
 DiscreteOperator.state(u) is what evaluating A at u computes on the way and
 what linearizing A at u needs again: phi(u), the face gradients g of phi(u) on
 each axis and g^2 + eps^2. apply_values and diffusion_jacobian take it, so
@@ -290,6 +300,38 @@ def _flux_deriv(g, p, eps, s):
     return out
 
 
+class RedBlack(NamedTuple):
+    """The red-black plan of a box of nodes (see the module docstring)."""
+
+    red: np.ndarray  # the flat indices of the red nodes, ascending
+    black: np.ndarray  # and of the black nodes
+    offsets: np.ndarray  # the ascending int32 DIA offsets of L_br, black rows by red columns
+    source: np.ndarray  # (len(offsets), len(red)): where the bands of one grid function hold L_br's entries
+
+
+def _red_black(shape):
+    """The RedBlack plan of the nodes of shape. Each edge is read once, at its
+    lower node in the band below the diagonal of its axis; an entry off every
+    edge reads band 0 at the last node, which is off the grid and so 0."""
+    n, d = math.prod(shape), len(shape)
+    index = np.indices(shape).reshape(d, n)
+    black = index.sum(axis=0) % 2 == 1
+    red_nodes, black_nodes = np.flatnonzero(~black), np.flatnonzero(black)
+    position = np.where(black, np.cumsum(black), np.cumsum(~black)) - 1  # each node's place in its colour's list
+    rows, columns, source = [], [], []
+    for a in range(d):
+        lo = np.flatnonzero(index[a] < shape[a] - 1)  # the edges of axis a, by their lower node
+        hi = lo + math.prod(shape[a + 1:])
+        rows.append(position[np.where(black[lo], lo, hi)])
+        columns.append(position[np.where(black[lo], hi, lo)])
+        source.append(a * n + lo)  # band a holds L[lo + stride_a, lo] at column lo
+    rows, columns, source = map(np.concatenate, (rows, columns, source))
+    offsets, band = np.unique(columns - rows, return_inverse=True)
+    gather = np.full((offsets.size, red_nodes.size), n - 1)
+    gather[band, columns] = source
+    return RedBlack(red_nodes, black_nodes, offsets.astype(np.int32), gather)
+
+
 class _Axis(NamedTuple):
     """Index tuples of one grid axis for arrays shaped (..., n_1, ..., n_d).
 
@@ -356,6 +398,7 @@ class DiscreteOperator:
                                 dtype=np.int32)
         self._dirichlet = bc_kind == "dirichlet"
         self._robin = bc_kind == "robin"
+        self._red_black = None  # a window, a copy of its parent, must not keep the parent's plan
 
     def window(self, box):
         """This operator on the nodes of box, one slice per axis, with zero
@@ -373,6 +416,13 @@ class DiscreteOperator:
     @property
     def space(self):
         return self._space
+
+    def red_black(self):
+        """The RedBlack plan of the nodes (see the module docstring), built at
+        the first call."""
+        if self._red_black is None:
+            self._red_black = _red_black(self.shape)
+        return self._red_black
 
     def _grid_shaped(self, w):
         return w.reshape(w.shape[:-1] + self.shape)
@@ -509,18 +559,18 @@ class DiscreteOperator:
             out[ax.hi] += B[2 * d - a][ax.hi] * V[ax.lo]
         return out.reshape(v.shape)
 
-    def jacobian_scaled(self, bands, s, overwrite=False):
-        """The bands of diag(s) L diag(s), written over bands if overwrite."""
-        d, S = self.d, self._grid_shaped(s)
-        out = bands if overwrite else bands.copy()  # with the zeros of the rows off the grid
-        O = self._grid_shaped(out)
-        O[d] *= S
-        O[d] *= S
-        for a, ax in enumerate(self._axes):
-            lower = O[a][ax.lo]
-            lower *= S[ax.lo]
-            lower *= S[ax.hi]
-            O[2 * d - a][ax.hi] = lower
+    def red_black_couplings(self, bands, s):
+        """The DIA bands of diag(s) L diag(s) in the black rows and red columns,
+        at the offsets of red_black(), for the bands of one grid function and
+        the scaling s; band k holds the entry of row j - offset_k at column j,
+        and 0 where that entry couples no edge or lies off the matrix."""
+        plan = self.red_black()
+        out = np.take(bands[:self.d], plan.source)
+        out *= s[plan.red]
+        s_black, n_red = s[plan.black], plan.red.size
+        for row, offset in zip(out, plan.offsets.tolist()):
+            lo, hi = max(0, offset), min(s_black.size + offset, n_red)
+            row[lo:hi] *= s_black[lo - offset:hi - offset]
         return out
 
     def diffusion_jacobian_matrix(self, w):

@@ -19,6 +19,20 @@ in exact arithmetic, without the preconditioner's pass. W is finite and
 nonnegative, since a + lambda S^2 diag(L) >= a > 0, and nothing divides by
 phi'(u), which vanishes where u does for the porous-medium phi at eps_reg = 0.
 
+CG runs on half of that system. Every edge joins a red and a black node
+(DiscreteOperator.red_black), so in red-black order M = I + N has the blocks
+[[I, N_rb], [N_br, I]], and the black unknowns drop out exactly (Saad,
+Iterative Methods for Sparse Linear Systems, 2003, section 4.3): CG solves the
+SPD Schur complement S y_r = b_S, S = I - N_rb N_br and b_S = b_r - N_rb b_b,
+and y_b = b_b - N_br y_r. The plan of the colouring is built at an operator's
+first solve and kept for its shape; a window, which copies its parent,
+builds its own. The couplings N_br are gathered once per system into
+the DIA bands of the plan, reading each edge once, and N_rb = N_br^T is the
+same bands shifted by their offsets, so each product S x is two calls of the
+DIA kernel on half-length bands (_half_products). The black rows of M y - b
+are then zero and its red rows are S y_r - b_S, so CG stops at rtol |b| /
+|b_S| of its own residual to meet rtol on the whole scaled system.
+
 Each iterate is evaluated once. The residual evaluation of an iterate also
 returns its state (DiscreteOperator.state): w = phi(u), the face gradients g
 of w and g^2 + eps^2. An accepted iterate carries that state into the next
@@ -40,8 +54,8 @@ solved by one direct LAPACK gtsv call (the checks of scipy.linalg.solve_banded
 take a third of each solve at n = 2001): gtsv never pivots across a zero
 coupling, so each block gets the solution it would get alone. In more
 dimensions each member's scaled system is solved by conjugate gradients (cg,
-the library's own loop), whose product adds the bands off the diagonal to x
-by the kernel of scipy's DIA matvec called on them directly (_band_matvec).
+the library's own loop) on its Schur complement, whose two half products call
+the kernel of scipy's DIA matvec on the bands directly.
 
 Those two kernels are all that a solve uses of scipy. _scipy_extension loads
 them from the files of the compiled modules scipy.linalg._flapack (dgtsv) and
@@ -68,7 +82,8 @@ dot products over the shorter vectors may round differently.
 For phi = identity in d >= 2, CG stops at each member's Eisenstat-Walker
 (1996) choice-2 forcing term: eta_0 = 0.1, eta_k = 0.9 (|R_k| / |R_k-1|)^2,
 at least 0.9 eta_k-1^2 when that exceeds 0.1 and 0.5 tol / |R_k| (no
-oversolving), within [CG_RTOL, 0.1], on the residual of the scaled system.
+oversolving), within [CG_RTOL, 0.1], on the residual of the whole scaled
+system, which the Schur complement's rescaled tolerance bounds.
 A power phi keeps CG_RTOL: its CG residual does not bound the unscaled
 Newton residual, and forcing it stalls degenerate porous-medium solves.
 """
@@ -219,11 +234,9 @@ def _newton_steps(op, lam, U, R, state, rtol):
     W = lam * phi1 * bands[d]
     W += a
     np.sqrt(np.divide(phi1, W, out=W), out=W)
-    system = op.jacobian_scaled(bands, W, overwrite=not power)  # only a power phi reads L again
-    system *= lam
     rhs = W * R
     rhs *= -1.0
-    step = _solve_cg_stack(op, system, rhs, rtol)
+    step = _solve_cg_stack(op, lam, bands, W, rhs, rtol)
     step *= W
     if not power:
         return step
@@ -269,37 +282,62 @@ def cg(matvec, b, rtol, maxiter, callback=None):
     return x, maxiter
 
 
-def _band_matvec(offsets, bands):
-    """x -> M x for the (2d + 1, n) bands of a matrix M with unit diagonal and
-    the int32 offsets of DiscreteOperator.offsets; band d is not read. Each
-    row starts from x, and dia_matvec, the kernel of a scipy DIA matrix's
-    product, adds its terms below and then above the diagonal in ascending
-    column order, as a DIA matrix with the diagonal listed first does. Every
-    call writes into one buffer and returns it."""
-    n_bands, n = bands.shape
-    d = n_bands // 2
-    below, above = (offsets[:d], bands[:d]), (offsets[d + 1:], bands[d + 1:])
-    out, dia_matvec = np.empty(n), _scipy_extension("sparse._sparsetools").dia_matvec
+def _half_products(offsets, br, rb):
+    """The two halves of the Schur complement's product, for the bands br of
+    N_br at offsets and the bands rb of -N_rb at -offsets, ascending: x ->
+    N_br x, and (x, t) -> x - N_rb t, by dia_matvec, the kernel of a scipy DIA
+    matrix's product, which adds each row's terms in ascending column order.
+    Each writes into its own one buffer and returns it."""
+    (n_bands, n_red), n_black = br.shape, rb.shape[1]
+    transposed, dia_matvec = -offsets[::-1], _scipy_extension("sparse._sparsetools").dia_matvec
+    t, out = np.empty(n_black), np.empty(n_red)
 
-    def matvec(x):
+    def lower(x):
+        t.fill(0.0)
+        dia_matvec(n_black, n_red, n_bands, n_red, offsets, br, x, t)
+        return t
+
+    def upper(x, t):
         np.copyto(out, x)
-        for offs, part in (below, above):
-            dia_matvec(n, n, d, n, offs, part, x, out)
+        dia_matvec(n_red, n_black, n_bands, n_black, transposed, rb, t, out)
         return out
 
-    return matvec
+    return lower, upper
 
 
-def _solve_cg_stack(op, bands, rhs, rtol):
-    """Solve each row's unit-diagonal system of _newton_steps, bands and
-    right-hand side, by CG to its rtol; rows whose CG did not converge come
-    back as NaN."""
-    _, k, n = bands.shape
+def _schur_complement(op, lam, bands, w):
+    """The half products (_half_products) of the red-black Schur complement of
+    one row's system I + N, N = lambda diag(w) L' diag(w), for its Jacobian
+    bands and scaling w: N_br from the operator's red-black couplings, and
+    -N_rb = -N_br^T, each band of N_br negated and shifted by its offset."""
+    plan = op.red_black()
+    br = op.red_black_couplings(bands, w)
+    br *= lam
+    rb = np.zeros((len(br), plan.black.size))
+    for row, band, offset in zip(rb[::-1], br, plan.offsets.tolist()):
+        lo, hi = max(0, -offset), min(plan.black.size, plan.red.size - offset)
+        np.negative(band[lo + offset:hi + offset], out=row[lo:hi])
+    return _half_products(plan.offsets, br, rb)
+
+
+def _solve_cg_stack(op, lam, bands, W, rhs, rtol):
+    """Solve each row's system of _newton_steps, I + lambda W L' W for the
+    Jacobian bands and scaling W of the row, with its right-hand side, by CG
+    on the red-black Schur complement to its rtol on the whole system (see the
+    module docstring); rows whose CG did not converge come back as NaN."""
+    plan, (_, k, n) = op.red_black(), bands.shape
     steps = np.full((k, n), np.nan)
     for j in range(k):
-        z, info = cg(_band_matvec(op.offsets, np.ascontiguousarray(bands[:, j])), rhs[j], rtol[j], 20 * n)
+        lower, upper = _schur_complement(op, lam, bands[:, j], W[j])
+        b, b_black = rhs[j], rhs[j, plan.black]
+        reduced = upper(b[plan.red], b_black).copy()
+        # |S y - b_S| < rtol |b| bounds the residual of the whole system; b_S = 0 or NaN needs no scale
+        scale = float(np.linalg.norm(reduced))
+        scale = float(np.linalg.norm(b)) / scale if scale > 0.0 else 1.0
+        y, info = cg(lambda x: upper(x, lower(x)), reduced, rtol[j] * scale, 20 * plan.red.size)
         if info == 0:
-            steps[j] = z
+            steps[j, plan.red] = y
+            steps[j, plan.black] = b_black - lower(y)
     return steps
 
 

@@ -29,7 +29,7 @@ from nlsmooth.operators import (
     linear_perturbation,
     tanh_perturbation,
 )
-from nlsmooth.resolvent import _band_matvec
+from nlsmooth.resolvent import _schur_complement
 
 RNG_SEED = 42
 ABS_TOLERANCE = 1e-10
@@ -295,8 +295,42 @@ def test_jacobian_bands_apply_and_scale_like_the_matrix():
         dense = _dense(op, bands)
         assert np.allclose(dense, dense.T, atol=0.0)
         np.testing.assert_allclose(op.jacobian_apply(bands, v), dense @ v, rtol=1e-12, atol=1e-12)
-        scaled = _dense(op, op.jacobian_scaled(bands, s))
-        np.testing.assert_allclose(scaled, s[:, None] * dense * s[None, :], rtol=1e-14, atol=1e-12)
+        if op.d > 1:  # the red-black couplings are the black rows and red columns of diag(s) L diag(s)
+            plan = op.red_black()
+            couplings = sparse.dia_array((op.red_black_couplings(bands, s), plan.offsets),
+                                         shape=(plan.black.size, plan.red.size)).toarray()
+            scaled = (s[:, None] * dense * s[None, :])[np.ix_(plan.black, plan.red)]
+            np.testing.assert_allclose(couplings, scaled, rtol=1e-14, atol=1e-12)
+
+
+# every d >= 2 shape of the resolvent tests: even and odd last axes, all-odd strides and a 3-D mix of both
+RED_BLACK_SHAPES = [(3, 3), (4, 3), (24, 24), (25, 25), (24, 25), (25, 24), (5, 4, 3), (6, 5, 4), (9, 9, 9),
+                    (8, 6, 10)]
+
+
+@pytest.mark.parametrize("shape", RED_BLACK_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+def test_red_black_plan_splits_every_edge_into_a_few_dia_bands(shape):
+    # the colours split the nodes by the parity of their index sum; every coupling of L joins a red and a black
+    # node, and the black-by-red block of L is exactly the DIA matrix of the gathered bands at the plan's
+    # offsets, of which 2-D has 4 or 5 and 3-D at most 9
+    grid = Grid(bounds=((-1.0, 1.0),) * len(shape), shape=shape)
+    op = DiscreteOperator(OperatorSpec(grid=grid, p=3.0, bc=BoundaryCondition.neumann()))
+    plan, n = op.red_black(), grid.n_total
+    assert op.red_black() is plan
+    parity = np.indices(shape).reshape(len(shape), n).sum(axis=0) % 2
+    assert np.array_equal(plan.red, np.flatnonzero(parity == 0))
+    assert np.array_equal(plan.black, np.flatnonzero(parity == 1))
+    assert np.all(np.diff(plan.offsets) > 0) and plan.offsets.dtype == np.int32
+    assert len(plan.offsets) <= (5 if len(shape) == 2 else 9)
+    w = np.random.default_rng(RNG_SEED + 14).standard_normal(n)
+    bands = op.diffusion_jacobian(w)
+    dense = _dense(op, bands)
+    off = dense - np.diag(np.diag(dense))
+    assert not off[np.ix_(plan.red, plan.red)].any() and not off[np.ix_(plan.black, plan.black)].any()
+    couplings = sparse.dia_array((op.red_black_couplings(bands, np.ones(n)), plan.offsets),
+                                 shape=(plan.black.size, plan.red.size))
+    assert np.array_equal(couplings.toarray(), dense[np.ix_(plan.black, plan.red)])
+    assert couplings.count_nonzero() == np.count_nonzero(dense[np.ix_(plan.black, plan.red)])
 
 
 @pytest.mark.parametrize("make", [_spec_1d, _spec_2d, _spec_3d], ids=["1d", "2d", "3d"])
@@ -357,9 +391,10 @@ def test_jacobian_band_layout(make, bc):
 def test_jacobian_matrix_is_dia_and_multiplies_bitwise_as_csr(make, bc):
     # ascending offsets make the DIA matvec add each row's terms in ascending
     # column order, the order of a CSR matvec, so the products agree bitwise.
-    # The resolvent's product of a unit-diagonal system, I plus the bands off
-    # the diagonal, is bitwise a DIA matrix's with the unit diagonal listed
-    # first, twice on its one buffer, and does not read the diagonal band
+    # So do the two halves of the resolvent's red-black Schur complement in
+    # d >= 2: x -> N_br x is bitwise the DIA matrix of lambda times the
+    # red-black couplings, and (x, t) -> x - N_rb t the CSR matrix [I, -N_rb]
+    # with each row's columns ascending, twice on their buffers
     rng = np.random.default_rng(RNG_SEED + 11)
     spec = make(3.0, bc)
     op = DiscreteOperator(spec)
@@ -370,15 +405,21 @@ def test_jacobian_matrix_is_dia_and_multiplies_bitwise_as_csr(make, bc):
     assert np.all(np.diff(matrix.offsets) > 0)
     csr = sparse.csr_array(matrix.toarray()) @ v
     assert np.array_equal(matrix @ v, csr)
-    bands = op.diffusion_jacobian(w)
-    first = np.r_[d, :d, d + 1:2 * d + 1]
-    unit = bands[first]
-    unit[0] = 1.0
-    expected = sparse.dia_array((unit, op.offsets[first]), shape=(n, n)) @ v
-    bands[d] = np.nan
-    matvec = _band_matvec(op.offsets, bands)
-    assert np.array_equal(matvec(v), expected) and np.array_equal(matvec(v), expected)
-    np.testing.assert_allclose(expected, csr + (1.0 - matrix.diagonal()) * v, rtol=1e-12, atol=1e-12)
+    if d == 1:
+        return
+    plan, bands, s = op.red_black(), op.diffusion_jacobian(w), rng.uniform(0.5, 1.0, n)
+    shape = (plan.black.size, plan.red.size)
+    n_br = sparse.dia_array((0.3 * op.red_black_couplings(bands, s), plan.offsets), shape=shape)
+    upper_matrix = sparse.hstack([sparse.eye_array(shape[1]), -n_br.T], format="csr")
+    upper_matrix.sort_indices()
+    lower, upper = _schur_complement(op, 0.3, bands, s)
+    x, t = v[plan.red], rng.standard_normal(shape[0])
+    for _ in range(2):
+        assert np.array_equal(lower(x), n_br @ x)
+        assert np.array_equal(upper(x, t), upper_matrix @ np.concatenate([x, t]))
+    dense = s[:, None] * matrix.toarray() * s[None, :]
+    np.testing.assert_allclose(upper(x, lower(x)), x - 0.09 * dense[np.ix_(plan.red, plan.black)]
+                               @ (dense[np.ix_(plan.black, plan.red)] @ x), rtol=1e-12, atol=1e-12)
 
 
 def test_energy_gradient_consistency():

@@ -245,7 +245,11 @@ def test_1d_power_phi_newton_step_is_the_sqrt_phi_prime_scaled_step(bc_kind, eps
     bands = op.diffusion_jacobian(state[0], state[1:])
     a = 1.0 + lam * op.perturbation_derivative(U)
     S = np.sqrt(op.phi_derivative(U))
-    system = lam * op.jacobian_scaled(bands, S)
+    # diag(S) L diag(S) in the (sub, diag, super) layout: band k holds L[j - offset_k, j] at column j
+    system = lam * bands * S
+    system[0, :, :-1] *= S[:, 1:]
+    system[1] *= S
+    system[2, :, 1:] *= S[:, :-1]
     system[1] += a
     y = _solve_tridiagonal_stack(system, -S * R)
     scaled = (-R - lam * op.jacobian_apply(bands, S * y)) / a
@@ -253,28 +257,43 @@ def test_1d_power_phi_newton_step_is_the_sqrt_phi_prime_scaled_step(bc_kind, eps
     assert np.abs(step - scaled).max() <= 1e-12 * np.abs(scaled).max()
 
 
-def _newton_iterates_24x24(bc_kind, phi, perturbation, lam):
-    """A 2-D operator at eps_reg = 0 and the rows U, residuals R and state of two iterates: the cold start
-    u = g and an iterate that is negative in places and nonzero at the left face, both zero on most nodes."""
+def _newton_iterates(shape, bc_kind, phi, perturbation, lam, box=None):
+    """An operator at eps_reg = 0 on a grid of shape over [-5, 5]^d, or on its window box after the whole grid's
+    red-black plan is built, and the rows U, residuals R and state of two iterates: the cold start u = g and an
+    iterate that is negative in places and nonzero at the left face, both zero on most nodes."""
     bc = BoundaryCondition(bc_kind, b=0.7 if bc_kind == "robin" else 0.0)
-    grid = Grid(bounds=((-5.0, 5.0),) * 2, shape=(24, 24))
+    grid = Grid(bounds=((-5.0, 5.0),) * len(shape), shape=shape)
     op = DiscreteOperator(OperatorSpec(grid=grid, p=3.0, bc=bc, phi=phi, eps_reg=0.0, perturbation=perturbation))
     G = smooth_bump(grid, width=2.0).values
     x = grid.coordinates()[0]
     U = np.stack([G, G - 0.2 * smooth_bump(grid, center=1.0, width=1.5).values + 0.05 * (x < -1.0)])
-    assert U[1, 0] != 0.0 and np.count_nonzero(U == 0.0) > grid.n_total // 2
+    if box is not None:
+        op.red_black()
+        op, inside = op.window(box), lambda X: X.reshape((len(X),) + shape)[(slice(None),) + box].reshape(len(X), -1)
+        U, G = inside(U), inside(np.stack([G, G]))[0]
+    assert U[1, 0] != 0.0 and np.count_nonzero(U == 0.0) > U.size // 2
     _, R, _, *state = resolvent._residual(op, lam, U, np.stack([G, G]))
     return op, U, R, state
 
 
+# the even last axis of 24^2, the all-odd strides of 25^2 and 24 x 25, a 3-D grid with both, and a 25^2 window of
+# a 40^2 grid, whose plan is not its parent's
+NEWTON_CASES = {"24x24": ((24, 24), None), "25x25": ((25, 25), None), "24x25": ((24, 25), None),
+                "5x4x3": ((5, 4, 3), None), "window": ((40, 40), (slice(9, 34), slice(4, 29)))}
+
+
+@pytest.mark.parametrize("case", sorted(NEWTON_CASES))
 @pytest.mark.parametrize("perturbation", [None, linear_perturbation(-0.5)], ids=["plain", "linear"])
 @pytest.mark.parametrize("phi", [PhiSpec.identity(), PhiSpec.power(2)], ids=["identity", "power"])
 @pytest.mark.parametrize("bc_kind", ["dirichlet", "neumann", "robin"])
-def test_2d_newton_step_is_the_dense_solve_of_the_unscaled_system(bc_kind, phi, perturbation):
-    # CG at CG_RTOL on the Jacobi-scaled unit-diagonal system gives the step of
-    # (diag(a) + lambda L diag(phi')) delta = -R, also where phi' = 0 (wherever u = 0 at eps_reg = 0)
+def test_2d_newton_step_is_the_dense_solve_of_the_unscaled_system(bc_kind, phi, perturbation, case):
+    # CG at CG_RTOL on the red-black Schur complement of the Jacobi-scaled unit-diagonal system gives the step
+    # of (diag(a) + lambda L diag(phi')) delta = -R, also where phi' = 0 (wherever u = 0 at eps_reg = 0)
     lam = 0.3
-    op, U, R, state = _newton_iterates_24x24(bc_kind, phi, perturbation, lam)
+    shape, box = NEWTON_CASES[case]
+    op, U, R, state = _newton_iterates(shape, bc_kind, phi, perturbation, lam, box)
+    if case == "window":
+        assert op.shape == (25, 25) and op.red_black().red.size == 313
     step = resolvent._newton_steps(op, lam, U, R, state, np.full(2, CG_RTOL))
     for j in range(2):
         a = 1.0 + lam * op.perturbation_derivative(U[j])
@@ -289,9 +308,10 @@ def test_2d_newton_scaling_is_finite_and_nonnegative_on_every_row(monkeypatch, b
     # W = S / sqrt(a + lambda S^2 diag(L)) has a + lambda S^2 diag(L) >= a > 0 on every row; where
     # S = sqrt(phi') = 0, at the zeros of the degenerate porous medium, W = 0
     lam = 0.3
-    op, U, R, state = _newton_iterates_24x24(bc_kind, phi, linear_perturbation(-0.5), lam)
-    scalings, scaled = [], op.jacobian_scaled
-    monkeypatch.setattr(op, "jacobian_scaled", lambda bands, s, **kw: scalings.append(s) or scaled(bands, s, **kw))
+    op, U, R, state = _newton_iterates((24, 24), bc_kind, phi, linear_perturbation(-0.5), lam)
+    scalings, solve = [], resolvent._solve_cg_stack
+    monkeypatch.setattr(resolvent, "_solve_cg_stack",
+                        lambda op, lam, bands, W, *rest: scalings.append(W) or solve(op, lam, bands, W, *rest))
     resolvent._newton_steps(op, lam, U, R, state, np.full(2, CG_RTOL))
     [W] = scalings
     assert W.shape == U.shape and np.isfinite(W).all() and (W >= 0.0).all()
@@ -317,7 +337,7 @@ def test_forcing_saves_cg_iterations(monkeypatch):
     out = solve_resolvent(spec, 0.5, g, tol=1e-12)
     assert out.residual <= 1e-12 and out.iterations <= 10
     forced = count[0]
-    assert forced <= 393  # under half of the 791 with every CG solve at CG_RTOL
+    assert forced <= 199  # under half of the 398 with every CG solve at CG_RTOL
     monkeypatch.setattr(resolvent, "_forcing", lambda rn, *_: np.full_like(rn, CG_RTOL))
     exact = solve_resolvent(spec, 0.5, g, tol=1e-12)
     assert count[0] - forced >= 2 * forced
@@ -325,17 +345,38 @@ def test_forcing_saves_cg_iterations(monkeypatch):
 
 
 def _newton_system_64x64():
-    """The first scaled Newton system of a 64^2 p = 3 resolvent, as _newton_steps gives it to CG: the operator,
-    the bands 0.5 W L W with W = 1 / sqrt(1 + 0.5 diag(L)) and unit diagonal, and the right-hand side -W R."""
+    """The first Newton system of a 64^2 p = 3 resolvent as _newton_steps hands it to _solve_cg_stack: the
+    operator, the Jacobian bands, the scaling W = 1 / sqrt(1 + 0.5 diag(L)) and the right-hand side -W R of the
+    scaled system I + 0.5 W L' W."""
     grid = Grid(bounds=((-5.0, 5.0),) * 2, shape=(64, 64))
     op = DiscreteOperator(OperatorSpec(grid=grid, p=3.0))
     G = random_smooth_field(grid, 3).values[None, :]
     _, R, _, *state = resolvent._residual(op, 0.5, G.copy(), G)
     bands = op.diffusion_jacobian(state[0][0])
     W = 1.0 / np.sqrt(1.0 + 0.5 * bands[op.d])
-    bands = 0.5 * op.jacobian_scaled(bands, W)
-    bands[op.d] = 1.0
-    return op, bands, -W * R[0]
+    return op, bands, W, -W * R[0]
+
+
+def _schur_system_64x64():
+    """The product x -> S x that _solve_cg_stack gives CG for the system of _newton_system_64x64 and its reduced
+    right-hand side b_S = b_r - N_rb b_b, with the operator, the bands, W and b."""
+    op, bands, W, b = _newton_system_64x64()
+    lower, upper = resolvent._schur_complement(op, 0.5, bands, W)
+    plan = op.red_black()
+    return (lambda x: upper(x, lower(x))), upper(b[plan.red], b[plan.black]).copy(), (op, bands, W, b)
+
+
+def _scipy_schur_product(op, lam, bands, W):
+    """x -> S x for the same system by scipy's own sparse products in the kernel's row order: the DIA matrix of
+    N_br, then the CSR matrix [I, -N_rb] with each row's columns ascending, applied to x stacked on N_br x."""
+    from scipy import sparse
+
+    plan = op.red_black()
+    n_br = sparse.dia_array((lam * op.red_black_couplings(bands, W), plan.offsets),
+                            shape=(plan.black.size, plan.red.size))
+    upper = sparse.hstack([sparse.eye_array(plan.red.size), -n_br.T], format="csr")
+    upper.sort_indices()
+    return lambda x: upper @ np.concatenate([x, n_br @ x])
 
 
 def _counted(solver, *args, **kwargs):
@@ -345,26 +386,23 @@ def _counted(solver, *args, **kwargs):
     return x, info, len(calls)
 
 
-@pytest.mark.parametrize("rtol, maxiter", [(CG_RTOL, 20 * 4096), (0.1, 20 * 4096), (CG_RTOL, 7)],
+@pytest.mark.parametrize("rtol, maxiter", [(CG_RTOL, 20 * 2048), (0.1, 20 * 2048), (CG_RTOL, 7)],
                          ids=["cg-rtol", "forcing-max", "maxiter"])
 def test_cg_iterates_are_scipy_cg_bit_for_bit(rtol, maxiter):
-    # ours starts each product from x and calls scipy's DIA kernel on the bands off the diagonal; scipy's
-    # cg, without a preconditioner, multiplies by the DIA matrix of the same bands with the unit diagonal first
-    from scipy.sparse import dia_array
-    from scipy.sparse.linalg import cg
+    # ours multiplies by the Schur complement through two calls of scipy's DIA kernel on the half-length
+    # bands; scipy's cg, without a preconditioner, multiplies by scipy's own sparse matrices of the two halves
+    from scipy.sparse.linalg import LinearOperator, cg
 
-    op, bands, b = _newton_system_64x64()
-    ours = _counted(resolvent.cg, resolvent._band_matvec(op.offsets, bands), b, rtol, maxiter)
-    first = np.r_[op.d, :op.d, op.d + 1:2 * op.d + 1]
-    A = dia_array((bands[first], op.offsets[first]), shape=(b.size, b.size))
+    product, b, system = _schur_system_64x64()
+    ours = _counted(resolvent.cg, product, b, rtol, maxiter)
+    A = LinearOperator((b.size, b.size), matvec=_scipy_schur_product(system[0], 0.5, *system[1:3]), dtype=float)
     theirs = _counted(cg, A, b, rtol=rtol, atol=0.0, maxiter=maxiter)
     assert np.array_equal(ours[0], theirs[0]) and ours[1:] == theirs[1:]
     assert ours[1] == (7 if maxiter == 7 else 0) and ours[2] > 1
 
 
 def test_cg_edge_cases_return_at_once():
-    op, bands, b = _newton_system_64x64()
-    A = resolvent._band_matvec(op.offsets, bands)
+    A, b, _ = _schur_system_64x64()
     x, info, calls = _counted(resolvent.cg, A, np.zeros_like(b), CG_RTOL, 100)
     assert info == 0 and calls == 0 and np.array_equal(x, np.zeros_like(b))
     # a matrix that is not positive definite, here -A, breaks down at the first step instead of using all
@@ -375,6 +413,31 @@ def test_cg_edge_cases_return_at_once():
     b[17] = np.nan
     x, info, calls = _counted(resolvent.cg, A, b, CG_RTOL, 100)
     assert info != 0 and calls == 0
+
+
+def test_a_reduced_solve_meets_its_forcing_term_on_the_whole_scaled_system(monkeypatch):
+    # CG on the Schur complement stops at rtol |b| / |b_S| of its own residual |S y_r - b_S|, which is the
+    # residual of the whole scaled system M y = b, since the back-substitution zeroes its black rows. This b,
+    # smooth, has |b_S| well above |b|; at the first rtol where CG stopped at rtol |b_S| leaves more than
+    # rtol |b| on M, the solve must not
+    from scipy import sparse
+
+    _, reduced, (op, bands, W, b) = _schur_system_64x64()
+    assert np.linalg.norm(reduced) > 1.2 * np.linalg.norm(b)
+    L = sparse.dia_array((bands, op.offsets), shape=(b.size, b.size))
+    M = sparse.eye_array(b.size) + 0.5 * (sparse.diags_array(W) @ (L - sparse.diags_array(L.diagonal()))
+                                          @ sparse.diags_array(W))
+    residual = lambda: np.linalg.norm(M @ resolvent._solve_cg_stack(op, 0.5, bands[:, None], W[None], b[None],
+                                                                     np.array([rtol]))[0] - b)
+    plain_cg = resolvent.cg
+    for rtol in 0.1 * 0.8 ** np.arange(40):
+        with monkeypatch.context() as m:
+            m.setattr(resolvent, "cg", lambda matvec, b_s, _, maxiter: plain_cg(matvec, b_s, rtol, maxiter))
+            if residual() > rtol * np.linalg.norm(b):
+                break
+    else:
+        pytest.fail("CG at rtol |b_S| met rtol |b| at every rtol tried")
+    assert residual() <= rtol * np.linalg.norm(b)
 
 
 def _in_a_fresh_interpreter(script):
@@ -463,18 +526,21 @@ bands[0, -1] = bands[2, 0] = 0.0
 rhs = rng.standard_normal(n)
 dl, d, du, x, info = scipy.linalg.lapack.dgtsv(bands[0, :-1], bands[1], bands[2, 1:], rhs)
 assert info == 0 and np.array_equal(x, resolvent.solve_banded(bands, rhs))
-# a scaled SPD 2-D Newton matrix, as _newton_steps builds it, and scipy's DIA matrix of it with the unit
-# diagonal listed first
+# the red-black Schur complement of a scaled SPD 2-D Newton system, as _solve_cg_stack builds it: its lower
+# half product is bitwise scipy's DIA product, and scipy's cg on the whole product takes our cg's iterates
 grid = Grid(bounds=((-4.0, 4.0),) * 2, shape=(24, 24))
 op = DiscreteOperator(OperatorSpec(grid=grid, p=3.0))
 bands = op.diffusion_jacobian(rng.standard_normal(grid.n_total))
 W = 1.0 / np.sqrt(1.0 + 0.1 * bands[op.d])
-bands = 0.1 * op.jacobian_scaled(bands, W)
-bands[op.d] = 1.0
-b = rng.standard_normal(grid.n_total)
-ours, info = resolvent.cg(resolvent._band_matvec(op.offsets, bands), b, 1e-12, 1000)
-first = np.r_[op.d, :op.d, op.d + 1:2 * op.d + 1]
-A = scipy.sparse.dia_array((bands[first], op.offsets[first]), shape=(b.size, b.size))
+plan = op.red_black()
+lower, upper = resolvent._schur_complement(op, 0.1, bands, W)
+b = rng.standard_normal(plan.red.size)
+n_br = scipy.sparse.dia_array((0.1 * op.red_black_couplings(bands, W), plan.offsets),
+                              shape=(plan.black.size, plan.red.size))
+assert np.array_equal(lower(b), n_br @ b)
+product = lambda x: upper(x, lower(x))
+ours, info = resolvent.cg(product, b, 1e-12, 1000)
+A = scipy.sparse.linalg.LinearOperator((b.size, b.size), matvec=product, dtype=float)
 theirs, their_info = scipy.sparse.linalg.cg(A, b, rtol=1e-12, atol=0.0, maxiter=1000)
 assert info == their_info == 0 and np.array_equal(ours, theirs)
 print("ok")

@@ -190,31 +190,29 @@ def test_2d_flow_is_bitwise_the_same_with_a_csr_newton_matrix(monkeypatch):
     dia = evolve(spec, u0, tg)
     calls = []
 
-    def csr_matvec(offsets, bands):
-        # CG's product with the scaled Newton matrix, as CSR instead of the DIA kernel: each row stores its
-        # unit diagonal first, then its terms below and above the diagonal in ascending column order, the
-        # order in which the resolvent's product adds them; the diagonal band is not read
+    def csr_halves(offsets, br, rb):
+        # the two half products of the Schur complement, as CSR matrices instead of the DIA kernel: N_br, and
+        # [I, -N_rb] applied to x stacked on t; each row holds its terms in ascending column order, unit
+        # diagonal first, the order in which the kernel adds them
         from scipy import sparse
 
         calls.append(1)
-        n_bands, n = bands.shape
-        d = n_bands // 2
-        order = np.r_[d, :d, d + 1:n_bands]
-        columns = np.arange(n)[:, None] + offsets[order]  # M[i, i + offset_k] is band k at column i + offset_k
-        on = (columns >= 0) & (columns < n)
-        values = bands[order][np.arange(n_bands), np.clip(columns, 0, n - 1)]
-        values[:, 0] = 1.0
-        indptr = np.concatenate([[0], np.cumsum(on.sum(axis=1))])
-        return sparse.csr_array((values[on], columns[on], indptr), shape=(n, n)).__matmul__
+        (n_bands, n_red), n_black = br.shape, rb.shape[1]
+        n_br = sparse.dia_array((br, offsets), shape=(n_black, n_red)).tocsr()
+        n_rb = sparse.dia_array((rb, -offsets[::-1]), shape=(n_red, n_black))
+        upper = sparse.hstack([sparse.eye_array(n_red), n_rb], format="csr")
+        for matrix in (n_br, upper):
+            matrix.sort_indices()
+        return n_br.__matmul__, lambda x, t: upper @ np.concatenate([x, t])
 
-    monkeypatch.setattr(resolvent, "_band_matvec", csr_matvec)
+    monkeypatch.setattr(resolvent, "_half_products", csr_halves)
     csr = evolve(spec, u0, tg)
-    assert calls  # the 2-D Newton steps went through the CSR matrix
+    assert calls  # the 2-D Newton steps went through the CSR matrices
     assert np.ptp(dia.norm_linf) > 0.0
     for series in ("norm_l1", "norm_l2", "norm_linf"):
         assert np.array_equal(getattr(dia, series), getattr(csr, series))
-    # the norms alone can agree where the iterates do not: a CSR product in ascending column order, the
-    # diagonal among them, gives other CG iterates and another final state, but these same norms
+    # the norms alone can agree where the iterates do not: a CSR product that adds x after the terms off
+    # the diagonal gives other CG iterates and another final state, but these same norms
     assert np.array_equal(dia.final.values, csr.final.values)
 
 
