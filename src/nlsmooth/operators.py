@@ -260,8 +260,9 @@ class OperatorSpec:
             raise ValueError(f"p must satisfy 1 < p < inf, got {self.p}")
         if not (0.0 <= self.eps_reg < math.inf):
             raise ValueError(f"eps_reg must be >= 0 and finite, got {self.eps_reg}")
-        if not math.isfinite(self.eps_reg * self.eps_reg):  # the flux evaluates g^2 + eps^2
-            raise ValueError(f"eps_reg must be >= 0 with a finite square, got {self.eps_reg}")
+        # the flux evaluates g^2 + eps^2, and its derivative at g = 0 eps^(p-4) eps^2, NaN where eps^2 is 0
+        if self.eps_reg and not 0.0 < self.eps_reg * self.eps_reg < math.inf:
+            raise ValueError(f"eps_reg must be 0 or have a positive finite square, got {self.eps_reg}")
 
     def space(self):
         return self.grid.space()
@@ -301,12 +302,18 @@ def _flux_deriv(g, p, eps, s):
 
 
 class RedBlack(NamedTuple):
-    """The red-black plan of a box of nodes (see the module docstring)."""
+    """The red-black plan of a box of nodes (see the module docstring), with
+    the arrays that each Newton system's Schur complement writes. The plan
+    owns them, so the next system of the same operator overwrites them."""
 
     red: np.ndarray  # the flat indices of the red nodes, ascending
     black: np.ndarray  # and of the black nodes
     offsets: np.ndarray  # the ascending int32 DIA offsets of L_br, black rows by red columns
     source: np.ndarray  # (len(offsets), len(red)): where the bands of one grid function hold L_br's entries
+    br: np.ndarray  # (len(offsets), len(red)): red_black_couplings' bands, which the Schur complement scales to N_br
+    rb: np.ndarray  # (len(offsets), len(black)): the bands of -N_rb; no system writes their padding, zeroed once
+    lower: np.ndarray  # len(black): the buffer of the product x -> N_br x
+    upper: np.ndarray  # len(red): and of (x, t) -> x - N_rb t
 
 
 def _red_black(shape):
@@ -329,7 +336,14 @@ def _red_black(shape):
     offsets, band = np.unique(columns - rows, return_inverse=True)
     gather = np.full((offsets.size, red_nodes.size), n - 1)
     gather[band, columns] = source
-    return RedBlack(red_nodes, black_nodes, offsets.astype(np.int32), gather)
+    # the four work arrays are views of one zeroed block, which zeroes -N_rb's padding. Allocated alone, the two
+    # buffers would live in the malloc heap as long as the plan and keep it from returning the pages above them
+    # (step-2d's peak resident set was 1.1 MB higher)
+    k, n_red, n_black = offsets.size, red_nodes.size, black_nodes.size
+    sizes = [k * n_red, k * n_black, n_black, n_red]
+    br, rb, lower, upper = np.split(np.zeros(sum(sizes)), np.cumsum(sizes[:-1]))
+    return RedBlack(red_nodes, black_nodes, offsets.astype(np.int32), gather, br.reshape(k, n_red),
+                    rb.reshape(k, n_black), lower, upper)
 
 
 class _Axis(NamedTuple):
@@ -563,9 +577,12 @@ class DiscreteOperator:
         """The DIA bands of diag(s) L diag(s) in the black rows and red columns,
         at the offsets of red_black(), for the bands of one grid function and
         the scaling s; band k holds the entry of row j - offset_k at column j,
-        and 0 where that entry couples no edge or lies off the matrix."""
+        and 0 where that entry couples no edge or lies off the matrix. They are
+        written into the plan's br, which the next call overwrites; the take
+        is unbuffered (mode "wrap", whose indices are all in range), where the
+        default mode would gather into a temporary of the same size first."""
         plan = self.red_black()
-        out = np.take(bands[:self.d], plan.source)
+        out = np.take(bands[:self.d], plan.source, out=plan.br, mode="wrap")
         out *= s[plan.red]
         s_black, n_red = s[plan.black], plan.red.size
         for row, offset in zip(out, plan.offsets.tolist()):

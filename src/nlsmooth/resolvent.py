@@ -29,9 +29,12 @@ first solve and kept for its shape; a window, which copies its parent,
 builds its own. The couplings N_br are gathered once per system into
 the DIA bands of the plan, reading each edge once, and N_rb = N_br^T is the
 same bands shifted by their offsets, so each product S x is two calls of the
-DIA kernel on half-length bands (_half_products). The black rows of M y - b
-are then zero and its red rows are S y_r - b_S, so CG stops at rtol |b| /
-|b_S| of its own residual to meet rtol on the whole scaled system.
+DIA kernel on half-length bands (_half_products). The plan owns both band
+stacks and both products' buffers, so setting up a system allocates none of
+them, and the next system of the same operator overwrites them. The black
+rows of M y - b are then zero and its red rows are S y_r - b_S, so CG stops
+at rtol |b| / |b_S| of its own residual to meet rtol on the whole scaled
+system.
 
 Each iterate is evaluated once. The residual evaluation of an iterate also
 returns its state (DiscreteOperator.state): w = phi(u), the face gradients g
@@ -282,15 +285,16 @@ def cg(matvec, b, rtol, maxiter, callback=None):
     return x, maxiter
 
 
-def _half_products(offsets, br, rb):
+def _half_products(plan):
     """The two halves of the Schur complement's product, for the bands br of
-    N_br at offsets and the bands rb of -N_rb at -offsets, ascending: x ->
-    N_br x, and (x, t) -> x - N_rb t, by dia_matvec, the kernel of a scipy DIA
-    matrix's product, which adds each row's terms in ascending column order.
-    Each writes into its own one buffer and returns it."""
+    N_br at the offsets of the red-black plan and the bands rb of -N_rb at
+    -offsets, ascending: x -> N_br x, and (x, t) -> x - N_rb t, by dia_matvec,
+    the kernel of a scipy DIA matrix's product, which adds each row's terms in
+    ascending column order. Each writes into its own buffer of the plan and
+    returns it."""
+    offsets, br, rb, t, out = plan.offsets, plan.br, plan.rb, plan.lower, plan.upper
     (n_bands, n_red), n_black = br.shape, rb.shape[1]
     transposed, dia_matvec = -offsets[::-1], _scipy_extension("sparse._sparsetools").dia_matvec
-    t, out = np.empty(n_black), np.empty(n_red)
 
     def lower(x):
         t.fill(0.0)
@@ -309,15 +313,16 @@ def _schur_complement(op, lam, bands, w):
     """The half products (_half_products) of the red-black Schur complement of
     one row's system I + N, N = lambda diag(w) L' diag(w), for its Jacobian
     bands and scaling w: N_br from the operator's red-black couplings, and
-    -N_rb = -N_br^T, each band of N_br negated and shifted by its offset."""
+    -N_rb = -N_br^T, each band of N_br negated and shifted by its offset. Both
+    go into the arrays of the operator's red-black plan, -N_rb only on each
+    band's [lo:hi]: its padding stays zero."""
     plan = op.red_black()
     br = op.red_black_couplings(bands, w)
     br *= lam
-    rb = np.zeros((len(br), plan.black.size))
-    for row, band, offset in zip(rb[::-1], br, plan.offsets.tolist()):
+    for row, band, offset in zip(plan.rb[::-1], br, plan.offsets.tolist()):
         lo, hi = max(0, -offset), min(plan.black.size, plan.red.size - offset)
         np.negative(band[lo + offset:hi + offset], out=row[lo:hi])
-    return _half_products(plan.offsets, br, rb)
+    return _half_products(plan)
 
 
 def _solve_cg_stack(op, lam, bands, W, rhs, rtol):

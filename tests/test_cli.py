@@ -556,7 +556,12 @@ def test_a_bad_experiment_key_exits_2_naming_it(tmp_path, monkeypatch, capsys, s
          "config operator.eps_reg: eps_reg must be >= 0 and finite, got inf"),
         # finite, but g^2 + eps^2 would overflow in the first residual
         (lambda cfg: cfg["operator"].update(eps_reg=1e300),
-         "config operator.eps_reg: eps_reg must be >= 0 with a finite square, got 1e+300"),
+         "config operator.eps_reg: eps_reg must be 0 or have a positive finite square, got 1e+300"),
+        # positive, but eps^2 underflows to 0 and the flux derivative at g = 0 is inf * 0 = NaN
+        (lambda cfg: cfg["operator"].update(eps_reg=1e-162),
+         "config operator.eps_reg: eps_reg must be 0 or have a positive finite square, got 1e-162"),
+        (lambda cfg: cfg["operator"].update(eps_reg=1e-200),
+         "config operator.eps_reg: eps_reg must be 0 or have a positive finite square, got 1e-200"),
         (lambda cfg: cfg["operator"].update(bc="periodic"), "config operator.bc: unknown boundary condition 'periodic'"),
         (lambda cfg: cfg["operator"].update(bc="robin", robin_b="inf"),
          "config operator.robin_b: robin coupling needs b > 0 and finite, got inf"),

@@ -379,6 +379,66 @@ def _scipy_schur_product(op, lam, bands, W):
     return lambda x: upper @ np.concatenate([x, n_br @ x])
 
 
+# the arrays of a red-black plan that each Newton system's Schur set-up writes
+WORK_ARRAYS = ("br", "rb", "lower", "upper")
+
+
+def test_a_schur_set_up_allocates_no_half_band_stack():
+    # the red-black plan owns N_br's bands, -N_rb's bands and both products' buffers, so once it is built the
+    # set-up of the next Newton system allocates nothing the size of one half-band stack (n_bands * n_red * 8
+    # bytes, 327 680 at 128^2); a set-up that built fresh N_br and -N_rb bands peaked at 789 KB
+    import tracemalloc
+
+    grid = Grid(bounds=((-4.0, 4.0),) * 2, shape=(128, 128))
+    op = DiscreteOperator(OperatorSpec(grid=grid, p=3.0))
+    rng = np.random.default_rng(7)
+    bands = op.diffusion_jacobian(random_smooth_field(grid, 1).values)
+    W = rng.uniform(0.5, 1.0, grid.n_total)
+    resolvent._schur_complement(op, 0.5, bands, W)
+    plan = op.red_black()
+    tracemalloc.start()
+    try:
+        lower, upper = resolvent._schur_complement(op, 0.5, bands, 0.9 * W)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(plan.offsets) * plan.red.size * 8
+    assert np.shares_memory(op.red_black_couplings(bands, W), plan.br)
+    x, t = rng.standard_normal(plan.red.size), rng.standard_normal(plan.black.size)
+    assert np.shares_memory(lower(x), plan.lower) and np.shares_memory(upper(x, t), plan.upper)
+    # a window is a copy of its parent and builds its own plan, with arrays of its own
+    win = op.window((slice(20, 90), slice(30, 101)))
+    assert win.red_black() is not plan
+    for name in WORK_ARRAYS:
+        assert not any(np.shares_memory(getattr(win.red_black(), name), getattr(plan, other)) for other in WORK_ARRAYS)
+
+
+@pytest.mark.parametrize("shape", [(24, 24), (25, 24), (5, 4, 3)], ids=lambda shape: "x".join(map(str, shape)))
+def test_a_reused_plan_gives_the_products_of_fresh_arrays(shape):
+    # a system whose bands hold NaN rows, then another on the same operator: -N_rb's padding, which no system
+    # writes, is still exactly 0, and both half products are bitwise those of freshly zeroed arrays
+    grid = Grid(bounds=((-1.0, 1.0),) * len(shape), shape=shape)
+    op = DiscreteOperator(OperatorSpec(grid=grid, p=3.0))
+    rng = np.random.default_rng(11)
+    n, k = grid.n_total, 2 * len(shape) + 1
+    poisoned = rng.standard_normal((k, n))
+    poisoned[[0, k - 2]] = np.nan
+    resolvent._schur_complement(op, 0.3, poisoned, rng.uniform(0.5, 1.0, n))
+    bands, w = rng.standard_normal((k, n)), rng.uniform(0.5, 1.0, n)
+    lower, upper = resolvent._schur_complement(op, 0.3, bands, w)
+    plan = op.red_black()
+    fresh = DiscreteOperator(op.spec)
+    fresh._red_black = plan._replace(**{name: np.zeros_like(getattr(plan, name)) for name in WORK_ARRAYS})
+    fresh_lower, fresh_upper = resolvent._schur_complement(fresh, 0.3, bands, w)
+    n_red, n_black = plan.red.size, plan.black.size
+    padding = np.concatenate([np.concatenate([row[:max(0, -offset)], row[min(n_black, n_red - offset):]])
+                              for row, offset in zip(plan.rb[::-1], plan.offsets.tolist())])
+    assert padding.size and (padding == 0.0).all() and not np.signbit(padding).any()
+    x, t = rng.standard_normal(n_red), rng.standard_normal(n_black)
+    assert np.array_equal(lower(x), fresh_lower(x)) and np.array_equal(upper(x, t), fresh_upper(x, t))
+    assert np.array_equal(upper(x, lower(x)), fresh_upper(x, fresh_lower(x)))
+
+
 def _counted(solver, *args, **kwargs):
     """solver's (x, info) and how many times it called its callback."""
     calls = []
@@ -533,10 +593,10 @@ op = DiscreteOperator(OperatorSpec(grid=grid, p=3.0))
 bands = op.diffusion_jacobian(rng.standard_normal(grid.n_total))
 W = 1.0 / np.sqrt(1.0 + 0.1 * bands[op.d])
 plan = op.red_black()
-lower, upper = resolvent._schur_complement(op, 0.1, bands, W)
-b = rng.standard_normal(plan.red.size)
 n_br = scipy.sparse.dia_array((0.1 * op.red_black_couplings(bands, W), plan.offsets),
                               shape=(plan.black.size, plan.red.size))
+lower, upper = resolvent._schur_complement(op, 0.1, bands, W)
+b = rng.standard_normal(plan.red.size)
 assert np.array_equal(lower(b), n_br @ b)
 product = lambda x: upper(x, lower(x))
 ours, info = resolvent.cg(product, b, 1e-12, 1000)

@@ -190,13 +190,14 @@ def test_2d_flow_is_bitwise_the_same_with_a_csr_newton_matrix(monkeypatch):
     dia = evolve(spec, u0, tg)
     calls = []
 
-    def csr_halves(offsets, br, rb):
+    def csr_halves(plan):
         # the two half products of the Schur complement, as CSR matrices instead of the DIA kernel: N_br, and
         # [I, -N_rb] applied to x stacked on t; each row holds its terms in ascending column order, unit
         # diagonal first, the order in which the kernel adds them
         from scipy import sparse
 
         calls.append(1)
+        offsets, br, rb = plan.offsets, plan.br, plan.rb
         (n_bands, n_red), n_black = br.shape, rb.shape[1]
         n_br = sparse.dia_array((br, offsets), shape=(n_black, n_red)).tocsr()
         n_rb = sparse.dia_array((rb, -offsets[::-1]), shape=(n_red, n_black))
