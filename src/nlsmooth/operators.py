@@ -42,9 +42,12 @@ them (4 or 5 in 2-D, at most 9 in 3-D for 3 to 8 nodes per axis). The plan is
 built at its first call and dropped when the operator moves to other nodes.
 
 DiscreteOperator.state(u) is what evaluating A at u computes on the way and
-what linearizing A at u needs again: phi(u), the face gradients g of phi(u) on
-each axis and g^2 + eps^2. apply_values and diffusion_jacobian take it, so
-that a Newton loop evaluates each iterate once.
+what linearizing A at u needs again: phi(u), and on each axis the face
+gradients g of phi(u) and their flux factors f = a(g)/g, the one power of a
+face. The flux f g, the conductivity a'(g), the energy and the Robin term
+read f, so a Newton step takes no power. apply_values and
+diffusion_jacobian take the state, so that a Newton loop evaluates each
+iterate once.
 
 DiscreteOperator.window gives the operator on a box of the grid's nodes with
 zero (Dirichlet) ghosts at the box's faces, keeping the grid's spacing, cell
@@ -260,45 +263,33 @@ class OperatorSpec:
             raise ValueError(f"p must satisfy 1 < p < inf, got {self.p}")
         if not (0.0 <= self.eps_reg < math.inf):
             raise ValueError(f"eps_reg must be >= 0 and finite, got {self.eps_reg}")
-        # the flux evaluates g^2 + eps^2, and its derivative at g = 0 eps^(p-4) eps^2, NaN where eps^2 is 0
+        # at g = 0 the flux factor (g^2 + eps^2)^{(p-2)/2} and a'(g), which divides by g^2 + eps^2, need eps^2 > 0
         if self.eps_reg and not 0.0 < self.eps_reg * self.eps_reg < math.inf:
             raise ValueError(f"eps_reg must be 0 or have a positive finite square, got {self.eps_reg}")
+        if self.eps_reg == 0.0 and self.phi.kind == "power" and self.phi.m < 1.0:  # phi'(0) = m 0^{m-1} = inf
+            raise ValueError(f"eps_reg must be positive for a power phi with m < 1, whose derivative is infinite "
+                             f"at u = 0; got 0 with m = {self.phi.m}")
 
     def space(self):
         return self.grid.space()
 
 
-def _flux(g, p, eps, s):
-    """a(g) = (g^2 + eps^2)^{(p-2)/2} g, with the eps = 0 limit taken nodewise;
-    s is g^2 + eps^2, and is not read when eps = 0."""
-    if eps == 0.0:
-        out = np.zeros_like(g)
-        nz = g != 0.0
-        out[nz] = np.abs(g[nz]) ** (p - 2.0) * g[nz]
-        return out
+def _flux_factor(g, p, eps):
+    """f = a(g) / g = (g^2 + eps^2)^{(p-2)/2}, so that the flux is f g. At
+    eps = 0 it is |g|^{p-2}, and at g = 0 the limit that keeps a'(0) = (p-1) f
+    finite: 1 for p = 2, else 0. At p = 2 it is 1 for every g and eps."""
     if p == 2.0:
-        return g  # (g^2 + eps^2)^0 g = 1 g, bit for bit
-    out = s ** ((p - 2.0) / 2.0)
-    out *= g
-    return out
-
-
-def _flux_deriv(g, p, eps, s):
-    """a'(g) = (g^2 + eps^2)^{(p-4)/2} ((p-1) g^2 + eps^2) > 0 for eps > 0;
-    s is g^2 + eps^2, and is not read when eps = 0."""
+        return np.ones_like(g)
     if eps == 0.0:
-        out = np.zeros_like(g)
-        nz = g != 0.0
-        out[nz] = (p - 1.0) * np.abs(g[nz]) ** (p - 2.0)
-        if p == 2.0:
-            out[~nz] = 1.0
-        return out
-    out = s ** ((p - 4.0) / 2.0)
-    g2 = g * g
-    g2 *= p - 1.0
-    g2 += eps * eps
-    out *= g2
-    return out
+        with np.errstate(divide="ignore"):  # 0^(p-2) is inf for p < 2, and replaced by the limit 0
+            f = np.abs(g) ** (p - 2.0)
+        if p < 2.0:
+            f[g == 0.0] = 0.0
+        return f
+    f = g * g
+    f += eps * eps
+    f **= (p - 2.0) / 2.0
+    return f
 
 
 class RedBlack(NamedTuple):
@@ -463,14 +454,10 @@ class DiscreteOperator:
         return out
 
     def _faces(self, w):
-        """The face data of w: per axis its gradients g (see _gradients), then,
-        unless eps_reg = 0, where the flux is taken nodewise, g^2 + eps^2 per
-        axis."""
-        grads, eps = self._gradients(self._grid_shaped(w)), self.spec.eps_reg
-        squares = [g * g for g in grads] if eps != 0.0 else []
-        for s in squares:
-            s += eps * eps
-        return (*grads, *squares)
+        """The face data of w: per axis its gradients g (see _gradients), then
+        per axis the flux factor f = a(g) / g (see _flux_factor)."""
+        grads = self._gradients(self._grid_shaped(w))
+        return (*grads, *(_flux_factor(g, self.spec.p, self.spec.eps_reg) for g in grads))
 
     def state(self, u):
         """The tuple (w, *faces) of w = phi(u) and the face data of w (see
@@ -488,14 +475,17 @@ class DiscreteOperator:
         on the face measure vol / h_a. phi is not applied: for doubly nonlinear
         operators this is the energy of the diffusion in its own variable."""
         p, eps, vol = self.spec.p, self.spec.eps_reg, self._cell_volume
-        mag = (lambda g: np.abs(g) ** p) if eps == 0.0 else (lambda g: (g * g + eps * eps) ** (p / 2.0))
-        V, total = self._grid_shaped(v), 0.0
-        for ax, g in zip(self._axes, self._gradients(V)):
-            total += np.sum(mag(g if self._dirichlet else g[ax.inner]))
+        faces, V, total = self._faces(v), self._grid_shaped(v), 0.0
+        for ax, g, f in zip(self._axes, faces, faces[self.d:]):
+            e = g * g
+            e += eps * eps
+            e *= f  # (g^2 + eps^2)^{p/2}
+            total += np.sum(e if self._dirichlet else e[ax.inner])
         total = float(vol * total) / p
         if self._robin:
             for ax in self._axes:
-                total += self.spec.bc.b / p * (vol / ax.h) * float(np.sum(np.abs(V[ax.node_ends]) ** p))
+                ends = V[ax.node_ends]
+                total += self.spec.bc.b / p * (vol / ax.h) * float(np.sum(_flux_factor(ends, p, 0.0) * ends * ends))
         return total
 
     # -- operator evaluation -------------------------------------------------
@@ -503,19 +493,19 @@ class DiscreteOperator:
     def diffusion_values(self, w, faces=None):
         """-div(a(grad w)) plus the robin boundary term, on raw values w; faces,
         if given, is self._faces(w)."""
-        p, eps, d = self.spec.p, self.spec.eps_reg, self.d
         if faces is None:
             faces = self._faces(w)
         terms = []
-        for a, ax in enumerate(self._axes):
-            F = _flux(faces[a], p, eps, faces[d + a] if eps != 0.0 else None)
+        for ax, g, f in zip(self._axes, faces, faces[self.d:]):
+            F = f * g
             terms.append((F[ax.lo] - F[ax.hi]) / ax.h)
         out = sum(terms[1:], start=terms[0])
         if self._robin:
             b, W = self.spec.bc.b, self._grid_shaped(w)
             # b |w|^{p-2} w acts on the face measure cell_volume / h_a; per unit node weight that is 1 / h_a
             for ax in self._axes:
-                out[ax.node_ends] += b * _flux(W[ax.node_ends], p, 0.0, None) / ax.h
+                ends = W[ax.node_ends]
+                out[ax.node_ends] += b * (_flux_factor(ends, self.spec.p, 0.0) * ends) / ax.h
         return out.reshape(w.shape)
 
     def apply_values(self, u, state=None):
@@ -548,8 +538,16 @@ class DiscreteOperator:
         bands = np.zeros((2 * d + 1,) + w.shape)
         B = self._grid_shaped(bands)
         diag = B[d]
-        for a, ax in enumerate(self._axes):
-            c = _flux_deriv(faces[a], p, eps, faces[d + a] if eps != 0.0 else None)
+        for a, (ax, g, f) in enumerate(zip(self._axes, faces, faces[d:])):
+            if eps == 0.0 or p == 2.0:
+                c = f * (p - 1.0)  # a'(g) = (p - 1) |g|^{p-2} at eps = 0, and 1 = f at p = 2
+            else:  # a'(g) = f ((p - 1) g^2 + eps^2) / (g^2 + eps^2), with no power
+                c = g * g  # then in place: an out-of-place expression was slower on a 128^2 grid's faces
+                s = c + eps * eps
+                c *= p - 1.0
+                c += eps * eps
+                c /= s
+                c *= f
             if not self._dirichlet:
                 c[ax.face_ends] = 0.0  # boundary edges carry no flux for any w
             c /= -(ax.h * ax.h)  # the off-diagonal entries -c_e / h_a^2
@@ -560,7 +558,7 @@ class DiscreteOperator:
             # b (|w|^{p-2} w)' / h_a, zeroed at w = 0 for p < 2 to keep it finite, joins the diagonal once
             W, robin = self._grid_shaped(w), np.zeros_like(diag)
             for ax in self._axes:
-                robin[ax.node_ends] += self.spec.bc.b * _flux_deriv(W[ax.node_ends], p, 0.0, None) / ax.h
+                robin[ax.node_ends] += self.spec.bc.b * (_flux_factor(W[ax.node_ends], p, 0.0) * (p - 1.0)) / ax.h
             diag += robin
         return bands
 

@@ -38,9 +38,9 @@ system.
 
 Each iterate is evaluated once. The residual evaluation of an iterate also
 returns its state (DiscreteOperator.state): w = phi(u), the face gradients g
-of w and g^2 + eps^2. An accepted iterate carries that state into the next
-Newton step, which builds a'(g) and the Jacobian bands from it without
-evaluating phi or differencing again; a rejected trial never pays for a'(g).
+of w and their flux factors f = a(g)/g. An accepted iterate carries it into
+the next Newton step, which builds a'(g) and the Jacobian bands from it with
+no phi, no difference and no power; a rejected trial never pays for a'(g).
 A line-search row whose direction is not finite, from a failed linear solve,
 has no finite trial at any step length and tries t = 1 only.
 

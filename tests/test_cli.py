@@ -562,6 +562,10 @@ def test_a_bad_experiment_key_exits_2_naming_it(tmp_path, monkeypatch, capsys, s
          "config operator.eps_reg: eps_reg must be 0 or have a positive finite square, got 1e-162"),
         (lambda cfg: cfg["operator"].update(eps_reg=1e-200),
          "config operator.eps_reg: eps_reg must be 0 or have a positive finite square, got 1e-200"),
+        # fast diffusion at eps 0: phi'(0) is infinite and the Newton bands would be NaN
+        (lambda cfg: (cfg.update(phi={"kind": "power", "m": 0.5}), cfg["operator"].update(p=2.0, eps_reg=0.0)),
+         "config operator.eps_reg: eps_reg must be positive for a power phi with m < 1, whose derivative is "
+         "infinite at u = 0; got 0 with m = 0.5"),
         (lambda cfg: cfg["operator"].update(bc="periodic"), "config operator.bc: unknown boundary condition 'periodic'"),
         (lambda cfg: cfg["operator"].update(bc="robin", robin_b="inf"),
          "config operator.robin_b: robin coupling needs b > 0 and finite, got inf"),

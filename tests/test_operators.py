@@ -517,6 +517,12 @@ def test_operator_spec_validation():
     with pytest.raises(ValueError, match="eps_reg must be >= 0 and finite, got inf"):
         OperatorSpec(grid=grid, p=2.0, eps_reg=float("inf"))
     assert OperatorSpec(grid=grid, p=2.0).eps_reg == DEFAULT_EPS_REG
+    # fast diffusion needs eps > 0, where phi'(0) = m eps^{m-1} is finite; m = 1 is the identity's derivative
+    with pytest.raises(ValueError, match="eps_reg must be positive for a power phi with m < 1"):
+        OperatorSpec(grid=grid, p=2.0, phi=PhiSpec.power(0.5), eps_reg=0.0)
+    for phi, eps in ((PhiSpec.power(0.5), 1e-8), (PhiSpec.power(1.0), 0.0), (PhiSpec.power(2.0), 0.0)):
+        assert np.isfinite(DiscreteOperator(OperatorSpec(grid=grid, p=2.0, phi=phi, eps_reg=eps))
+                           .phi_derivative(np.zeros(4))).all()
     with pytest.raises(ValueError):
         LipschitzF(func=lambda x, u: u, lipschitz=-1.0, deriv=lambda x, u: np.ones_like(u))
 
@@ -634,3 +640,87 @@ def test_jacobian_from_an_iterates_face_data_is_bitwise_the_fresh_one(shape, bc,
             assert np.array_equal(_bits(bands), _bits(o.diffusion_jacobian(o.spec.phi.value(U))))
             for j in range(batch):
                 assert np.array_equal(_bits(bands[:, j]), _bits(o.diffusion_jacobian(o.spec.phi.value(U[j]))))
+
+
+def _face_closed_forms(op, U):
+    """Per axis, the grid-shaped stack U moved so that the axis is last, its
+    face gradients, with ghost 0 under Dirichlet and 0 on the boundary faces
+    otherwise, and the spacing."""
+    out = []
+    for a, h in enumerate(op.spec.grid.h):
+        W = np.moveaxis(U.reshape((len(U),) + op.shape), a + 1, -1)
+        g = np.diff(np.pad(W, [(0, 0)] * (W.ndim - 1) + [(1, 1)]), axis=-1) / h
+        if not op.spec.bc.kind == "dirichlet":
+            g[..., [0, -1]] = 0.0
+        out.append((a, W, g, h))
+    return out
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-8], ids=["eps0", "eps1e-8"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 4.0])
+@pytest.mark.parametrize("bc", ALL_BCS, ids=lambda bc: bc.kind)
+@pytest.mark.parametrize("shape", [(13,), (7, 6), (5, 4, 6)], ids=["1d", "2d", "3d"])
+def test_flux_conductivity_and_energy_are_the_closed_forms_of_the_face_nonlinearity(shape, bc, p, eps):
+    # every consumer reads the one flux factor f = a(g)/g of a face: the flux f g is bitwise
+    # the closed form below, and a'(g) and the energy are within rounding of theirs
+    bounds = ((-1.0, 1.0), (0.0, 2.0), (0.0, 1.5))[:len(shape)]
+    op = DiscreteOperator(OperatorSpec(grid=Grid(bounds=bounds, shape=shape), p=p, bc=bc, eps_reg=eps))
+    d, n, vol, b = op.d, op.space.n, op.spec.grid.cell_volume, bc.b
+    rng = np.random.default_rng(len(shape) * 10 + int(2 * p))
+    U = rng.standard_normal((4, n))
+    U[0, ::3] = 0.0
+    U[1, : n // 2] = 0.0  # a slab of zero nodes: zero gradients between them
+    U[2] = 0.0
+    U[3, n // 3:] = 0.75  # and zero gradients between equal nonzero nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        node_flux = lambda w: np.where(w != 0.0, np.abs(w) ** (p - 2.0) * w, 0.0)
+        if eps == 0.0:
+            flux = node_flux
+            deriv = lambda g: np.where(g != 0.0, (p - 1.0) * np.abs(g) ** (p - 2.0), 1.0 if p == 2.0 else 0.0)
+        else:
+            flux = lambda g: g if p == 2.0 else (g * g + eps * eps) ** ((p - 2.0) / 2.0) * g
+            deriv = lambda g: (g * g + eps * eps) ** ((p - 4.0) / 2.0) * ((p - 1.0) * g * g + eps * eps)
+        node_deriv = lambda w: np.where(w != 0.0, (p - 1.0) * np.abs(w) ** (p - 2.0), 1.0 if p == 2.0 else 0.0)
+        faces = _face_closed_forms(op, U)
+        bands = np.zeros((2 * d + 1, len(U)) + op.shape)
+        energy = np.zeros(len(U))
+        for a, W, g, h in faces:
+            F = flux(g)
+            term = np.moveaxis((F[..., :-1] - F[..., 1:]) / h, -1, a + 1)
+            values = term if a == 0 else values + term
+            c = deriv(g)
+            if bc.kind != "dirichlet":
+                c[..., [0, -1]] = 0.0
+            c /= -(h * h)
+            diag = np.moveaxis(bands[d], a + 1, -1)
+            diag -= c[..., :-1]
+            diag -= c[..., 1:]
+            np.moveaxis(bands[a], a + 1, -1)[..., :-1] = np.moveaxis(bands[2 * d - a], a + 1, -1)[..., 1:] \
+                = c[..., 1:-1]
+            carried = g if bc.kind == "dirichlet" else g[..., 1:-1]
+            energy += vol * np.sum((carried * carried + eps * eps) ** (p / 2.0), axis=tuple(range(1, d + 1))) / p
+        if bc.kind == "robin":
+            robin = np.zeros_like(bands[d])
+            for a, W, g, h in faces:
+                ends = np.moveaxis(values, a + 1, -1)
+                ends[..., [0, -1]] += b * node_flux(W[..., [0, -1]]) / h
+                np.moveaxis(robin, a + 1, -1)[..., [0, -1]] += b * node_deriv(W[..., [0, -1]]) / h
+                energy += b / p * (vol / h) * np.sum(np.abs(W[..., [0, -1]]) ** p, axis=tuple(range(1, d + 1)))
+            bands[d] += robin
+    assert np.array_equal(op.apply_values(U), values.reshape(U.shape))
+    jacobian = op.diffusion_jacobian(U)
+    expected = bands.reshape(jacobian.shape)
+    if eps == 0.0:
+        assert np.array_equal(jacobian, expected)
+    else:
+        assert (np.abs(jacobian - expected) <= 4 * np.finfo(float).eps * np.abs(expected)).all()
+    # a face with g = 0 has a'(0) = eps^{p-2}, at eps = 0 the limit 0 for p != 2 and 1 for p = 2; read
+    # off band a at the lower node of each interior edge, which holds -a'(g) / h_a^2
+    zero = eps ** (p - 2.0) if eps else float(p == 2.0)
+    for a, W, g, h in faces:
+        lower = np.moveaxis(jacobian[a].reshape(bands[a].shape), a + 1, -1)[..., :-1]
+        flat = g[..., 1:-1] == 0.0
+        assert flat.sum() >= 3
+        np.testing.assert_allclose(lower[flat], -zero / (h * h), rtol=4 * np.finfo(float).eps, atol=0.0)
+    energies = np.array([op.energy(u) for u in U])
+    np.testing.assert_allclose(energies, energy, rtol=1e-14, atol=0.0)

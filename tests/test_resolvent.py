@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_banded
 
+import nlsmooth.operators as operators
 import nlsmooth.resolvent as resolvent
 from nlsmooth.harness import random_smooth_field, smooth_bump
 from nlsmooth.measure import GridFunction, lq_norm, lq_norm_rows
@@ -709,7 +710,9 @@ def test_batch_bookkeeping_matches_solo_solves(monkeypatch):
     monkeypatch.setattr(resolvent, "MAX_ITER", 15)
     out = solve_resolvent_batch(spec, 1.0, G, tol=1e-12)
     kinds = [f if f is None else f.split(":")[0] for f in out.failures]
-    assert [kinds.count(kind) for kind in (None, "no descent found", "resolvent did not converge")] == [13, 3, 24]
+    counts = [kinds.count(kind) for kind in (None, "no descent found", "resolvent did not converge")]
+    # the exact split moves with the last bits of the Jacobian; each kind must occur
+    assert min(counts) >= 1 and counts == [13, 4, 23]
     for k in range(len(G)):
         solo = solve_resolvent_batch(spec, 1.0, G[k : k + 1], tol=1e-12)
         assert np.array_equal(out.u[k], solo.u[0])
@@ -855,23 +858,35 @@ def test_a_row_whose_direction_is_not_finite_tries_t_1_only(monkeypatch, scale):
         assert np.array_equal(a[:1], b)
 
 
-@pytest.mark.parametrize("flow", ["p3", "porous-medium"])
+@pytest.mark.parametrize("flow", ["p3", "porous-medium", "p3-2d"])
 def test_face_gradients_are_computed_once_per_residual_and_never_for_a_jacobian(monkeypatch, flow):
     # the Newton step builds its Jacobian from the state that the residual
     # evaluation of its iterate returned, instead of differencing phi(u) again;
-    # outside the solves, the time-error estimator differences each state once, for its energy
-    grid = Grid(bounds=((-20.0, 20.0),), shape=(801,))
-    spec = (OperatorSpec(grid=grid, p=3.0) if flow == "p3"
-            else OperatorSpec(grid=grid, p=2.0, phi=PhiSpec.power(2.0)))
-    counts = dict(gradients=0, residuals=0, jacobians=0, gradients_in_jacobians=0, energies=0)
+    # outside the solves, the time-error estimator differences each state once, for its energy.
+    # The flux factor, the one power of a face, is taken once per axis with each difference
+    if flow == "p3-2d":
+        grid = Grid(bounds=((-6.0, 6.0),) * 2, shape=(24, 24))
+        spec = OperatorSpec(grid=grid, p=3.0)
+    else:
+        grid = Grid(bounds=((-20.0, 20.0),), shape=(801,))
+        spec = (OperatorSpec(grid=grid, p=3.0) if flow == "p3"
+                else OperatorSpec(grid=grid, p=2.0, phi=PhiSpec.power(2.0)))
+    counts = dict(gradients=0, residuals=0, jacobians=0, gradients_in_jacobians=0, energies=0, factors=0,
+                  factors_in_jacobians=0)
     in_jacobian = []
-    gradients, jacobian, residual, energy = (DiscreteOperator._gradients, DiscreteOperator.diffusion_jacobian,
-                                             resolvent._residual, DiscreteOperator.energy)
+    gradients, jacobian, residual, energy, factor = (
+        DiscreteOperator._gradients, DiscreteOperator.diffusion_jacobian, resolvent._residual, DiscreteOperator.energy,
+        operators._flux_factor)
 
     def counting_gradients(self, W):
         counts["gradients"] += 1
         counts["gradients_in_jacobians"] += bool(in_jacobian)
         return gradients(self, W)
+
+    def counting_factor(*args):
+        counts["factors"] += 1
+        counts["factors_in_jacobians"] += bool(in_jacobian)
+        return factor(*args)
 
     def counting_jacobian(self, *args):
         counts["jacobians"] += 1
@@ -890,10 +905,12 @@ def test_face_gradients_are_computed_once_per_residual_and_never_for_a_jacobian(
         return energy(self, v)
 
     monkeypatch.setattr(DiscreteOperator, "_gradients", counting_gradients)
+    monkeypatch.setattr(operators, "_flux_factor", counting_factor)
     monkeypatch.setattr(DiscreteOperator, "diffusion_jacobian", counting_jacobian)
     monkeypatch.setattr(resolvent, "_residual", counting_residual)
     monkeypatch.setattr(DiscreteOperator, "energy", counting_energy)
     evolve(spec, smooth_bump(grid, width=0.5), TimeGrid(t_end=1.0, n_steps=20))
-    assert counts["jacobians"] >= 20 and counts["gradients_in_jacobians"] == 0
-    assert counts["energies"] == (21 if flow == "p3" else 0)  # u0 and the state of each step
+    assert counts["jacobians"] >= 20 and counts["gradients_in_jacobians"] == counts["factors_in_jacobians"] == 0
+    assert counts["energies"] == (0 if flow == "porous-medium" else 21)  # u0 and the state of each step
     assert counts["gradients"] == counts["residuals"] + counts["energies"] > counts["jacobians"]
+    assert counts["factors"] == grid.d * counts["gradients"]
